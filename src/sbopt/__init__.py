@@ -24,6 +24,7 @@ from .constraints import (
     PenaltyConfig,
     PenaltyTransform,
     SmoothingSpec,
+    feasible_mask,
     is_feasible,
     penalize,
     penalty_weight_from_probe,

@@ -120,7 +120,7 @@ def run_single(problem: Problem, solver: str, budget: int, seed: int,
             return run_rk(
                 evaluator, problem.bounds,
                 n_init=int(params.get("n_init", problem.rk_n_init)),
-                feasibility_predicate=problem.feasibility_predicate(),
+                feasibility_predicate=problem.feasibility_mask(),
                 use_reinterp=bool(params.get("use_reinterp", True)),
                 fit_config=FitConfig(seed=seed),
                 infill_config=infill, seed=seed)

@@ -11,7 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..constraints import PenaltyConfig, PenaltyTransform, SmoothingSpec, is_feasible
+from ..constraints import (
+    PenaltyConfig,
+    PenaltyTransform,
+    SmoothingSpec,
+    feasible_mask,
+    is_feasible,
+)
 from ..core import Bounds
 from ..mfdsim import (
     NfdCurve,
@@ -62,6 +68,17 @@ class Problem:
             return None
         spec, tol = self.smoothing, self.feasibility_tol
         return lambda tau: is_feasible(tau, spec, tol)
+
+    def feasibility_mask(self):
+        """Row-mask form of the predicate for ``run_rk``, None if unconstrained.
+
+        Maps a (k, m) stack of profiles to a length-k boolean array whose
+        entries equal the per-point predicate on each row.
+        """
+        if self.smoothing is None:
+            return None
+        spec, tol = self.smoothing, self.feasibility_tol
+        return lambda taus: feasible_mask(taus, spec, tol)
 
 
 def quadratic_problem(m: int = 2, amplitude: float = 0.05) -> Problem:

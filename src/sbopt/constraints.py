@@ -46,6 +46,22 @@ class PenaltyConfig:
             raise ValueError("penalty exponent must be >= 1")
 
 
+def _excess(taus: np.ndarray, spec: SmoothingSpec) -> np.ndarray:
+    """Violation magnitudes along the last axis of profiles of checked width."""
+    m = spec.m_intervals
+    v = np.abs(taus[..., 1:] - taus[..., :-1])  # entry m-1 crosses eta/omega
+    out = np.empty(taus.shape[:-1] + (2 * (m - 1),))
+    np.maximum(v[..., : m - 1] - spec.alpha_smooth, 0.0, out=out[..., : m - 1])
+    np.maximum(v[..., m:] - spec.beta_smooth, 0.0, out=out[..., m - 1:])
+    return out
+
+
+def _profile_error(shape, spec: SmoothingSpec) -> DimensionMismatch:
+    return DimensionMismatch(
+        f"joint toll profile needs {2 * spec.m_intervals} entries "
+        f"([eta..., omega...]), got shape {shape}")
+
+
 def violations(tau, spec: SmoothingSpec) -> np.ndarray:
     """Constraint violation magnitudes, zero where satisfied.
 
@@ -53,19 +69,10 @@ def violations(tau, spec: SmoothingSpec) -> np.ndarray:
     entries first, then the delay-rate entries.  Entry values are
     ``max(0, |jump| - limit)``.
     """
-    m = spec.m_intervals
     tau = np.asarray(tau, dtype=float)
-    if tau.ndim != 1 or tau.size != 2 * m:
-        raise DimensionMismatch(
-            f"joint toll profile needs {2 * m} entries ([eta..., omega...]), "
-            f"got shape {tau.shape}")
-    if m == 1:
-        return np.zeros(0)
-    v = np.abs(tau[1:] - tau[:-1])  # adjacent diffs, entry m-1 crosses eta/omega
-    out = np.empty(2 * (m - 1))
-    np.maximum(v[: m - 1] - spec.alpha_smooth, 0.0, out=out[: m - 1])
-    np.maximum(v[m:] - spec.beta_smooth, 0.0, out=out[m - 1:])
-    return out
+    if tau.ndim != 1 or tau.size != 2 * spec.m_intervals:
+        raise _profile_error(tau.shape, spec)
+    return _excess(tau, spec)
 
 
 def is_feasible(tau, spec: SmoothingSpec, tol: float = 0.0) -> bool:
@@ -74,6 +81,21 @@ def is_feasible(tau, spec: SmoothingSpec, tol: float = 0.0) -> bool:
         raise ValueError("tol must be non-negative")
     v = violations(tau, spec)
     return bool(v.size == 0 or np.max(v) <= tol)
+
+
+def feasible_mask(taus, spec: SmoothingSpec, tol: float = 0.0) -> np.ndarray:
+    """Row-wise ``is_feasible`` over a (k, 2m) stack of profiles.
+
+    Returns a boolean array of length k whose entry i equals
+    ``is_feasible(taus[i], spec, tol)``: the violations come from the same
+    elementwise arithmetic.  A 1-D profile gives a 0-d result.
+    """
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim not in (1, 2) or taus.shape[-1] != 2 * spec.m_intervals:
+        raise _profile_error(taus.shape, spec)
+    return np.all(_excess(taus, spec) <= tol, axis=-1)
 
 
 def penalize(value: float, tau, spec: SmoothingSpec, config: PenaltyConfig,

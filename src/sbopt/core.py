@@ -104,7 +104,16 @@ class Bounds:
         return u
 
     def from_unit(self, u) -> np.ndarray:
-        u = as_vector(u, self.m_dim)
+        """Map unit-cube coordinates into the box; u is a point or a (k, m) stack."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim == 2:
+            if u.shape[1] != self.m_dim:
+                raise DimensionMismatch(f"expected rows of dimension {self.m_dim}, "
+                                        f"got shape {u.shape}")
+            if not np.all(np.isfinite(u)):
+                raise EvaluationError("unit-cube rows have non-finite entries")
+        else:
+            u = as_vector(u, self.m_dim)
         return self.lower + u * self.span
 
 

@@ -9,7 +9,16 @@ for infill selection.
 
 Hyperparameters are chosen by maximizing the concentrated log-likelihood
 with a multi-start coordinate search over ``log10 theta`` in [-3, 2] per
-dimension and ``log10 lambda`` in [-12, 0].
+dimension and ``log10 lambda`` in [-12, 0].  The search builds the
+samples' squared-difference tensor once and reuses it for every
+likelihood evaluation.
+
+The correlation kernel evaluates query rows in blocks, so its (rows, n, m)
+temporary holds about ``_PSI_BLOCK_ELEMS`` (64k) elements whatever the
+number of queries; predictions, error variances and EI share one moments
+routine.  Feasibility predicates passed to ``propose_infill`` and
+``run_rk`` are row masks: they map a (k, m) array of points to a
+length-k boolean array, e.g. ``constraints.feasible_mask``.
 """
 
 from __future__ import annotations
@@ -23,9 +32,12 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import pdist
 from scipy.special import ndtr
 
-from .core import Bounds, Evaluator, SboError, Trace, as_vector
+from .core import Bounds, EvaluationError, Evaluator, SboError, Trace, as_vector
 
 _SIGMA2_FLOOR = 1e-300
+# Elements of the (rows, n, m) squared-difference temporary that _psi holds
+# at once: 512 KiB of float64, so a block stays in cache.
+_PSI_BLOCK_ELEMS = 1 << 16
 
 
 class FitError(SboError):
@@ -135,53 +147,73 @@ def _validate_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _corr_matrix(X: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    d2 = ((X[:, None, :] - X[None, :, :]) ** 2) @ theta
-    return np.exp(-d2)
+def _sq_diff(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Squared coordinate differences of every row pair, shape (len(A), len(B), m)."""
+    return (A[:, None, :] - B[None, :, :]) ** 2
 
 
 def _psi(X: np.ndarray, Xq: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Correlation of query rows against sample rows, shape (k, n)."""
-    d2 = ((Xq[:, None, :] - X[None, :, :]) ** 2) @ theta
-    return np.exp(-d2)
+    """Correlation of query rows against sample rows, shape (k, n).
+
+    Evaluates ``exp(-_sq_diff(Xq, X) @ theta)`` in blocks of query rows so
+    the (rows, n, m) temporary holds about _PSI_BLOCK_ELEMS elements; one
+    block covers all queries when the whole tensor fits.  Each row's
+    arithmetic is the same in every block, so the result does not depend
+    on the blocking.
+    """
+    k, (n, m) = Xq.shape[0], X.shape
+    rows = max(1, _PSI_BLOCK_ELEMS // (n * m))
+    out = np.empty((k, n))
+    for i in range(0, k, rows):
+        out[i:i + rows] = np.exp(-(_sq_diff(Xq[i:i + rows], X) @ theta))
+    return out
 
 
-def _solve_parts(X, y, theta, lam):
-    """Cholesky of R = Psi + lam*I plus the MLE pieces, None if singular."""
+def _solve_parts(D, y, theta, lam):
+    """Cholesky of R = Psi + lam*I plus the MLE pieces, None if singular.
+
+    ``D`` is ``_sq_diff(X, X)`` of the samples, so a likelihood search
+    builds it once and only redoes the theta contraction per evaluation.
+    """
+    if not (math.isfinite(lam) and lam >= 0):
+        raise FitError(f"lambda must be finite and non-negative, got {lam!r}")
     n = y.size
-    R = _corr_matrix(X, theta) + lam * np.eye(n)
+    R = np.exp(-(D @ theta)) + lam * np.eye(n)
     try:
-        cho = cho_factor(R, lower=True)
+        cho = cho_factor(R, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
         return None
     ones = np.ones(n)
-    rinv_ones = cho_solve(cho, ones)
+    rinv_ones = cho_solve(cho, ones, check_finite=False)
     denom = float(ones @ rinv_ones)
     if denom <= 0:
         return None
     mu = float((y @ rinv_ones) / denom)
     resid = y - mu
-    alpha = cho_solve(cho, resid)
+    alpha = cho_solve(cho, resid, check_finite=False)
     sigma2 = float(resid @ alpha) / n
     logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
     return cho, mu, alpha, sigma2, logdet
+
+
+def _log_likelihood(n: int, sigma2: float, logdet: float) -> float:
+    return -0.5 * (n * np.log(2.0 * np.pi) + n * np.log(max(sigma2, _SIGMA2_FLOOR))
+                   + logdet + n)
 
 
 def concentrated_log_likelihood(X, y, theta, lam) -> float:
     """Profile log-likelihood with mu and sigma^2 at their closed-form MLEs."""
     X, y = _validate_xy(X, y)
     theta = as_vector(theta, X.shape[1])
-    parts = _solve_parts(X, y, theta, float(lam))
+    parts = _solve_parts(_sq_diff(X, X), y, theta, float(lam))
     if parts is None:
         return -np.inf
     _, _, _, sigma2, logdet = parts
-    n = y.size
-    return -0.5 * (n * np.log(2.0 * np.pi) + n * np.log(max(sigma2, _SIGMA2_FLOOR))
-                   + logdet + n)
+    return _log_likelihood(y.size, sigma2, logdet)
 
 
-def _build_model(X, y, theta, lam) -> KrigingModel:
-    parts = _solve_parts(X, y, theta, lam)
+def _build_model(X, y, theta, lam, D) -> KrigingModel:
+    parts = _solve_parts(D, y, theta, lam)
     if parts is None:
         raise FitError(
             "correlation matrix is singular; duplicated samples need lambda > 0")
@@ -189,11 +221,10 @@ def _build_model(X, y, theta, lam) -> KrigingModel:
     n = y.size
     sigma2 = max(sigma2, 0.0)
     sigma2_ri = max(0.0, sigma2 - lam * float(alpha @ alpha) / n)
-    ll = -0.5 * (n * np.log(2.0 * np.pi) + n * np.log(max(sigma2, _SIGMA2_FLOOR))
-                 + logdet + n)
     return KrigingModel(X=X, y=y, theta=np.array(theta, dtype=float), lam=float(lam),
                         mu_hat=mu, sigma2_hat=sigma2, sigma2_ri=sigma2_ri,
-                        log_likelihood=ll, cho=cho, alpha=alpha)
+                        log_likelihood=_log_likelihood(n, sigma2, logdet),
+                        cho=cho, alpha=alpha)
 
 
 def fit(X, y, config: FitConfig | None = None) -> KrigingModel:
@@ -213,11 +244,12 @@ def fit(X, y, config: FitConfig | None = None) -> KrigingModel:
     if lam_fixed is not None and lam_fixed < 0:
         raise FitError("fixed lambda must be non-negative")
 
+    D = _sq_diff(X, X)
     if theta_fixed is not None and lam_fixed is not None:
-        return _build_model(X, y, theta_fixed, float(lam_fixed))
+        return _build_model(X, y, theta_fixed, float(lam_fixed), D)
     if n == 1:
         return _build_model(X, y, theta_fixed if theta_fixed is not None else np.ones(m),
-                            float(lam_fixed) if lam_fixed is not None else 1e-6)
+                            float(lam_fixed) if lam_fixed is not None else 1e-6, D)
 
     # search space: log10 theta per dim then log10 lambda, fixed entries pinned
     t_lo, t_hi = config.log10_theta_bounds
@@ -238,7 +270,7 @@ def fit(X, y, config: FitConfig | None = None) -> KrigingModel:
 
     def nll(p):
         theta, lam = unpack(p)
-        parts = _solve_parts(X, y, theta, lam)
+        parts = _solve_parts(D, y, theta, lam)
         if parts is None:
             return np.inf
         _, _, _, sigma2, logdet = parts
@@ -278,7 +310,7 @@ def fit(X, y, config: FitConfig | None = None) -> KrigingModel:
     if best_p is None or not np.isfinite(best_f):
         raise FitError("no factorizable hyperparameters found; check for duplicate rows")
     theta, lam = unpack(best_p)
-    return _build_model(X, y, theta, lam)
+    return _build_model(X, y, theta, lam, D)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +323,33 @@ def _query_rows(model: KrigingModel, x) -> tuple[np.ndarray, bool]:
     xq = np.atleast_2d(xq)
     if xq.shape[1] != model.m_dim:
         raise SboError(f"query dimension {xq.shape[1]} != model dimension {model.m_dim}")
+    if not np.all(np.isfinite(xq)):
+        raise EvaluationError("query points must be finite")
     return xq, scalar
+
+
+def _moments(model: KrigingModel, xq: np.ndarray, reinterp: bool):
+    """Predictor and error variance at the (k, m) query rows.
+
+    ``reinterp`` selects the re-interpolation variance, which adds the
+    nugget to psi at every query that equals a sample row; otherwise the
+    plain regressing variance.
+    """
+    psi = _psi(model.X, xq, model.theta)
+    y_hat = model.mu_hat + psi @ model.alpha
+    if reinterp and model.lam > 0:
+        # an exact sample match gives psi == 1.0, so only those rows are compared
+        rows = np.flatnonzero(np.any(psi == 1.0, axis=1))
+        if rows.size:
+            hits = np.all(xq[rows, None, :] == model.X[None, :, :], axis=2)
+            psi[rows] = psi[rows] + model.lam * hits
+    rinv_psi = cho_solve(model.cho, psi.T, check_finite=False)
+    quad = np.einsum("ij,ji->i", psi, rinv_psi)
+    if reinterp:
+        s2 = np.maximum(0.0, model.sigma2_ri * (1.0 - quad))
+    else:
+        s2 = np.maximum(0.0, model.sigma2_hat * (1.0 + model.lam - quad))
+    return y_hat, s2
 
 
 def predict(model: KrigingModel, x):
@@ -302,11 +360,7 @@ def predict(model: KrigingModel, x):
     regressing behavior.
     """
     xq, scalar = _query_rows(model, x)
-    psi = _psi(model.X, xq, model.theta)
-    y_hat = model.mu_hat + psi @ model.alpha
-    rinv_psi = cho_solve(model.cho, psi.T)
-    quad = np.einsum("ij,ji->i", psi, rinv_psi)
-    s2 = np.maximum(0.0, model.sigma2_hat * (1.0 + model.lam - quad))
+    y_hat, s2 = _moments(model, xq, reinterp=False)
     if scalar:
         return float(y_hat[0]), float(s2[0])
     return y_hat, s2
@@ -321,13 +375,7 @@ def reinterp_error(model: KrigingModel, x):
     model regresses.
     """
     xq, scalar = _query_rows(model, x)
-    psi = _psi(model.X, xq, model.theta)
-    if model.lam > 0:
-        hits = np.all(xq[:, None, :] == model.X[None, :, :], axis=2)
-        psi = psi + model.lam * hits
-    rinv_psi = cho_solve(model.cho, psi.T)
-    quad = np.einsum("ij,ji->i", psi, rinv_psi)
-    s2 = np.maximum(0.0, model.sigma2_ri * (1.0 - quad))
+    _, s2 = _moments(model, xq, reinterp=True)
     if scalar:
         return float(s2[0])
     return s2
@@ -342,19 +390,7 @@ def expected_improvement(model: KrigingModel, x, y_min: float,
     to use the plain regressing error.
     """
     xq, scalar = _query_rows(model, x)
-    psi = _psi(model.X, xq, model.theta)
-    y_hat = model.mu_hat + psi @ model.alpha
-    if use_reinterp:
-        if model.lam > 0:
-            hits = np.all(xq[:, None, :] == model.X[None, :, :], axis=2)
-            psi = psi + model.lam * hits
-        rinv_psi = cho_solve(model.cho, psi.T)
-        quad = np.einsum("ij,ji->i", psi, rinv_psi)
-        s2 = np.maximum(0.0, model.sigma2_ri * (1.0 - quad))
-    else:
-        rinv_psi = cho_solve(model.cho, psi.T)
-        quad = np.einsum("ij,ji->i", psi, rinv_psi)
-        s2 = np.maximum(0.0, model.sigma2_hat * (1.0 + model.lam - quad))
+    y_hat, s2 = _moments(model, xq, use_reinterp)
     s = np.sqrt(s2)
     ei = np.zeros(xq.shape[0])
     ok = s > 0
@@ -393,6 +429,16 @@ class EIProposal:
     ei: float
 
 
+def _row_mask(predicate, rows: np.ndarray) -> np.ndarray:
+    """Apply a row-mask feasibility predicate to a (k, m) array, checking its shape."""
+    mask = np.asarray(predicate(rows), dtype=bool)
+    if mask.shape != (rows.shape[0],):
+        raise ValueError(
+            f"feasibility predicate must map a ({rows.shape[0]}, {rows.shape[1]}) "
+            f"array to {rows.shape[0]} booleans, got shape {mask.shape}")
+    return mask
+
+
 def propose_infill(model: KrigingModel, y_min: float, feasibility_predicate,
                    bounds: Bounds, config: InfillConfig | None = None,
                    use_reinterp: bool = True) -> EIProposal:
@@ -401,9 +447,13 @@ def propose_infill(model: KrigingModel, y_min: float, feasibility_predicate,
     Multi-start pattern search: a large random probe seeds the best
     feasible points, then each sweep polls every coordinate step of
     every start in one EI batch and moves each point along its best
-    feasible improving direction, halving stalled step sizes.  Raises
-    InfillSearchError when repeated probes find no feasible candidate
-    at all.
+    feasible improving direction, halving stalled step sizes.
+
+    ``feasibility_predicate`` is None or a row mask: it maps a (k, m)
+    array of candidates to a length-k boolean array.  It runs once per
+    probe and once per sweep, on the candidates the search could pick.
+    Raises InfillSearchError when repeated probes find no feasible
+    candidate at all.
     """
     config = config or InfillConfig()
     rng = np.random.default_rng(config.seed)
@@ -418,14 +468,13 @@ def propose_infill(model: KrigingModel, y_min: float, feasibility_predicate,
         else:
             cand = bounds.lower + rng.random((config.n_probe, m)) * bounds.span
         ei_cand = expected_improvement(model, cand, y_min, use_reinterp)
-        # walk the probe in EI order so the predicate only runs until
-        # enough feasible starts are in hand
-        for i in np.argsort(ei_cand)[::-1]:
-            if predicate is None or predicate(cand[i]):
-                starts.append(cand[i])
-                start_ei.append(ei_cand[i])
-                if len(starts) >= config.n_starts:
-                    break
+        # the feasible probes in decreasing EI order become the starts
+        order = np.argsort(ei_cand)[::-1]
+        if predicate is not None:
+            order = order[_row_mask(predicate, cand)[order]]
+        for i in order[: config.n_starts - len(starts)]:
+            starts.append(cand[i])
+            start_ei.append(ei_cand[i])
         if len(starts) >= config.n_starts:
             break
     if not starts:
@@ -437,39 +486,40 @@ def propose_infill(model: KrigingModel, y_min: float, feasibility_predicate,
     vals = np.array(start_ei, dtype=float)
     k = pts.shape[0]
     steps = np.full(k, 0.25)
-    dirs = [(j, sgn) for j in range(m) if bounds.span[j] > 0
-            for sgn in (1.0, -1.0)]
-    n_dir = len(dirs)
+    # direction d moves coordinate dim[d] by sgn[d] steps
+    dim = np.repeat(np.flatnonzero(bounds.span > 0), 2)
+    sgn = np.tile([1.0, -1.0], dim.size // 2)
+    n_dir = dim.size
     for _ in range(config.max_sweeps):
         live = np.where(steps >= config.min_step)[0]
         if live.size == 0 or n_dir == 0:
             break
         base = pts[live]
+        cols = np.clip(base[:, dim] + sgn * steps[live, None] * bounds.span[dim],
+                       bounds.lower[dim], bounds.upper[dim])
         cand = np.repeat(base[:, None, :], n_dir, axis=1)
-        changed = np.empty((live.size, n_dir), dtype=bool)
-        for d, (j, sgn) in enumerate(dirs):
-            col = np.clip(base[:, j] + sgn * steps[live] * bounds.span[j],
-                          bounds.lower[j], bounds.upper[j])
-            cand[:, d, j] = col
-            changed[:, d] = col != base[:, j]
+        cand[:, np.arange(n_dir), dim] = cols
+        changed = cols != base[:, dim]
         ei_mat = np.full((live.size, n_dir), -np.inf)
         mask = changed.reshape(-1)
         if np.any(mask):
             flat = cand.reshape(live.size * n_dir, m)
             ei_mat.reshape(-1)[mask] = expected_improvement(
                 model, flat[mask], y_min, use_reinterp)
+        # a direction qualifies when its EI is not at or below the point's
+        # own; the predicate runs only on those
+        ok = ~(ei_mat <= vals[live, None] + 1e-15)
+        if predicate is not None and np.any(ok):
+            ok[ok] = _row_mask(predicate, cand[ok])
         moved = np.zeros(k, dtype=bool)
-        for row, i in enumerate(live):
-            # best improving direction that passes the predicate; the
-            # predicate only runs on candidates already beating the EI
-            for d in np.argsort(ei_mat[row])[::-1]:
-                if ei_mat[row, d] <= vals[i] + 1e-15:
-                    break
-                if predicate is None or predicate(cand[row, d]):
-                    pts[i] = cand[row, d]
-                    vals[i] = ei_mat[row, d]
-                    moved[i] = True
-                    break
+        for row in np.flatnonzero(np.any(ok, axis=1)):
+            # the best qualifying direction, ties in argsort order
+            order = np.argsort(ei_mat[row])[::-1]
+            d = order[ok[row, order]][0]
+            i = live[row]
+            pts[i] = cand[row, d]
+            vals[i] = ei_mat[row, d]
+            moved[i] = True
         steps[~moved] *= 0.5
     best = int(np.argmax(vals))
     return EIProposal(x=pts[best].copy(), ei=float(vals[best]))
@@ -502,7 +552,9 @@ def loo_cv(model: KrigingModel, residual_limit: float = 3.0) -> list[LooRecord]:
     records = []
     for i in range(n):
         keep = np.arange(n) != i
-        sub = _build_model(model.X[keep], model.y[keep], model.theta, model.lam)
+        X_keep = model.X[keep]
+        sub = _build_model(X_keep, model.y[keep], model.theta, model.lam,
+                           _sq_diff(X_keep, X_keep))
         y_hat, s2 = predict(sub, model.X[i])
         degenerate = s2 < 1e-12
         s = float(np.sqrt(max(s2, 1e-12)))
@@ -527,7 +579,9 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
 
     The model is fit in unit-cube coordinates, and the infill search
     (including any ``InfillConfig.sampler``) runs in those coordinates.
-    When a feasibility predicate is given, infill candidates are
+    ``feasibility_predicate`` is None or a row mask over box coordinates:
+    it maps a (k, m) array of points to a length-k boolean array, such as
+    ``Problem.feasibility_mask()``.  When given, infill candidates are
     restricted to feasible points and the incumbent for expected
     improvement is the best feasible value observed.  Per-infill EI
     values land in ``trace.annotations["rk_ei"]``.
@@ -550,9 +604,9 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
         y_signed.append(ev.value if minimize else -ev.value)
 
     unit_box = Bounds.unit(m)
-    unit_predicate = None
+    unit_mask = None
     if feasibility_predicate is not None:
-        unit_predicate = lambda u: feasibility_predicate(bounds.from_unit(u))
+        unit_mask = lambda U: feasibility_predicate(bounds.from_unit(U))
 
     ei_log = evaluator.trace.annotations.setdefault("rk_ei", [])
     warm = None
@@ -565,14 +619,14 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
         model = fit(X_arr, y_arr, cfg)
         warm = np.concatenate([np.log10(model.theta), [np.log10(max(model.lam, 1e-12))]])
 
-        if unit_predicate is not None:
-            feas_mask = np.array([unit_predicate(u) for u in X_arr])
+        if unit_mask is not None:
+            feas_mask = _row_mask(unit_mask, X_arr)
             y_min = float(np.min(y_arr[feas_mask])) if np.any(feas_mask) else float(np.min(y_arr))
         else:
             y_min = float(np.min(y_arr))
 
         proposal = propose_infill(
-            model, y_min, unit_predicate, unit_box,
+            model, y_min, unit_mask, unit_box,
             replace(infill_config, seed=infill_config.seed + iteration), use_reinterp)
         ev = evaluator.evaluate(bounds.from_unit(proposal.x))
         X_unit.append(np.array(proposal.x))
@@ -606,9 +660,9 @@ def load_model_json(path) -> KrigingModel:
     """Rebuild a model dumped by save_model_json."""
     with open(path) as fh:
         doc = json.load(fh)
-    return _build_model(np.asarray(doc["X"], dtype=float),
-                        np.asarray(doc["y"], dtype=float),
-                        np.asarray(doc["theta"], dtype=float), float(doc["lam"]))
+    X, y = _validate_xy(doc["X"], doc["y"])
+    theta = as_vector(doc["theta"], X.shape[1])
+    return _build_model(X, y, theta, float(doc["lam"]), _sq_diff(X, X))
 
 
 def write_diagnostics_csv(ei_values, loo_records, path) -> None:

@@ -118,3 +118,48 @@ def test_feasibility_matches_max_violation(m, data):
     tol = data.draw(st.floats(0.0, 2.0))
     v = sb.violations(tau, spec)
     assert sb.is_feasible(tau, spec, tol=tol) == (v.size == 0 or v.max() <= tol)
+
+
+def _edge_rows(spec):
+    """Profiles whose largest jump sits exactly at a cap or one ulp above it."""
+    m = spec.m_intervals
+    rows = []
+    for at in (1, m - 1):
+        for cap, offset in ((spec.alpha_smooth, 0), (spec.beta_smooth, m)):
+            for jump in (cap, np.nextafter(cap, np.inf)):
+                tau = np.zeros(2 * m)
+                tau[offset + at] = jump
+                rows.append(tau)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-6])
+def test_feasible_mask_matches_per_point_predicate(tol):
+    from sbopt.bench.problems import smoothing_band_sampler
+
+    spec = sb.SmoothingSpec(alpha_smooth=0.33, beta_smooth=5.0, m_intervals=8)
+    bounds = sb.Bounds(np.zeros(16), np.concatenate([np.ones(8), np.full(8, 15.0)]))
+    rng = np.random.default_rng(3)
+    band = bounds.from_unit(smoothing_band_sampler(bounds, spec)(rng, 500, bounds))
+    box = bounds.from_unit(rng.random((500, 16)))
+    edges = _edge_rows(spec)
+    masks = []
+    for T in (band, box, edges):
+        mask = sb.feasible_mask(T, spec, tol)
+        assert mask.dtype == bool
+        assert mask.tolist() == [sb.is_feasible(t, spec, tol) for t in T]
+        masks.append(mask)
+    # both outcomes occur, and the ulp above a cap only passes with tol > 0
+    assert masks[0].any() and not masks[1].all()
+    assert masks[2].tolist() == [True, tol > 0] * 4
+
+
+def test_feasible_mask_shapes():
+    one = sb.SmoothingSpec(alpha_smooth=0.33, beta_smooth=5.0, m_intervals=1)
+    assert sb.feasible_mask(np.array([[0.0, 9.0], [1.0, 0.0]]), one).tolist() == [True, True]
+    spec = sb.SmoothingSpec(alpha_smooth=0.33, beta_smooth=5.0, m_intervals=2)
+    assert sb.feasible_mask(np.array([0.0, 0.5, 0.0, 0.0]), spec).shape == ()
+    with pytest.raises(sb.DimensionMismatch):
+        sb.feasible_mask(np.zeros((3, 5)), spec)
+    with pytest.raises(sb.DimensionMismatch):
+        sb.feasible_mask(np.zeros((2, 3, 4)), spec)

@@ -32,6 +32,18 @@ def test_unit_roundtrip(u):
     assert np.allclose(b.to_unit(b.from_unit(u)), u, atol=1e-12)
 
 
+def test_from_unit_maps_stacks_row_by_row():
+    b = sb.Bounds(np.array([0.0, -1.0, 2.0]), np.array([1.0, 3.0, 17.0]))
+    U = np.random.default_rng(4).random((50, 3))
+    stacked = b.from_unit(U)
+    assert np.array_equal(stacked, np.array([b.from_unit(u) for u in U]))
+    U[7, 1] = np.nan
+    with pytest.raises(sb.EvaluationError):
+        b.from_unit(U)
+    with pytest.raises(sb.DimensionMismatch):
+        b.from_unit(np.zeros((4, 2)))
+
+
 def test_evaluator_determinism():
     def f(tau, seed):
         return sb.apply_numerical_noise(float(np.sum(tau)), tau, 0.5, seed)

@@ -95,7 +95,7 @@ def test_proposal_lands_in_unsampled_valley():
 def test_proposal_beats_dense_feasible_probe():
     model, X, y = wavy_model(lam=1e-4)
     y_min = float(y.min())
-    predicate = lambda t: t[0] + t[1] <= 1.2
+    predicate = lambda t: t[..., 0] + t[..., 1] <= 1.2
     prop = sb.propose_infill(model, y_min, predicate, UNIT2,
                              sb.InfillConfig(seed=5))
     assert predicate(prop.x)
@@ -107,8 +107,17 @@ def test_proposal_beats_dense_feasible_probe():
 def test_infeasible_everywhere_raises():
     model, X, y = wavy_model()
     with pytest.raises(sb.InfillSearchError):
-        sb.propose_infill(model, float(y.min()), lambda t: False, UNIT2,
+        sb.propose_infill(model, float(y.min()),
+                          lambda t: np.zeros(len(t), dtype=bool), UNIT2,
                           sb.InfillConfig(n_probe=64, max_restarts=2, seed=0))
+
+
+def test_per_point_predicate_is_rejected():
+    # the infill search passes (k, m) arrays; a scalar answer is a contract error
+    model, X, y = wavy_model()
+    with pytest.raises(ValueError, match="booleans"):
+        sb.propose_infill(model, float(y.min()), lambda t: True, UNIT2,
+                          sb.InfillConfig(n_probe=64, seed=0))
 
 
 def test_custom_sampler_feeds_candidates():
@@ -121,7 +130,7 @@ def test_custom_sampler_feeds_candidates():
         pts[:, 0] *= 0.5
         return pts
 
-    prop = sb.propose_infill(model, float(y.min()), lambda t: t[0] <= 0.5,
+    prop = sb.propose_infill(model, float(y.min()), lambda t: t[..., 0] <= 0.5,
                              UNIT2, sb.InfillConfig(seed=2, sampler=left_half))
     assert calls["n"] >= 1
     assert prop.x[0] <= 0.5

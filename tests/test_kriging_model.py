@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
 import sbopt as sb
-from sbopt.kriging import load_model_json, save_model_json, write_diagnostics_csv
+from sbopt.kriging import (
+    _PSI_BLOCK_ELEMS,
+    _psi,
+    concentrated_log_likelihood,
+    load_model_json,
+    save_model_json,
+    write_diagnostics_csv,
+)
 
 
 def sine_design(n=11, seed=4):
@@ -57,6 +65,24 @@ def test_maximin_beats_single_random_draw():
 def test_correlation_at_zero_distance():
     x = np.array([0.3, 0.7])
     assert sb.gaussian_correlation(x, x, np.array([1.0, 4.0])) == 1.0
+
+
+@pytest.mark.parametrize("n, m, k", [
+    (100, 16, 1),     # single pass
+    (100, 16, 40),    # exactly one block of rows
+    (100, 16, 4096),  # 103 blocks, the last one partial
+    (25, 2, 1),
+    (25, 2, 1310),    # exactly one block of rows
+    (25, 2, 3001),    # three blocks, the last one partial
+])
+def test_blocked_psi_matches_one_shot_broadcast(n, m, k):
+    rows = _PSI_BLOCK_ELEMS // (n * m)
+    assert (k <= rows) == (k in (1, rows))
+    rng = np.random.default_rng(n + m + k)
+    X, Xq = rng.random((n, m)), rng.random((k, m))
+    theta = 10.0 ** rng.uniform(-1, 1, size=m)
+    one_shot = np.exp(-(((Xq[:, None, :] - X[None, :, :]) ** 2) @ theta))
+    assert np.array_equal(_psi(X, Xq, theta), one_shot)
 
 
 def test_correlation_unit_distance_unit_theta():
@@ -133,11 +159,23 @@ def test_far_field_reverts_to_process_mean():
     assert s2 == pytest.approx(model.sigma2_hat * 1.1)
 
 
+def test_fitted_likelihood_equals_concentrated_likelihood():
+    # fit reuses one squared-difference tensor across its search; the
+    # reported likelihood must still be the one computed from scratch
+    rng = np.random.default_rng(11)
+    X = rng.random((30, 4))
+    y = np.sin(3.0 * X).sum(axis=1) + 0.05 * rng.standard_normal(30)
+    for cfg in (sb.FitConfig(n_starts=3, n_probe=8, max_sweeps=3, seed=1),
+                sb.FitConfig(theta=np.full(4, 2.0), lam=1e-3)):
+        model = sb.fit(X, y, cfg)
+        assert model.log_likelihood == concentrated_log_likelihood(
+            X, y, model.theta, model.lam)
+
+
 def test_fitted_likelihood_beats_random_probes():
     X, y = sine_design(seed=7)
     model = sb.fit(X, y)
     rng = np.random.default_rng(123)
-    from sbopt.kriging import concentrated_log_likelihood
 
     for _ in range(100):
         theta = 10 ** rng.uniform(-3, 2, size=1)
@@ -172,6 +210,33 @@ def test_reinterp_error_is_zero_at_samples(lam):
     # plain error variance does not vanish there once lam > 0
     _, s2 = sb.predict(model, X)
     assert np.max(s2) > 0.0
+
+
+def _full_hit_reinterp(model, xq):
+    """Re-interpolation variance with the hit mask over every query row."""
+    psi = np.exp(-(((xq[:, None, :] - model.X[None, :, :]) ** 2) @ model.theta))
+    hits = np.all(xq[:, None, :] == model.X[None, :, :], axis=2)
+    psi = psi + model.lam * hits
+    rinv_psi = cho_solve(model.cho, psi.T)
+    quad = np.einsum("ij,ji->i", psi, rinv_psi)
+    return np.maximum(0.0, model.sigma2_ri * (1.0 - quad))
+
+
+def test_reinterp_hit_mask_matches_full_comparison():
+    rng = np.random.default_rng(5)
+    X = rng.random((20, 3))
+    y = np.sin(4.0 * X).sum(axis=1)
+    model = sb.fit(X, y, sb.FitConfig(theta=np.array([1.0, 2.0, 0.5]), lam=1e-3))
+    assert np.all(sb.reinterp_error(model, X) == 0.0)
+    # one ulp off a sample: psi still rounds to 1.0, but it is not a hit
+    near = X[:4].copy()
+    near[:, 1] = np.nextafter(near[:, 1], 2.0)
+    xq = np.vstack([near, X[4:6], rng.random((3, 3))])
+    s2 = sb.reinterp_error(model, xq)
+    assert np.any(_psi(model.X, near, model.theta) == 1.0)
+    assert np.array_equal(s2, _full_hit_reinterp(model, xq))
+    assert np.all(s2[:4] > 0.0)
+    assert np.all(s2[4:6] == 0.0)
 
 
 def test_reinterp_scales_plain_error_when_lambda_zero():

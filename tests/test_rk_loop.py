@@ -65,7 +65,7 @@ def test_ei_decays_as_search_closes_in():
 
 def test_constrained_run_respects_predicate():
     spec = sb.SmoothingSpec(alpha_smooth=0.2, beta_smooth=5.0, m_intervals=2)
-    predicate = lambda tau: sb.is_feasible(tau, spec)
+    predicate = lambda tau: sb.feasible_mask(tau, spec)
     bounds = sb.Bounds(np.array([0, 0, 0, 0.0]), np.array([1, 1, 5, 5.0]))
 
     def objective(tau, seed):
