@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from ..core import SboError
-from .harness import ConfigError, ExperimentConfig, compare, run_experiment
+from .harness import SOLVERS, ConfigError, ExperimentConfig, compare, run_experiment
 from .plotting import emit_plot_data
 from .problems import available_problems
 
@@ -30,9 +30,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one experiment from a JSON config")
+    solvers = "; ".join(f"{name} ({', '.join(sorted(spec.params))})"
+                        for name, spec in SOLVERS.items())
     run.add_argument("--config", required=True, metavar="FILE",
                      help="experiment config (problem, solver, budget, seeds, "
-                          f"params); problems: {', '.join(available_problems())}")
+                          f"params); problems: {', '.join(available_problems())}; "
+                          f"solvers and their params: {solvers}")
     run.add_argument("--seed", type=int, default=None,
                      help="replace the config's seed list with this one seed")
     run.add_argument("--budget", type=int, default=None,

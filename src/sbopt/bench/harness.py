@@ -4,16 +4,19 @@ A run is (problem, solver, budget, seeds).  Every seed produces a trace
 CSV; the experiment produces a report JSON holding per-seed summaries and
 the per-evaluation best curves, plus plot-data CSVs.  Reports from
 different solvers on the same problem and budget feed ``compare``.
+Each solver is declared once, in ``SOLVERS``.
 """
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from ..constraints import violations
-from ..core import Evaluator, SboError, Trace, write_trace_csv
+from ..core import Evaluator, SboError, Trace, _write_csv, write_trace_csv
 from ..direct import run_direct
 from ..kriging import FitConfig, InfillConfig, run_rk
 from ..mfdsim import run_reservoir
@@ -22,20 +25,91 @@ from ..spsa import SpsaGains, StopRule, run_spsa
 from .plotting import plot_curve_bands, write_best_curve_csv, write_nfd_scatter
 from .problems import Problem, available_problems, get_problem
 
-SOLVERS = ("pi", "rk", "direct", "spsa")
-
-# Parameter whitelist per solver; anything else in params is a config error.
-_SOLVER_PARAMS = {
-    "rk": {"n_init", "use_reinterp"},
-    "spsa": {"a", "big_a", "alpha", "c", "gamma", "max_iterations",
-             "gradient_scale", "tau_0"},
-    "direct": {"epsilon", "max_iterations"},
-    "pi": {"n_max"},
-}
-
 
 class ConfigError(SboError):
     """Bad experiment configuration; maps to CLI exit code 2."""
+
+
+class Solver(NamedTuple):
+    """One row of SOLVERS: the params a config may set, the runner, and an
+    optional check(problem) returning why the solver cannot run on it."""
+
+    params: frozenset
+    run: Callable  # (evaluator, problem, seed, params) -> Trace
+    check: Callable | None = None
+
+
+# The runners look up run_rk, run_spsa, run_direct and run_pi in this
+# module's globals at call time, so a wrapper rebound over those names
+# (perfbench's tracer does this) sees every solver run.
+
+def _run_rk(evaluator, problem, seed, params):
+    return run_rk(
+        evaluator, problem.bounds,
+        n_init=int(params.get("n_init", problem.rk_n_init)),
+        feasibility_predicate=problem.feasibility_mask(),
+        use_reinterp=bool(params.get("use_reinterp", True)),
+        fit_config=FitConfig(seed=seed),
+        infill_config=InfillConfig(seed=seed, sampler=problem.infill_sampler),
+        seed=seed)
+
+
+_SPSA_GAINS = ("a", "big_a", "alpha", "c", "gamma")
+
+
+def _run_spsa(evaluator, problem, seed, params):
+    tau_0 = params.get("tau_0", problem.spsa_tau_0)
+    if tau_0 is None:
+        raise ConfigError(
+            f"problem {problem.name!r} has no default SPSA start; pass params.tau_0")
+    gain_args = {k: params[k] for k in _SPSA_GAINS if k in params}
+    stop = None
+    if "max_iterations" in params:
+        stop = StopRule(max_iterations=int(params["max_iterations"]))
+    return run_spsa(evaluator, np.asarray(tau_0, dtype=float), problem.bounds,
+                    gains=SpsaGains(**gain_args) if gain_args else None, stop=stop,
+                    penalty=problem.penalty,
+                    gradient_scale=float(params.get("gradient_scale", 1.0)),
+                    seed=seed)
+
+
+def _run_direct(evaluator, problem, seed, params):
+    max_it = params.get("max_iterations")
+    return run_direct(evaluator, problem.bounds,
+                      epsilon=float(params.get("epsilon", 1e-4)),
+                      max_iterations=None if max_it is None else int(max_it),
+                      penalty=problem.penalty)
+
+
+def _pi_check(problem):
+    if problem.pi_config is None:
+        return ("the controller needs per-interval density feedback and has no "
+                "way to honor general constraints")
+    return None
+
+
+def _run_pi(evaluator, problem, seed, params):
+    cfg = problem.pi_config
+    if "n_max" in params:
+        cfg = replace(cfg, n_max=int(params["n_max"]))
+    return run_pi(evaluator, cfg, problem.bounds, seed=seed)
+
+
+SOLVERS = {
+    "pi": Solver(frozenset({"n_max"}), _run_pi, _pi_check),
+    "rk": Solver(frozenset({"n_init", "use_reinterp"}), _run_rk),
+    "direct": Solver(frozenset({"epsilon", "max_iterations"}), _run_direct),
+    "spsa": Solver(frozenset({*_SPSA_GAINS, "max_iterations", "gradient_scale", "tau_0"}),
+                   _run_spsa),
+}
+
+
+def _check_problem(solver: str, problem: Problem) -> None:
+    check = SOLVERS[solver].check
+    reason = None if check is None else check(problem)
+    if reason is not None:
+        raise ConfigError(f"solver {solver!r} cannot run on problem {problem.name!r}: "
+                          f"{reason}")
 
 
 @dataclass
@@ -60,13 +134,15 @@ class ExperimentConfig:
         missing = sorted({"problem", "solver", "budget"} - set(raw))
         if missing:
             raise ConfigError(f"missing config keys: {missing}")
+        # copy the containers; validate() rejects anything of the wrong type
+        seeds, params = raw.get("seeds", (0,)), raw.get("params", {})
         cfg = cls(
             problem=raw["problem"],
             solver=raw["solver"],
             budget=raw["budget"],
-            seeds=tuple(raw.get("seeds", (0,))),
+            seeds=tuple(seeds) if isinstance(seeds, (list, tuple)) else seeds,
             output_dir=raw.get("output_dir", "."),
-            params=dict(raw.get("params", {})),
+            params=dict(params) if isinstance(params, dict) else params,
         )
         cfg.validate()
         return cfg
@@ -86,80 +162,39 @@ class ExperimentConfig:
                 f"unknown problem {self.problem!r}; known: {available_problems()}")
         if self.solver not in SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}; known: {list(SOLVERS)}")
-        if not isinstance(self.budget, int) or self.budget < 1:
+        # type() rather than isinstance(): JSON true must not pass as 1
+        if type(self.budget) is not int or self.budget < 1:
             raise ConfigError(f"budget must be a positive integer, got {self.budget!r}")
-        if len(self.seeds) == 0:
-            raise ConfigError("seeds must be non-empty")
-        if any(not isinstance(s, int) or isinstance(s, bool) for s in self.seeds):
-            raise ConfigError(f"seeds must be integers, got {self.seeds!r}")
+        seeds = self.seeds
+        if (not isinstance(seeds, (list, tuple)) or not seeds
+                or any(type(s) is not int for s in seeds) or len(set(seeds)) < len(seeds)):
+            raise ConfigError(
+                f"seeds must be a non-empty list of distinct integers, got {seeds!r}")
         if not isinstance(self.params, dict):
             raise ConfigError("params must be an object")
-        bad = sorted(set(self.params) - _SOLVER_PARAMS[self.solver])
+        allowed = SOLVERS[self.solver].params
+        bad = sorted(set(self.params) - allowed)
         if bad:
             raise ConfigError(
                 f"params {bad} not recognized for solver {self.solver!r}; "
-                f"allowed: {sorted(_SOLVER_PARAMS[self.solver])}")
+                f"allowed: {sorted(allowed)}")
         # solver-problem compatibility is structural, so reject it here
         # rather than at run time
-        if self.solver == "pi" and get_problem(self.problem).pi_config is None:
-            raise ConfigError(
-                f"solver 'pi' cannot run on problem {self.problem!r}: the "
-                "controller needs per-interval density feedback and has no "
-                "way to honor general constraints")
+        _check_problem(self.solver, get_problem(self.problem))
 
 
 def run_single(problem: Problem, solver: str, budget: int, seed: int,
                params: dict = None) -> Trace:
     """Run one solver on one problem for one seed; returns the trace."""
-    params = dict(params or {})
     evaluator = Evaluator(problem.objective, budget=budget, sense=problem.sense,
                           seed=seed)
+    if solver not in SOLVERS:
+        raise ConfigError(f"unknown solver {solver!r}")
+    _check_problem(solver, problem)
     try:
-        if solver == "rk":
-            infill = InfillConfig(seed=seed, sampler=problem.infill_sampler)
-            return run_rk(
-                evaluator, problem.bounds,
-                n_init=int(params.get("n_init", problem.rk_n_init)),
-                feasibility_predicate=problem.feasibility_mask(),
-                use_reinterp=bool(params.get("use_reinterp", True)),
-                fit_config=FitConfig(seed=seed),
-                infill_config=infill, seed=seed)
-        if solver == "spsa":
-            tau_0 = params.pop("tau_0", problem.spsa_tau_0)
-            if tau_0 is None:
-                raise ConfigError(
-                    f"problem {problem.name!r} has no default SPSA start; "
-                    "pass params.tau_0")
-            gain_keys = {"a", "big_a", "alpha", "c", "gamma"}
-            gain_args = {k: params[k] for k in gain_keys if k in params}
-            gains = SpsaGains(**gain_args) if gain_args else None
-            stop = None
-            if "max_iterations" in params:
-                stop = StopRule(max_iterations=int(params["max_iterations"]))
-            return run_spsa(evaluator, np.asarray(tau_0, dtype=float),
-                            problem.bounds, gains=gains, stop=stop,
-                            penalty=problem.penalty,
-                            gradient_scale=float(params.get("gradient_scale", 1.0)),
-                            seed=seed)
-        if solver == "direct":
-            max_it = params.get("max_iterations")
-            return run_direct(evaluator, problem.bounds,
-                              epsilon=float(params.get("epsilon", 1e-4)),
-                              max_iterations=None if max_it is None else int(max_it),
-                              penalty=problem.penalty)
-        if solver == "pi":
-            if problem.pi_config is None:
-                raise ConfigError(
-                    f"solver 'pi' cannot run on problem {problem.name!r}: the "
-                    "controller needs per-interval density feedback and has no "
-                    "way to honor general constraints")
-            cfg = problem.pi_config
-            if "n_max" in params:
-                cfg = replace(cfg, n_max=int(params["n_max"]))
-            return run_pi(evaluator, cfg, problem.bounds, seed=seed)
+        return SOLVERS[solver].run(evaluator, problem, seed, dict(params or {}))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad parameters for solver {solver!r}: {exc}") from exc
-    raise ConfigError(f"unknown solver {solver!r}")
 
 
 def _summarize_seed(problem: Problem, trace: Trace, seed: int) -> dict:
@@ -316,22 +351,15 @@ class ComparisonReport:
 
     def write_curves_csv(self, path) -> Path:
         """Aligned median/quartile curves for every solver, one wide CSV."""
-        import csv
-
         path = Path(path)
         header = ["eval_index"]
+        columns = []
         for name in self.solvers:
             header += [f"{name}_median", f"{name}_q1", f"{name}_q3"]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i, g in enumerate(self.grid):
-                row = [int(g)]
-                for name in self.solvers:
-                    lo, hi = self.iqr_curves[name]
-                    row += [repr(float(self.median_curves[name][i])),
-                            repr(float(lo[i])), repr(float(hi[i]))]
-                writer.writerow(row)
+            columns += [self.median_curves[name], *self.iqr_curves[name]]
+        _write_csv(path, header,
+                   ([int(g), *(c[i] for c in columns)]
+                    for i, g in enumerate(self.grid)))
         return path
 
     def plot(self, path) -> Path:

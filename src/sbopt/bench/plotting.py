@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core import SboError, Trace
+from ..core import SboError, Trace, _write_csv
 from ..mfdsim import SimOutput, nfd_flow
 
 
@@ -53,11 +53,8 @@ def read_trace_csv(path) -> dict:
 def write_best_curve_csv(eval_index, best_value, path) -> Path:
     """Best objective value against evaluation count, one row per evaluation."""
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eval_index", "best_value"])
-        for i, v in zip(eval_index, best_value):
-            writer.writerow([int(i), repr(float(v))])
+    _write_csv(path, ["eval_index", "best_value"],
+               ([int(i), float(v)] for i, v in zip(eval_index, best_value)))
     return path
 
 
@@ -70,11 +67,7 @@ def _minute_samples(out: SimOutput) -> tuple[np.ndarray, np.ndarray]:
 def write_nfd_scatter(out: SimOutput, path) -> Path:
     """Density-flow pairs sampled once a simulated minute."""
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "q"])
-        for k, q in zip(*_minute_samples(out)):
-            writer.writerow([repr(float(k)), repr(float(q))])
+    _write_csv(path, ["k", "q"], zip(*_minute_samples(out)))
     return path
 
 

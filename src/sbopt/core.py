@@ -12,8 +12,7 @@ must return identical values.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -214,13 +213,10 @@ class Evaluator:
     n_reps : int
         Replications averaged per evaluation (seeds ``seed .. seed+n_reps-1``).
         Each aggregate counts as one evaluation against the budget.
-    reentrant : bool
-        Declares the objective safe to call concurrently; enables threaded
-        ``map_batch``.
     """
 
     def __init__(self, objective, budget: int | None = None, sense: str = "minimize",
-                 seed: int = 0, n_reps: int = 1, reentrant: bool = False):
+                 seed: int = 0, n_reps: int = 1):
         if budget is not None and budget < 0:
             raise ValueError("budget must be non-negative")
         if n_reps < 1:
@@ -229,7 +225,6 @@ class Evaluator:
         self.budget = budget
         self.seed = int(seed)
         self.n_reps = int(n_reps)
-        self.reentrant = bool(reentrant)
         self.trace = Trace(sense)
 
     @property
@@ -286,11 +281,9 @@ class Evaluator:
         return ev
 
     def map_batch(self, taus, seeds=None) -> list[Evaluation]:
-        """Evaluate several points with pre-assigned trace order.
+        """Evaluate several points; records land in the trace in input order.
 
-        Runs threaded only when the objective is declared re-entrant;
-        records always land in the trace in input order.  The whole batch
-        must fit in the remaining budget.
+        The whole batch must fit in the remaining budget.
         """
         taus = [as_vector(t) for t in taus]
         if seeds is None:
@@ -300,31 +293,43 @@ class Evaluator:
         if self.remaining is not None and len(taus) > self.remaining:
             raise BudgetExhausted(
                 f"batch of {len(taus)} exceeds remaining budget of {self.remaining}")
-        if self.reentrant and len(taus) > 1:
-            with ThreadPoolExecutor(max_workers=min(8, len(taus))) as pool:
-                results = list(pool.map(self._aggregate, taus, seeds))
-        else:
-            results = [self._aggregate(t, s) for t, s in zip(taus, seeds)]
         out = []
-        for tau, s, (value, aux) in zip(taus, seeds, results):
+        for tau, s in zip(taus, seeds):
+            value, aux = self._aggregate(tau, s)
             ev = Evaluation(value=value, seed=int(s), eval_index=self.used, aux=aux)
             self.trace.append(tau, ev)
             out.append(ev)
         return out
 
 
-def write_trace_csv(trace: Trace, path) -> None:
-    """Write eval_index, seed, tau_1..tau_m, value, best_value rows."""
+def _csv_cell(x):
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    return repr(float(x))
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a header and rows of cells: the one CSV format of this package.
+
+    Ints are written plainly, strings as given, and every other cell as
+    ``repr(float(x))``, which reads back as the same float64.
+    """
     import csv
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        m = trace.records[0].tau.size if trace.records else 0
-        header = ["eval_index", "seed"] + [f"tau_{i + 1}" for i in range(m)]
-        header += ["value", "best_value"]
         writer.writerow(header)
-        for rec, best in zip(trace.records, trace.best_curve):
-            ev = rec.evaluation
-            row = [ev.eval_index, ev.seed] + [repr(float(x)) for x in rec.tau]
-            row += [repr(float(ev.value)), repr(float(best))]
-            writer.writerow(row)
+        writer.writerows([_csv_cell(x) for x in row] for row in rows)
+
+
+def write_trace_csv(trace: Trace, path) -> None:
+    """Write eval_index, seed, tau_1..tau_m, value, best_value rows."""
+    m = trace.records[0].tau.size if trace.records else 0
+    header = (["eval_index", "seed"] + [f"tau_{i + 1}" for i in range(m)]
+              + ["value", "best_value"])
+    _write_csv(path, header,
+               ([rec.evaluation.eval_index, rec.evaluation.seed, *rec.tau,
+                 rec.evaluation.value, best]
+                for rec, best in zip(trace.records, trace.best_curve)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Bounds, BudgetExhausted, Evaluator, Trace
+from .core import Bounds, BudgetExhausted, Evaluator, Trace, _write_csv
 
 _MIN_SIDE = 1e-9
 
@@ -65,9 +65,6 @@ class DirectState:
     @property
     def y_min(self) -> float:
         return min(r.value for r in self.rects)
-
-    def total_volume(self) -> float:
-        return sum(r.volume for r in self.rects)
 
 
 def identify_potentially_optimal(rects, y_min: float, epsilon: float) -> list[int]:
@@ -226,21 +223,15 @@ def run_direct(evaluator: Evaluator, bounds: Bounds, epsilon: float = 1e-4,
     trace.annotations["direct_cells"] = [
         {"center": r.center.copy(), "depth": r.depth.copy(), "value": r.value, "d": r.d}
         for r in state.rects]
-    trace.annotations["direct_state"] = state
     return trace
 
 
 def write_direct_cells(trace: Trace, path) -> None:
     """Final tiling as CSV: center coords, depth counters, value, half-diagonal."""
-    import csv
-
     cells = trace.annotations.get("direct_cells", [])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        m = cells[0]["center"].size if cells else 0
-        writer.writerow([f"c_{i + 1}" for i in range(m)]
-                        + [f"depth_{i + 1}" for i in range(m)] + ["value", "d"])
-        for cell in cells:
-            writer.writerow([repr(float(x)) for x in cell["center"]]
-                            + [int(x) for x in cell["depth"]]
-                            + [repr(float(cell["value"])), repr(float(cell["d"]))])
+    m = cells[0]["center"].size if cells else 0
+    header = ([f"c_{i + 1}" for i in range(m)]
+              + [f"depth_{i + 1}" for i in range(m)] + ["value", "d"])
+    _write_csv(path, header,
+               ([*cell["center"], *cell["depth"], cell["value"], cell["d"]]
+                for cell in cells))

@@ -32,7 +32,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import pdist
 from scipy.special import ndtr
 
-from .core import Bounds, EvaluationError, Evaluator, SboError, Trace, as_vector
+from .core import Bounds, EvaluationError, Evaluator, SboError, Trace, _write_csv, as_vector
 
 _SIGMA2_FLOOR = 1e-300
 # Elements of the (rows, n, m) squared-difference temporary that _psi holds
@@ -54,7 +54,7 @@ def gaussian_correlation(xi, xj, theta) -> float:
     theta = as_vector(theta, xi.size)
     if np.any(theta <= 0):
         raise ValueError("theta entries must be positive")
-    return float(np.exp(-np.sum(theta * (xi - xj) ** 2)))
+    return float(_psi(xj[None, :], xi[None, :], theta)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -667,14 +667,8 @@ def load_model_json(path) -> KrigingModel:
 
 def write_diagnostics_csv(ei_values, loo_records, path) -> None:
     """Per-infill EI values and LOO residual records side by side."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "index", "value", "std_error", "flag"])
-        for i, ei in enumerate(ei_values):
-            writer.writerow(["ei", i, repr(float(ei)), "", ""])
-        for rec in loo_records:
-            flag = "degenerate" if rec.degenerate else ("outlier" if rec.outlier else "")
-            writer.writerow(["loo", rec.index, repr(float(rec.standardized_residual)),
-                             repr(float(rec.std_error)), flag])
+    rows = [["ei", i, float(ei), "", ""] for i, ei in enumerate(ei_values)]
+    for rec in loo_records:
+        flag = "degenerate" if rec.degenerate else ("outlier" if rec.outlier else "")
+        rows.append(["loo", rec.index, rec.standardized_residual, rec.std_error, flag])
+    _write_csv(path, ["kind", "index", "value", "std_error", "flag"], rows)

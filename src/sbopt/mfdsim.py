@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import SboError, as_vector
+from .core import SboError, _write_csv, as_vector
 
 
 class SimulationError(SboError):
@@ -278,32 +278,26 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
     n = 0.0
     for i in range(n_steps):
         k = n / lane_km
-        # effective plateau edge after composition shift, then flow at k
-        k_hi_eff = k_hi
+        # flow at k on the base curve; it also sets the speed the delay toll sees
+        if k <= k_lo:
+            q = q_max * k / k_lo
+        elif k <= k_hi:
+            q = q_max
+        else:
+            q = q_max * (k_jam - k) / (k_jam - k_hi)
         toll = 0.0
         h = interval[i]
         if h >= 0:
-            if k > 1e-12:
-                if k <= k_lo:
-                    q_now = q_max * k / k_lo
-                elif k <= k_hi:
-                    q_now = q_max
-                else:
-                    q_now = q_max * (k_jam - k) / (k_jam - k_hi)
-                v = max(q_now / k, 1e-6)
-            else:
-                v = v_free
+            v = max(q / k, 1e-6) if k > 1e-12 else v_free
             delay_h = max(0.0, trip_km / v - t_free)
             toll = eta[h] * trip_km + omega[h] * delay_h
             if comp_gain > 0.0 and toll > 0.0:
+                # the composition shift lowers the plateau's top edge to
+                # k_hi_eff <= k_hi, which rounding can put just below k_lo
                 s = min(1.0, comp_gain * (1.0 - np.exp(-toll / vot)))
                 k_hi_eff = k_hi - s * (k_hi - k_lo)
-        if k <= k_lo:
-            q = q_max * k / k_lo
-        elif k <= k_hi_eff:
-            q = q_max
-        else:
-            q = q_max * (k_jam - k) / (k_jam - k_hi_eff)
+                if k > k_lo and k > k_hi_eff:
+                    q = q_max * (k_jam - k) / (k_jam - k_hi_eff)
         outflow = min(q * lane_km / trip_km, n / dt_h)
         inflow = demand[i] * (np.exp(-elast * toll) if toll > 0.0 else 1.0)
         # receiving capacity: extra arrivals beyond jam accumulation are turned away
@@ -384,13 +378,7 @@ def network_average(per_link) -> tuple[np.ndarray, np.ndarray]:
 
 def write_series_csv(out: SimOutput, path) -> None:
     """Time series as t_s, n, k, q rows."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "n", "k", "q"])
-        for row in zip(out.t_s, out.n, out.k, out.q):
-            writer.writerow([repr(float(x)) for x in row])
+    _write_csv(path, ["t_s", "n", "k", "q"], zip(out.t_s, out.n, out.k, out.q))
 
 
 def save_scenario(path, config: ReservoirConfig, curve: NfdCurve,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bounds, EvaluationError, Evaluator, Trace, as_vector
+from .core import Bounds, EvaluationError, Evaluator, Trace, _write_csv, as_vector
 
 
 @dataclass(frozen=True)
@@ -100,17 +100,9 @@ def run_pi(evaluator: Evaluator, config: PIConfig, bounds: Bounds,
 
 def write_pi_log(trace: Trace, path) -> None:
     """Per-iteration CSV: iteration, tau_h..., k_bar_h..., objective value."""
-    import csv
-
     rows = trace.annotations.get("pi_iterations", [])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        m = rows[0]["tau"].size if rows else 0
-        header = (["iteration"] + [f"tau_{h + 1}" for h in range(m)]
-                  + [f"k_bar_{h + 1}" for h in range(m)] + ["value"])
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row["iteration"]]
-                            + [repr(float(x)) for x in row["tau"]]
-                            + [repr(float(x)) for x in row["k_bar"]]
-                            + [repr(float(row["value"]))])
+    m = rows[0]["tau"].size if rows else 0
+    header = (["iteration"] + [f"tau_{h + 1}" for h in range(m)]
+              + [f"k_bar_{h + 1}" for h in range(m)] + ["value"])
+    _write_csv(path, header, ([row["iteration"], *row["tau"], *row["k_bar"], row["value"]]
+                              for row in rows))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bounds, BudgetExhausted, Evaluator, Trace, as_vector
+from .core import Bounds, BudgetExhausted, Evaluator, Trace, _write_csv, as_vector
 
 logger = logging.getLogger(__name__)
 
@@ -75,22 +75,34 @@ def approx_gradient(evaluator: Evaluator, tau, c_i: float, delta,
         raise ValueError("c_i must be positive")
     if np.any(np.abs(delta) != 1.0):
         raise ValueError("delta must be a +-1 vector")
-    tau_plus = tau + c_i * delta
-    tau_minus = tau - c_i * delta
-    if bounds is not None:
-        clipped_plus = bounds.clamp(tau_plus)
-        clipped_minus = bounds.clamp(tau_minus)
-        if not (np.array_equal(clipped_plus, tau_plus)
-                and np.array_equal(clipped_minus, tau_minus)):
-            logger.info("perturbed point clamped to bounds at tau=%s", tau)
-        tau_plus, tau_minus = clipped_plus, clipped_minus
+    return _two_point(evaluator, tau, c_i, delta,
+                      clamp=None if bounds is None else bounds.clamp,
+                      to_tau=lambda x: x,
+                      transform=transform or (lambda v, _: v),
+                      clamp_note=("perturbed point clamped to bounds at tau=%s", tau))
+
+
+def _two_point(evaluator: Evaluator, x, c_i: float, delta, clamp, to_tau,
+               transform, clamp_note):
+    """Evaluate the pair x +- c_i * delta and form the divided difference.
+
+    ``clamp`` (None for no clamping) projects each point before
+    ``to_tau`` maps it to decision space; ``clamp_note`` is logged when
+    clamping moved either point.  The denominator keeps the nominal step.
+    Returns (g_hat, y_plus, y_minus) on the ``transform``-ed scale.
+    """
+    x_plus, x_minus = x + c_i * delta, x - c_i * delta
+    if clamp is not None:
+        clipped_plus, clipped_minus = clamp(x_plus), clamp(x_minus)
+        if not (np.array_equal(clipped_plus, x_plus)
+                and np.array_equal(clipped_minus, x_minus)):
+            logger.info(*clamp_note)
+        x_plus, x_minus = clipped_plus, clipped_minus
+    tau_plus, tau_minus = to_tau(x_plus), to_tau(x_minus)
     y_plus = evaluator.evaluate(tau_plus).value
     y_minus = evaluator.evaluate(tau_minus).value
-    if transform is not None:
-        y_plus = transform(y_plus, tau_plus)
-        y_minus = transform(y_minus, tau_minus)
-    g_hat = (y_plus - y_minus) / (2.0 * c_i * delta)
-    return g_hat, y_plus, y_minus
+    y_plus, y_minus = transform(y_plus, tau_plus), transform(y_minus, tau_minus)
+    return (y_plus - y_minus) / (2.0 * c_i * delta), y_plus, y_minus
 
 
 @dataclass(frozen=True)
@@ -143,18 +155,13 @@ def run_spsa(evaluator: Evaluator, tau_0, bounds: Bounds,
             break
         delta = perturbation(bounds.m_dim, rng)
         c_i = gains.c_at(i)
-        u_plus = np.clip(u + c_i * delta, 0.0, 1.0)
-        u_minus = np.clip(u - c_i * delta, 0.0, 1.0)
-        if not (np.array_equal(u_plus, u + c_i * delta)
-                and np.array_equal(u_minus, u - c_i * delta)):
-            logger.info("perturbed point clamped to bounds at iteration %d", i)
-        tau_plus, tau_minus = bounds.from_unit(u_plus), bounds.from_unit(u_minus)
         try:
-            y_plus = transform(evaluator.evaluate(tau_plus).value, tau_plus)
-            y_minus = transform(evaluator.evaluate(tau_minus).value, tau_minus)
+            g_hat, y_plus, y_minus = _two_point(
+                evaluator, u, c_i, delta, clamp=lambda x: np.clip(x, 0.0, 1.0),
+                to_tau=bounds.from_unit, transform=transform,
+                clamp_note=("perturbed point clamped to bounds at iteration %d", i))
         except BudgetExhausted:
             break
-        g_hat = (y_plus - y_minus) / (2.0 * c_i * delta)
         a_i = gains.a_at(i, gradient_scale)
         u = np.clip(u - a_i * g_hat, 0.0, 1.0)
         g_norm = float(np.max(np.abs(g_hat)))
@@ -171,19 +178,12 @@ def run_spsa(evaluator: Evaluator, tau_0, bounds: Bounds,
 
 def write_spsa_log(trace: Trace, path) -> None:
     """Per-iteration CSV: gains, perturbed values, gradient norm, next iterate."""
-    import csv
-
     rows = trace.annotations.get("spsa_iterations", [])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        m = rows[0]["tau_next"].size if rows else 0
-        writer.writerow(["iteration", "a_i", "c_i", "y_plus", "y_minus", "g_norm"]
-                        + [f"delta_{h + 1}" for h in range(m)]
-                        + [f"tau_next_{h + 1}" for h in range(m)])
-        for row in rows:
-            writer.writerow(
-                [row["iteration"], repr(float(row["a_i"])), repr(float(row["c_i"])),
-                 repr(float(row["y_plus"])), repr(float(row["y_minus"])),
-                 repr(float(row["g_norm"]))]
-                + [repr(float(x)) for x in row["delta"]]
-                + [repr(float(x)) for x in row["tau_next"]])
+    m = rows[0]["tau_next"].size if rows else 0
+    header = (["iteration", "a_i", "c_i", "y_plus", "y_minus", "g_norm"]
+              + [f"delta_{h + 1}" for h in range(m)]
+              + [f"tau_next_{h + 1}" for h in range(m)])
+    _write_csv(path, header,
+               ([row["iteration"], row["a_i"], row["c_i"], row["y_plus"],
+                 row["y_minus"], row["g_norm"], *row["delta"], *row["tau_next"]]
+                for row in rows))

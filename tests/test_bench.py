@@ -76,7 +76,9 @@ def test_config_rejects_unknown_and_missing_keys():
 def test_config_rejects_bad_fields():
     good = {"problem": "simple", "solver": "rk", "budget": 20}
     for patch in ({"budget": 0}, {"budget": "many"}, {"solver": "newton"},
-                  {"problem": "nope"}, {"seeds": []}, {"seeds": [0.5]}):
+                  {"problem": "nope"}, {"seeds": []}, {"seeds": [0.5]},
+                  {"budget": True}, {"seeds": 3}, {"params": [1, 2]},
+                  {"seeds": [0, 0]}):
         with pytest.raises(bench.ConfigError):
             bench.ExperimentConfig.from_dict(good | patch).validate()
 
@@ -323,7 +325,7 @@ def test_cli_budget_override(tmp_path):
     assert report["seeds"] == [3]
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"problem": "nope", "solver": "direct",
                                "budget": 9}))
@@ -334,3 +336,15 @@ def test_cli_exit_codes(tmp_path):
     pi_cfg.write_text(json.dumps({"problem": "complex", "solver": "pi",
                                   "budget": 9}))
     assert main(["run", "--config", str(pi_cfg)]) == 2
+    scalar_seeds = tmp_path / "seeds.json"
+    scalar_seeds.write_text(json.dumps({"problem": "quadratic", "solver": "rk",
+                                        "budget": 9, "seeds": 3}))
+    assert main(["run", "--config", str(scalar_seeds)]) == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as done:
+        main(["run", "--help"])
+    assert done.value.code == 0
+    help_text = capsys.readouterr().out
+    for name, spec in bench.harness.SOLVERS.items():
+        assert name in help_text
+        assert all(param in help_text for param in spec.params)
