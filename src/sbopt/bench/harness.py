@@ -8,6 +8,7 @@ Each solver is declared once, in ``SOLVERS``.
 """
 
 import json
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -43,12 +44,20 @@ class Solver(NamedTuple):
 # module's globals at call time, so a wrapper rebound over those names
 # (perfbench's tracer does this) sees every solver run.
 
+def _use_reinterp(params) -> bool:
+    value = params.get("use_reinterp", True)
+    # bool() would read the JSON string "false" as true
+    if type(value) is not bool:
+        raise ConfigError(f"use_reinterp must be true or false, got {value!r}")
+    return value
+
+
 def _run_rk(evaluator, problem, seed, params):
     return run_rk(
         evaluator, problem.bounds,
         n_init=int(params.get("n_init", problem.rk_n_init)),
         feasibility_predicate=problem.feasibility_mask(),
-        use_reinterp=bool(params.get("use_reinterp", True)),
+        use_reinterp=_use_reinterp(params),
         fit_config=FitConfig(seed=seed),
         infill_config=InfillConfig(seed=seed, sampler=problem.infill_sampler),
         seed=seed)
@@ -170,6 +179,8 @@ class ExperimentConfig:
                 or any(type(s) is not int for s in seeds) or len(set(seeds)) < len(seeds)):
             raise ConfigError(
                 f"seeds must be a non-empty list of distinct integers, got {seeds!r}")
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if not isinstance(self.params, dict):
             raise ConfigError("params must be an object")
         allowed = SOLVERS[self.solver].params
@@ -178,6 +189,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"params {bad} not recognized for solver {self.solver!r}; "
                 f"allowed: {sorted(allowed)}")
+        _use_reinterp(self.params)  # only rk allows the key; the others rejected it above
         # solver-problem compatibility is structural, so reject it here
         # rather than at run time
         _check_problem(self.solver, get_problem(self.problem))

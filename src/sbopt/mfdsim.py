@@ -15,13 +15,26 @@ the same tolls gives the same wiggle, but any toll change beyond the
 1e-4 quantum re-rolls it, which is how micro-simulators behave when a
 parameter change perturbs event ordering.  Stochastic noise depends on
 the seed alone, so a fixed seed yields one smooth sample path.
+
+A solver calls the simulator once per evaluation, so its step loop sets
+the wall time of every solver.  What the tolls cannot change is built
+once per scenario and tolling horizon and cached (``_step_plan``): the
+steps grouped into runs of constant demand and tolling interval, the
+contiguous step slice of each interval, and the warm-up, every step
+before the first tolled one, already simulated.  A call copies the
+warm-up series and steps on from there with the state in Python floats.
+The toll response stays ``np.exp`` rather than ``math.exp``, whose last
+bits differ on some inputs: the tests hold every output bit for bit to a
+reference loop on numpy scalars.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import struct
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -230,27 +243,27 @@ def apply_numerical_noise(value: float, tau, amplitude: float, seed: int) -> flo
     return float(value) + amplitude * _hash_unit(payload)
 
 
-def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
-                  seed: int = 0) -> SimOutput:
-    """Simulate one sample path and aggregate per tolling interval.
+@functools.lru_cache(maxsize=16)
+def _step_plan(config: ReservoirConfig, curve: NfdCurve, start_min: float,
+               end_min: float, interval_min: float, m: int) -> tuple:
+    """Everything about a run that the tolls cannot change.
 
-    Identical (scheme, seed) pairs give bit-identical outputs.  Raises
-    SimulationError if the state goes non-finite, and ValueError if the
-    tolling horizon sticks out of the demand profile.
+    Returns (n_steps, runs, slices, warm_state, series).  ``runs`` lists the
+    steps after the warm-up as (first step, end step, demand veh/h, interval
+    index or -1) runs of constant demand and interval.  ``slices`` is the
+    (first, end) step range of each tolling interval, (0, 0) when it holds
+    no step.  ``warm_state`` is n after the warm-up, and ``series`` holds
+    the n, k and q buffers of a whole run, filled in over the warm-up and
+    zero after it, as immutable bytes so that no caller can write into the
+    cache.
+
+    Built on the first run of a scenario and horizon.  The warm-up is every
+    step before the first tolled one; it runs through the same step loop and
+    state guard as the rest, so a SimulationError there raises on every call.
+    A plan holds three float buffers of the whole run (260 KB for three
+    hours of 1 s steps); a process uses a few scenarios, so 16 are kept.
     """
-    if scheme.horizon_end_min > config.horizon_min + 1e-9:
-        raise ValueError("tolling horizon extends beyond the demand profile")
-
-    dt_h = config.dt_s / 3600.0
     n_steps = int(round(config.horizon_min * 60.0 / config.dt_s))
-    lane_km = config.lane_km
-    trip_km = config.avg_trip_length_km
-    v_free = curve.free_flow_speed
-    t_free = trip_km / v_free
-    k_lo, k_hi, k_jam, q_max = curve.k_cr_low, curve.k_cr_high, curve.k_jam, curve.q_max
-    n_max = k_jam * lane_km
-
-    # per-step demand and tolling interval index (-1 outside the horizon)
     step_min = config.dt_s / 60.0
     t_min = (np.arange(n_steps) + 0.5) * step_min
     demand = np.zeros(n_steps)
@@ -259,65 +272,139 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
         demand[(t_min >= edge) & (t_min < edge + dur)] = rate
         edge += dur
     interval = np.full(n_steps, -1, dtype=int)
-    in_horizon = (t_min >= scheme.horizon_start_min) & (t_min < scheme.horizon_end_min)
-    interval[in_horizon] = (
-        (t_min[in_horizon] - scheme.horizon_start_min) // scheme.interval_length_min
-    ).astype(int)
-    interval[interval >= scheme.m_intervals] = scheme.m_intervals - 1
+    in_horizon = (t_min >= start_min) & (t_min < end_min)
+    interval[in_horizon] = ((t_min[in_horizon] - start_min) // interval_min).astype(int)
+    interval[interval >= m] = m - 1
 
-    eta = scheme.eta
-    omega = scheme.omega if scheme.joint else np.zeros(scheme.m_intervals)
+    cuts = np.flatnonzero((np.diff(demand) != 0) | (np.diff(interval) != 0)) + 1
+    edges = [0, *cuts.tolist(), n_steps]
+    runs = tuple((a, b, float(demand[a]), int(interval[a]))
+                 for a, b in zip(edges, edges[1:]) if a < b)
+    slices = []
+    for h in range(m):
+        steps = np.flatnonzero(interval == h)  # contiguous: interval rises with t
+        slices.append((int(steps[0]), int(steps[-1]) + 1) if steps.size else (0, 0))
+
+    n_warm = next((j for j, run in enumerate(runs) if run[3] >= 0), len(runs))
+    series = [array("d", bytes(8 * n_steps)) for _ in range(3)]
+    state = _advance(0.0, runs[:n_warm], config, curve, (), (), *series)
+    return (n_steps, runs[n_warm:], tuple(slices), state,
+            tuple(s.tobytes() for s in series))
+
+
+def _advance(n: float, runs, config: ReservoirConfig, curve: NfdCurve, eta, omega,
+             n_out: array, k_out: array, q_out: array) -> float:
+    """Forward-Euler steps over ``runs`` from state ``n``; returns the new state.
+
+    Writes each step's n, k and q into the output arrays.  The state stays a
+    Python float, and min/max are spelled as the conditionals they reduce
+    to, so every step rounds exactly like the numpy-scalar reference loop.
+    The toll response keeps ``np.exp``: ``math.exp`` differs from it in the
+    last bits on some inputs, which moves the outputs.
+    """
+    dt_h = config.dt_s / 3600.0
+    lane_km = config.lane_km
+    trip_km = config.avg_trip_length_km
     elast = config.toll_elasticity
     comp_gain = config.demand_composition_gain
     vot = config.value_of_time
+    k_lo, k_hi, k_jam, q_max = curve.k_cr_low, curve.k_cr_high, curve.k_jam, curve.q_max
+    v_free = curve.free_flow_speed
+    t_free = trip_km / v_free
+    n_max = k_jam * lane_km
+    jam_span = k_jam - k_hi
+    plateau = k_hi - k_lo
 
-    n_series = np.empty(n_steps)
-    k_series = np.empty(n_steps)
-    q_series = np.empty(n_steps)
+    # the toll response depends on the toll alone: reuse it while the toll repeats
+    last_toll = resp = k_hi_eff = None
+    k = n / lane_km
+    for first, end, d, h in runs:
+        tolled = h >= 0
+        if tolled:
+            dist_toll = eta[h] * trip_km
+            om = omega[h]
+        for i in range(first, end):
+            # flow at k on the base curve; it also sets the speed the delay toll sees
+            if k <= k_lo:
+                q = q_max * k / k_lo
+            elif k <= k_hi:
+                q = q_max
+            else:
+                q = q_max * (k_jam - k) / jam_span
+            inflow = d
+            if tolled:
+                if k > 1e-12:
+                    v = q / k
+                    if v < 1e-6:
+                        v = 1e-6
+                else:
+                    v = v_free
+                delay_h = trip_km / v - t_free
+                toll = dist_toll + om * (delay_h if delay_h > 0.0 else 0.0)
+                if toll > 0.0:
+                    if toll != last_toll:
+                        last_toll = toll
+                        resp = float(np.exp(-elast * toll))
+                        if comp_gain > 0.0:
+                            # the composition shift lowers the plateau's top edge to
+                            # k_hi_eff <= k_hi, which rounding can put just below k_lo
+                            s = comp_gain * (1.0 - float(np.exp(-toll / vot)))
+                            k_hi_eff = k_hi - (s if s < 1.0 else 1.0) * plateau
+                    if comp_gain > 0.0 and k > k_lo and k > k_hi_eff:
+                        q = q_max * (k_jam - k) / (k_jam - k_hi_eff)
+                    inflow = d * resp
+            outflow = q * lane_km / trip_km
+            drain = n / dt_h
+            if drain < outflow:
+                outflow = drain
+            # receiving capacity: extra arrivals beyond jam accumulation are turned away
+            room = (n_max - n) / dt_h + outflow
+            if room < inflow:
+                inflow = room
+            n = n + dt_h * (inflow - outflow)
+            if not (0.0 <= n <= 1e15):
+                raise SimulationError(f"reservoir state became invalid at step {i} (n={n})")
+            k = n / lane_km
+            n_out[i] = n
+            k_out[i] = k
+            q_out[i] = q
+    return n
 
-    n = 0.0
-    for i in range(n_steps):
-        k = n / lane_km
-        # flow at k on the base curve; it also sets the speed the delay toll sees
-        if k <= k_lo:
-            q = q_max * k / k_lo
-        elif k <= k_hi:
-            q = q_max
-        else:
-            q = q_max * (k_jam - k) / (k_jam - k_hi)
-        toll = 0.0
-        h = interval[i]
-        if h >= 0:
-            v = max(q / k, 1e-6) if k > 1e-12 else v_free
-            delay_h = max(0.0, trip_km / v - t_free)
-            toll = eta[h] * trip_km + omega[h] * delay_h
-            if comp_gain > 0.0 and toll > 0.0:
-                # the composition shift lowers the plateau's top edge to
-                # k_hi_eff <= k_hi, which rounding can put just below k_lo
-                s = min(1.0, comp_gain * (1.0 - np.exp(-toll / vot)))
-                k_hi_eff = k_hi - s * (k_hi - k_lo)
-                if k > k_lo and k > k_hi_eff:
-                    q = q_max * (k_jam - k) / (k_jam - k_hi_eff)
-        outflow = min(q * lane_km / trip_km, n / dt_h)
-        inflow = demand[i] * (np.exp(-elast * toll) if toll > 0.0 else 1.0)
-        # receiving capacity: extra arrivals beyond jam accumulation are turned away
-        inflow = min(inflow, (n_max - n) / dt_h + outflow)
-        n = n + dt_h * (inflow - outflow)
-        if not (0.0 <= n <= 1e15):
-            raise SimulationError(f"reservoir state became invalid at step {i} (n={n})")
-        n_series[i] = n
-        k_series[i] = n / lane_km
-        q_series[i] = q
+
+def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
+                  seed: int = 0) -> SimOutput:
+    """Simulate one sample path and aggregate per tolling interval.
+
+    Identical (scheme, seed) pairs give bit-identical outputs.  Raises
+    SimulationError if the state goes non-finite, and ValueError if the
+    tolling horizon sticks out of the demand profile.
+
+    The step plan (the steps as runs of constant demand and interval, each
+    interval's contiguous slice of steps, and the untolled warm-up) is
+    cached per scenario and horizon.  A call steps from the first tolled
+    step on, with the state in Python floats and the toll response through
+    ``np.exp`` (``math.exp`` rounds differently on some inputs), then
+    averages each interval over its slice.
+    """
+    if scheme.horizon_end_min > config.horizon_min + 1e-9:
+        raise ValueError("tolling horizon extends beyond the demand profile")
 
     m = scheme.m_intervals
+    n_steps, runs, slices, warm_state, warm_series = _step_plan(
+        config, curve, scheme.horizon_start_min, scheme.horizon_end_min,
+        scheme.interval_length_min, m)
+    series = [array("d", buf) for buf in warm_series]
+    omega = scheme.omega.tolist() if scheme.joint else [0.0] * m
+    _advance(warm_state, runs, config, curve, scheme.eta.tolist(), omega, *series)
+    n_series, k_series, q_series = (np.frombuffer(s, dtype=float) for s in series)
+
     k_bar_clean = np.empty(m)
     q_bar_clean = np.empty(m)
-    for h in range(m):
-        mask = interval == h
-        if not np.any(mask):
+    for h, (a, b) in enumerate(slices):
+        if a == b:
             raise ValueError(f"tolling interval {h} contains no simulation steps")
-        k_bar_clean[h] = float(np.mean(k_series[mask]))
-        q_bar_clean[h] = float(np.mean(q_series[mask]))
+        k_bar_clean[h] = float(np.mean(k_series[a:b]))
+        q_bar_clean[h] = float(np.mean(q_series[a:b]))
 
     tau = scheme.tau()
     k_bar = k_bar_clean.copy()

@@ -78,7 +78,8 @@ def test_config_rejects_bad_fields():
     for patch in ({"budget": 0}, {"budget": "many"}, {"solver": "newton"},
                   {"problem": "nope"}, {"seeds": []}, {"seeds": [0.5]},
                   {"budget": True}, {"seeds": 3}, {"params": [1, 2]},
-                  {"seeds": [0, 0]}):
+                  {"seeds": [0, 0]}, {"output_dir": 5},
+                  {"params": {"use_reinterp": "false"}}, {"params": {"use_reinterp": 0}}):
         with pytest.raises(bench.ConfigError):
             bench.ExperimentConfig.from_dict(good | patch).validate()
 
@@ -100,6 +101,22 @@ def test_bad_param_value_becomes_config_error():
     with pytest.raises(bench.ConfigError, match="n_init"):
         bench.run_single(bench.get_problem("quadratic"), "rk", 30, 0,
                          {"n_init": 1})
+
+
+def test_use_reinterp_must_be_a_boolean(tmp_path):
+    quad = bench.get_problem("quadratic")
+    curve = {flag: bench.run_single(quad, "rk", 14, 0, {"use_reinterp": flag}).best_curve
+             for flag in (False, True)}
+    assert not np.array_equal(curve[False], curve[True])
+    with pytest.raises(bench.ConfigError, match="use_reinterp"):
+        bench.run_single(quad, "rk", 14, 0, {"use_reinterp": "false"})
+    good = {"problem": "quadratic", "solver": "rk", "budget": 9, "seeds": [0],
+            "output_dir": str(tmp_path)}
+    assert bench.ExperimentConfig.from_dict(good | {"params": {"use_reinterp": False}})
+    for patch in ({"params": {"use_reinterp": "false"}}, {"output_dir": 5}):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(good | patch))
+        assert main(["run", "--config", str(path)]) == 2
 
 
 def test_malformed_json_config(tmp_path):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sbopt as sb
+from sbopt import bench
 from sbopt.bench.problems import complex_toll_scenario, simple_toll_scenario
+from sbopt.mfdsim import _derived_seed
 
 TRAPEZOID = sb.NfdCurve(k_cr_low=20.0, k_cr_high=30.0, k_jam=80.0, q_max=600.0)
 
@@ -233,14 +235,16 @@ def test_interval_without_steps_is_rejected():
     cfg = sb.ReservoirConfig(lane_km=40.0, avg_trip_length_km=5.0,
                              demand_segments=((30.0, 1000.0), (60.0, 2000.0), (30.0, 0.0)),
                              toll_elasticity=0.3, dt_s=1200.0)
-    with pytest.raises(ValueError, match="contains no simulation steps"):
-        sb.run_reservoir(cfg, curve, sb.TollScheme(30.0, 90.0, 10.0, np.zeros(6)), 0)
+    for _ in range(2):  # the second call reads the cached step plan
+        with pytest.raises(ValueError, match="contains no simulation steps"):
+            sb.run_reservoir(cfg, curve, sb.TollScheme(30.0, 90.0, 10.0, np.zeros(6)), 0)
 
 
 def test_horizon_must_fit_demand_profile():
     cfg, curve, _ = simple_toll_scenario()
-    with pytest.raises(ValueError, match="beyond the demand profile"):
-        sb.run_reservoir(cfg, curve, sb.TollScheme(30.0, 200.0, 17.0, np.zeros(10)), 0)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="beyond the demand profile"):
+            sb.run_reservoir(cfg, curve, sb.TollScheme(30.0, 200.0, 17.0, np.zeros(10)), 0)
 
 
 def test_toll_scheme_validation():
@@ -278,3 +282,180 @@ def test_series_csv_row_count(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t_s,n,k,q"
     assert len(lines) == out.t_s.size + 1
+
+
+# A plain step loop on numpy scalars over every step: the bit-exact reference
+# for run_reservoir's Python-float loop and cached step plan.
+def reference_run_reservoir(config, curve, scheme, seed=0):
+    if scheme.horizon_end_min > config.horizon_min + 1e-9:
+        raise ValueError("tolling horizon extends beyond the demand profile")
+
+    dt_h = config.dt_s / 3600.0
+    n_steps = int(round(config.horizon_min * 60.0 / config.dt_s))
+    lane_km = config.lane_km
+    trip_km = config.avg_trip_length_km
+    v_free = curve.free_flow_speed
+    t_free = trip_km / v_free
+    k_lo, k_hi, k_jam, q_max = curve.k_cr_low, curve.k_cr_high, curve.k_jam, curve.q_max
+    n_max = k_jam * lane_km
+
+    step_min = config.dt_s / 60.0
+    t_min = (np.arange(n_steps) + 0.5) * step_min
+    demand = np.zeros(n_steps)
+    edge = 0.0
+    for dur, rate in config.demand_segments:
+        demand[(t_min >= edge) & (t_min < edge + dur)] = rate
+        edge += dur
+    interval = np.full(n_steps, -1, dtype=int)
+    in_horizon = (t_min >= scheme.horizon_start_min) & (t_min < scheme.horizon_end_min)
+    interval[in_horizon] = (
+        (t_min[in_horizon] - scheme.horizon_start_min) // scheme.interval_length_min
+    ).astype(int)
+    interval[interval >= scheme.m_intervals] = scheme.m_intervals - 1
+
+    eta = scheme.eta
+    omega = scheme.omega if scheme.joint else np.zeros(scheme.m_intervals)
+    elast = config.toll_elasticity
+    comp_gain = config.demand_composition_gain
+    vot = config.value_of_time
+
+    n_series = np.empty(n_steps)
+    k_series = np.empty(n_steps)
+    q_series = np.empty(n_steps)
+
+    n = 0.0
+    for i in range(n_steps):
+        k = n / lane_km
+        if k <= k_lo:
+            q = q_max * k / k_lo
+        elif k <= k_hi:
+            q = q_max
+        else:
+            q = q_max * (k_jam - k) / (k_jam - k_hi)
+        toll = 0.0
+        h = interval[i]
+        if h >= 0:
+            v = max(q / k, 1e-6) if k > 1e-12 else v_free
+            delay_h = max(0.0, trip_km / v - t_free)
+            toll = eta[h] * trip_km + omega[h] * delay_h
+            if comp_gain > 0.0 and toll > 0.0:
+                s = min(1.0, comp_gain * (1.0 - np.exp(-toll / vot)))
+                k_hi_eff = k_hi - s * (k_hi - k_lo)
+                if k > k_lo and k > k_hi_eff:
+                    q = q_max * (k_jam - k) / (k_jam - k_hi_eff)
+        outflow = min(q * lane_km / trip_km, n / dt_h)
+        inflow = demand[i] * (np.exp(-elast * toll) if toll > 0.0 else 1.0)
+        inflow = min(inflow, (n_max - n) / dt_h + outflow)
+        n = n + dt_h * (inflow - outflow)
+        if not (0.0 <= n <= 1e15):
+            raise sb.SimulationError(f"reservoir state became invalid at step {i} (n={n})")
+        n_series[i] = n
+        k_series[i] = n / lane_km
+        q_series[i] = q
+
+    m = scheme.m_intervals
+    k_bar_clean = np.empty(m)
+    q_bar_clean = np.empty(m)
+    for h in range(m):
+        mask = interval == h
+        if not np.any(mask):
+            raise ValueError(f"tolling interval {h} contains no simulation steps")
+        k_bar_clean[h] = float(np.mean(k_series[mask]))
+        q_bar_clean[h] = float(np.mean(q_series[mask]))
+
+    tau = scheme.tau()
+    k_bar = k_bar_clean.copy()
+    q_bar = q_bar_clean.copy()
+    if config.stochastic_noise_sd > 0:
+        rng = np.random.default_rng(_derived_seed(seed, "stochastic"))
+        k_bar = k_bar + config.stochastic_noise_sd * rng.standard_normal(m)
+        q_bar = q_bar + config.stochastic_noise_sd * rng.standard_normal(m)
+    if config.noise_amplitude > 0:
+        for h in range(m):
+            k_bar[h] = sb.apply_numerical_noise(
+                k_bar[h], tau, config.noise_amplitude, _derived_seed(seed, f"k{h}"))
+            q_bar[h] = sb.apply_numerical_noise(
+                q_bar[h], tau, config.noise_amplitude, _derived_seed(seed, f"q{h}"))
+    k_bar = np.maximum(k_bar, 0.0)
+    q_bar = np.maximum(q_bar, 0.0)
+
+    return sb.SimOutput(
+        t_s=(np.arange(n_steps) + 1.0) * config.dt_s,
+        n=n_series, k=k_series, q=q_series,
+        k_bar=k_bar, q_bar=q_bar,
+        k_bar_clean=k_bar_clean, q_bar_clean=q_bar_clean,
+    )
+
+
+SIM_FIELDS = ("t_s", "n", "k", "q", "k_bar", "q_bar", "k_bar_clean", "q_bar_clean")
+
+
+def assert_same_output(got, want):
+    for name in SIM_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("name", ["simple", "complex", "composition_flow",
+                                  "composition_density"])
+def test_step_loop_matches_reference_bit_for_bit(name):
+    problem = bench.get_problem(name)
+    cfg, curve, template = (problem.scenario[key] for key in ("config", "curve", "template"))
+    lo, hi = problem.bounds.lower, problem.bounds.upper
+    rng = np.random.default_rng(sum(map(ord, name)))
+    profiles = [lo + u * (hi - lo) for u in (0.0, 0.3, 0.7, 1.0)]
+    profiles += [lo + rng.random(lo.size) * (hi - lo) for _ in range(16)]
+    for tau in profiles:
+        scheme = template.with_tau(tau)
+        for seed in (0, 5):
+            assert_same_output(sb.run_reservoir(cfg, curve, scheme, seed),
+                               reference_run_reservoir(cfg, curve, scheme, seed))
+
+
+def test_horizon_from_minute_zero_has_no_warm_up():
+    cfg, curve, _ = simple_toll_scenario()
+    for scheme in (sb.TollScheme(0.0, 60.0, 30.0, [0.4, 0.2]),
+                   sb.TollScheme(0.0, 120.0, 20.0, np.linspace(0.0, 1.0, 6),
+                                 np.full(6, 5.0))):
+        assert_same_output(sb.run_reservoir(cfg, curve, scheme, 1),
+                           reference_run_reservoir(cfg, curve, scheme, 1))
+
+
+def test_warm_up_demand_is_part_of_the_scenario():
+    cfg, curve, template = simple_toll_scenario()
+    scheme = template.with_tau([0.3, 0.6])
+    lighter = noiseless(cfg, demand_segments=((30.0, 2000.0),) + cfg.demand_segments[1:])
+    a = sb.run_reservoir(cfg, curve, scheme, 0)
+    b = sb.run_reservoir(lighter, curve, scheme, 0)
+    assert not np.array_equal(a.n, b.n)
+    assert not np.array_equal(a.k_bar_clean, b.k_bar_clean)
+    assert_same_output(b, reference_run_reservoir(lighter, curve, scheme, 0))
+
+
+def test_returned_series_do_not_alias_the_step_plan():
+    cfg, curve, template = complex_toll_scenario()
+    scheme = template.with_tau(np.concatenate([np.full(8, 0.2), np.full(8, 4.0)]))
+    first = sb.run_reservoir(cfg, curve, scheme, 0)
+    want = {name: getattr(first, name).copy() for name in SIM_FIELDS}
+    for name in ("n", "k", "q"):
+        getattr(first, name)[:] = -1.0
+    again = sb.run_reservoir(cfg, curve, scheme, 0)
+    for name in SIM_FIELDS:
+        assert np.array_equal(getattr(again, name), want[name]), name
+
+
+@pytest.mark.parametrize("nan_segment", [0, 1])
+def test_non_finite_state_raises_in_warm_up_and_horizon(nan_segment):
+    """A NaN demand rate makes the state NaN, before or inside the horizon."""
+    curve = sb.NfdCurve(15.0, 15.0, 60.0, 600.0)
+    rates = [1000.0, 2000.0, 0.0]
+    rates[nan_segment] = float("nan")
+    cfg = sb.ReservoirConfig(lane_km=40.0, avg_trip_length_km=5.0,
+                             demand_segments=tuple((30.0, r) for r in rates),
+                             toll_elasticity=0.3)
+    scheme = sb.TollScheme(30.0, 60.0, 30.0, [0.2])
+    with pytest.raises(sb.SimulationError) as want:
+        reference_run_reservoir(cfg, curve, scheme)
+    for _ in range(2):
+        with pytest.raises(sb.SimulationError) as got:
+            sb.run_reservoir(cfg, curve, scheme)
+        assert str(got.value) == str(want.value)
