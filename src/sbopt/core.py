@@ -280,27 +280,6 @@ class Evaluator:
         self.trace.append(tau, ev)
         return ev
 
-    def map_batch(self, taus, seeds=None) -> list[Evaluation]:
-        """Evaluate several points; records land in the trace in input order.
-
-        The whole batch must fit in the remaining budget.
-        """
-        taus = [as_vector(t) for t in taus]
-        if seeds is None:
-            seeds = [self.seed] * len(taus)
-        if len(seeds) != len(taus):
-            raise DimensionMismatch("seeds and taus must have matching length")
-        if self.remaining is not None and len(taus) > self.remaining:
-            raise BudgetExhausted(
-                f"batch of {len(taus)} exceeds remaining budget of {self.remaining}")
-        out = []
-        for tau, s in zip(taus, seeds):
-            value, aux = self._aggregate(tau, s)
-            ev = Evaluation(value=value, seed=int(s), eval_index=self.used, aux=aux)
-            self.trace.append(tau, ev)
-            out.append(ev)
-        return out
-
 
 def _csv_cell(x):
     if isinstance(x, str):

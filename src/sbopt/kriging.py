@@ -9,35 +9,32 @@ for infill selection.
 
 Hyperparameters are chosen by maximizing the concentrated log-likelihood
 with a multi-start coordinate search over ``log10 theta`` in [-3, 2] per
-dimension and ``log10 lambda`` in [-12, 0].  The search builds the
-samples' squared-difference tensor once and reuses it for every
-likelihood evaluation.
+dimension and ``log10 lambda`` in [-12, 0].  Each likelihood evaluation
+builds R, factors it, and takes mu, sigma^2 and the whitened residual
+from one two-column triangular solve.
 
-The correlation kernel evaluates query rows in blocks, so its (rows, n, m)
-temporary holds about ``_PSI_BLOCK_ELEMS`` (64k) elements whatever the
-number of queries; predictions, error variances and EI share one moments
-routine.  Feasibility predicates passed to ``propose_infill`` and
-``run_rk`` are row masks: they map a (k, m) array of points to a
-length-k boolean array, e.g. ``constraints.feasible_mask``.
+One correlation kernel, ``_psi``, serves the correlation matrix R, the
+predictions, the error variances and EI: a squared Euclidean distance on
+``sqrt(theta)``-scaled inputs, so it allocates only its (k, n) result.
+Predictions, error variances and EI share one moments routine.
+Feasibility predicates passed to ``propose_infill`` and ``run_rk`` are
+row masks: they map a (k, m) array of points to a length-k boolean
+array, e.g. ``constraints.feasible_mask``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.spatial.distance import pdist
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.spatial.distance import cdist, pdist
 from scipy.special import ndtr
 
 from .core import Bounds, EvaluationError, Evaluator, SboError, Trace, _write_csv, as_vector
 
 _SIGMA2_FLOOR = 1e-300
-# Elements of the (rows, n, m) squared-difference temporary that _psi holds
-# at once: 512 KiB of float64, so a block stays in cache.
-_PSI_BLOCK_ELEMS = 1 << 16
 
 
 class FitError(SboError):
@@ -147,53 +144,46 @@ def _validate_xy(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _sq_diff(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared coordinate differences of every row pair, shape (len(A), len(B), m)."""
-    return (A[:, None, :] - B[None, :, :]) ** 2
-
-
 def _psi(X: np.ndarray, Xq: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Correlation of query rows against sample rows, shape (k, n).
 
-    Evaluates ``exp(-_sq_diff(Xq, X) @ theta)`` in blocks of query rows so
-    the (rows, n, m) temporary holds about _PSI_BLOCK_ELEMS elements; one
-    block covers all queries when the whole tensor fits.  Each row's
-    arithmetic is the same in every block, so the result does not depend
-    on the blocking.
+    ``exp(-sum_l theta_l (xq_l - x_l)^2)``, computed as a squared Euclidean
+    distance between ``sqrt(theta)``-scaled rows.  Each entry depends only
+    on its own pair of rows, so a query equal to a sample gets exactly that
+    sample's row of ``_psi(X, X, theta)``, with 1.0 at the sample itself.
     """
-    k, (n, m) = Xq.shape[0], X.shape
-    rows = max(1, _PSI_BLOCK_ELEMS // (n * m))
-    out = np.empty((k, n))
-    for i in range(0, k, rows):
-        out[i:i + rows] = np.exp(-(_sq_diff(Xq[i:i + rows], X) @ theta))
-    return out
+    w = np.sqrt(theta)
+    psi = cdist(Xq * w, X * w, "sqeuclidean")
+    np.negative(psi, out=psi)
+    return np.exp(psi, out=psi)
 
 
-def _solve_parts(D, y, theta, lam):
+def _solve_parts(X, y, theta, lam):
     """Cholesky of R = Psi + lam*I plus the MLE pieces, None if singular.
 
-    ``D`` is ``_sq_diff(X, X)`` of the samples, so a likelihood search
-    builds it once and only redoes the theta contraction per evaluation.
+    One triangular solve of L Z = [1, y] gives the generalized-least-squares
+    mean, sigma^2 and the whitened residual L^-1 (y - mu).
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise FitError(f"lambda must be finite and non-negative, got {lam!r}")
     n = y.size
-    R = np.exp(-(D @ theta)) + lam * np.eye(n)
+    R = _psi(X, X, theta)
+    R.flat[::n + 1] += lam
     try:
-        cho = cho_factor(R, lower=True, check_finite=False)
+        cho = cho_factor(R, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError:
         return None
-    ones = np.ones(n)
-    rinv_ones = cho_solve(cho, ones, check_finite=False)
-    denom = float(ones @ rinv_ones)
+    Z = solve_triangular(cho[0], np.column_stack([np.ones(n), y]), lower=True,
+                         check_finite=False)
+    z1, zy = Z[:, 0], Z[:, 1]
+    denom = float(z1 @ z1)
     if denom <= 0:
         return None
-    mu = float((y @ rinv_ones) / denom)
-    resid = y - mu
-    alpha = cho_solve(cho, resid, check_finite=False)
-    sigma2 = float(resid @ alpha) / n
+    mu = float((z1 @ zy) / denom)
+    resid = zy - mu * z1
+    sigma2 = float(resid @ resid) / n
     logdet = 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
-    return cho, mu, alpha, sigma2, logdet
+    return cho, mu, resid, sigma2, logdet
 
 
 def _log_likelihood(n: int, sigma2: float, logdet: float) -> float:
@@ -205,20 +195,23 @@ def concentrated_log_likelihood(X, y, theta, lam) -> float:
     """Profile log-likelihood with mu and sigma^2 at their closed-form MLEs."""
     X, y = _validate_xy(X, y)
     theta = as_vector(theta, X.shape[1])
-    parts = _solve_parts(_sq_diff(X, X), y, theta, float(lam))
+    if np.any(theta < 0):
+        return -np.inf
+    parts = _solve_parts(X, y, theta, float(lam))
     if parts is None:
         return -np.inf
     _, _, _, sigma2, logdet = parts
     return _log_likelihood(y.size, sigma2, logdet)
 
 
-def _build_model(X, y, theta, lam, D) -> KrigingModel:
-    parts = _solve_parts(D, y, theta, lam)
+def _build_model(X, y, theta, lam) -> KrigingModel:
+    parts = _solve_parts(X, y, theta, lam)
     if parts is None:
         raise FitError(
             "correlation matrix is singular; duplicated samples need lambda > 0")
-    cho, mu, alpha, sigma2, logdet = parts
+    cho, mu, resid, sigma2, logdet = parts
     n = y.size
+    alpha = solve_triangular(cho[0], resid, lower=True, trans="T", check_finite=False)
     sigma2 = max(sigma2, 0.0)
     sigma2_ri = max(0.0, sigma2 - lam * float(alpha @ alpha) / n)
     return KrigingModel(X=X, y=y, theta=np.array(theta, dtype=float), lam=float(lam),
@@ -244,12 +237,11 @@ def fit(X, y, config: FitConfig | None = None) -> KrigingModel:
     if lam_fixed is not None and lam_fixed < 0:
         raise FitError("fixed lambda must be non-negative")
 
-    D = _sq_diff(X, X)
     if theta_fixed is not None and lam_fixed is not None:
-        return _build_model(X, y, theta_fixed, float(lam_fixed), D)
+        return _build_model(X, y, theta_fixed, float(lam_fixed))
     if n == 1:
         return _build_model(X, y, theta_fixed if theta_fixed is not None else np.ones(m),
-                            float(lam_fixed) if lam_fixed is not None else 1e-6, D)
+                            float(lam_fixed) if lam_fixed is not None else 1e-6)
 
     # search space: log10 theta per dim then log10 lambda, fixed entries pinned
     t_lo, t_hi = config.log10_theta_bounds
@@ -270,7 +262,7 @@ def fit(X, y, config: FitConfig | None = None) -> KrigingModel:
 
     def nll(p):
         theta, lam = unpack(p)
-        parts = _solve_parts(D, y, theta, lam)
+        parts = _solve_parts(X, y, theta, lam)
         if parts is None:
             return np.inf
         _, _, _, sigma2, logdet = parts
@@ -310,7 +302,7 @@ def fit(X, y, config: FitConfig | None = None) -> KrigingModel:
     if best_p is None or not np.isfinite(best_f):
         raise FitError("no factorizable hyperparameters found; check for duplicate rows")
     theta, lam = unpack(best_p)
-    return _build_model(X, y, theta, lam, D)
+    return _build_model(X, y, theta, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +544,7 @@ def loo_cv(model: KrigingModel, residual_limit: float = 3.0) -> list[LooRecord]:
     records = []
     for i in range(n):
         keep = np.arange(n) != i
-        X_keep = model.X[keep]
-        sub = _build_model(X_keep, model.y[keep], model.theta, model.lam,
-                           _sq_diff(X_keep, X_keep))
+        sub = _build_model(model.X[keep], model.y[keep], model.theta, model.lam)
         y_hat, s2 = predict(sub, model.X[i])
         degenerate = s2 < 1e-12
         s = float(np.sqrt(max(s2, 1e-12)))
@@ -637,32 +627,7 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
 
 
 # ---------------------------------------------------------------------------
-# Serialization
-
-
-def save_model_json(model: KrigingModel, path) -> None:
-    """Dump the fitted model (samples, hyperparameters, MLEs) to JSON."""
-    doc = {
-        "X": model.X.tolist(),
-        "y": model.y.tolist(),
-        "theta": model.theta.tolist(),
-        "lam": model.lam,
-        "mu_hat": model.mu_hat,
-        "sigma2_hat": model.sigma2_hat,
-        "sigma2_ri": model.sigma2_ri,
-        "log_likelihood": model.log_likelihood,
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
-def load_model_json(path) -> KrigingModel:
-    """Rebuild a model dumped by save_model_json."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    X, y = _validate_xy(doc["X"], doc["y"])
-    theta = as_vector(doc["theta"], X.shape[1])
-    return _build_model(X, y, theta, float(doc["lam"]), _sq_diff(X, X))
+# Diagnostics output
 
 
 def write_diagnostics_csv(ei_values, loo_records, path) -> None:

@@ -108,14 +108,6 @@ def test_n_reps_averages_seeds():
     assert ev.used == 1  # the aggregate counts once
 
 
-def test_map_batch_order_and_budget():
-    ev = sb.Evaluator(lambda t, s: float(t[0]), budget=3)
-    evs = ev.map_batch([[1.0], [2.0]])
-    assert [e.eval_index for e in evs] == [0, 1]
-    with pytest.raises(sb.BudgetExhausted):
-        ev.map_batch([[1.0], [2.0]])
-
-
 def test_best_feasible_filters_records():
     ev = sb.Evaluator(lambda t, s: float(t[0]), budget=3)
     for v in (0.1, 0.5, 0.3):

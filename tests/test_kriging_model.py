@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
 import sbopt as sb
-from sbopt.kriging import (
-    _PSI_BLOCK_ELEMS,
-    _psi,
-    concentrated_log_likelihood,
-    load_model_json,
-    save_model_json,
-    write_diagnostics_csv,
-)
+from sbopt.kriging import _psi, concentrated_log_likelihood, write_diagnostics_csv
 
 
 def sine_design(n=11, seed=4):
@@ -68,21 +61,32 @@ def test_correlation_at_zero_distance():
 
 
 @pytest.mark.parametrize("n, m, k", [
-    (100, 16, 1),     # single pass
-    (100, 16, 40),    # exactly one block of rows
-    (100, 16, 4096),  # 103 blocks, the last one partial
+    (100, 16, 1),
+    (100, 16, 40),
+    (100, 16, 4096),
     (25, 2, 1),
-    (25, 2, 1310),    # exactly one block of rows
-    (25, 2, 3001),    # three blocks, the last one partial
+    (25, 2, 1310),
+    (25, 2, 3001),
 ])
 def test_blocked_psi_matches_one_shot_broadcast(n, m, k):
-    rows = _PSI_BLOCK_ELEMS // (n * m)
-    assert (k <= rows) == (k in (1, rows))
+    # scaling by sqrt(theta) reorders the arithmetic, so the last bits differ
     rng = np.random.default_rng(n + m + k)
     X, Xq = rng.random((n, m)), rng.random((k, m))
     theta = 10.0 ** rng.uniform(-1, 1, size=m)
-    one_shot = np.exp(-(((Xq[:, None, :] - X[None, :, :]) ** 2) @ theta))
-    assert np.array_equal(_psi(X, Xq, theta), one_shot)
+    broadcast = np.exp(-(((Xq[:, None, :] - X[None, :, :]) ** 2) @ theta))
+    np.testing.assert_allclose(_psi(X, Xq, theta), broadcast, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("n, m", [(100, 16), (25, 2), (7, 1)])
+def test_psi_query_at_a_sample_is_that_samples_row(n, m):
+    # re-interpolation needs psi at a sample to be exactly that row of R
+    rng = np.random.default_rng(n * m)
+    X = rng.random((n, m))
+    theta = 10.0 ** rng.uniform(-3, 2, size=m)
+    R = _psi(X, X, theta)
+    assert np.all(np.diag(R) == 1.0)
+    for i in range(n):
+        assert np.array_equal(_psi(X, X[i:i + 1], theta)[0], R[i])
 
 
 def test_correlation_unit_distance_unit_theta():
@@ -160,8 +164,7 @@ def test_far_field_reverts_to_process_mean():
 
 
 def test_fitted_likelihood_equals_concentrated_likelihood():
-    # fit reuses one squared-difference tensor across its search; the
-    # reported likelihood must still be the one computed from scratch
+    # the reported likelihood must be the one computed from scratch
     rng = np.random.default_rng(11)
     X = rng.random((30, 4))
     y = np.sin(3.0 * X).sum(axis=1) + 0.05 * rng.standard_normal(30)
@@ -170,6 +173,47 @@ def test_fitted_likelihood_equals_concentrated_likelihood():
         model = sb.fit(X, y, cfg)
         assert model.log_likelihood == concentrated_log_likelihood(
             X, y, model.theta, model.lam)
+
+
+def _dense_likelihood(X, y, theta, lam):
+    """Concentrated log-likelihood and R^-1 (y - mu) from dense numpy solves."""
+    n = y.size
+    R = np.exp(-(((X[:, None, :] - X[None, :, :]) ** 2) @ theta)) + lam * np.eye(n)
+    assert np.linalg.cond(R) < 1e6
+    ones = np.ones(n)
+    mu = (ones @ np.linalg.solve(R, y)) / (ones @ np.linalg.solve(R, ones))
+    alpha = np.linalg.solve(R, y - mu)
+    sigma2 = (y - mu) @ alpha / n
+    sign, logdet = np.linalg.slogdet(R)
+    assert sign > 0
+    ll = -0.5 * (n * np.log(2 * np.pi) + n * np.log(sigma2) + logdet + n)
+    return ll, mu, sigma2, alpha
+
+
+@pytest.mark.parametrize("n", [25, 100])
+def test_likelihood_matches_dense_reference(n):
+    rng = np.random.default_rng(n)
+    X = rng.random((n, 3))
+    y = np.sin(3.0 * X).sum(axis=1) + 0.1 * rng.standard_normal(n)
+    theta, lam = np.array([2.0, 1.0, 3.0]), 1e-2
+    ll, mu, sigma2, alpha = _dense_likelihood(X, y, theta, lam)
+    assert concentrated_log_likelihood(X, y, theta, lam) == pytest.approx(ll, rel=1e-10)
+    model = sb.fit(X, y, sb.FitConfig(theta=theta, lam=lam))
+    assert model.log_likelihood == pytest.approx(ll, rel=1e-10)
+    assert model.mu_hat == pytest.approx(mu, rel=1e-10)
+    assert model.sigma2_hat == pytest.approx(sigma2, rel=1e-10)
+    np.testing.assert_allclose(model.alpha, alpha, rtol=1e-10, atol=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_negative_theta_gives_minus_infinity_without_warning():
+    X, y = sine_design()
+    assert concentrated_log_likelihood(X, y, [-1.0], 1e-6) == -np.inf
+    # a large nugget would let this R factor, but it is no correlation matrix
+    rng = np.random.default_rng(2)
+    X2 = rng.random((10, 2))
+    y2 = X2.sum(axis=1)
+    assert concentrated_log_likelihood(X2, y2, [2.0, -1e-3], 1.0) == -np.inf
 
 
 def test_fitted_likelihood_beats_random_probes():
@@ -214,7 +258,7 @@ def test_reinterp_error_is_zero_at_samples(lam):
 
 def _full_hit_reinterp(model, xq):
     """Re-interpolation variance with the hit mask over every query row."""
-    psi = np.exp(-(((xq[:, None, :] - model.X[None, :, :]) ** 2) @ model.theta))
+    psi = _psi(model.X, xq, model.theta)
     hits = np.all(xq[:, None, :] == model.X[None, :, :], axis=2)
     psi = psi + model.lam * hits
     rinv_psi = cho_solve(model.cho, psi.T)
@@ -296,20 +340,7 @@ def test_loo_needs_three_samples():
                          sb.FitConfig(theta=np.array([1.0]), lam=1e-6)))
 
 
-# ------------------------------------------------------------- serialization
-
-
-def test_model_json_roundtrip(tmp_path):
-    X, y = sine_design(seed=6)
-    model = sb.fit(X, y)
-    path = tmp_path / "model.json"
-    save_model_json(model, path)
-    back = load_model_json(path)
-    grid = np.linspace(0, 1, 31).reshape(-1, 1)
-    mu_a, s2_a = sb.predict(model, grid)
-    mu_b, s2_b = sb.predict(back, grid)
-    assert np.allclose(mu_a, mu_b, atol=1e-12)
-    assert np.allclose(s2_a, s2_b, atol=1e-12)
+# ------------------------------------------------------------- diagnostics
 
 
 def test_diagnostics_csv_layout(tmp_path):
