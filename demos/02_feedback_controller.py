@@ -15,7 +15,7 @@ from sbopt.bench import plant_problem, simple_toll_problem
 
 
 def show_run(trace, every=5):
-    rows = trace.annotations["pi_iterations"]
+    rows = trace.iterations
     for row in rows[::every] + ([rows[-1]] if (len(rows) - 1) % every else []):
         tau = ", ".join(f"{t:6.3f}" for t in row["tau"])
         k = ", ".join(f"{x:6.2f}" for x in row["k_bar"])

@@ -19,8 +19,7 @@ def target(x, seed=0):
 
 
 def main():
-    design = sb.maximin_lhs(12, 1, seed=5)
-    X = design.points
+    X = sb.maximin_lhs(12, 1, seed=5)
     y = np.array([target(x) for x in X[:, 0]])
 
     model = sb.fit(X, y)

@@ -24,7 +24,7 @@ def main():
                       sense=problem.sense)
     trace = sb.run_direct(ev, problem.bounds)
 
-    rows = trace.annotations["direct_iterations"]
+    rows = trace.iterations
     print("iter  cells  selected  incumbent")
     step = max(1, len(rows) // 12)
     for row in rows[::step] + ([rows[-1]] if (len(rows) - 1) % step else []):
@@ -39,7 +39,7 @@ def main():
           f"after {len(trace)} evaluations")
 
     if args.cells_out:
-        sb.write_direct_cells(trace, args.cells_out)
+        sb.write_records_csv(trace.annotations["direct_cells"], args.cells_out)
         print(f"tiling written to {args.cells_out}")
 
 

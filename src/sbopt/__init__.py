@@ -16,8 +16,7 @@ from .core import (
     Evaluator,
     SboError,
     Trace,
-    best_so_far,
-    clamp,
+    write_records_csv,
     write_trace_csv,
 )
 from .constraints import (
@@ -37,7 +36,6 @@ from .kriging import (
     InfillConfig,
     InfillSearchError,
     KrigingModel,
-    LhsDesign,
     expected_improvement,
     fit,
     gaussian_correlation,
@@ -49,17 +47,15 @@ from .kriging import (
     reinterp_error,
     run_rk,
 )
-from .pi_control import PIConfig, pi_init, pi_step, run_pi, write_pi_log
+from .pi_control import PIConfig, pi_init, pi_step, run_pi
 from .direct import (
-    DirectState,
     Hyperrect,
     half_diagonal,
     identify_potentially_optimal,
     run_direct,
     trisect,
-    write_direct_cells,
 )
-from .spsa import SpsaGains, StopRule, approx_gradient, perturbation, run_spsa, write_spsa_log
+from .spsa import SpsaGains, StopRule, approx_gradient, perturbation, run_spsa
 from .mfdsim import (
     NfdCurve,
     ReservoirConfig,
@@ -67,13 +63,10 @@ from .mfdsim import (
     SimulationError,
     TollScheme,
     apply_numerical_noise,
-    load_scenario,
-    network_average,
     nfd_flow,
     objective_density,
     objective_flow,
     run_reservoir,
-    save_scenario,
     write_series_csv,
 )
 

@@ -141,6 +141,3 @@ class PenaltyTransform:
 
     def apply(self, value: float, tau, sense: str) -> float:
         return penalize(value, tau, self.spec, self.config, sense)
-
-    def feasible(self, tau, tol: float = 0.0) -> bool:
-        return is_feasible(tau, self.spec, tol)

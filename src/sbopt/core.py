@@ -116,11 +116,6 @@ class Bounds:
         return self.lower + u * self.span
 
 
-def clamp(tau, bounds: Bounds) -> np.ndarray:
-    """Elementwise projection of tau onto the box."""
-    return bounds.clamp(tau)
-
-
 @dataclass(frozen=True)
 class Evaluation:
     """One objective evaluation: value, the seed used, and its trace index."""
@@ -145,8 +140,13 @@ class Trace:
     """Ordered record of evaluations plus the running best value.
 
     ``best_curve[i]`` is the best value over records 0..i, so it is
-    monotone in the optimization sense.  ``annotations`` is a free-form
-    dict solvers use for per-iteration diagnostics.
+    monotone in the optimization sense.  ``iterations`` is the solver's
+    per-iteration log: one dict per iteration whose first keys are
+    ``iteration`` and ``evals`` (evaluations used after that iteration) and
+    whose other fields are scalars or 1-D arrays, so ``write_records_csv``
+    can write it.  The incumbent after an iteration is
+    ``best_curve[evals - 1]``.  ``annotations`` holds end-of-run entries
+    that are not per-iteration, such as DIRECT's final tiling.
     """
 
     def __init__(self, sense: str = "minimize"):
@@ -155,6 +155,7 @@ class Trace:
         self.sense = sense
         self.records: list[TraceRecord] = []
         self.best_curve: list[float] = []
+        self.iterations: list[dict] = []
         self.annotations: dict = {}
         self._best_index: int | None = None
 
@@ -190,12 +191,6 @@ class Trace:
         return best.tau, best.evaluation
 
 
-def best_so_far(trace: Trace) -> tuple[np.ndarray, float]:
-    """Best (tau, value) in the trace, earliest record on ties."""
-    tau, ev = trace.best_so_far()
-    return tau, ev.value
-
-
 class Evaluator:
     """Budgeted, seeded front end to a black-box objective.
 
@@ -210,21 +205,15 @@ class Evaluator:
     seed : int
         Seed used when ``evaluate`` is not given one.  Keeping it fixed
         makes the whole optimization run on one sample path.
-    n_reps : int
-        Replications averaged per evaluation (seeds ``seed .. seed+n_reps-1``).
-        Each aggregate counts as one evaluation against the budget.
     """
 
     def __init__(self, objective, budget: int | None = None, sense: str = "minimize",
-                 seed: int = 0, n_reps: int = 1):
+                 seed: int = 0):
         if budget is not None and budget < 0:
             raise ValueError("budget must be non-negative")
-        if n_reps < 1:
-            raise ValueError("n_reps must be >= 1")
         self.objective = objective
         self.budget = budget
         self.seed = int(seed)
-        self.n_reps = int(n_reps)
         self.trace = Trace(sense)
 
     @property
@@ -252,30 +241,13 @@ class Evaluator:
             raise EvaluationError(f"objective returned non-finite value {value} at tau={tau}")
         return value, aux
 
-    def _aggregate(self, tau: np.ndarray, seed: int) -> tuple[float, dict | None]:
-        values = []
-        auxes = []
-        for r in range(self.n_reps):
-            v, aux = self._call(tau, seed + r)
-            values.append(v)
-            auxes.append(aux)
-        if self.n_reps == 1:
-            return values[0], auxes[0]
-        agg_aux = None
-        if all(a is not None for a in auxes):
-            keys = set(auxes[0])
-            if all(set(a) == keys for a in auxes):
-                agg_aux = {k: np.mean([np.asarray(a[k], dtype=float) for a in auxes], axis=0)
-                           for k in keys}
-        return float(np.mean(values)), agg_aux
-
     def evaluate(self, tau, seed: int | None = None) -> Evaluation:
         """Evaluate the objective, record it, and return the Evaluation."""
         tau = as_vector(tau)
         if self.remaining is not None and self.remaining <= 0:
             raise BudgetExhausted(f"budget of {self.budget} evaluations exhausted")
         use_seed = self.seed if seed is None else int(seed)
-        value, aux = self._aggregate(tau, use_seed)
+        value, aux = self._call(tau, use_seed)
         ev = Evaluation(value=value, seed=use_seed, eval_index=self.used, aux=aux)
         self.trace.append(tau, ev)
         return ev
@@ -303,12 +275,46 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows([_csv_cell(x) for x in row] for row in rows)
 
 
+def write_records_csv(records, path) -> None:
+    """Write a list of dict records as CSV, one row per record.
+
+    The header is the first record's keys in order.  A scalar field is one
+    column; a 1-D field ``x`` of length m becomes columns ``x_1..x_m``.
+    Cells use the ``_write_csv`` number format.  Raises ValueError when a
+    later record's keys or vector lengths differ from the first record's.
+    An empty list writes an empty file.
+    """
+    records = list(records)
+    if not records:
+        open(path, "w").close()
+        return
+    keys = list(records[0])
+    widths = [None if np.ndim(v) == 0 else len(v) for v in records[0].values()]
+    header = []
+    for key, width in zip(keys, widths):
+        header += [key] if width is None else [f"{key}_{i + 1}" for i in range(width)]
+    rows = []
+    for n, rec in enumerate(records):
+        if list(rec) != keys:
+            raise ValueError(f"record {n} has keys {list(rec)}, expected {keys}")
+        row = []
+        for key, width, value in zip(keys, widths, rec.values()):
+            if width is None:
+                if np.ndim(value) != 0:
+                    raise ValueError(f"record {n} field {key!r} is not a scalar")
+                row.append(value)
+            else:
+                if np.ndim(value) != 1 or len(value) != width:
+                    raise ValueError(f"record {n} field {key!r} is not a 1-D vector "
+                                     f"of length {width}")
+                row.extend(value)
+        rows.append(row)
+    _write_csv(path, header, rows)
+
+
 def write_trace_csv(trace: Trace, path) -> None:
     """Write eval_index, seed, tau_1..tau_m, value, best_value rows."""
-    m = trace.records[0].tau.size if trace.records else 0
-    header = (["eval_index", "seed"] + [f"tau_{i + 1}" for i in range(m)]
-              + ["value", "best_value"])
-    _write_csv(path, header,
-               ([rec.evaluation.eval_index, rec.evaluation.seed, *rec.tau,
-                 rec.evaluation.value, best]
-                for rec, best in zip(trace.records, trace.best_curve)))
+    write_records_csv(({"eval_index": rec.evaluation.eval_index,
+                        "seed": rec.evaluation.seed, "tau": rec.tau,
+                        "value": rec.evaluation.value, "best_value": best}
+                       for rec, best in zip(trace.records, trace.best_curve)), path)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Bounds, BudgetExhausted, Evaluator, Trace, _write_csv
+from .core import Bounds, BudgetExhausted, Evaluator, Trace
 
 _MIN_SIDE = 1e-9
 
@@ -54,17 +54,6 @@ def half_diagonal(depth) -> float:
     """
     depth = np.asarray(depth, dtype=int)
     return 0.5 * float(np.sqrt(np.sum(np.sort(3.0 ** (-2.0 * depth)))))
-
-
-@dataclass
-class DirectState:
-    rects: list
-    epsilon: float
-    iteration: int = 0
-
-    @property
-    def y_min(self) -> float:
-        return min(r.value for r in self.rects)
 
 
 def identify_potentially_optimal(rects, y_min: float, epsilon: float) -> list[int]:
@@ -171,9 +160,11 @@ def run_direct(evaluator: Evaluator, bounds: Bounds, epsilon: float = 1e-4,
     Maximization and penalty wrapping happen on an internal sign-adjusted
     copy of the values; the trace keeps raw objective values at the
     original coordinates.  Boxes thinner than 1e-9 on every side are not
-    refined further.  Per-iteration summaries land in
-    ``trace.annotations["direct_iterations"]`` and the final tiling in
-    ``trace.annotations["direct_cells"]``.
+    refined further.  Each iteration appends one record to
+    ``trace.iterations`` with fields ``n_rects``, ``n_selected`` and
+    ``y_min`` (on the internal scale).  The final tiling lands in
+    ``trace.annotations["direct_cells"]``, one record per cell with fields
+    ``center``, ``depth``, ``value`` and ``d``.
     """
     if not (1e-7 <= epsilon <= 1e-3):
         raise ValueError("epsilon must lie in [1e-7, 1e-3]")
@@ -188,50 +179,40 @@ def run_direct(evaluator: Evaluator, bounds: Bounds, epsilon: float = 1e-4,
         return sign * v
 
     trace = evaluator.trace
-    log = trace.annotations.setdefault("direct_iterations", [])
-    state = DirectState(rects=[], epsilon=epsilon)
     try:
         v0 = eval_unit(np.full(m, 0.5))
     except BudgetExhausted:
         return trace
-    state.rects.append(Hyperrect(np.full(m, 0.5), np.zeros(m, dtype=int), v0))
-
+    rects = [Hyperrect(np.full(m, 0.5), np.zeros(m, dtype=int), v0)]
+    y_min = v0
+    iteration = 0
     while evaluator.remaining is None or evaluator.remaining > 0:
-        if max_iterations is not None and state.iteration >= max_iterations:
+        if max_iterations is not None and iteration >= max_iterations:
             break
-        selected = identify_potentially_optimal(state.rects, state.y_min, epsilon)
-        selected = [i for i in selected if state.rects[i].longest_side >= _MIN_SIDE]
+        selected = identify_potentially_optimal(rects, y_min, epsilon)
+        selected = [i for i in selected if rects[i].longest_side >= _MIN_SIDE]
         if not selected:
             break
         exhausted = False
         replacements: dict[int, list[Hyperrect]] = {}
         for i in selected:
-            children, exhausted = trisect(state.rects[i], eval_unit)
+            children, exhausted = trisect(rects[i], eval_unit)
             replacements[i] = children
             if exhausted:
                 break
         new_rects = []
-        for i, r in enumerate(state.rects):
+        for i, r in enumerate(rects):
             new_rects.extend(replacements.get(i, [r]))
-        state.rects = new_rects
-        state.iteration += 1
-        log.append({"iteration": state.iteration, "n_rects": len(state.rects),
-                    "n_selected": len(selected), "y_min": state.y_min})
+        rects = new_rects
+        y_min = min(r.value for r in rects)
+        iteration += 1
+        trace.iterations.append({"iteration": iteration, "evals": evaluator.used,
+                                 "n_rects": len(rects), "n_selected": len(selected),
+                                 "y_min": y_min})
         if exhausted:
             break
 
     trace.annotations["direct_cells"] = [
         {"center": r.center.copy(), "depth": r.depth.copy(), "value": r.value, "d": r.d}
-        for r in state.rects]
+        for r in rects]
     return trace
-
-
-def write_direct_cells(trace: Trace, path) -> None:
-    """Final tiling as CSV: center coords, depth counters, value, half-diagonal."""
-    cells = trace.annotations.get("direct_cells", [])
-    m = cells[0]["center"].size if cells else 0
-    header = ([f"c_{i + 1}" for i in range(m)]
-              + [f"depth_{i + 1}" for i in range(m)] + ["value", "d"])
-    _write_csv(path, header,
-               ([*cell["center"], *cell["depth"], cell["value"], cell["d"]]
-                for cell in cells))

@@ -32,7 +32,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.spatial.distance import cdist, pdist
 from scipy.special import ndtr
 
-from .core import Bounds, EvaluationError, Evaluator, SboError, Trace, _write_csv, as_vector
+from .core import Bounds, EvaluationError, Evaluator, SboError, Trace, as_vector
 
 _SIGMA2_FLOOR = 1e-300
 
@@ -58,13 +58,6 @@ def gaussian_correlation(xi, xj, theta) -> float:
 # Latin hypercube sampling
 
 
-@dataclass(frozen=True)
-class LhsDesign:
-    points: np.ndarray
-    seed: int
-    n_candidates: int
-
-
 def random_lhs(n: int, m_dim: int, rng: np.random.Generator) -> np.ndarray:
     """One Latin hypercube draw: each column permutes the stratum midpoints."""
     if n < 1 or m_dim < 1:
@@ -73,8 +66,8 @@ def random_lhs(n: int, m_dim: int, rng: np.random.Generator) -> np.ndarray:
     return np.column_stack([rng.permutation(mids) for _ in range(m_dim)])
 
 
-def maximin_lhs(n: int, m_dim: int, seed: int = 0, n_candidates: int = 50) -> LhsDesign:
-    """Best of ``n_candidates`` LHS draws by minimum pairwise distance.
+def maximin_lhs(n: int, m_dim: int, seed: int = 0, n_candidates: int = 50) -> np.ndarray:
+    """Best of ``n_candidates`` LHS draws by minimum pairwise distance, (n, m_dim).
 
     The candidate stream starts at the plain single draw for the same
     seed, so the result is never worse space-filling than that draw.
@@ -88,7 +81,7 @@ def maximin_lhs(n: int, m_dim: int, seed: int = 0, n_candidates: int = 50) -> Lh
         d = float(np.min(pdist(pts))) if n > 1 else np.inf
         if d > best_d:
             best, best_d = pts, d
-    return LhsDesign(points=best, seed=seed, n_candidates=n_candidates)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +566,10 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
     it maps a (k, m) array of points to a length-k boolean array, such as
     ``Problem.feasibility_mask()``.  When given, infill candidates are
     restricted to feasible points and the incumbent for expected
-    improvement is the best feasible value observed.  Per-infill EI
-    values land in ``trace.annotations["rk_ei"]``.
+    improvement is the best feasible value observed.  Each infill appends
+    one record to ``trace.iterations`` with fields ``ei`` (of the proposal),
+    ``theta`` (unit-cube lengthscales), ``lam`` and ``log_likelihood`` of the
+    model it was proposed from; the design points get no record.
     """
     if evaluator.budget is None:
         raise ValueError("run_rk needs a budgeted evaluator")
@@ -588,7 +583,7 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
     design = maximin_lhs(min(n_init, evaluator.budget), m, seed=seed)
     X_unit = []
     y_signed = []
-    for u in design.points:
+    for u in design:
         ev = evaluator.evaluate(bounds.from_unit(u))
         X_unit.append(np.array(u))
         y_signed.append(ev.value if minimize else -ev.value)
@@ -598,7 +593,6 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
     if feasibility_predicate is not None:
         unit_mask = lambda U: feasibility_predicate(bounds.from_unit(U))
 
-    ei_log = evaluator.trace.annotations.setdefault("rk_ei", [])
     warm = None
     iteration = 0
     while evaluator.remaining > 0:
@@ -621,19 +615,9 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
         ev = evaluator.evaluate(bounds.from_unit(proposal.x))
         X_unit.append(np.array(proposal.x))
         y_signed.append(ev.value if minimize else -ev.value)
-        ei_log.append(proposal.ei)
         iteration += 1
+        evaluator.trace.iterations.append({
+            "iteration": iteration, "evals": evaluator.used, "ei": proposal.ei,
+            "theta": model.theta, "lam": model.lam,
+            "log_likelihood": model.log_likelihood})
     return evaluator.trace
-
-
-# ---------------------------------------------------------------------------
-# Diagnostics output
-
-
-def write_diagnostics_csv(ei_values, loo_records, path) -> None:
-    """Per-infill EI values and LOO residual records side by side."""
-    rows = [["ei", i, float(ei), "", ""] for i, ei in enumerate(ei_values)]
-    for rec in loo_records:
-        flag = "degenerate" if rec.degenerate else ("outlier" if rec.outlier else "")
-        rows.append(["loo", rec.index, rec.standardized_residual, rec.std_error, flag])
-    _write_csv(path, ["kind", "index", "value", "std_error", "flag"], rows)

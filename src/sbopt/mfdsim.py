@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import struct
 from array import array
 from dataclasses import dataclass, field, replace
@@ -449,71 +448,6 @@ def objective_flow(out) -> float:
     return float(np.mean(q_bar))
 
 
-def network_average(per_link) -> tuple[np.ndarray, np.ndarray]:
-    """Lane-km-weighted mean of per-link (lane_km, k_bar, q_bar) triples."""
-    per_link = list(per_link)
-    if not per_link:
-        raise ValueError("need at least one link")
-    weights = np.array([float(w) for w, _, _ in per_link])
-    if np.any(weights <= 0):
-        raise ValueError("lane_km weights must be positive")
-    k_stack = np.stack([np.asarray(k, dtype=float) for _, k, _ in per_link])
-    q_stack = np.stack([np.asarray(q, dtype=float) for _, _, q in per_link])
-    wsum = weights.sum()
-    return (weights @ k_stack) / wsum, (weights @ q_stack) / wsum
-
-
 def write_series_csv(out: SimOutput, path) -> None:
     """Time series as t_s, n, k, q rows."""
     _write_csv(path, ["t_s", "n", "k", "q"], zip(out.t_s, out.n, out.k, out.q))
-
-
-def save_scenario(path, config: ReservoirConfig, curve: NfdCurve,
-                  scheme: TollScheme | None = None) -> None:
-    """Dump a reservoir scenario (and optionally a toll scheme) to JSON."""
-    doc = {
-        "reservoir": {
-            "lane_km": config.lane_km,
-            "avg_trip_length_km": config.avg_trip_length_km,
-            "demand_segments": [list(s) for s in config.demand_segments],
-            "toll_elasticity": config.toll_elasticity,
-            "value_of_time": config.value_of_time,
-            "dt_s": config.dt_s,
-            "noise_amplitude": config.noise_amplitude,
-            "stochastic_noise_sd": config.stochastic_noise_sd,
-            "demand_composition_gain": config.demand_composition_gain,
-        },
-        "nfd": {
-            "k_cr_low": curve.k_cr_low,
-            "k_cr_high": curve.k_cr_high,
-            "k_jam": curve.k_jam,
-            "q_max": curve.q_max,
-        },
-    }
-    if scheme is not None:
-        doc["scheme"] = {
-            "horizon_start_min": scheme.horizon_start_min,
-            "horizon_end_min": scheme.horizon_end_min,
-            "interval_length_min": scheme.interval_length_min,
-            "eta": scheme.eta.tolist(),
-            "omega": scheme.omega.tolist(),
-        }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
-def load_scenario(path) -> tuple[ReservoirConfig, NfdCurve, TollScheme | None]:
-    """Inverse of save_scenario."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    res = dict(doc["reservoir"])
-    res["demand_segments"] = tuple(tuple(s) for s in res["demand_segments"])
-    config = ReservoirConfig(**res)
-    curve = NfdCurve(**doc["nfd"])
-    scheme = None
-    if "scheme" in doc:
-        s = dict(doc["scheme"])
-        s["eta"] = np.asarray(s["eta"], dtype=float)
-        s["omega"] = np.asarray(s["omega"], dtype=float)
-        scheme = TollScheme(**s)
-    return config, curve, scheme

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bounds, EvaluationError, Evaluator, Trace, _write_csv, as_vector
+from .core import Bounds, EvaluationError, Evaluator, Trace, as_vector
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,12 @@ def run_pi(evaluator: Evaluator, config: PIConfig, bounds: Bounds,
 
     Evaluation count is n_max + 1 unless the budget ends the run early.
     Tolls are clamped to the bounds after every update and the clamped
-    value is carried as state.  Iteration details land in
-    ``trace.annotations["pi_iterations"]``.
+    value is carried as state.  Each evaluation appends one record to
+    ``trace.iterations`` with fields ``tau``, ``k_bar`` and ``value``;
+    iteration 0 is the untolled baseline.
     """
     m = bounds.m_dim
-    log = evaluator.trace.annotations.setdefault("pi_iterations", [])
+    log = evaluator.trace.iterations
 
     def room_for_one():
         return evaluator.remaining is None or evaluator.remaining > 0
@@ -80,8 +81,8 @@ def run_pi(evaluator: Evaluator, config: PIConfig, bounds: Bounds,
         return evaluator.trace
     ev = evaluator.evaluate(np.zeros(m), seed)
     k_prev = _k_bar_from(ev, m)
-    log.append({"iteration": 0, "tau": np.zeros(m), "k_bar": k_prev,
-                "value": ev.value})
+    log.append({"iteration": 0, "evals": evaluator.used, "tau": np.zeros(m),
+                "k_bar": k_prev, "value": ev.value})
 
     tau = bounds.clamp(pi_init(config, k_prev))
     for i in range(1, config.n_max + 1):
@@ -89,20 +90,10 @@ def run_pi(evaluator: Evaluator, config: PIConfig, bounds: Bounds,
             break
         ev = evaluator.evaluate(tau, seed)
         k_now = _k_bar_from(ev, m)
-        log.append({"iteration": i, "tau": tau.copy(), "k_bar": k_now,
-                    "value": ev.value})
+        log.append({"iteration": i, "evals": evaluator.used, "tau": tau.copy(),
+                    "k_bar": k_now, "value": ev.value})
         if i == config.n_max:
             break
         tau = bounds.clamp(pi_step(config, tau, k_now, k_prev))
         k_prev = k_now
     return evaluator.trace
-
-
-def write_pi_log(trace: Trace, path) -> None:
-    """Per-iteration CSV: iteration, tau_h..., k_bar_h..., objective value."""
-    rows = trace.annotations.get("pi_iterations", [])
-    m = rows[0]["tau"].size if rows else 0
-    header = (["iteration"] + [f"tau_{h + 1}" for h in range(m)]
-              + [f"k_bar_{h + 1}" for h in range(m)] + ["value"])
-    _write_csv(path, header, ([row["iteration"], *row["tau"], *row["k_bar"], row["value"]]
-                              for row in rows))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bounds, BudgetExhausted, Evaluator, Trace, _write_csv, as_vector
+from .core import Bounds, BudgetExhausted, Evaluator, Trace, as_vector
 
 logger = logging.getLogger(__name__)
 
@@ -130,8 +130,9 @@ def run_spsa(evaluator: Evaluator, tau_0, bounds: Bounds,
     [0, 1] next to delay rates in [0, 15]); evaluations and the trace
     stay in original coordinates.  Two evaluations per iteration; a
     remaining budget of one is left unused rather than half-stepping.
-    The iterate path is stored in ``trace.annotations["spsa_iterations"]``
-    and the final iterate in ``trace.annotations["spsa_final_tau"]``; the
+    Each iteration appends one record to ``trace.iterations`` with fields
+    ``a_i``, ``c_i``, ``delta``, ``y_plus``, ``y_minus``, ``g_norm`` and
+    ``tau_next``; the last record's ``tau_next`` is the final iterate.  The
     best evaluated point is the trace's running best as usual.
     """
     gains = gains or SpsaGains()
@@ -147,7 +148,7 @@ def run_spsa(evaluator: Evaluator, tau_0, bounds: Bounds,
         return sign * v
 
     u = bounds.to_unit(bounds.clamp(as_vector(tau_0, bounds.m_dim)))
-    log = evaluator.trace.annotations.setdefault("spsa_iterations", [])
+    log = evaluator.trace.iterations
     stall = 0
     i = 1
     while stop.max_iterations is None or i <= stop.max_iterations:
@@ -165,25 +166,11 @@ def run_spsa(evaluator: Evaluator, tau_0, bounds: Bounds,
         a_i = gains.a_at(i, gradient_scale)
         u = np.clip(u - a_i * g_hat, 0.0, 1.0)
         g_norm = float(np.max(np.abs(g_hat)))
-        log.append({"iteration": i, "a_i": a_i, "c_i": c_i, "delta": delta,
-                    "y_plus": y_plus, "y_minus": y_minus, "g_norm": g_norm,
-                    "tau_next": bounds.from_unit(u)})
+        log.append({"iteration": i, "evals": evaluator.used, "a_i": a_i, "c_i": c_i,
+                    "delta": delta, "y_plus": y_plus, "y_minus": y_minus,
+                    "g_norm": g_norm, "tau_next": bounds.from_unit(u)})
         stall = stall + 1 if (stop.g_tol > 0 and g_norm < stop.g_tol) else 0
         if stall >= stop.k_stall:
             break
         i += 1
-    evaluator.trace.annotations["spsa_final_tau"] = bounds.from_unit(u)
     return evaluator.trace
-
-
-def write_spsa_log(trace: Trace, path) -> None:
-    """Per-iteration CSV: gains, perturbed values, gradient norm, next iterate."""
-    rows = trace.annotations.get("spsa_iterations", [])
-    m = rows[0]["tau_next"].size if rows else 0
-    header = (["iteration", "a_i", "c_i", "y_plus", "y_minus", "g_norm"]
-              + [f"delta_{h + 1}" for h in range(m)]
-              + [f"tau_next_{h + 1}" for h in range(m)])
-    _write_csv(path, header,
-               ([row["iteration"], row["a_i"], row["c_i"], row["y_plus"],
-                 row["y_minus"], row["g_norm"], *row["delta"], *row["tau_next"]]
-                for row in rows))

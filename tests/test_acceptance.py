@@ -54,7 +54,7 @@ def simple_runs():
 
 
 def test_criterion_01_interpolation_limit():
-    X = sb.maximin_lhs(11, 2, seed=3).points
+    X = sb.maximin_lhs(11, 2, seed=3)
     y = smooth_2d(X)
     model = sb.fit(X, y, sb.FitConfig(lam=0.0))
     mu, s2 = sb.predict(model, X)
@@ -66,7 +66,7 @@ def test_criterion_01_interpolation_limit():
 
 
 def test_criterion_02_ei_matches_quadrature():
-    X = sb.maximin_lhs(14, 2, seed=3).points
+    X = sb.maximin_lhs(14, 2, seed=3)
     y = smooth_2d(X)
     model = sb.fit(X, y, sb.FitConfig(lam=1e-3))
     y_min = float(np.median(y))
@@ -94,7 +94,7 @@ def test_criterion_02_ei_matches_quadrature():
 
 
 def test_criterion_03_reinterp_error_vanishes_at_samples():
-    X = sb.maximin_lhs(11, 2, seed=3).points
+    X = sb.maximin_lhs(11, 2, seed=3)
     y = smooth_2d(X)
     worst_var = 0.0
     worst_ei = 0.0
@@ -157,7 +157,7 @@ def test_criterion_05_spsa_converges_with_default_gains():
         trace = sb.run_spsa(ev, [0.5, 0.5], bounds,
                             stop=sb.StopRule(max_iterations=200), seed=seed)
         errs.append(float(np.linalg.norm(
-            trace.annotations["spsa_final_tau"] - opt)))
+            trace.iterations[-1]["tau_next"] - opt)))
     med = float(np.median(errs))
     report(5, med < 0.02,
            f"default gains, 200 iterations, 20 seeds: "
@@ -215,12 +215,12 @@ def test_criterion_08_controller_settles_and_hot_gains_oscillate():
         return sb.run_pi(ev, cfg, problem.bounds, seed=0)
 
     calm = run_with(0.02, 0.005)
-    rows = calm.annotations["pi_iterations"]
+    rows = calm.iterations
     resid = min(abs(r["k_bar"][0] - 15.0) for r in rows)
     evals = len(calm)
 
     def diff_var(trace):
-        vals = np.array([r["value"] for r in trace.annotations["pi_iterations"]])
+        vals = np.array([r["value"] for r in trace.iterations])
         return float(np.var(np.diff(vals[10:])))
 
     ratio = diff_var(run_with(0.1, 0.03)) / diff_var(calm)

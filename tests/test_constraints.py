@@ -91,8 +91,6 @@ def test_penalty_transform_wraps_spec_and_config():
     pt = sb.PenaltyTransform(SPEC2, sb.PenaltyConfig(weight=100.0))
     tau = np.array([0.0, 0.5, 0.0, 0.0])
     assert pt.apply(10.0, tau, "minimize") == pytest.approx(12.89)
-    assert not pt.feasible(tau)
-    assert pt.feasible(np.array([0.1, 0.1, 2.0, 2.0]))
 
 
 @given(st.integers(2, 6), st.floats(-3.0, 3.0), st.data())

@@ -10,9 +10,9 @@ import sbopt as sb
 
 def test_clamp_projects_out_of_box_points():
     b = sb.Bounds(np.zeros(2), np.ones(2))
-    assert np.allclose(sb.clamp([1.5, -0.2], b), [1.0, 0.0])
-    assert np.allclose(sb.clamp([0.5, 0.5], b), [0.5, 0.5])
-    assert np.allclose(sb.clamp([0.19, 0.93], b), [0.19, 0.93])
+    assert np.allclose(b.clamp([1.5, -0.2]), [1.0, 0.0])
+    assert np.allclose(b.clamp([0.5, 0.5]), [0.5, 0.5])
+    assert np.allclose(b.clamp([0.19, 0.93]), [0.19, 0.93])
 
 
 def test_bounds_validation():
@@ -73,9 +73,10 @@ def test_best_so_far_minimize_and_ties():
     ev = sb.Evaluator(lambda t, s: float(t[0]), budget=3)
     for v in (3.0, 1.0, 2.0):
         ev.evaluate([v])
-    tau, best = sb.best_so_far(ev.trace)
-    assert best == 1.0
-    assert ev.trace.best_so_far()[1].eval_index == 1
+    tau, best = ev.trace.best_so_far()
+    assert best.value == 1.0
+    assert tau[0] == 1.0
+    assert best.eval_index == 1
 
     tie = sb.Evaluator(lambda t, s: 1.0, budget=2)
     tie.evaluate([0.0])
@@ -87,7 +88,7 @@ def test_best_so_far_maximize():
     ev = sb.Evaluator(lambda t, s: float(t[0]), budget=2, sense="maximize")
     ev.evaluate([285.0])
     ev.evaluate([320.0])
-    assert sb.best_so_far(ev.trace)[1] == 320.0
+    assert ev.trace.best_so_far()[1].value == 320.0
 
 
 def test_non_finite_value_rejected():
@@ -100,12 +101,6 @@ def test_aux_must_be_dict():
     ev = sb.Evaluator(lambda t, s: (0.0, [1, 2]), budget=1)
     with pytest.raises(sb.EvaluationError):
         ev.evaluate([0.0])
-
-
-def test_n_reps_averages_seeds():
-    ev = sb.Evaluator(lambda t, s: float(s), budget=2, seed=10, n_reps=3)
-    assert ev.evaluate([0.0]).value == pytest.approx(11.0)  # mean(10, 11, 12)
-    assert ev.used == 1  # the aggregate counts once
 
 
 def test_best_feasible_filters_records():
@@ -160,3 +155,53 @@ def test_trace_csv_roundtrip(tmp_path):
     twin = tmp_path / "again.csv"
     sb.write_trace_csv(ev.trace, twin)
     assert path.read_bytes() == twin.read_bytes()
+
+
+@pytest.mark.parametrize("problem, solver, budget, fields", [
+    ("plant", "pi", 8, ["tau", "k_bar", "value"]),
+    ("quadratic", "rk", 14, ["ei", "theta", "lam", "log_likelihood"]),
+    ("quadratic", "direct", 30, ["n_rects", "n_selected", "y_min"]),
+    ("quadratic", "spsa", 20,
+     ["a_i", "c_i", "delta", "y_plus", "y_minus", "g_norm", "tau_next"]),
+])
+def test_iteration_records_share_one_format(tmp_path, problem, solver, budget, fields):
+    from sbopt.bench import get_problem, run_single
+
+    trace = run_single(get_problem(problem), solver, budget, 0)
+    records = trace.iterations
+    assert records
+    for rec in records:
+        assert list(rec) == ["iteration", "evals", *fields]
+    evals = [rec["evals"] for rec in records]
+    assert all(a < b for a, b in zip(evals, evals[1:]))
+    assert evals[-1] == len(trace)
+
+    path = tmp_path / "records.csv"
+    sb.write_records_csv(records, path)
+    header = []
+    for key, value in records[0].items():
+        header += ([key] if np.ndim(value) == 0
+                   else [f"{key}_{i + 1}" for i in range(len(value))])
+    lines = path.read_text().splitlines()
+    assert lines[0] == ",".join(header)
+    assert len(lines) == 1 + len(records)
+
+    extra = {**records[-1], "note": 1.0}
+    with pytest.raises(ValueError, match="keys"):
+        sb.write_records_csv(records + [extra], path)
+
+
+def test_write_records_csv_checks_shapes(tmp_path):
+    path = tmp_path / "rows.csv"
+    sb.write_records_csv([{"i": 1, "x": np.array([0.5, 2.0]), "flag": True, "s": "a"}],
+                         path)
+    assert path.read_text().splitlines() == ["i,x_1,x_2,flag,s", "1,0.5,2.0,1,a"]
+    good = {"i": 0, "x": np.zeros(2)}
+    with pytest.raises(ValueError, match="length 2"):
+        sb.write_records_csv([good, {"i": 1, "x": np.zeros(3)}], path)
+    with pytest.raises(ValueError, match="scalar"):
+        sb.write_records_csv([good, {"i": np.zeros(2), "x": np.zeros(2)}], path)
+    with pytest.raises(ValueError, match="keys"):
+        sb.write_records_csv([good, {"x": np.zeros(2), "i": 1}], path)
+    sb.write_records_csv([], path)
+    assert path.read_bytes() == b""

@@ -101,7 +101,7 @@ def test_one_dim_run_costs_two_evals_per_selection():
 
     ev = sb.Evaluator(wavy, budget=None, seed=0)
     trace = sb.run_direct(ev, UNIT1, max_iterations=15)
-    rows = trace.annotations["direct_iterations"]
+    rows = trace.iterations
     assert len(trace) == 1 + 2 * sum(r["n_selected"] for r in rows)
 
 
@@ -124,7 +124,7 @@ def test_incumbent_log_is_monotone():
     p = strip_problem()
     ev = sb.Evaluator(p.objective, budget=400, seed=0, sense=p.sense)
     trace = sb.run_direct(ev, p.bounds)
-    y = [row["y_min"] for row in trace.annotations["direct_iterations"]]
+    y = [row["y_min"] for row in trace.iterations]
     assert all(a >= b for a, b in zip(y, y[1:]))
 
 
@@ -151,7 +151,7 @@ def test_rerun_is_bit_identical():
 def test_cells_csv_layout(tmp_path):
     trace = sb.run_direct(sb.Evaluator(bowl, budget=30, seed=0), UNIT2)
     path = tmp_path / "cells.csv"
-    sb.write_direct_cells(trace, path)
+    sb.write_records_csv(trace.annotations["direct_cells"], path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "c_1,c_2,depth_1,depth_2,value,d"
+    assert lines[0] == "center_1,center_2,depth_1,depth_2,value,d"
     assert len(lines) == 1 + len(trace.annotations["direct_cells"])

@@ -10,7 +10,7 @@ UNIT2 = sb.Bounds(np.zeros(2), np.ones(2))
 
 
 def wavy_model(lam=1e-3):
-    X = sb.maximin_lhs(14, 2, seed=3).points
+    X = sb.maximin_lhs(14, 2, seed=3)
     y = np.sin(5 * X[:, 0]) * np.cos(3 * X[:, 1]) + 0.3 * X[:, 1]
     return sb.fit(X, y, sb.FitConfig(lam=lam)), X, y
 

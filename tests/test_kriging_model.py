@@ -1,5 +1,7 @@
 """Kriging model fit, prediction, re-interpolation, and diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,13 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
 import sbopt as sb
-from sbopt.kriging import _psi, concentrated_log_likelihood, write_diagnostics_csv
+from sbopt.kriging import _psi, concentrated_log_likelihood
 
 
 def sine_design(n=11, seed=4):
-    d = sb.maximin_lhs(n, 1, seed=seed)
-    y = np.sin(10 * d.points[:, 0]) + 2 * d.points[:, 0]
-    return d.points, y
+    X = sb.maximin_lhs(n, 1, seed=seed)
+    y = np.sin(10 * X[:, 0]) + 2 * X[:, 0]
+    return X, y
 
 
 def min_pairwise_distance(pts):
@@ -29,27 +31,27 @@ def test_lhs_columns_hit_cell_midpoints():
     d = sb.maximin_lhs(11, 2, seed=0)
     mids = (2 * np.arange(11) + 1) / 22
     for j in range(2):
-        assert np.allclose(np.sort(d.points[:, j]), mids)
+        assert np.allclose(np.sort(d[:, j]), mids)
 
 
 def test_lhs_two_points_one_dim():
     d = sb.maximin_lhs(2, 1, seed=0)
-    assert np.allclose(np.sort(d.points[:, 0]), [0.25, 0.75])
+    assert np.allclose(np.sort(d[:, 0]), [0.25, 0.75])
 
 
 def test_lhs_deterministic_per_seed():
     a = sb.maximin_lhs(7, 3, seed=9)
     b = sb.maximin_lhs(7, 3, seed=9)
     c = sb.maximin_lhs(7, 3, seed=10)
-    assert np.array_equal(a.points, b.points)
-    assert not np.array_equal(a.points, c.points)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_maximin_beats_single_random_draw():
     rng = np.random.default_rng(2)
     plain = sb.random_lhs(12, 2, rng)
     best = sb.maximin_lhs(12, 2, seed=2)
-    assert min_pairwise_distance(best.points) >= min_pairwise_distance(plain)
+    assert min_pairwise_distance(best) >= min_pairwise_distance(plain)
 
 
 # --------------------------------------------------------------- correlation
@@ -120,7 +122,7 @@ def test_zero_lambda_interpolates_training_data():
 
 
 def test_constant_response_gives_zero_variance():
-    X = sb.maximin_lhs(8, 2, seed=1).points
+    X = sb.maximin_lhs(8, 2, seed=1)
     y = np.full(8, 3.5)
     model = sb.fit(X, y, sb.FitConfig(theta=np.array([1.0, 1.0]), lam=1e-6))
     assert model.mu_hat == pytest.approx(3.5)
@@ -347,10 +349,9 @@ def test_diagnostics_csv_layout(tmp_path):
     X, y = sine_design(seed=8)
     model = sb.fit(X, y)
     recs = sb.loo_cv(model)
-    path = tmp_path / "diag.csv"
-    write_diagnostics_csv([0.5, 0.25], recs, path)
+    path = tmp_path / "loo.csv"
+    sb.write_records_csv([dataclasses.asdict(rec) for rec in recs], path)
     lines = path.read_text().splitlines()
-    assert lines[0].split(",")[0] == "kind"
-    kinds = {ln.split(",")[0] for ln in lines[1:]}
-    assert kinds == {"ei", "loo"}
-    assert len(lines) == 1 + 2 + len(recs)
+    assert lines[0] == ("index,prediction,std_error,standardized_residual,"
+                        "outlier,degenerate")
+    assert [int(ln.split(",")[0]) for ln in lines[1:]] == list(range(len(recs)))

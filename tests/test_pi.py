@@ -65,7 +65,7 @@ def test_plant_settles_within_fifty_evaluations():
     p = plant_problem()
     ev = sb.Evaluator(p.objective, budget=50, seed=0, sense=p.sense)
     trace = sb.run_pi(ev, p.pi_config, p.bounds, seed=0)
-    rows = trace.annotations["pi_iterations"]
+    rows = trace.iterations
     assert len(trace) == 50
     residuals = [abs(r["k_bar"][0] - 15.0) for r in rows]
     assert min(residuals) < 0.5
@@ -75,7 +75,7 @@ def test_plant_residual_decays_geometrically():
     p = plant_problem()
     ev = sb.Evaluator(p.objective, budget=50, seed=0, sense=p.sense)
     trace = sb.run_pi(ev, p.pi_config, p.bounds, seed=0)
-    rows = trace.annotations["pi_iterations"]
+    rows = trace.iterations
     residuals = [abs(r["k_bar"][0] - 15.0) for r in rows]
     ratios = [residuals[i + 1] / residuals[i] for i in range(1, 13)]
     assert all(0.85 < r < 0.98 for r in ratios)
@@ -89,7 +89,7 @@ def test_hot_gains_oscillate():
         cfg = sb.PIConfig(p_p, p_i, 15.0, n_max=49)
         ev = sb.Evaluator(p.objective, budget=50, seed=0, sense=p.sense)
         trace = sb.run_pi(ev, cfg, p.bounds, seed=0)
-        vals = np.array([r["value"] for r in trace.annotations["pi_iterations"]])
+        vals = np.array([r["value"] for r in trace.iterations])
         return float(np.var(np.diff(vals[10:])))
 
     assert run_with(0.1, 0.03) >= 3.0 * run_with(0.02, 0.005)
@@ -102,8 +102,8 @@ def test_intervals_are_independent_loops():
                   cfg, bounds, seed=0)
     b = sb.run_pi(sb.Evaluator(linear_plant([28.0, 35.0]), budget=25, seed=0),
                   cfg, bounds, seed=0)
-    taus_a = np.array([r["tau"] for r in a.annotations["pi_iterations"]])
-    taus_b = np.array([r["tau"] for r in b.annotations["pi_iterations"]])
+    taus_a = np.array([r["tau"] for r in a.iterations])
+    taus_b = np.array([r["tau"] for r in b.iterations])
     assert np.allclose(taus_a, taus_b[:, ::-1], atol=1e-12)
 
 
@@ -121,7 +121,7 @@ def test_iteration_log_csv(tmp_path):
     ev = sb.Evaluator(p.objective, budget=10, seed=0, sense=p.sense)
     trace = sb.run_pi(ev, p.pi_config, p.bounds, seed=0)
     path = tmp_path / "pi.csv"
-    sb.write_pi_log(trace, path)
+    sb.write_records_csv(trace.iterations, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,tau_1,tau_2,k_bar_1,k_bar_2,value"
+    assert lines[0] == "iteration,evals,tau_1,tau_2,k_bar_1,k_bar_2,value"
     assert len(lines) == 1 + len(trace)

@@ -37,7 +37,7 @@ def test_consumes_budget_exactly():
 def test_ei_values_logged_per_infill():
     ev = sb.Evaluator(quadratic, budget=40, seed=0)
     trace = sb.run_rk(ev, UNIT2, n_init=11, seed=0)
-    ei = trace.annotations["rk_ei"]
+    ei = [rec["ei"] for rec in trace.iterations]
     assert len(ei) == 40 - 11
     assert all(v >= 0.0 for v in ei)
 
@@ -46,16 +46,16 @@ def test_budget_equal_to_design_is_pure_doe():
     ev = sb.Evaluator(noisy_quadratic, budget=11, seed=3)
     trace = sb.run_rk(ev, UNIT2, n_init=11, seed=3)
     assert len(trace) == 11
-    assert trace.annotations["rk_ei"] == []
+    assert trace.iterations == []
     design = sb.maximin_lhs(11, 2, seed=3)
-    for rec, point in zip(trace.records, design.points):
+    for rec, point in zip(trace.records, design):
         assert np.array_equal(rec.tau, point)
 
 
 def test_ei_decays_as_search_closes_in():
     ev = sb.Evaluator(noisy_quadratic, budget=50, seed=0)
     trace = sb.run_rk(ev, UNIT2, n_init=11, seed=0)
-    ei = trace.annotations["rk_ei"]
+    ei = [rec["ei"] for rec in trace.iterations]
     assert max(ei[-5:]) < 0.05 * max(ei[:5])
     tau, best = trace.best_so_far()
     # noise floor sits below the noise-free minimum

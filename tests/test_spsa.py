@@ -120,7 +120,7 @@ def test_gain_validation():
 def test_two_evaluations_per_iteration():
     ev = sb.Evaluator(quadratic, budget=40, seed=0)
     trace = sb.run_spsa(ev, [0.5, 0.5], UNIT2, seed=0)
-    rows = trace.annotations["spsa_iterations"]
+    rows = trace.iterations
     assert len(trace) == 2 * len(rows)
 
 
@@ -135,11 +135,10 @@ def test_logged_updates_reconstruct_the_path():
     ev = sb.Evaluator(quadratic, budget=40, seed=0)
     trace = sb.run_spsa(ev, [0.5, 0.5], UNIT2, seed=0)
     u = np.array([0.5, 0.5])
-    for row in trace.annotations["spsa_iterations"]:
+    for row in trace.iterations:
         g_hat = (row["y_plus"] - row["y_minus"]) / (2 * row["c_i"] * row["delta"])
         u = np.clip(u - row["a_i"] * g_hat, 0.0, 1.0)
         assert np.allclose(u, row["tau_next"], atol=1e-12)
-    assert np.allclose(trace.annotations["spsa_final_tau"], u, atol=1e-12)
 
 
 def test_iterates_stay_inside_the_box():
@@ -153,7 +152,7 @@ def test_stalled_gradient_stops_early():
     ev = sb.Evaluator(lambda t, s: 1.0, budget=100, seed=0)
     trace = sb.run_spsa(ev, [0.5, 0.5], UNIT2,
                         stop=sb.StopRule(g_tol=1e-9, k_stall=3), seed=0)
-    assert len(trace.annotations["spsa_iterations"]) == 3
+    assert len(trace.iterations) == 3
     assert len(trace) == 6
 
 
@@ -171,7 +170,7 @@ def test_converges_on_smooth_quadratic():
     ev = sb.Evaluator(quadratic, budget=None, seed=0)
     trace = sb.run_spsa(ev, [0.5, 0.5], UNIT2,
                         stop=sb.StopRule(max_iterations=200), seed=0)
-    err = np.linalg.norm(trace.annotations["spsa_final_tau"] - OPT)
+    err = np.linalg.norm(trace.iterations[-1]["tau_next"] - OPT)
     assert err < 0.05
 
 
@@ -183,7 +182,7 @@ def test_small_perturbation_drowns_in_noise():
         trace = sb.run_spsa(ev, [0.75, 0.75], UNIT2,
                             gains=sb.SpsaGains(a=0.5, c=c),
                             stop=sb.StopRule(max_iterations=40), seed=seed)
-        return np.linalg.norm(trace.annotations["spsa_final_tau"] - OPT)
+        return np.linalg.norm(trace.iterations[-1]["tau_next"] - OPT)
 
     coarse = [final_err(0.2, s) for s in range(20)]
     fine = [final_err(0.02, s) for s in range(20)]
@@ -195,8 +194,8 @@ def test_iteration_log_csv(tmp_path):
     ev = sb.Evaluator(quadratic, budget=20, seed=0)
     trace = sb.run_spsa(ev, [0.5, 0.5], UNIT2, seed=0)
     path = tmp_path / "spsa.csv"
-    sb.write_spsa_log(trace, path)
+    sb.write_records_csv(trace.iterations, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == ("iteration,a_i,c_i,y_plus,y_minus,g_norm,"
-                        "delta_1,delta_2,tau_next_1,tau_next_2")
-    assert len(lines) == 1 + len(trace.annotations["spsa_iterations"])
+    assert lines[0] == ("iteration,evals,a_i,c_i,delta_1,delta_2,y_plus,y_minus,"
+                        "g_norm,tau_next_1,tau_next_2")
+    assert len(lines) == 1 + len(trace.iterations)
