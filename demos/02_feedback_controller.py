@@ -8,8 +8,6 @@ Pass --hot to see what overly aggressive gains do to the same plant.
 
 import argparse
 
-import numpy as np
-
 import sbopt as sb
 from sbopt.bench import plant_problem, simple_toll_problem
 
@@ -36,12 +34,12 @@ def main():
     print(f"linear plant, gains P={gains[0]}, I={gains[1]}, "
           f"target k_cr={cfg.k_cr}")
     ev = sb.Evaluator(plant.objective, budget=None, seed=0, sense=plant.sense)
-    show_run(sb.run_pi(ev, cfg, plant.bounds, seed=0))
+    show_run(sb.run_pi(ev, cfg, plant.bounds))
 
     print("\nreservoir fixture, stock gains")
     toll = simple_toll_problem()
     ev = sb.Evaluator(toll.objective, budget=60, seed=0, sense=toll.sense)
-    trace = sb.run_pi(ev, toll.pi_config, toll.bounds, seed=0)
+    trace = sb.run_pi(ev, toll.pi_config, toll.bounds)
     show_run(trace, every=10)
     _, best = trace.best_so_far()
     print(f"\nbest mean density offset after {len(trace)} evaluations: "

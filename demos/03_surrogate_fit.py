@@ -44,8 +44,7 @@ def main():
     print(f"  plain error estimate:  max {ei_plain.max():.3e}")
 
     prop = sb.propose_infill(model, y_min, None,
-                             sb.Bounds(np.zeros(1), np.ones(1)),
-                             sb.InfillConfig(seed=0))
+                             sb.Bounds(np.zeros(1), np.ones(1)), seed=0)
     print(f"\ninfill proposal: x={prop.x[0]:.4f} EI={prop.ei:.4f}")
     print(f"nearest sample distance: "
           f"{np.min(np.abs(X[:, 0] - prop.x[0])):.4f}")

@@ -12,7 +12,6 @@ import argparse
 
 import numpy as np
 
-import sbopt as sb
 import sbopt.bench as bench
 
 

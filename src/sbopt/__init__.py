@@ -20,7 +20,6 @@ from .core import (
     write_trace_csv,
 )
 from .constraints import (
-    PenaltyConfig,
     PenaltyTransform,
     SmoothingSpec,
     feasible_mask,
@@ -33,7 +32,6 @@ from .kriging import (
     EIProposal,
     FitConfig,
     FitError,
-    InfillConfig,
     InfillSearchError,
     KrigingModel,
     expected_improvement,
@@ -55,7 +53,7 @@ from .direct import (
     run_direct,
     trisect,
 )
-from .spsa import SpsaGains, StopRule, approx_gradient, perturbation, run_spsa
+from .spsa import SpsaGains, approx_gradient, perturbation, run_spsa
 from .mfdsim import (
     NfdCurve,
     ReservoirConfig,

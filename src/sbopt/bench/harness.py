@@ -19,10 +19,10 @@ import numpy as np
 from ..constraints import violations
 from ..core import Evaluator, SboError, Trace, _write_csv, write_trace_csv
 from ..direct import run_direct
-from ..kriging import FitConfig, InfillConfig, run_rk
+from ..kriging import run_rk
 from ..mfdsim import run_reservoir
 from ..pi_control import run_pi
-from ..spsa import SpsaGains, StopRule, run_spsa
+from ..spsa import SpsaGains, run_spsa
 from .plotting import plot_curve_bands, write_best_curve_csv, write_nfd_scatter
 from .problems import Problem, available_problems, get_problem
 
@@ -58,9 +58,7 @@ def _run_rk(evaluator, problem, seed, params):
         n_init=int(params.get("n_init", problem.rk_n_init)),
         feasibility_predicate=problem.feasibility_mask(),
         use_reinterp=_use_reinterp(params),
-        fit_config=FitConfig(seed=seed),
-        infill_config=InfillConfig(seed=seed, sampler=problem.infill_sampler),
-        seed=seed)
+        seed=seed, sampler=problem.infill_sampler)
 
 
 _SPSA_GAINS = ("a", "big_a", "alpha", "c", "gamma")
@@ -72,14 +70,11 @@ def _run_spsa(evaluator, problem, seed, params):
         raise ConfigError(
             f"problem {problem.name!r} has no default SPSA start; pass params.tau_0")
     gain_args = {k: params[k] for k in _SPSA_GAINS if k in params}
-    stop = None
-    if "max_iterations" in params:
-        stop = StopRule(max_iterations=int(params["max_iterations"]))
+    max_it = params.get("max_iterations")
     return run_spsa(evaluator, np.asarray(tau_0, dtype=float), problem.bounds,
-                    gains=SpsaGains(**gain_args) if gain_args else None, stop=stop,
-                    penalty=problem.penalty,
-                    gradient_scale=float(params.get("gradient_scale", 1.0)),
-                    seed=seed)
+                    gains=SpsaGains(**gain_args) if gain_args else None,
+                    max_iterations=None if max_it is None else int(max_it),
+                    penalty=problem.penalty, seed=seed)
 
 
 def _run_direct(evaluator, problem, seed, params):
@@ -101,15 +96,14 @@ def _run_pi(evaluator, problem, seed, params):
     cfg = problem.pi_config
     if "n_max" in params:
         cfg = replace(cfg, n_max=int(params["n_max"]))
-    return run_pi(evaluator, cfg, problem.bounds, seed=seed)
+    return run_pi(evaluator, cfg, problem.bounds)
 
 
 SOLVERS = {
     "pi": Solver(frozenset({"n_max"}), _run_pi, _pi_check),
     "rk": Solver(frozenset({"n_init", "use_reinterp"}), _run_rk),
     "direct": Solver(frozenset({"epsilon", "max_iterations"}), _run_direct),
-    "spsa": Solver(frozenset({*_SPSA_GAINS, "max_iterations", "gradient_scale", "tau_0"}),
-                   _run_spsa),
+    "spsa": Solver(frozenset({*_SPSA_GAINS, "max_iterations", "tau_0"}), _run_spsa),
 }
 
 
@@ -236,8 +230,9 @@ def _summarize_seed(problem: Problem, trace: Trace, seed: int) -> dict:
     }
 
 
-def _aligned_curve(trace: Trace, budget: int) -> list:
-    curve = list(trace.best_curve)
+def _aligned_curve(curve, budget: int) -> list:
+    """A best curve padded with its last value, or cut, to ``budget`` floats."""
+    curve = list(curve)
     if len(curve) < budget:
         curve = curve + [curve[-1]] * (budget - len(curve))
     return [float(v) for v in curve[:budget]]
@@ -267,7 +262,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         summary = _summarize_seed(problem, trace, seed)
         summary["trace_csv"] = trace_path.name
         per_seed.append(summary)
-        curves[str(seed)] = _aligned_curve(trace, config.budget)
+        curves[str(seed)] = _aligned_curve(trace.best_curve, config.budget)
         traces[seed] = trace
 
     best_values = np.array([s["best_value"] for s in per_seed])
@@ -312,17 +307,48 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return report
 
 
+def _is_number(x) -> bool:
+    # type() checks: JSON true must not pass as the number 1
+    return type(x) in (int, float)
+
+
 def load_report(path) -> dict:
-    """Read a report JSON written by run_experiment, with shape checks."""
+    """Read a report JSON written by run_experiment, checking what compare reads.
+
+    Raises ConfigError unless the keys are present, ``budget`` is a
+    positive integer, ``curves`` maps seeds to non-empty lists of numbers
+    and ``per_seed`` is a non-empty list of objects with a numeric
+    ``best_value``, an integer ``n_evals`` and a boolean ``feasible``.
+    """
     try:
         with open(path) as fh:
             report = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"report {path} is not valid JSON: {exc}") from exc
+    if not isinstance(report, dict):
+        raise ConfigError(f"report {path} must be a JSON object")
     want = {"problem", "solver", "sense", "budget", "seeds", "per_seed", "curves"}
     missing = sorted(want - set(report))
     if missing:
         raise ConfigError(f"report {path} is missing keys: {missing}")
+    if not all(isinstance(report[k], str) for k in ("problem", "solver", "sense")):
+        raise ConfigError(f"report {path}: problem, solver and sense must be strings")
+    if type(report["budget"]) is not int or report["budget"] < 1:
+        raise ConfigError(f"report {path}: budget must be a positive integer")
+    curves = report["curves"]
+    if (not isinstance(curves, dict) or not curves
+            or not all(isinstance(c, list) and c and all(map(_is_number, c))
+                       for c in curves.values())):
+        raise ConfigError(
+            f"report {path}: curves must map seeds to non-empty lists of numbers")
+    per_seed = report["per_seed"]
+    if (not isinstance(per_seed, list) or not per_seed
+            or not all(isinstance(s, dict) and _is_number(s.get("best_value"))
+                       and type(s.get("n_evals")) is int
+                       and type(s.get("feasible")) is bool for s in per_seed)):
+        raise ConfigError(
+            f"report {path}: per_seed must be a non-empty list of objects with a "
+            "numeric best_value, an integer n_evals and a boolean feasible")
     return report
 
 
@@ -381,19 +407,6 @@ class ComparisonReport:
         return plot_curve_bands(self.grid, self.median_curves, self.iqr_curves,
                                 path, ylabel=ylab)
 
-    def to_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "sense": self.sense,
-            "budget": self.budget,
-            "solvers": list(self.solvers),
-            "final_values": {k: list(map(float, v))
-                             for k, v in self.final_values.items()},
-            "median_final": {k: float(np.median(v))
-                             for k, v in self.final_values.items()},
-            "feasibility": self.feasibility,
-        }
-
 
 def compare(*reports) -> ComparisonReport:
     """Align experiment reports on a common evaluation grid.
@@ -428,11 +441,7 @@ def compare(*reports) -> ComparisonReport:
             while f"{name}_{k}" in median_curves:
                 k += 1
             name = f"{name}_{k}"
-        curves = []
-        for c in rep["curves"].values():
-            c = list(c) + [c[-1]] * (budget - len(c))
-            curves.append(c[:budget])
-        stack = np.array(curves)
+        stack = np.array([_aligned_curve(c, budget) for c in rep["curves"].values()])
         solvers.append(name)
         median_curves[name] = np.median(stack, axis=0)
         iqr_curves[name] = (np.percentile(stack, 25.0, axis=0),

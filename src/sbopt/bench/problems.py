@@ -11,13 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..constraints import (
-    PenaltyConfig,
-    PenaltyTransform,
-    SmoothingSpec,
-    feasible_mask,
-    is_feasible,
-)
+from ..constraints import PenaltyTransform, SmoothingSpec, feasible_mask, is_feasible
 from ..core import Bounds
 from ..mfdsim import (
     NfdCurve,
@@ -35,6 +29,9 @@ from ..pi_control import PIConfig
 # uniform grid in [0, 1], seed 0) via penalty_weight_from_probe.  See
 # recompute_complex_penalty_weight for the exact recipe.
 COMPLEX_PENALTY_WEIGHT = 36326.5570225375
+
+# Largest smoothing violation a constrained problem still counts as feasible.
+FEASIBILITY_TOL = 1e-6
 
 
 @dataclass
@@ -55,7 +52,6 @@ class Problem:
     sense: str = "minimize"
     smoothing: SmoothingSpec | None = None
     penalty: PenaltyTransform | None = None
-    feasibility_tol: float = 1e-6
     rk_n_init: int = 12
     spsa_tau_0: np.ndarray | None = None
     pi_config: PIConfig | None = None
@@ -66,8 +62,8 @@ class Problem:
         """Boolean feasibility test for trace filtering, None if unconstrained."""
         if self.smoothing is None:
             return None
-        spec, tol = self.smoothing, self.feasibility_tol
-        return lambda tau: is_feasible(tau, spec, tol)
+        spec = self.smoothing
+        return lambda tau: is_feasible(tau, spec, FEASIBILITY_TOL)
 
     def feasibility_mask(self):
         """Row-mask form of the predicate for ``run_rk``, None if unconstrained.
@@ -77,8 +73,8 @@ class Problem:
         """
         if self.smoothing is None:
             return None
-        spec, tol = self.smoothing, self.feasibility_tol
-        return lambda taus: feasible_mask(taus, spec, tol)
+        spec = self.smoothing
+        return lambda taus: feasible_mask(taus, spec, FEASIBILITY_TOL)
 
 
 def quadratic_problem(m: int = 2, amplitude: float = 0.05) -> Problem:
@@ -227,8 +223,8 @@ def smoothing_band_sampler(bounds: Bounds, spec: SmoothingSpec):
     within the allowed jump from its predecessor (the delay chain restarts
     fresh, mirroring the constraint structure: the distance-to-delay seam is
     unconstrained).  Output is in unit coordinates of ``bounds``, ready for
-    InfillConfig.sampler.  Feasible by construction up to rounding, so a
-    rejection step after it almost never discards anything.
+    the ``sampler`` argument of ``run_rk``.  Feasible by construction up to
+    rounding, so a rejection step after it almost never discards anything.
     """
     m = spec.m_intervals
     limits = [spec.alpha_smooth] * (m - 1) + [None] + [spec.beta_smooth] * (m - 1)
@@ -296,7 +292,7 @@ def complex_toll_problem() -> Problem:
     cfg, curve, template = complex_toll_scenario()
     spec = SmoothingSpec(alpha_smooth=0.33, beta_smooth=5.0, m_intervals=8)
     bounds = Bounds(np.zeros(16), np.concatenate([np.ones(8), np.full(8, 15.0)]))
-    penalty = PenaltyTransform(spec, PenaltyConfig(weight=COMPLEX_PENALTY_WEIGHT))
+    penalty = PenaltyTransform(spec, COMPLEX_PENALTY_WEIGHT)
     return Problem(
         name="complex",
         objective=_toll_objective(cfg, curve, template, "flow"),

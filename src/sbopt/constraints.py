@@ -4,8 +4,9 @@ A joint toll profile stacks the per-interval distance rates and delay
 rates as ``tau = [eta_1..eta_m, omega_1..omega_m]``.  Successive tolls
 may not jump by more than ``alpha_smooth`` (distance) or ``beta_smooth``
 (delay), which keeps schedules drivers can anticipate.  Solvers without
-native constraint handling use the quadratic exterior penalty; the
-kriging solver instead restricts its infill search to feasible points.
+native constraint handling use the quadratic exterior penalty
+``weight * sum(v ** 2)``; the kriging solver instead restricts its infill
+search to feasible points.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, as_vector
+from .core import DimensionMismatch
+
+# penalty_weight_from_probe: weight per unit of typical objective magnitude
+_PROBE_FACTOR = 100.0
 
 
 @dataclass(frozen=True)
@@ -30,20 +34,6 @@ class SmoothingSpec:
             raise ValueError("smoothing limits must be positive")
         if self.m_intervals < 1:
             raise ValueError("m_intervals must be >= 1")
-
-
-@dataclass(frozen=True)
-class PenaltyConfig:
-    """Exterior penalty settings: weight > 0, integer exponent >= 1."""
-
-    weight: float
-    exponent: int = 2
-
-    def __post_init__(self):
-        if self.weight <= 0:
-            raise ValueError("penalty weight must be positive")
-        if self.exponent < 1:
-            raise ValueError("penalty exponent must be >= 1")
 
 
 def _excess(taus: np.ndarray, spec: SmoothingSpec) -> np.ndarray:
@@ -98,11 +88,11 @@ def feasible_mask(taus, spec: SmoothingSpec, tol: float = 0.0) -> np.ndarray:
     return np.all(_excess(taus, spec) <= tol, axis=-1)
 
 
-def penalize(value: float, tau, spec: SmoothingSpec, config: PenaltyConfig,
+def penalize(value: float, tau, spec: SmoothingSpec, weight: float,
              sense: str = "minimize") -> float:
     """Objective value pushed away from infeasible profiles.
 
-    Adds ``weight * sum(v ** exponent)`` when minimizing and subtracts it
+    Adds ``weight * sum(v ** 2)`` when minimizing and subtracts it
     when maximizing, so the penalized problem keeps the original sense.
     Feasible profiles are returned unchanged.
     """
@@ -111,12 +101,12 @@ def penalize(value: float, tau, spec: SmoothingSpec, config: PenaltyConfig,
     v = violations(tau, spec)
     if v.size == 0:
         return float(value)
-    pen = config.weight * float(np.sum(v ** config.exponent))
+    pen = weight * float(np.sum(v ** 2))
     return float(value) + pen if sense == "minimize" else float(value) - pen
 
 
-def penalty_weight_from_probe(values, factor: float = 100.0) -> float:
-    """Penalty weight scaled to the objective: factor x typical magnitude.
+def penalty_weight_from_probe(values) -> float:
+    """Penalty weight scaled to the objective: 100 x typical magnitude.
 
     ``values`` is a probe of objective values at feasible points (twenty
     is plenty).  Falls back to 1.0 when the probe is identically zero.
@@ -129,15 +119,19 @@ def penalty_weight_from_probe(values, factor: float = 100.0) -> float:
         mag = float(np.max(np.abs(values)))
     if mag == 0.0:
         mag = 1.0
-    return factor * mag
+    return _PROBE_FACTOR * mag
 
 
 @dataclass(frozen=True)
 class PenaltyTransform:
-    """Bundled spec + config handed to solvers that need penalty wrapping."""
+    """Bundled spec + weight (> 0) handed to solvers that need penalty wrapping."""
 
     spec: SmoothingSpec
-    config: PenaltyConfig
+    weight: float
+
+    def __post_init__(self):
+        if self.weight <= 0:
+            raise ValueError("penalty weight must be positive")
 
     def apply(self, value: float, tau, sense: str) -> float:
-        return penalize(value, tau, self.spec, self.config, sense)
+        return penalize(value, tau, self.spec, self.weight, sense)

@@ -203,8 +203,8 @@ class Evaluator:
     sense : str
         ``"minimize"`` or ``"maximize"``; drives best-so-far tracking.
     seed : int
-        Seed used when ``evaluate`` is not given one.  Keeping it fixed
-        makes the whole optimization run on one sample path.
+        Seed passed to the objective on every ``evaluate`` call, so the
+        whole optimization runs on one sample path.
     """
 
     def __init__(self, objective, budget: int | None = None, sense: str = "minimize",
@@ -241,14 +241,13 @@ class Evaluator:
             raise EvaluationError(f"objective returned non-finite value {value} at tau={tau}")
         return value, aux
 
-    def evaluate(self, tau, seed: int | None = None) -> Evaluation:
-        """Evaluate the objective, record it, and return the Evaluation."""
+    def evaluate(self, tau) -> Evaluation:
+        """Evaluate the objective on the evaluator's seed, record it, and return it."""
         tau = as_vector(tau)
         if self.remaining is not None and self.remaining <= 0:
             raise BudgetExhausted(f"budget of {self.budget} evaluations exhausted")
-        use_seed = self.seed if seed is None else int(seed)
-        value, aux = self._call(tau, use_seed)
-        ev = Evaluation(value=value, seed=use_seed, eval_index=self.used, aux=aux)
+        value, aux = self._call(tau, self.seed)
+        ev = Evaluation(value=value, seed=self.seed, eval_index=self.used, aux=aux)
         self.trace.append(tau, ev)
         return ev
 

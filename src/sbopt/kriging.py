@@ -11,7 +11,10 @@ Hyperparameters are chosen by maximizing the concentrated log-likelihood
 with a multi-start coordinate search over ``log10 theta`` in [-3, 2] per
 dimension and ``log10 lambda`` in [-12, 0].  Each likelihood evaluation
 builds R, factors it, and takes mu, sigma^2 and the whitened residual
-from one two-column triangular solve.
+from one two-column triangular solve.  The search box, the size of the
+maximin design candidate pool, the infill search's probe, starts, restarts
+and sweeps, and the LOO outlier limit are module constants: the method
+uses one value of each.
 
 One correlation kernel, ``_psi``, serves the correlation matrix R, the
 predictions, the error variances and EI: a squared Euclidean distance on
@@ -25,7 +28,7 @@ array, e.g. ``constraints.feasible_mask``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -35,6 +38,17 @@ from scipy.special import ndtr
 from .core import Bounds, EvaluationError, Evaluator, SboError, Trace, as_vector
 
 _SIGMA2_FLOOR = 1e-300
+_LOG10_THETA_BOUNDS = (-3.0, 2.0)
+_LOG10_LAMBDA_BOUNDS = (-12.0, 0.0)
+_LHS_CANDIDATES = 50
+# infill search: random probe size, pattern-search starts, probe rounds
+# before giving up, sweeps, and the step size below which a start stops
+_INFILL_PROBE = 4096
+_INFILL_STARTS = 12
+_INFILL_RESTARTS = 5
+_INFILL_SWEEPS = 40
+_INFILL_MIN_STEP = 1e-4
+_LOO_RESIDUAL_LIMIT = 3.0
 
 
 class FitError(SboError):
@@ -66,17 +80,15 @@ def random_lhs(n: int, m_dim: int, rng: np.random.Generator) -> np.ndarray:
     return np.column_stack([rng.permutation(mids) for _ in range(m_dim)])
 
 
-def maximin_lhs(n: int, m_dim: int, seed: int = 0, n_candidates: int = 50) -> np.ndarray:
-    """Best of ``n_candidates`` LHS draws by minimum pairwise distance, (n, m_dim).
+def maximin_lhs(n: int, m_dim: int, seed: int = 0) -> np.ndarray:
+    """Best of 50 LHS draws by minimum pairwise distance, (n, m_dim).
 
     The candidate stream starts at the plain single draw for the same
     seed, so the result is never worse space-filling than that draw.
     """
-    if n_candidates < 1:
-        raise ValueError("n_candidates must be >= 1")
     rng = np.random.default_rng(seed)
     best, best_d = None, -np.inf
-    for _ in range(n_candidates):
+    for _ in range(_LHS_CANDIDATES):
         pts = random_lhs(n, m_dim, rng)
         d = float(np.min(pdist(pts))) if n > 1 else np.inf
         if d > best_d:
@@ -95,8 +107,6 @@ class FitConfig:
     n_starts: int = 20
     n_probe: int = 60
     max_sweeps: int = 10
-    log10_theta_bounds: tuple = (-3.0, 2.0)
-    log10_lambda_bounds: tuple = (-12.0, 0.0)
     theta: np.ndarray | None = None
     lam: float | None = None
     warm_start: np.ndarray | None = None
@@ -237,8 +247,8 @@ def fit(X, y, config: FitConfig | None = None) -> KrigingModel:
                             float(lam_fixed) if lam_fixed is not None else 1e-6)
 
     # search space: log10 theta per dim then log10 lambda, fixed entries pinned
-    t_lo, t_hi = config.log10_theta_bounds
-    l_lo, l_hi = config.log10_lambda_bounds
+    t_lo, t_hi = _LOG10_THETA_BOUNDS
+    l_lo, l_hi = _LOG10_LAMBDA_BOUNDS
     lo = np.array([t_lo] * m + [l_lo])
     hi = np.array([t_hi] * m + [l_hi])
     free = []
@@ -394,21 +404,6 @@ def expected_improvement(model: KrigingModel, x, y_min: float,
 
 
 @dataclass(frozen=True)
-class InfillConfig:
-    n_probe: int = 4096
-    n_starts: int = 12
-    max_restarts: int = 5
-    max_sweeps: int = 40
-    min_step: float = 1e-4
-    seed: int = 0
-    # Optional candidate generator (rng, n, bounds) -> (n, m) array.  Lets a
-    # problem with a tiny feasible fraction propose mostly-feasible probe
-    # points instead of rejection-sampling the whole box; candidates still
-    # pass through the feasibility predicate before use.
-    sampler: object = None
-
-
-@dataclass(frozen=True)
 class EIProposal:
     x: np.ndarray
     ei: float
@@ -425,47 +420,51 @@ def _row_mask(predicate, rows: np.ndarray) -> np.ndarray:
 
 
 def propose_infill(model: KrigingModel, y_min: float, feasibility_predicate,
-                   bounds: Bounds, config: InfillConfig | None = None,
-                   use_reinterp: bool = True) -> EIProposal:
+                   bounds: Bounds, use_reinterp: bool = True, seed: int = 0,
+                   sampler=None) -> EIProposal:
     """Feasible point maximizing expected improvement.
 
-    Multi-start pattern search: a large random probe seeds the best
-    feasible points, then each sweep polls every coordinate step of
-    every start in one EI batch and moves each point along its best
-    feasible improving direction, halving stalled step sizes.
+    Multi-start pattern search: a random probe of 4096 points seeds the
+    12 best feasible points, then each sweep polls every coordinate step
+    of every start in one EI batch and moves each point along its best
+    feasible improving direction, halving stalled step sizes.  ``seed``
+    drives the probe draws.
 
     ``feasibility_predicate`` is None or a row mask: it maps a (k, m)
     array of candidates to a length-k boolean array.  It runs once per
     probe and once per sweep, on the candidates the search could pick.
-    Raises InfillSearchError when repeated probes find no feasible
-    candidate at all.
+    ``sampler`` is None or a candidate generator ``(rng, n, bounds) ->
+    (n, m) array``; it lets a problem with a tiny feasible fraction
+    propose mostly-feasible probe points instead of rejection-sampling
+    the whole box, and its candidates still pass through the predicate.
+    Raises InfillSearchError when five probes find no feasible candidate
+    at all.
     """
-    config = config or InfillConfig()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     predicate = feasibility_predicate
     m = bounds.m_dim
 
     starts: list = []
     start_ei: list = []
-    for _ in range(config.max_restarts):
-        if config.sampler is not None:
-            cand = np.asarray(config.sampler(rng, config.n_probe, bounds), dtype=float)
+    for _ in range(_INFILL_RESTARTS):
+        if sampler is not None:
+            cand = np.asarray(sampler(rng, _INFILL_PROBE, bounds), dtype=float)
         else:
-            cand = bounds.lower + rng.random((config.n_probe, m)) * bounds.span
+            cand = bounds.lower + rng.random((_INFILL_PROBE, m)) * bounds.span
         ei_cand = expected_improvement(model, cand, y_min, use_reinterp)
         # the feasible probes in decreasing EI order become the starts
         order = np.argsort(ei_cand)[::-1]
         if predicate is not None:
             order = order[_row_mask(predicate, cand)[order]]
-        for i in order[: config.n_starts - len(starts)]:
+        for i in order[: _INFILL_STARTS - len(starts)]:
             starts.append(cand[i])
             start_ei.append(ei_cand[i])
-        if len(starts) >= config.n_starts:
+        if len(starts) >= _INFILL_STARTS:
             break
     if not starts:
         raise InfillSearchError(
-            f"no feasible candidate in {config.max_restarts} probes "
-            f"of {config.n_probe} points")
+            f"no feasible candidate in {_INFILL_RESTARTS} probes "
+            f"of {_INFILL_PROBE} points")
 
     pts = np.array(starts)
     vals = np.array(start_ei, dtype=float)
@@ -475,8 +474,8 @@ def propose_infill(model: KrigingModel, y_min: float, feasibility_predicate,
     dim = np.repeat(np.flatnonzero(bounds.span > 0), 2)
     sgn = np.tile([1.0, -1.0], dim.size // 2)
     n_dir = dim.size
-    for _ in range(config.max_sweeps):
-        live = np.where(steps >= config.min_step)[0]
+    for _ in range(_INFILL_SWEEPS):
+        live = np.where(steps >= _INFILL_MIN_STEP)[0]
         if live.size == 0 or n_dir == 0:
             break
         base = pts[live]
@@ -524,10 +523,10 @@ class LooRecord:
     degenerate: bool
 
 
-def loo_cv(model: KrigingModel, residual_limit: float = 3.0) -> list[LooRecord]:
+def loo_cv(model: KrigingModel) -> list[LooRecord]:
     """Leave-one-out refits with the fitted hyperparameters frozen.
 
-    Standardized residuals outside [-limit, limit] are flagged as
+    Standardized residuals outside [-3, 3] are flagged as
     outliers; near-zero predicted error flags the record degenerate
     instead of dividing by it.  Needs at least three samples.
     """
@@ -545,7 +544,7 @@ def loo_cv(model: KrigingModel, residual_limit: float = 3.0) -> list[LooRecord]:
         records.append(LooRecord(
             index=i, prediction=float(y_hat), std_error=s,
             standardized_residual=float(r), degenerate=bool(degenerate),
-            outlier=bool(not degenerate and abs(r) > residual_limit),
+            outlier=bool(not degenerate and abs(r) > _LOO_RESIDUAL_LIMIT),
         ))
     return records
 
@@ -556,12 +555,16 @@ def loo_cv(model: KrigingModel, residual_limit: float = 3.0) -> list[LooRecord]:
 
 def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
            feasibility_predicate=None, use_reinterp: bool = True,
-           fit_config: FitConfig | None = None,
-           infill_config: InfillConfig | None = None, seed: int = 0) -> Trace:
+           seed: int = 0, sampler=None) -> Trace:
     """Design, fit, infill loop until the evaluation budget runs out.
 
+    ``seed`` drives the maximin design and, offset by the iteration
+    number, every hyperparameter search and infill probe.  The first fit
+    is a cold ``FitConfig(seed=seed)`` search; every later one is a short
+    search warm-started from the previous model's hyperparameters.
     The model is fit in unit-cube coordinates, and the infill search
-    (including any ``InfillConfig.sampler``) runs in those coordinates.
+    (including any ``sampler``, see ``propose_infill``) runs in those
+    coordinates.
     ``feasibility_predicate`` is None or a row mask over box coordinates:
     it maps a (k, m) array of points to a length-k boolean array, such as
     ``Problem.feasibility_mask()``.  When given, infill candidates are
@@ -577,8 +580,6 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
         raise ValueError("n_init must be >= 2")
     m = bounds.m_dim
     minimize = evaluator.sense == "minimize"
-    fit_config = fit_config or FitConfig(seed=seed)
-    infill_config = infill_config or InfillConfig(seed=seed)
 
     design = maximin_lhs(min(n_init, evaluator.budget), m, seed=seed)
     X_unit = []
@@ -597,9 +598,8 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
     iteration = 0
     while evaluator.remaining > 0:
         X_arr, y_arr = np.array(X_unit), np.array(y_signed)
-        cfg = fit_config if warm is None else replace(
-            fit_config, n_starts=2, n_probe=4, max_sweeps=3, warm_start=warm,
-            seed=fit_config.seed + iteration)
+        cfg = FitConfig(seed=seed) if warm is None else FitConfig(
+            n_starts=2, n_probe=4, max_sweeps=3, warm_start=warm, seed=seed + iteration)
         model = fit(X_arr, y_arr, cfg)
         warm = np.concatenate([np.log10(model.theta), [np.log10(max(model.lam, 1e-12))]])
 
@@ -609,9 +609,8 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
         else:
             y_min = float(np.min(y_arr))
 
-        proposal = propose_infill(
-            model, y_min, unit_mask, unit_box,
-            replace(infill_config, seed=infill_config.seed + iteration), use_reinterp)
+        proposal = propose_infill(model, y_min, unit_mask, unit_box, use_reinterp,
+                                  seed=seed + iteration, sampler=sampler)
         ev = evaluator.evaluate(bounds.from_unit(proposal.x))
         X_unit.append(np.array(proposal.x))
         y_signed.append(ev.value if minimize else -ev.value)

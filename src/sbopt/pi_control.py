@@ -61,11 +61,11 @@ def _k_bar_from(ev, m_dim: int) -> np.ndarray:
     return k_bar
 
 
-def run_pi(evaluator: Evaluator, config: PIConfig, bounds: Bounds,
-           seed: int | None = None) -> Trace:
+def run_pi(evaluator: Evaluator, config: PIConfig, bounds: Bounds) -> Trace:
     """Baseline run plus up to n_max controller iterations.
 
     Evaluation count is n_max + 1 unless the budget ends the run early.
+    Every evaluation runs on the evaluator's seed, one sample path.
     Tolls are clamped to the bounds after every update and the clamped
     value is carried as state.  Each evaluation appends one record to
     ``trace.iterations`` with fields ``tau``, ``k_bar`` and ``value``;
@@ -79,7 +79,7 @@ def run_pi(evaluator: Evaluator, config: PIConfig, bounds: Bounds,
 
     if not room_for_one():
         return evaluator.trace
-    ev = evaluator.evaluate(np.zeros(m), seed)
+    ev = evaluator.evaluate(np.zeros(m))
     k_prev = _k_bar_from(ev, m)
     log.append({"iteration": 0, "evals": evaluator.used, "tau": np.zeros(m),
                 "k_bar": k_prev, "value": ev.value})
@@ -88,7 +88,7 @@ def run_pi(evaluator: Evaluator, config: PIConfig, bounds: Bounds,
     for i in range(1, config.n_max + 1):
         if not room_for_one():
             break
-        ev = evaluator.evaluate(tau, seed)
+        ev = evaluator.evaluate(tau)
         k_now = _k_bar_from(ev, m)
         log.append({"iteration": i, "evals": evaluator.used, "tau": tau.copy(),
                     "k_bar": k_now, "value": ev.value})

@@ -43,9 +43,9 @@ class SpsaGains:
         if not (0 < self.gamma < self.alpha <= 1):
             raise ValueError("need 0 < gamma < alpha <= 1")
 
-    def a_at(self, i: int, scale: float = 1.0) -> float:
-        """Step gain at iteration i >= 1; scale folds in gradient_scale."""
-        return (self.a * scale) / (self.big_a + i) ** self.alpha
+    def a_at(self, i: int) -> float:
+        """Step gain at iteration i >= 1."""
+        return self.a / (self.big_a + i) ** self.alpha
 
     def c_at(self, i: int) -> float:
         """Perturbation size at iteration i >= 1."""
@@ -105,25 +105,10 @@ def _two_point(evaluator: Evaluator, x, c_i: float, delta, clamp, to_tau,
     return (y_plus - y_minus) / (2.0 * c_i * delta), y_plus, y_minus
 
 
-@dataclass(frozen=True)
-class StopRule:
-    """Iteration cap and stall detector on the gradient estimate."""
-
-    max_iterations: int | None = None
-    g_tol: float = 0.0
-    k_stall: int = 5
-
-    def __post_init__(self):
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.g_tol < 0 or self.k_stall < 1:
-            raise ValueError("g_tol must be >= 0 and k_stall >= 1")
-
-
 def run_spsa(evaluator: Evaluator, tau_0, bounds: Bounds,
-             gains: SpsaGains | None = None, stop: StopRule | None = None,
-             penalty=None, gradient_scale: float = 1.0, seed: int = 0) -> Trace:
-    """Iterate until the budget, the iteration cap, or a gradient stall.
+             gains: SpsaGains | None = None, max_iterations: int | None = None,
+             penalty=None, seed: int = 0) -> Trace:
+    """Iterate until the budget or ``max_iterations`` (None: no cap) runs out.
 
     The iterate lives in unit-box coordinates internally, so one set of
     gains works for decision vectors mixing scales (distance rates in
@@ -136,9 +121,8 @@ def run_spsa(evaluator: Evaluator, tau_0, bounds: Bounds,
     best evaluated point is the trace's running best as usual.
     """
     gains = gains or SpsaGains()
-    stop = stop or StopRule()
-    if gradient_scale <= 0:
-        raise ValueError("gradient_scale must be positive")
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     rng = np.random.default_rng(seed)
     sign = 1.0 if evaluator.sense == "minimize" else -1.0
 
@@ -149,9 +133,8 @@ def run_spsa(evaluator: Evaluator, tau_0, bounds: Bounds,
 
     u = bounds.to_unit(bounds.clamp(as_vector(tau_0, bounds.m_dim)))
     log = evaluator.trace.iterations
-    stall = 0
     i = 1
-    while stop.max_iterations is None or i <= stop.max_iterations:
+    while max_iterations is None or i <= max_iterations:
         if evaluator.remaining is not None and evaluator.remaining < 2:
             break
         delta = perturbation(bounds.m_dim, rng)
@@ -163,14 +146,11 @@ def run_spsa(evaluator: Evaluator, tau_0, bounds: Bounds,
                 clamp_note=("perturbed point clamped to bounds at iteration %d", i))
         except BudgetExhausted:
             break
-        a_i = gains.a_at(i, gradient_scale)
+        a_i = gains.a_at(i)
         u = np.clip(u - a_i * g_hat, 0.0, 1.0)
-        g_norm = float(np.max(np.abs(g_hat)))
         log.append({"iteration": i, "evals": evaluator.used, "a_i": a_i, "c_i": c_i,
                     "delta": delta, "y_plus": y_plus, "y_minus": y_minus,
-                    "g_norm": g_norm, "tau_next": bounds.from_unit(u)})
-        stall = stall + 1 if (stop.g_tol > 0 and g_norm < stop.g_tol) else 0
-        if stall >= stop.k_stall:
-            break
+                    "g_norm": float(np.max(np.abs(g_hat))),
+                    "tau_next": bounds.from_unit(u)})
         i += 1
     return evaluator.trace

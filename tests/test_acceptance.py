@@ -155,7 +155,7 @@ def test_criterion_05_spsa_converges_with_default_gains():
     for seed in range(20):
         ev = sb.Evaluator(quadratic, budget=None, seed=0)
         trace = sb.run_spsa(ev, [0.5, 0.5], bounds,
-                            stop=sb.StopRule(max_iterations=200), seed=seed)
+                            max_iterations=200, seed=seed)
         errs.append(float(np.linalg.norm(
             trace.iterations[-1]["tau_next"] - opt)))
     med = float(np.median(errs))
@@ -212,7 +212,7 @@ def test_criterion_08_controller_settles_and_hot_gains_oscillate():
         cfg = sb.PIConfig(p_p, p_i, 15.0, n_max=49)
         ev = sb.Evaluator(problem.objective, budget=50, seed=0,
                           sense=problem.sense)
-        return sb.run_pi(ev, cfg, problem.bounds, seed=0)
+        return sb.run_pi(ev, cfg, problem.bounds)
 
     calm = run_with(0.02, 0.005)
     rows = calm.iterations

@@ -2,6 +2,7 @@
 
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,7 +80,8 @@ def test_config_rejects_bad_fields():
                   {"problem": "nope"}, {"seeds": []}, {"seeds": [0.5]},
                   {"budget": True}, {"seeds": 3}, {"params": [1, 2]},
                   {"seeds": [0, 0]}, {"output_dir": 5},
-                  {"params": {"use_reinterp": "false"}}, {"params": {"use_reinterp": 0}}):
+                  {"params": {"use_reinterp": "false"}}, {"params": {"use_reinterp": 0}},
+                  {"solver": "spsa", "params": {"gradient_scale": 2.0}}):
         with pytest.raises(bench.ConfigError):
             bench.ExperimentConfig.from_dict(good | patch).validate()
 
@@ -89,6 +91,17 @@ def test_config_rejects_foreign_solver_params():
                                  params={"a": 1.0})
     with pytest.raises(bench.ConfigError, match="not recognized"):
         cfg.validate()
+
+
+def test_readme_params_table_matches_solvers():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    head = "| solver | accepted `params` | problems |"
+    rows = readme.split(head, 1)[1].split("\n\n", 1)[0].strip().splitlines()[1:]
+    table = {}
+    for row in rows:
+        solver, params = [cell.strip() for cell in row.strip("|").split("|")][:2]
+        table[solver.strip("`")] = {p.strip().strip("`") for p in params.split(",")}
+    assert table == {name: set(spec.params) for name, spec in bench.harness.SOLVERS.items()}
 
 
 def test_pi_needs_density_feedback():
@@ -166,6 +179,36 @@ def test_load_report_rejects_other_json(tmp_path):
     path.write_text(json.dumps({"problem": "simple"}))
     with pytest.raises(bench.ConfigError, match="missing keys"):
         bench.load_report(path)
+
+
+def _tiny_report(solver):
+    return {"problem": "quadratic", "solver": solver, "sense": "minimize",
+            "budget": 3, "seeds": [0, 1],
+            "per_seed": [{"seed": s, "n_evals": 3, "best_value": 0.5 - 0.1 * s,
+                          "feasible": True} for s in (0, 1)],
+            "curves": {"0": [0.9, 0.5, 0.5], "1": [0.8, 0.4]}}
+
+
+@pytest.mark.parametrize("patch", [
+    lambda r: r.update(curves={"0": []}),
+    lambda r: r.update(curves=[1, 2]),
+    lambda r: r.update(curves={"0": [0.5, "low"]}),
+    lambda r: r["per_seed"][1].pop("best_value"),
+    lambda r: r["per_seed"][0].update(feasible="yes"),
+    lambda r: r.update(per_seed=[]),
+    lambda r: r.update(budget=True),
+], ids=["empty_curve", "curves_list", "curve_string", "no_best_value",
+        "feasible_string", "no_seeds", "budget_bool"])
+def test_cli_compare_rejects_malformed_report(tmp_path, capsys, patch):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(_tiny_report("rk")))
+    report = _tiny_report("direct")
+    patch(report)
+    bad.write_text(json.dumps(report))
+    assert main(["compare", str(good)]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(good), str(bad)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- compare

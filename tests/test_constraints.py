@@ -55,25 +55,23 @@ def test_wrong_length_rejected():
 
 def test_penalize_arithmetic():
     tau = np.array([0.0, 0.5, 0.0, 0.0])  # violation 0.17
-    cfg = sb.PenaltyConfig(weight=100.0)
-    got = sb.penalize(10.0, tau, SPEC2, cfg, "minimize")
+    got = sb.penalize(10.0, tau, SPEC2, 100.0, "minimize")
     assert got == pytest.approx(10.0 + 100.0 * 0.17 ** 2)
     # maximization pushes the value down instead
-    got_max = sb.penalize(10.0, tau, SPEC2, cfg, "maximize")
+    got_max = sb.penalize(10.0, tau, SPEC2, 100.0, "maximize")
     assert got_max == pytest.approx(10.0 - 100.0 * 0.17 ** 2)
 
 
 def test_penalty_linear_in_weight():
     tau = np.array([0.0, 0.6, 0.0, 7.0])
-    base = sb.penalize(0.0, tau, SPEC2, sb.PenaltyConfig(weight=50.0), "minimize")
-    double = sb.penalize(0.0, tau, SPEC2, sb.PenaltyConfig(weight=100.0), "minimize")
+    base = sb.penalize(0.0, tau, SPEC2, 50.0, "minimize")
+    double = sb.penalize(0.0, tau, SPEC2, 100.0, "minimize")
     assert double == pytest.approx(2.0 * base)
 
 
 def test_feasible_point_passes_through_unchanged():
     tau = np.array([0.2, 0.3, 1.0, 4.0])
-    cfg = sb.PenaltyConfig(weight=1e6)
-    assert sb.penalize(3.25, tau, SPEC2, cfg, "minimize") == 3.25
+    assert sb.penalize(3.25, tau, SPEC2, 1e6, "minimize") == 3.25
 
 
 def test_is_feasible_tolerance_semantics():
@@ -84,13 +82,15 @@ def test_is_feasible_tolerance_semantics():
 
 def test_penalty_weight_from_probe():
     assert sb.penalty_weight_from_probe([1.0, 2.0, 3.0]) == pytest.approx(200.0)
-    assert sb.penalty_weight_from_probe([-4.0], factor=10.0) == pytest.approx(40.0)
+    assert sb.penalty_weight_from_probe([-4.0]) == pytest.approx(400.0)
 
 
 def test_penalty_transform_wraps_spec_and_config():
-    pt = sb.PenaltyTransform(SPEC2, sb.PenaltyConfig(weight=100.0))
+    pt = sb.PenaltyTransform(SPEC2, 100.0)
     tau = np.array([0.0, 0.5, 0.0, 0.0])
     assert pt.apply(10.0, tau, "minimize") == pytest.approx(12.89)
+    with pytest.raises(ValueError, match="positive"):
+        sb.PenaltyTransform(SPEC2, 0.0)
 
 
 @given(st.integers(2, 6), st.floats(-3.0, 3.0), st.data())

@@ -51,9 +51,9 @@ def test_evaluator_determinism():
     ev = sb.Evaluator(f, budget=4, seed=7)
     a = ev.evaluate([0.3, 0.4])
     b = ev.evaluate([0.3, 0.4])
-    assert a.value == b.value
-    c = ev.evaluate([0.3, 0.4], seed=8)
-    assert c.value != a.value
+    assert a.value == b.value and a.seed == b.seed == 7
+    c = sb.Evaluator(f, budget=1, seed=8).evaluate([0.3, 0.4])
+    assert c.value != a.value and c.seed == 8
 
 
 def test_budget_exhausted():

@@ -84,7 +84,7 @@ def test_proposal_lands_in_unsampled_valley():
     model = sb.fit(xs, ys, sb.FitConfig(lam=0.0))
     bounds = sb.Bounds(np.array([0.0]), np.array([1.0]))
     y_min = float(ys.min())
-    prop = sb.propose_infill(model, y_min, None, bounds, sb.InfillConfig(seed=0))
+    prop = sb.propose_infill(model, y_min, None, bounds, seed=0)
     assert 0.42 < prop.x[0] < 0.58
     grid = np.linspace(0, 1, 20001).reshape(-1, 1)
     ei_grid = sb.expected_improvement(model, grid, y_min)
@@ -96,8 +96,7 @@ def test_proposal_beats_dense_feasible_probe():
     model, X, y = wavy_model(lam=1e-4)
     y_min = float(y.min())
     predicate = lambda t: t[..., 0] + t[..., 1] <= 1.2
-    prop = sb.propose_infill(model, y_min, predicate, UNIT2,
-                             sb.InfillConfig(seed=5))
+    prop = sb.propose_infill(model, y_min, predicate, UNIT2, seed=5)
     assert predicate(prop.x)
     cand = np.random.default_rng(99).random((10000, 2))
     cand = cand[cand[:, 0] + cand[:, 1] <= 1.2]
@@ -108,16 +107,14 @@ def test_infeasible_everywhere_raises():
     model, X, y = wavy_model()
     with pytest.raises(sb.InfillSearchError):
         sb.propose_infill(model, float(y.min()),
-                          lambda t: np.zeros(len(t), dtype=bool), UNIT2,
-                          sb.InfillConfig(n_probe=64, max_restarts=2, seed=0))
+                          lambda t: np.zeros(len(t), dtype=bool), UNIT2, seed=0)
 
 
 def test_per_point_predicate_is_rejected():
     # the infill search passes (k, m) arrays; a scalar answer is a contract error
     model, X, y = wavy_model()
     with pytest.raises(ValueError, match="booleans"):
-        sb.propose_infill(model, float(y.min()), lambda t: True, UNIT2,
-                          sb.InfillConfig(n_probe=64, seed=0))
+        sb.propose_infill(model, float(y.min()), lambda t: True, UNIT2, seed=0)
 
 
 def test_custom_sampler_feeds_candidates():
@@ -131,16 +128,14 @@ def test_custom_sampler_feeds_candidates():
         return pts
 
     prop = sb.propose_infill(model, float(y.min()), lambda t: t[..., 0] <= 0.5,
-                             UNIT2, sb.InfillConfig(seed=2, sampler=left_half))
+                             UNIT2, seed=2, sampler=left_half)
     assert calls["n"] >= 1
     assert prop.x[0] <= 0.5
 
 
 def test_proposal_deterministic_per_seed():
     model, X, y = wavy_model()
-    a = sb.propose_infill(model, float(y.min()), None, UNIT2,
-                          sb.InfillConfig(seed=7))
-    b = sb.propose_infill(model, float(y.min()), None, UNIT2,
-                          sb.InfillConfig(seed=7))
+    a = sb.propose_infill(model, float(y.min()), None, UNIT2, seed=7)
+    b = sb.propose_infill(model, float(y.min()), None, UNIT2, seed=7)
     assert np.array_equal(a.x, b.x)
     assert a.ei == b.ei

@@ -48,7 +48,7 @@ def test_single_iteration_costs_two_evaluations():
     p = plant_problem()
     ev = sb.Evaluator(p.objective, budget=50, seed=0, sense=p.sense)
     trace = sb.run_pi(ev, sb.PIConfig(0.02, 0.005, 15.0, n_max=1),
-                      p.bounds, seed=0)
+                      p.bounds)
     assert len(trace) == 2
 
 
@@ -58,13 +58,13 @@ def test_missing_density_aux_raises():
 
     with pytest.raises(sb.EvaluationError):
         sb.run_pi(sb.Evaluator(bare, budget=5, seed=0), CFG,
-                  sb.Bounds.unit(2), seed=0)
+                  sb.Bounds.unit(2))
 
 
 def test_plant_settles_within_fifty_evaluations():
     p = plant_problem()
     ev = sb.Evaluator(p.objective, budget=50, seed=0, sense=p.sense)
-    trace = sb.run_pi(ev, p.pi_config, p.bounds, seed=0)
+    trace = sb.run_pi(ev, p.pi_config, p.bounds)
     rows = trace.iterations
     assert len(trace) == 50
     residuals = [abs(r["k_bar"][0] - 15.0) for r in rows]
@@ -74,7 +74,7 @@ def test_plant_settles_within_fifty_evaluations():
 def test_plant_residual_decays_geometrically():
     p = plant_problem()
     ev = sb.Evaluator(p.objective, budget=50, seed=0, sense=p.sense)
-    trace = sb.run_pi(ev, p.pi_config, p.bounds, seed=0)
+    trace = sb.run_pi(ev, p.pi_config, p.bounds)
     rows = trace.iterations
     residuals = [abs(r["k_bar"][0] - 15.0) for r in rows]
     ratios = [residuals[i + 1] / residuals[i] for i in range(1, 13)]
@@ -88,7 +88,7 @@ def test_hot_gains_oscillate():
     def run_with(p_p, p_i):
         cfg = sb.PIConfig(p_p, p_i, 15.0, n_max=49)
         ev = sb.Evaluator(p.objective, budget=50, seed=0, sense=p.sense)
-        trace = sb.run_pi(ev, cfg, p.bounds, seed=0)
+        trace = sb.run_pi(ev, cfg, p.bounds)
         vals = np.array([r["value"] for r in trace.iterations])
         return float(np.var(np.diff(vals[10:])))
 
@@ -99,9 +99,9 @@ def test_intervals_are_independent_loops():
     cfg = sb.PIConfig(0.02, 0.005, 15.0, n_max=20)
     bounds = sb.Bounds.unit(2)
     a = sb.run_pi(sb.Evaluator(linear_plant([35.0, 28.0]), budget=25, seed=0),
-                  cfg, bounds, seed=0)
+                  cfg, bounds)
     b = sb.run_pi(sb.Evaluator(linear_plant([28.0, 35.0]), budget=25, seed=0),
-                  cfg, bounds, seed=0)
+                  cfg, bounds)
     taus_a = np.array([r["tau"] for r in a.iterations])
     taus_b = np.array([r["tau"] for r in b.iterations])
     assert np.allclose(taus_a, taus_b[:, ::-1], atol=1e-12)
@@ -110,7 +110,7 @@ def test_intervals_are_independent_loops():
 def test_reaches_low_objective_on_reservoir():
     p = simple_toll_problem()
     ev = sb.Evaluator(p.objective, budget=50, seed=0, sense=p.sense)
-    trace = sb.run_pi(ev, p.pi_config, p.bounds, seed=0)
+    trace = sb.run_pi(ev, p.pi_config, p.bounds)
     _, best = trace.best_so_far()
     assert len(trace) == 50
     assert best.value < 1.0
@@ -119,7 +119,7 @@ def test_reaches_low_objective_on_reservoir():
 def test_iteration_log_csv(tmp_path):
     p = plant_problem()
     ev = sb.Evaluator(p.objective, budget=10, seed=0, sense=p.sense)
-    trace = sb.run_pi(ev, p.pi_config, p.bounds, seed=0)
+    trace = sb.run_pi(ev, p.pi_config, p.bounds)
     path = tmp_path / "pi.csv"
     sb.write_records_csv(trace.iterations, path)
     lines = path.read_text().splitlines()

@@ -148,28 +148,10 @@ def test_iterates_stay_inside_the_box():
         assert np.all(rec.tau >= 0.0) and np.all(rec.tau <= 1.0)
 
 
-def test_stalled_gradient_stops_early():
-    ev = sb.Evaluator(lambda t, s: 1.0, budget=100, seed=0)
-    trace = sb.run_spsa(ev, [0.5, 0.5], UNIT2,
-                        stop=sb.StopRule(g_tol=1e-9, k_stall=3), seed=0)
-    assert len(trace.iterations) == 3
-    assert len(trace) == 6
-
-
-def test_gradient_scale_folds_into_step_gain():
-    a = sb.run_spsa(sb.Evaluator(quadratic, budget=30, seed=0), [0.5, 0.5],
-                    UNIT2, gains=sb.SpsaGains(a=0.1), gradient_scale=2.0, seed=1)
-    b = sb.run_spsa(sb.Evaluator(quadratic, budget=30, seed=0), [0.5, 0.5],
-                    UNIT2, gains=sb.SpsaGains(a=0.2), seed=1)
-    for ra, rb in zip(a.records, b.records):
-        assert np.array_equal(ra.tau, rb.tau)
-        assert ra.evaluation.value == rb.evaluation.value
-
-
 def test_converges_on_smooth_quadratic():
     ev = sb.Evaluator(quadratic, budget=None, seed=0)
     trace = sb.run_spsa(ev, [0.5, 0.5], UNIT2,
-                        stop=sb.StopRule(max_iterations=200), seed=0)
+                        max_iterations=200, seed=0)
     err = np.linalg.norm(trace.iterations[-1]["tau_next"] - OPT)
     assert err < 0.05
 
@@ -181,7 +163,7 @@ def test_small_perturbation_drowns_in_noise():
         ev = sb.Evaluator(noisy_quadratic, budget=None, seed=0)
         trace = sb.run_spsa(ev, [0.75, 0.75], UNIT2,
                             gains=sb.SpsaGains(a=0.5, c=c),
-                            stop=sb.StopRule(max_iterations=40), seed=seed)
+                            max_iterations=40, seed=seed)
         return np.linalg.norm(trace.iterations[-1]["tau_next"] - OPT)
 
     coarse = [final_err(0.2, s) for s in range(20)]
