@@ -315,39 +315,48 @@ def _is_number(x) -> bool:
 def load_report(path) -> dict:
     """Read a report JSON written by run_experiment, checking what compare reads.
 
-    Raises ConfigError unless the keys are present, ``budget`` is a
-    positive integer, ``curves`` maps seeds to non-empty lists of numbers
-    and ``per_seed`` is a non-empty list of objects with a numeric
-    ``best_value``, an integer ``n_evals`` and a boolean ``feasible``.
+    Raises ConfigError unless the file holds JSON that ``_check_report``
+    accepts.
     """
     try:
         with open(path) as fh:
             report = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"report {path} is not valid JSON: {exc}") from exc
+    return _check_report(report, f"report {path}")
+
+
+def _check_report(report, name: str) -> dict:
+    """Return ``report`` if it holds what compare reads, else raise ConfigError.
+
+    The keys must be present, ``budget`` a positive integer, ``curves`` a
+    map from seeds to non-empty lists of numbers and ``per_seed`` a
+    non-empty list of objects with a numeric ``best_value``, an integer
+    ``n_evals`` and a boolean ``feasible``.  ``name`` starts each message.
+    """
     if not isinstance(report, dict):
-        raise ConfigError(f"report {path} must be a JSON object")
+        raise ConfigError(f"{name} must be a JSON object")
     want = {"problem", "solver", "sense", "budget", "seeds", "per_seed", "curves"}
     missing = sorted(want - set(report))
     if missing:
-        raise ConfigError(f"report {path} is missing keys: {missing}")
+        raise ConfigError(f"{name} is missing keys: {missing}")
     if not all(isinstance(report[k], str) for k in ("problem", "solver", "sense")):
-        raise ConfigError(f"report {path}: problem, solver and sense must be strings")
+        raise ConfigError(f"{name}: problem, solver and sense must be strings")
     if type(report["budget"]) is not int or report["budget"] < 1:
-        raise ConfigError(f"report {path}: budget must be a positive integer")
+        raise ConfigError(f"{name}: budget must be a positive integer")
     curves = report["curves"]
     if (not isinstance(curves, dict) or not curves
             or not all(isinstance(c, list) and c and all(map(_is_number, c))
                        for c in curves.values())):
         raise ConfigError(
-            f"report {path}: curves must map seeds to non-empty lists of numbers")
+            f"{name}: curves must map seeds to non-empty lists of numbers")
     per_seed = report["per_seed"]
     if (not isinstance(per_seed, list) or not per_seed
             or not all(isinstance(s, dict) and _is_number(s.get("best_value"))
                        and type(s.get("n_evals")) is int
                        and type(s.get("feasible")) is bool for s in per_seed)):
         raise ConfigError(
-            f"report {path}: per_seed must be a non-empty list of objects with a "
+            f"{name}: per_seed must be a non-empty list of objects with a "
             "numeric best_value, an integer n_evals and a boolean feasible")
     return report
 
@@ -411,7 +420,8 @@ class ComparisonReport:
 def compare(*reports) -> ComparisonReport:
     """Align experiment reports on a common evaluation grid.
 
-    Accepts report dicts or paths to report JSON files.  All reports must
+    Accepts report dicts or paths to report JSON files; either kind is
+    checked as ``load_report`` checks a file.  All reports must
     share the problem and the budget; per-seed best curves are already
     carry-forward monotone, so alignment just pads short traces.
     """
@@ -419,7 +429,8 @@ def compare(*reports) -> ComparisonReport:
         reports = tuple(reports[0])
     if not reports:
         raise ConfigError("compare needs at least one report")
-    loaded = [r if isinstance(r, dict) else load_report(r) for r in reports]
+    loaded = [_check_report(r, f"report {i}") if isinstance(r, dict) else load_report(r)
+              for i, r in enumerate(reports)]
 
     first = loaded[0]
     for rep in loaded[1:]:

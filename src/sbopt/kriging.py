@@ -31,7 +31,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.spatial.distance import cdist, pdist
 from scipy.special import ndtr
 
@@ -161,23 +162,35 @@ def _psi(X: np.ndarray, Xq: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return np.exp(psi, out=psi)
 
 
+def _lower_solve(L, B, trans=0):
+    """Solve L X = B (``trans=1``: L^T X = B) with the lower Cholesky factor L."""
+    x, info = dtrtrs(L, B, lower=1, trans=trans)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
+    return x
+
+
 def _solve_parts(X, y, theta, lam):
     """Cholesky of R = Psi + lam*I plus the MLE pieces, None if singular.
 
     One triangular solve of L Z = [1, y] gives the generalized-least-squares
-    mean, sigma^2 and the whitened residual L^-1 (y - mu).
+    mean, sigma^2 and the whitened residual L^-1 (y - mu).  R is exactly
+    symmetric, so ``R.T`` is R in Fortran order and LAPACK factors it in
+    place; the wrappers in ``scipy.linalg`` would copy it and give the same
+    bits.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise FitError(f"lambda must be finite and non-negative, got {lam!r}")
     n = y.size
     R = _psi(X, X, theta)
     R.flat[::n + 1] += lam
-    try:
-        cho = cho_factor(R, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
+    L, info = dpotrf(R.T, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
         return None
-    Z = solve_triangular(cho[0], np.column_stack([np.ones(n), y]), lower=True,
-                         check_finite=False)
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal value in argument {-info}")
+    cho = (L, True)
+    Z = _lower_solve(L, np.column_stack([np.ones(n), y]))
     z1, zy = Z[:, 0], Z[:, 1]
     denom = float(z1 @ z1)
     if denom <= 0:
@@ -214,7 +227,7 @@ def _build_model(X, y, theta, lam) -> KrigingModel:
             "correlation matrix is singular; duplicated samples need lambda > 0")
     cho, mu, resid, sigma2, logdet = parts
     n = y.size
-    alpha = solve_triangular(cho[0], resid, lower=True, trans="T", check_finite=False)
+    alpha = _lower_solve(cho[0], resid, trans=1)
     sigma2 = max(sigma2, 0.0)
     sigma2_ri = max(0.0, sigma2 - lam * float(alpha @ alpha) / n)
     return KrigingModel(X=X, y=y, theta=np.array(theta, dtype=float), lam=float(lam),

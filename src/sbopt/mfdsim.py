@@ -19,11 +19,18 @@ the seed alone, so a fixed seed yields one smooth sample path.
 A solver calls the simulator once per evaluation, so its step loop sets
 the wall time of every solver.  What the tolls cannot change is built
 once per scenario and tolling horizon and cached (``_step_plan``): the
-steps grouped into runs of constant demand and tolling interval, the
-contiguous step slice of each interval, and the warm-up, every step
-before the first tolled one, already simulated.  A call copies the
-warm-up series and steps on from there with the state in Python floats.
-The toll response stays ``np.exp`` rather than ``math.exp``, whose last
+steps grouped into runs of constant demand and tolling interval, and the
+contiguous step slice of each interval.  The simulator is causal, so the
+tolls of interval h change no step before it.  Beside each plan sit
+checkpoints of its most recent runs, keyed by the exact bits of every
+interval's (eta_h, omega_h): a call copies the series of the run that
+shares the longest interval prefix with it and steps on from the first
+interval that differs, or steps nothing when every interval matches.
+The untolled warm-up is the empty prefix that every checkpoint shares.
+Inside a run of constant demand and interval, a step that leaves the
+state exactly where it was repeats every later step of the run, so the
+loop fills the rest of the run with it.  The state stays a Python float
+and the toll response ``np.exp`` rather than ``math.exp``, whose last
 bits differ on some inputs: the tests hold every output bit for bit to a
 reference loop on numpy scalars.
 """
@@ -34,6 +41,7 @@ import functools
 import hashlib
 import struct
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,6 +54,9 @@ class SimulationError(SboError):
 
 
 _TOLL_QUANTUM = 1e-4
+# checkpoints kept per step plan; each holds three float series of the whole
+# run (260 KB at three hours of 1 s steps)
+_CHECKPOINTS = 8
 
 
 @dataclass(frozen=True)
@@ -247,20 +258,15 @@ def _step_plan(config: ReservoirConfig, curve: NfdCurve, start_min: float,
                end_min: float, interval_min: float, m: int) -> tuple:
     """Everything about a run that the tolls cannot change.
 
-    Returns (n_steps, runs, slices, warm_state, series).  ``runs`` lists the
-    steps after the warm-up as (first step, end step, demand veh/h, interval
-    index or -1) runs of constant demand and interval.  ``slices`` is the
-    (first, end) step range of each tolling interval, (0, 0) when it holds
-    no step.  ``warm_state`` is n after the warm-up, and ``series`` holds
-    the n, k and q buffers of a whole run, filled in over the warm-up and
-    zero after it, as immutable bytes so that no caller can write into the
-    cache.
-
-    Built on the first run of a scenario and horizon.  The warm-up is every
-    step before the first tolled one; it runs through the same step loop and
-    state guard as the rest, so a SimulationError there raises on every call.
-    A plan holds three float buffers of the whole run (260 KB for three
-    hours of 1 s steps); a process uses a few scenarios, so 16 are kept.
+    Returns (n_steps, runs, resume, slices, checkpoints).  ``runs`` lists
+    every step as (first step, end step, demand veh/h, interval index or -1)
+    runs of constant demand and interval.  ``resume[h]`` is the index in
+    ``runs`` of interval h's first run and ``slices[h]`` its (first, end)
+    step range.  ``checkpoints`` starts empty; run_reservoir keeps there the
+    n, k and q series of its most recent runs on this plan, as immutable
+    bytes keyed by the bits of each interval's tolls, so that no caller can
+    write into the cache.  Raises ValueError if a tolling interval holds no
+    step.  A process uses a few scenarios, so 16 plans are kept.
     """
     n_steps = int(round(config.horizon_min * 60.0 / config.dt_s))
     step_min = config.dt_s / 60.0
@@ -282,20 +288,20 @@ def _step_plan(config: ReservoirConfig, curve: NfdCurve, start_min: float,
     slices = []
     for h in range(m):
         steps = np.flatnonzero(interval == h)  # contiguous: interval rises with t
-        slices.append((int(steps[0]), int(steps[-1]) + 1) if steps.size else (0, 0))
-
-    n_warm = next((j for j, run in enumerate(runs) if run[3] >= 0), len(runs))
-    series = [array("d", bytes(8 * n_steps)) for _ in range(3)]
-    state = _advance(0.0, runs[:n_warm], config, curve, (), (), *series)
-    return (n_steps, runs[n_warm:], tuple(slices), state,
-            tuple(s.tobytes() for s in series))
+        if not steps.size:
+            raise ValueError(f"tolling interval {h} contains no simulation steps")
+        slices.append((int(steps[0]), int(steps[-1]) + 1))
+    resume = tuple(next(j for j, run in enumerate(runs) if run[3] == h)
+                   for h in range(m))
+    return n_steps, runs, resume, tuple(slices), OrderedDict()
 
 
 def _advance(n: float, runs, config: ReservoirConfig, curve: NfdCurve, eta, omega,
-             n_out: array, k_out: array, q_out: array) -> float:
-    """Forward-Euler steps over ``runs`` from state ``n``; returns the new state.
+             n_out: array, k_out: array, q_out: array) -> None:
+    """Forward-Euler steps over ``runs`` from state ``n``.
 
-    Writes each step's n, k and q into the output arrays.  The state stays a
+    Writes each step's n, k and q into the output arrays, and fills the rest
+    of a run at once from a step that leaves n unchanged.  The state stays a
     Python float, and min/max are spelled as the conditionals they reduce
     to, so every step rounds exactly like the numpy-scalar reference loop.
     The toll response keeps ``np.exp``: ``math.exp`` differs from it in the
@@ -360,14 +366,23 @@ def _advance(n: float, runs, config: ReservoirConfig, curve: NfdCurve, eta, omeg
             room = (n_max - n) / dt_h + outflow
             if room < inflow:
                 inflow = room
-            n = n + dt_h * (inflow - outflow)
-            if not (0.0 <= n <= 1e15):
-                raise SimulationError(f"reservoir state became invalid at step {i} (n={n})")
-            k = n / lane_km
-            n_out[i] = n
+            n_next = n + dt_h * (inflow - outflow)
+            if not (0.0 <= n_next <= 1e15):
+                raise SimulationError(
+                    f"reservoir state became invalid at step {i} (n={n_next})")
+            k = n_next / lane_km
+            n_out[i] = n_next
             k_out[i] = k
             q_out[i] = q
-    return n
+            if n_next == n:
+                # a fixed point: k, q, the toll and the inflow are functions of
+                # n and the run's constants, so every later step repeats this one
+                rest = end - i - 1
+                n_out[i + 1:end] = array("d", (n,)) * rest
+                k_out[i + 1:end] = array("d", (k,)) * rest
+                q_out[i + 1:end] = array("d", (q,)) * rest
+                break
+            n = n_next
 
 
 def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
@@ -376,32 +391,61 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
 
     Identical (scheme, seed) pairs give bit-identical outputs.  Raises
     SimulationError if the state goes non-finite, and ValueError if the
-    tolling horizon sticks out of the demand profile.
+    tolling horizon sticks out of the demand profile or an interval holds
+    no step.
 
-    The step plan (the steps as runs of constant demand and interval, each
-    interval's contiguous slice of steps, and the untolled warm-up) is
-    cached per scenario and horizon.  A call steps from the first tolled
-    step on, with the state in Python floats and the toll response through
-    ``np.exp`` (``math.exp`` rounds differently on some inputs), then
-    averages each interval over its slice.
+    The step plan (the steps as runs of constant demand and interval, and
+    each interval's contiguous slice of steps) is cached per scenario and
+    horizon, with checkpoints of the plan's most recent successful runs.
+    The tolls of interval h change no step before it, so a call copies the
+    series of the checkpoint that shares the longest prefix of intervals
+    with it and steps on from the first interval that differs; when every
+    interval matches it steps nothing.  Stepping keeps the state in Python
+    floats and the toll response in ``np.exp`` (``math.exp`` rounds
+    differently on some inputs), and fills the rest of a run from a step
+    that leaves the state unchanged.  Each interval is then averaged over
+    its slice.
     """
     if scheme.horizon_end_min > config.horizon_min + 1e-9:
         raise ValueError("tolling horizon extends beyond the demand profile")
 
     m = scheme.m_intervals
-    n_steps, runs, slices, warm_state, warm_series = _step_plan(
+    n_steps, runs, resume, slices, checkpoints = _step_plan(
         config, curve, scheme.horizon_start_min, scheme.horizon_end_min,
         scheme.interval_length_min, m)
-    series = [array("d", buf) for buf in warm_series]
-    omega = scheme.omega.tolist() if scheme.joint else [0.0] * m
-    _advance(warm_state, runs, config, curve, scheme.eta.tolist(), omega, *series)
+    omega = scheme.omega if scheme.joint else np.zeros(m)
+    bits = np.column_stack((scheme.eta, omega)).tobytes()
+    key = tuple(bits[16 * h:16 * h + 16] for h in range(m))
+
+    # the checkpoint sharing the most leading intervals; any one holds the warm-up
+    shared, source = -1, None
+    for other in checkpoints:
+        p = 0
+        while p < m and other[p] == key[p]:
+            p += 1
+        if p > shared:
+            shared, source = p, other
+    if source is None:
+        series = [array("d", bytes(8 * n_steps)) for _ in range(3)]
+        first_run = 0
+    else:
+        checkpoints.move_to_end(source)
+        series = [array("d", buf) for buf in checkpoints[source]]
+        first_run = resume[shared] if shared < m else len(runs)
+    if first_run < len(runs):
+        first_step = runs[first_run][0]
+        # the n series holds the state after each step, so no state is stored
+        n0 = series[0][first_step - 1] if first_step else 0.0
+        _advance(n0, runs[first_run:], config, curve, scheme.eta.tolist(),
+                 omega.tolist(), *series)
+        checkpoints[key] = tuple(s.tobytes() for s in series)
+        if len(checkpoints) > _CHECKPOINTS:
+            checkpoints.popitem(last=False)
     n_series, k_series, q_series = (np.frombuffer(s, dtype=float) for s in series)
 
     k_bar_clean = np.empty(m)
     q_bar_clean = np.empty(m)
     for h, (a, b) in enumerate(slices):
-        if a == b:
-            raise ValueError(f"tolling interval {h} contains no simulation steps")
         k_bar_clean[h] = float(np.mean(k_series[a:b]))
         q_bar_clean[h] = float(np.mean(q_series[a:b]))
 

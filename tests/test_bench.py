@@ -189,7 +189,7 @@ def _tiny_report(solver):
             "curves": {"0": [0.9, 0.5, 0.5], "1": [0.8, 0.4]}}
 
 
-@pytest.mark.parametrize("patch", [
+malformed = pytest.mark.parametrize("patch", [
     lambda r: r.update(curves={"0": []}),
     lambda r: r.update(curves=[1, 2]),
     lambda r: r.update(curves={"0": [0.5, "low"]}),
@@ -199,6 +199,9 @@ def _tiny_report(solver):
     lambda r: r.update(budget=True),
 ], ids=["empty_curve", "curves_list", "curve_string", "no_best_value",
         "feasible_string", "no_seeds", "budget_bool"])
+
+
+@malformed
 def test_cli_compare_rejects_malformed_report(tmp_path, capsys, patch):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(json.dumps(_tiny_report("rk")))
@@ -209,6 +212,15 @@ def test_cli_compare_rejects_malformed_report(tmp_path, capsys, patch):
     capsys.readouterr()
     assert main(["compare", str(good), str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@malformed
+def test_compare_rejects_malformed_report_dict(patch):
+    report = _tiny_report("direct")
+    patch(report)
+    assert bench.compare(_tiny_report("rk")).solvers == ["rk"]
+    with pytest.raises(bench.ConfigError, match="report 1"):
+        bench.compare(_tiny_report("rk"), report)
 
 
 # ------------------------------------------------------------------- compare

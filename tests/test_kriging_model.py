@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 import sbopt as sb
-from sbopt.kriging import _psi, concentrated_log_likelihood
+from sbopt.kriging import _psi, _solve_parts, concentrated_log_likelihood
 
 
 def sine_design(n=11, seed=4):
@@ -205,6 +205,40 @@ def test_likelihood_matches_dense_reference(n):
     assert model.mu_hat == pytest.approx(mu, rel=1e-10)
     assert model.sigma2_hat == pytest.approx(sigma2, rel=1e-10)
     np.testing.assert_allclose(model.alpha, alpha, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("n, m, theta, lam", [
+    (25, 16, 1.0, 1e-6),
+    (100, 16, 0.3, 1e-6),
+    (40, 2, 5.0, 0.0),
+    (7, 1, 0.02, 0.0),  # cond(R) about 8e16
+    (12, 1, 1e-3, 0.0),  # cond(R) about 7e17: the factorization fails
+])
+def test_lapack_solve_equals_the_scipy_wrappers(n, m, theta, lam):
+    """dpotrf on R.T and dtrtrs give the bits cho_factor and solve_triangular give."""
+    if m == 1:
+        X = np.linspace(0.0, 1.0, n)[:, None]
+    else:
+        X = np.random.default_rng(n).random((n, m))
+    y = np.sin(3.0 * X).sum(axis=1)
+    theta = np.full(m, theta)
+    R = _psi(X, X, theta)
+    R.flat[::n + 1] += lam
+    parts = _solve_parts(X, y, theta, lam)
+    try:
+        L, lower = cho_factor(R, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        assert parts is None
+        return
+    cho, mu, resid, _, _ = parts
+    assert cho[1] is True and lower is True
+    assert np.array_equal(cho[0], L)
+    Z = solve_triangular(L, np.column_stack([np.ones(n), y]), lower=True)
+    z1, zy = Z[:, 0], Z[:, 1]
+    assert mu == float((z1 @ zy) / float(z1 @ z1))
+    assert np.array_equal(resid, zy - mu * z1)
+    model = sb.fit(X, y, sb.FitConfig(theta=theta, lam=lam))
+    assert np.array_equal(model.alpha, solve_triangular(L, resid, lower=True, trans="T"))
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,13 +1,17 @@
 """Reservoir dynamics, noise model, and the flow-density curve."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sbopt as sb
 from sbopt import bench
 from sbopt.bench.problems import (complex_toll_scenario, composition_scenario,
                                   simple_toll_scenario)
-from sbopt.mfdsim import _derived_seed
+from sbopt.mfdsim import _derived_seed, _step_plan
 
 TRAPEZOID = sb.NfdCurve(k_cr_low=20.0, k_cr_high=30.0, k_jam=80.0, q_max=600.0)
 
@@ -226,9 +230,13 @@ def test_interval_without_steps_is_rejected():
     cfg = sb.ReservoirConfig(lane_km=40.0, avg_trip_length_km=5.0,
                              demand_segments=((30.0, 1000.0), (60.0, 2000.0), (30.0, 0.0)),
                              toll_elasticity=0.3, dt_s=1200.0)
-    for _ in range(2):  # the second call reads the cached step plan
+    for _ in range(2):  # a plan that raises is never cached
         with pytest.raises(ValueError, match="contains no simulation steps"):
             sb.run_reservoir(cfg, curve, sb.TollScheme(30.0, 90.0, 10.0, np.zeros(6)), 0)
+    # the plan raises before any step: a NaN demand never gets to the state
+    nan_cfg = replace(cfg, demand_segments=((30.0, float("nan")),) + cfg.demand_segments[1:])
+    with pytest.raises(ValueError, match="interval 1 contains no simulation steps"):
+        sb.run_reservoir(nan_cfg, curve, sb.TollScheme(30.0, 90.0, 10.0, np.zeros(6)), 0)
 
 
 def test_horizon_must_fit_demand_profile():
@@ -411,14 +419,63 @@ def test_warm_up_demand_is_part_of_the_scenario():
 
 def test_returned_series_do_not_alias_the_step_plan():
     cfg, curve, template = complex_toll_scenario()
-    scheme = template.with_tau(np.concatenate([np.full(8, 0.2), np.full(8, 4.0)]))
+    _step_plan.cache_clear()
+    tau = np.concatenate([np.full(8, 0.2), np.full(8, 4.0)])
+    scheme = template.with_tau(tau)
     first = sb.run_reservoir(cfg, curve, scheme, 0)
     want = {name: getattr(first, name).copy() for name in SIM_FIELDS}
     for name in ("n", "k", "q"):
         getattr(first, name)[:] = -1.0
-    again = sb.run_reservoir(cfg, curve, scheme, 0)
+    again = sb.run_reservoir(cfg, curve, scheme, 0)  # every interval matches
     for name in SIM_FIELDS:
         assert np.array_equal(getattr(again, name), want[name]), name
+        getattr(again, name)[:] = -1.0
+    tau[7] = 0.5  # shares the first seven intervals with the checkpoint
+    other = template.with_tau(tau)
+    assert_same_output(sb.run_reservoir(cfg, curve, other, 0),
+                       reference_run_reservoir(cfg, curve, other, 0))
+
+
+def test_zero_toll_run_skips_its_fixed_points():
+    cfg, curve, template = complex_toll_scenario()
+    scheme = template.with_tau(np.zeros(16))
+    _step_plan.cache_clear()
+    out = sb.run_reservoir(cfg, curve, scheme, 0)
+    # 7036 of the 9000 steps after the warm-up leave the state exactly where it
+    # was: the reservoir sits at k_jam through the peak and empty at the end
+    assert np.count_nonzero(out.n[1800:] == out.n[1799:-1]) == 7036
+    assert_same_output(out, reference_run_reservoir(cfg, curve, scheme, 0))
+
+
+# DIRECT-like toll sequences on a 10 s step version of `complex`: each new
+# vector takes an earlier one and changes one coordinate, or repeats it.  The
+# zero-toll start jams the reservoir, so its runs pass through fixed points.
+_COMPLEX = bench.get_problem("complex")
+_COARSE = replace(complex_toll_scenario()[0], dt_s=10.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 99), st.integers(-1, 15),
+                          st.floats(0.0, 1.0)),
+                min_size=1, max_size=8),
+       st.integers(0, 3))
+def test_checkpoints_match_a_cold_cache_bit_for_bit(moves, seed):
+    _, curve, template = complex_toll_scenario()
+    lo, hi = _COMPLEX.bounds.lower, _COMPLEX.bounds.upper
+    taus = [lo.copy(), lo + 0.5 * (hi - lo)]
+    for source, coord, u in moves:
+        tau = taus[source % len(taus)].copy()
+        if coord >= 0:
+            tau[coord] = lo[coord] + u * (hi[coord] - lo[coord])
+        taus.append(tau)
+    _step_plan.cache_clear()
+    warm = [sb.run_reservoir(_COARSE, curve, template.with_tau(t), seed) for t in taus]
+    for tau, got in zip(taus, warm):
+        scheme = template.with_tau(tau)
+        want = reference_run_reservoir(_COARSE, curve, scheme, seed)
+        assert_same_output(got, want)
+        _step_plan.cache_clear()
+        assert_same_output(sb.run_reservoir(_COARSE, curve, scheme, seed), want)
 
 
 @pytest.mark.parametrize("nan_segment", [0, 1])
