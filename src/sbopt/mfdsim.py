@@ -27,18 +27,23 @@ interval's (eta_h, omega_h): a call copies the series of the run that
 shares the longest interval prefix with it and steps on from the first
 interval that differs, or steps nothing when every interval matches.
 The untolled warm-up is the empty prefix that every checkpoint shares.
-Inside a run of constant demand and interval, a step that leaves the
-state exactly where it was repeats every later step of the run, so the
-loop fills the rest of the run with it.  The state stays a Python float
-and the toll response ``np.exp`` rather than ``math.exp``, whose last
-bits differ on some inputs: the tests hold every output bit for bit to a
-reference loop on numpy scalars.
+No objective reads a step after the tolling horizon, so a call stops
+there: the untolled cool-down is stepped on the first read of the
+output's series, from the state at the horizon's end, which restarts
+the loop exactly as a checkpoint does.  Inside a run of constant demand
+and interval, a step that leaves the state exactly where it was repeats
+every later step of the run, so the loop fills the rest of the run with
+it.  The state stays a Python float and the toll response ``np.exp``
+rather than ``math.exp``, whose last bits differ on some inputs: the
+tests hold every output bit for bit to a reference loop on numpy
+scalars.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import struct
 from array import array
 from collections import OrderedDict
@@ -54,8 +59,8 @@ class SimulationError(SboError):
 
 
 _TOLL_QUANTUM = 1e-4
-# checkpoints kept per step plan; each holds three float series of the whole
-# run (260 KB at three hours of 1 s steps)
+# checkpoints kept per step plan; each holds three float series up to the end
+# of the tolling horizon (216 KB for two and a half hours of 1 s steps)
 _CHECKPOINTS = 8
 
 
@@ -76,8 +81,8 @@ class NfdCurve:
     def __post_init__(self):
         if not (0 < self.k_cr_low <= self.k_cr_high < self.k_jam):
             raise ValueError("need 0 < k_cr_low <= k_cr_high < k_jam")
-        if self.q_max <= 0:
-            raise ValueError("q_max must be positive")
+        if not 0 < self.q_max < math.inf:
+            raise ValueError("q_max must be positive and finite")
 
     @property
     def shape(self) -> str:
@@ -136,6 +141,8 @@ class TollScheme:
                 f"horizon/interval_length gives {n_int} intervals, eta has {self.eta.size}")
         if self.omega.size not in (0, m):
             raise ValueError("omega must be empty or match eta in length")
+        if not (np.isfinite(self.eta).all() and np.isfinite(self.omega).all()):
+            raise ValueError("toll rates eta and omega must be finite")
 
     @property
     def m_intervals(self) -> int:
@@ -189,38 +196,71 @@ class ReservoirConfig:
     def __post_init__(self):
         segs = tuple((float(d), float(r)) for d, r in self.demand_segments)
         object.__setattr__(self, "demand_segments", segs)
-        if self.lane_km <= 0 or self.avg_trip_length_km <= 0:
-            raise ValueError("lane_km and avg_trip_length_km must be positive")
-        if any(d <= 0 or r < 0 for d, r in segs) or not segs:
-            raise ValueError("demand segments need positive durations, non-negative rates")
-        if self.toll_elasticity < 0:
-            raise ValueError("toll_elasticity must be non-negative")
-        if self.value_of_time <= 0:
-            raise ValueError("value_of_time must be positive")
-        if self.dt_s <= 0:
-            raise ValueError("dt_s must be positive")
-        if self.noise_amplitude < 0 or self.stochastic_noise_sd < 0:
-            raise ValueError("noise levels must be non-negative")
-        if self.demand_composition_gain < 0:
-            raise ValueError("demand_composition_gain must be non-negative")
+        # a comparison with NaN is False, so each check rejects NaN too; a NaN
+        # demand rate passes, and the step loop raises SimulationError on it
+        inf = math.inf
+        if not (0 < self.lane_km < inf and 0 < self.avg_trip_length_km < inf):
+            raise ValueError("lane_km and avg_trip_length_km must be positive and finite")
+        if not segs or not all(0 < d < inf and not r < 0 for d, r in segs):
+            raise ValueError(
+                "demand segments need positive finite durations, non-negative rates")
+        if not 0 <= self.toll_elasticity < inf:
+            raise ValueError("toll_elasticity must be non-negative and finite")
+        if not 0 < self.value_of_time < inf:
+            raise ValueError("value_of_time must be positive and finite")
+        if not 0 < self.dt_s < inf:
+            raise ValueError("dt_s must be positive and finite")
+        if not (0 <= self.noise_amplitude < inf and 0 <= self.stochastic_noise_sd < inf):
+            raise ValueError("noise levels must be non-negative and finite")
+        if not 0 <= self.demand_composition_gain < inf:
+            raise ValueError("demand_composition_gain must be non-negative and finite")
 
     @property
     def horizon_min(self) -> float:
         return sum(d for d, _ in self.demand_segments)
 
 
-@dataclass(frozen=True)
 class SimOutput:
-    """Time series plus per-interval aggregates ready for an objective."""
+    """Time series plus per-interval aggregates ready for an objective.
 
-    t_s: np.ndarray
-    n: np.ndarray
-    k: np.ndarray
-    q: np.ndarray
-    k_bar: np.ndarray
-    q_bar: np.ndarray
-    k_bar_clean: np.ndarray
-    q_bar_clean: np.ndarray
+    ``t_s`` holds the end time of every step, ``n`` and ``k`` the vehicles
+    and density after it and ``q`` the flow during it.  ``k_bar`` and
+    ``q_bar`` are the per-interval means that objectives read, with the
+    scenario's noise; ``k_bar_clean`` and ``q_bar_clean`` are the same
+    means without it.
+
+    An output of ``run_reservoir`` has stepped only to the end of the
+    tolling horizon.  The first read of ``n``, ``k`` or ``q`` steps the
+    rest, so that read can raise SimulationError; a read after a failed one
+    steps the rest again.
+    """
+
+    def __init__(self, t_s, n, k, q, k_bar, q_bar, k_bar_clean, q_bar_clean):
+        self.t_s = t_s
+        self._series = (n, k, q)
+        self._pending = None  # run_reservoir's callable that returns (n, k, q)
+        self.k_bar = k_bar
+        self.q_bar = q_bar
+        self.k_bar_clean = k_bar_clean
+        self.q_bar_clean = q_bar_clean
+
+    def _stepped(self) -> tuple:
+        if self._pending is not None:
+            self._series = self._pending()
+            self._pending = None
+        return self._series
+
+    @property
+    def n(self) -> np.ndarray:
+        return self._stepped()[0]
+
+    @property
+    def k(self) -> np.ndarray:
+        return self._stepped()[1]
+
+    @property
+    def q(self) -> np.ndarray:
+        return self._stepped()[2]
 
     def aux(self) -> dict:
         return {"k_bar": self.k_bar, "q_bar": self.q_bar}
@@ -232,10 +272,21 @@ def _hash_unit(payload: bytes) -> float:
     return int.from_bytes(digest, "little") / 2.0 ** 64 * 2.0 - 1.0
 
 
+@functools.lru_cache(maxsize=1024)
 def _derived_seed(seed: int, tag: str) -> int:
     digest = hashlib.blake2b(
         struct.pack("<q", seed) + tag.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little") % (2 ** 63)
+
+
+def _quantize(tau) -> bytes:
+    """The toll vector on the 1e-4 grid, as the bytes the noise hash reads."""
+    return np.round(as_vector(tau) / _TOLL_QUANTUM).astype("<i8").tobytes()
+
+
+def _hash_noise(value: float, quantized: bytes, amplitude: float, seed: int) -> float:
+    return float(value) + amplitude * _hash_unit(quantized + struct.pack("<q", int(seed)))
+
 
 def apply_numerical_noise(value: float, tau, amplitude: float, seed: int) -> float:
     """Add deterministic hash noise in [-amplitude, amplitude) to value.
@@ -247,10 +298,7 @@ def apply_numerical_noise(value: float, tau, amplitude: float, seed: int) -> flo
         raise ValueError("amplitude must be non-negative")
     if amplitude == 0:
         return float(value)
-    tau = as_vector(tau)
-    quantized = np.round(tau / _TOLL_QUANTUM).astype("<i8")
-    payload = quantized.tobytes() + struct.pack("<q", int(seed))
-    return float(value) + amplitude * _hash_unit(payload)
+    return _hash_noise(value, _quantize(tau), amplitude, seed)
 
 
 @functools.lru_cache(maxsize=16)
@@ -258,15 +306,18 @@ def _step_plan(config: ReservoirConfig, curve: NfdCurve, start_min: float,
                end_min: float, interval_min: float, m: int) -> tuple:
     """Everything about a run that the tolls cannot change.
 
-    Returns (n_steps, runs, resume, slices, checkpoints).  ``runs`` lists
-    every step as (first step, end step, demand veh/h, interval index or -1)
-    runs of constant demand and interval.  ``resume[h]`` is the index in
-    ``runs`` of interval h's first run and ``slices[h]`` its (first, end)
-    step range.  ``checkpoints`` starts empty; run_reservoir keeps there the
-    n, k and q series of its most recent runs on this plan, as immutable
-    bytes keyed by the bits of each interval's tolls, so that no caller can
-    write into the cache.  Raises ValueError if a tolling interval holds no
-    step.  A process uses a few scenarios, so 16 plans are kept.
+    Returns (n_steps, runs, resume, slices, tail, checkpoints).  ``runs``
+    lists every step as (first step, end step, demand veh/h, interval index
+    or -1) runs of constant demand and interval.  ``resume[h]`` is the index
+    in ``runs`` of interval h's first run and ``slices[h]`` its (first, end)
+    step range.  ``tail`` is the index of the first run after the last
+    slice, ``len(runs)`` when the horizon ends with the demand profile; the
+    runs from there on are untolled.  ``checkpoints`` starts empty;
+    run_reservoir keeps there the n, k and q series of its most recent runs
+    on this plan, up to the end of the last slice, as immutable bytes keyed
+    by the bits of each interval's tolls, so that no caller can write into
+    the cache.  Raises ValueError if a tolling interval holds no step.  A
+    process uses a few scenarios, so 16 plans are kept.
     """
     n_steps = int(round(config.horizon_min * 60.0 / config.dt_s))
     step_min = config.dt_s / 60.0
@@ -293,7 +344,8 @@ def _step_plan(config: ReservoirConfig, curve: NfdCurve, start_min: float,
         slices.append((int(steps[0]), int(steps[-1]) + 1))
     resume = tuple(next(j for j, run in enumerate(runs) if run[3] == h)
                    for h in range(m))
-    return n_steps, runs, resume, tuple(slices), OrderedDict()
+    tail = next((j for j, run in enumerate(runs) if run[0] >= slices[-1][1]), len(runs))
+    return n_steps, runs, resume, tuple(slices), tail, OrderedDict()
 
 
 def _advance(n: float, runs, config: ReservoirConfig, curve: NfdCurve, eta, omega,
@@ -404,13 +456,20 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
     floats and the toll response in ``np.exp`` (``math.exp`` rounds
     differently on some inputs), and fills the rest of a run from a step
     that leaves the state unchanged.  Each interval is then averaged over
-    its slice.
+    its slice, and the toll vector is quantized once for the noise of
+    every interval.
+
+    The call steps only to the end of the tolling horizon, since the
+    aggregates read nothing after it.  The untolled steps after the horizon
+    run on the first read of the output's ``n``, ``k`` or ``q``, from the
+    output's own state at the horizon's end, not from a checkpoint; a
+    SimulationError there is raised by that read, not by this call.
     """
     if scheme.horizon_end_min > config.horizon_min + 1e-9:
         raise ValueError("tolling horizon extends beyond the demand profile")
 
     m = scheme.m_intervals
-    n_steps, runs, resume, slices, checkpoints = _step_plan(
+    n_steps, runs, resume, slices, tail, checkpoints = _step_plan(
         config, curve, scheme.horizon_start_min, scheme.horizon_end_min,
         scheme.interval_length_min, m)
     omega = scheme.omega if scheme.joint else np.zeros(m)
@@ -426,22 +485,22 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
         if p > shared:
             shared, source = p, other
     if source is None:
-        series = [array("d", bytes(8 * n_steps)) for _ in range(3)]
+        series = [array("d", bytes(8 * slices[-1][1])) for _ in range(3)]
         first_run = 0
     else:
         checkpoints.move_to_end(source)
         series = [array("d", buf) for buf in checkpoints[source]]
-        first_run = resume[shared] if shared < m else len(runs)
-    if first_run < len(runs):
+        first_run = resume[shared] if shared < m else tail
+    if first_run < tail:
         first_step = runs[first_run][0]
         # the n series holds the state after each step, so no state is stored
         n0 = series[0][first_step - 1] if first_step else 0.0
-        _advance(n0, runs[first_run:], config, curve, scheme.eta.tolist(),
+        _advance(n0, runs[first_run:tail], config, curve, scheme.eta.tolist(),
                  omega.tolist(), *series)
         checkpoints[key] = tuple(s.tobytes() for s in series)
         if len(checkpoints) > _CHECKPOINTS:
             checkpoints.popitem(last=False)
-    n_series, k_series, q_series = (np.frombuffer(s, dtype=float) for s in series)
+    k_series, q_series = (np.frombuffer(s, dtype=float) for s in series[1:])
 
     k_bar_clean = np.empty(m)
     q_bar_clean = np.empty(m)
@@ -449,28 +508,44 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
         k_bar_clean[h] = float(np.mean(k_series[a:b]))
         q_bar_clean[h] = float(np.mean(q_series[a:b]))
 
-    tau = scheme.tau()
     k_bar = k_bar_clean.copy()
     q_bar = q_bar_clean.copy()
     if config.stochastic_noise_sd > 0:
         rng = np.random.default_rng(_derived_seed(seed, "stochastic"))
         k_bar = k_bar + config.stochastic_noise_sd * rng.standard_normal(m)
         q_bar = q_bar + config.stochastic_noise_sd * rng.standard_normal(m)
-    if config.noise_amplitude > 0:
+    amplitude = config.noise_amplitude
+    if amplitude > 0:
+        quantized = _quantize(scheme.tau())
         for h in range(m):
-            k_bar[h] = apply_numerical_noise(
-                k_bar[h], tau, config.noise_amplitude, _derived_seed(seed, f"k{h}"))
-            q_bar[h] = apply_numerical_noise(
-                q_bar[h], tau, config.noise_amplitude, _derived_seed(seed, f"q{h}"))
+            k_bar[h] = _hash_noise(k_bar[h], quantized, amplitude, _derived_seed(seed, f"k{h}"))
+            q_bar[h] = _hash_noise(q_bar[h], quantized, amplitude, _derived_seed(seed, f"q{h}"))
     k_bar = np.maximum(k_bar, 0.0)
     q_bar = np.maximum(q_bar, 0.0)
 
-    return SimOutput(
+    out = SimOutput(
         t_s=(np.arange(n_steps) + 1.0) * config.dt_s,
-        n=n_series, k=k_series, q=q_series,
+        n=None, k=None, q=None,
         k_bar=k_bar, q_bar=q_bar,
         k_bar_clean=k_bar_clean, q_bar_clean=q_bar_clean,
     )
+    out._pending = functools.partial(_full_series, series, runs[tail:], config, curve)
+    return out
+
+
+def _full_series(series, runs, config: ReservoirConfig, curve: NfdCurve) -> tuple:
+    """n, k and q over every step: the stepped ``series``, then ``runs`` stepped on.
+
+    ``runs`` are the untolled runs after the horizon, so the loop needs no
+    tolls.  They are stepped into copies, which leaves ``series`` as it was
+    if a step raises.
+    """
+    if runs:
+        first = runs[0][0]
+        rest = array("d", bytes(8 * (runs[-1][1] - first)))
+        series = [s + rest for s in series]
+        _advance(series[0][first - 1], runs, config, curve, (), (), *series)
+    return tuple(np.frombuffer(s, dtype=float) for s in series)
 
 
 def _per_interval(out) -> tuple[np.ndarray, np.ndarray]:

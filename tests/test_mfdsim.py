@@ -11,7 +11,7 @@ import sbopt as sb
 from sbopt import bench
 from sbopt.bench.problems import (complex_toll_scenario, composition_scenario,
                                   simple_toll_scenario)
-from sbopt.mfdsim import _derived_seed, _step_plan
+from sbopt.mfdsim import _CHECKPOINTS, _derived_seed, _step_plan
 
 TRAPEZOID = sb.NfdCurve(k_cr_low=20.0, k_cr_high=30.0, k_jam=80.0, q_max=600.0)
 
@@ -260,6 +260,38 @@ def test_toll_scheme_validation():
     assert scheme.interval_at(29.9) is None
 
 
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("name, value", [("eta", float("nan")), ("eta", float("inf")),
+                                         ("omega", float("nan"))])
+def test_non_finite_toll_rates_are_rejected(noisy, name, value):
+    # without the check a NaN rate simulated as no toll on a noiseless
+    # scenario and failed only in the noise hash on a noisy one
+    cfg, curve, template = simple_toll_scenario()
+    if not noisy:
+        cfg = noiseless(cfg)
+    rates = {"eta": np.array([0.2, 0.4]), "omega": np.array([1.0, 2.0])}
+    rates[name][1] = value
+    with pytest.raises(ValueError, match="eta and omega must be finite"):
+        sb.run_reservoir(cfg, curve, replace(template, **rates), 0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["lane_km", "avg_trip_length_km", "duration",
+                                  "toll_elasticity", "value_of_time", "dt_s",
+                                  "noise_amplitude", "stochastic_noise_sd",
+                                  "demand_composition_gain", "q_max"])
+def test_non_finite_settings_are_rejected(name, value):
+    fields = dict(lane_km=40.0, avg_trip_length_km=5.0,
+                  demand_segments=((30.0, 1000.0), (60.0, 2000.0)), toll_elasticity=0.3)
+    with pytest.raises(ValueError, match="finite"):
+        if name == "q_max":
+            sb.NfdCurve(15.0, 15.0, 60.0, value)
+        elif name == "duration":
+            sb.ReservoirConfig(**{**fields, "demand_segments": ((value, 1000.0),)})
+        else:
+            sb.ReservoirConfig(**{**fields, name: value})
+
+
 def test_series_csv_row_count(tmp_path):
     cfg, curve, template = simple_toll_scenario()
     out = sb.run_reservoir(noiseless(cfg, dt_s=60.0), curve, template, 0)
@@ -470,6 +502,12 @@ def test_checkpoints_match_a_cold_cache_bit_for_bit(moves, seed):
         taus.append(tau)
     _step_plan.cache_clear()
     warm = [sb.run_reservoir(_COARSE, curve, template.with_tau(t), seed) for t in taus]
+    # evict every checkpoint before any series is read: each of these vectors
+    # differs from all of taus, which keep at least 8 coordinates at lo or the
+    # middle, and from each other, so each call stores a new checkpoint
+    for j in range(_CHECKPOINTS):
+        sb.run_reservoir(_COARSE, curve, template.with_tau(lo + (0.05 + 0.1 * j) * (hi - lo)),
+                         seed)
     for tau, got in zip(taus, warm):
         scheme = template.with_tau(tau)
         want = reference_run_reservoir(_COARSE, curve, scheme, seed)
@@ -493,4 +531,29 @@ def test_non_finite_state_raises_in_warm_up_and_horizon(nan_segment):
     for _ in range(2):
         with pytest.raises(sb.SimulationError) as got:
             sb.run_reservoir(cfg, curve, scheme)
+        assert str(got.value) == str(want.value)
+
+
+def test_cool_down_is_stepped_on_the_first_series_read():
+    """The steps after the horizon run when n, k or q is first read."""
+    curve = sb.NfdCurve(15.0, 15.0, 60.0, 600.0)
+
+    def config(cool_down):
+        return sb.ReservoirConfig(lane_km=40.0, avg_trip_length_km=5.0,
+                                  demand_segments=((30.0, 1000.0), (30.0, 2000.0),
+                                                   (30.0, cool_down)),
+                                  toll_elasticity=0.3)
+
+    scheme = sb.TollScheme(30.0, 60.0, 30.0, [0.2])
+    finite = sb.run_reservoir(config(0.0), curve, scheme)
+    broken = config(float("nan"))
+    out = sb.run_reservoir(broken, curve, scheme)
+    assert out.t_s.size == 5400
+    for name in ("k_bar", "q_bar", "k_bar_clean", "q_bar_clean"):
+        assert np.array_equal(getattr(out, name), getattr(finite, name)), name
+    with pytest.raises(sb.SimulationError) as want:
+        reference_run_reservoir(broken, curve, scheme)
+    for name in ("n", "k", "q"):  # a read after a failed one steps the tail again
+        with pytest.raises(sb.SimulationError) as got:
+            getattr(out, name)
         assert str(got.value) == str(want.value)
