@@ -27,16 +27,23 @@ interval's (eta_h, omega_h): a call copies the series of the run that
 shares the longest interval prefix with it and steps on from the first
 interval that differs, or steps nothing when every interval matches.
 The untolled warm-up is the empty prefix that every checkpoint shares.
-No objective reads a step after the tolling horizon, so a call stops
-there: the untolled cool-down is stepped on the first read of the
-output's series, from the state at the horizon's end, which restarts
-the loop exactly as a checkpoint does.  Inside a run of constant demand
-and interval, a step that leaves the state exactly where it was repeats
-every later step of the run, so the loop fills the rest of the run with
-it.  The state stays a Python float and the toll response ``np.exp``
-rather than ``math.exp``, whose last bits differ on some inputs: the
-tests hold every output bit for bit to a reference loop on numpy
-scalars.
+The state is Markov, so the call steps one interval at a time, and when
+its state before an interval has the same bits as a checkpoint's, and
+the tolls from that interval on are the same, it copies the rest of that
+checkpoint instead.  No objective reads a step after the tolling
+horizon, so a call stops there: the untolled cool-down is stepped on the
+first read of the output's series, from the state at the horizon's end,
+which restarts the loop exactly as a checkpoint does.  Inside a run of
+constant demand and interval, a step that leaves the state exactly where
+it was repeats every later step of the run, so the loop fills the rest
+of the run with it.
+
+The loop keeps only the state ``n``: density and flow are functions of
+it and the step's tolls, so one array pass derives them afterwards
+(``_density_flow``) from the loop's own expressions.  The state stays a
+Python float and the toll response ``np.exp`` rather than
+``math.exp``, whose last bits differ on some inputs: the tests hold
+every output bit for bit to a reference loop on numpy scalars.
 """
 
 from __future__ import annotations
@@ -59,8 +66,8 @@ class SimulationError(SboError):
 
 
 _TOLL_QUANTUM = 1e-4
-# checkpoints kept per step plan; each holds three float series up to the end
-# of the tolling horizon (216 KB for two and a half hours of 1 s steps)
+# checkpoints kept per step plan; each holds the n series up to the end of the
+# tolling horizon (72 KB for two and a half hours of 1 s steps)
 _CHECKPOINTS = 8
 
 
@@ -99,16 +106,21 @@ def nfd_flow(k, curve: NfdCurve):
     k_arr = np.asarray(k, dtype=float)
     if np.any(k_arr < 0) or np.any(k_arr > curve.k_jam):
         raise SimulationError(f"density outside [0, {curve.k_jam}]")
-    q = np.where(
-        k_arr <= curve.k_cr_low,
-        curve.q_max * k_arr / curve.k_cr_low,
+    q = _curve_flow(k_arr, curve)
+    return float(q) if np.isscalar(k) or k_arr.ndim == 0 else q
+
+
+def _curve_flow(k: np.ndarray, curve: NfdCurve) -> np.ndarray:
+    """The curve over an array of densities, with the step loop's expressions."""
+    return np.where(
+        k <= curve.k_cr_low,
+        curve.q_max * k / curve.k_cr_low,
         np.where(
-            k_arr <= curve.k_cr_high,
+            k <= curve.k_cr_high,
             curve.q_max,
-            curve.q_max * (curve.k_jam - k_arr) / (curve.k_jam - curve.k_cr_high),
+            curve.q_max * (curve.k_jam - k) / (curve.k_jam - curve.k_cr_high),
         ),
     )
-    return float(q) if np.isscalar(k) or k_arr.ndim == 0 else q
 
 
 @dataclass(frozen=True)
@@ -230,9 +242,10 @@ class SimOutput:
     means without it.
 
     An output of ``run_reservoir`` has stepped only to the end of the
-    tolling horizon.  The first read of ``n``, ``k`` or ``q`` steps the
-    rest, so that read can raise SimulationError; a read after a failed one
-    steps the rest again.
+    tolling horizon, and has kept only ``n``.  The first read of ``n``,
+    ``k`` or ``q`` steps the rest and derives ``k`` and ``q`` from ``n``,
+    so that read can raise SimulationError; a read after a failed one steps
+    the rest again.
     """
 
     def __init__(self, t_s, n, k, q, k_bar, q_bar, k_bar_clean, q_bar_clean):
@@ -306,17 +319,20 @@ def _step_plan(config: ReservoirConfig, curve: NfdCurve, start_min: float,
                end_min: float, interval_min: float, m: int) -> tuple:
     """Everything about a run that the tolls cannot change.
 
-    Returns (n_steps, runs, resume, slices, tail, checkpoints).  ``runs``
-    lists every step as (first step, end step, demand veh/h, interval index
-    or -1) runs of constant demand and interval.  ``resume[h]`` is the index
-    in ``runs`` of interval h's first run and ``slices[h]`` its (first, end)
-    step range.  ``tail`` is the index of the first run after the last
+    Returns (n_steps, runs, resume, slices, tail, interval, width,
+    checkpoints).  ``runs`` lists every step as (first step, end step,
+    demand veh/h, interval index or -1) runs of constant demand and
+    interval.  ``resume[h]`` is the index in ``runs`` of interval h's first
+    run and ``slices[h]`` its (first, end) step range; the slices are
+    contiguous.  ``tail`` is the index of the first run after the last
     slice, ``len(runs)`` when the horizon ends with the demand profile; the
-    runs from there on are untolled.  ``checkpoints`` starts empty;
-    run_reservoir keeps there the n, k and q series of its most recent runs
-    on this plan, up to the end of the last slice, as immutable bytes keyed
-    by the bits of each interval's tolls, so that no caller can write into
-    the cache.  Raises ValueError if a tolling interval holds no step.  A
+    runs from there on are untolled.  ``interval`` holds each step's
+    interval index, -1 outside the horizon, and ``width`` the length the
+    slices share, 0 when they differ.  ``checkpoints`` starts empty;
+    run_reservoir keeps there the n series of its most recent runs on this
+    plan, up to the end of the last slice, as immutable bytes keyed by the
+    bits of each interval's tolls, so that no caller can write into the
+    cache.  Raises ValueError if a tolling interval holds no step.  A
     process uses a few scenarios, so 16 plans are kept.
     """
     n_steps = int(round(config.horizon_min * 60.0 / config.dt_s))
@@ -331,6 +347,7 @@ def _step_plan(config: ReservoirConfig, curve: NfdCurve, start_min: float,
     in_horizon = (t_min >= start_min) & (t_min < end_min)
     interval[in_horizon] = ((t_min[in_horizon] - start_min) // interval_min).astype(int)
     interval[interval >= m] = m - 1
+    interval.setflags(write=False)  # every call on the plan reads it
 
     cuts = np.flatnonzero((np.diff(demand) != 0) | (np.diff(interval) != 0)) + 1
     edges = [0, *cuts.tolist(), n_steps]
@@ -345,19 +362,22 @@ def _step_plan(config: ReservoirConfig, curve: NfdCurve, start_min: float,
     resume = tuple(next(j for j, run in enumerate(runs) if run[3] == h)
                    for h in range(m))
     tail = next((j for j, run in enumerate(runs) if run[0] >= slices[-1][1]), len(runs))
-    return n_steps, runs, resume, tuple(slices), tail, OrderedDict()
+    widths = {b - a for a, b in slices}
+    width = widths.pop() if len(widths) == 1 else 0
+    return n_steps, runs, resume, tuple(slices), tail, interval, width, OrderedDict()
 
 
 def _advance(n: float, runs, config: ReservoirConfig, curve: NfdCurve, eta, omega,
-             n_out: array, k_out: array, q_out: array) -> None:
+             n_out: array) -> None:
     """Forward-Euler steps over ``runs`` from state ``n``.
 
-    Writes each step's n, k and q into the output arrays, and fills the rest
-    of a run at once from a step that leaves n unchanged.  The state stays a
-    Python float, and min/max are spelled as the conditionals they reduce
-    to, so every step rounds exactly like the numpy-scalar reference loop.
-    The toll response keeps ``np.exp``: ``math.exp`` differs from it in the
-    last bits on some inputs, which moves the outputs.
+    Writes the state after each step into ``n_out``, and fills the rest of
+    a run at once from a step that leaves n unchanged; ``_density_flow``
+    derives k and q from the result.  The state stays a Python float, and
+    min/max are spelled as the conditionals they reduce to, so every step
+    rounds exactly like the numpy-scalar reference loop.  The toll response
+    keeps ``np.exp``: ``math.exp`` differs from it in the last bits on some
+    inputs, which moves the outputs.
     """
     dt_h = config.dt_s / 3600.0
     lane_km = config.lane_km
@@ -422,19 +442,69 @@ def _advance(n: float, runs, config: ReservoirConfig, curve: NfdCurve, eta, omeg
             if not (0.0 <= n_next <= 1e15):
                 raise SimulationError(
                     f"reservoir state became invalid at step {i} (n={n_next})")
-            k = n_next / lane_km
             n_out[i] = n_next
-            k_out[i] = k
-            q_out[i] = q
             if n_next == n:
                 # a fixed point: k, q, the toll and the inflow are functions of
                 # n and the run's constants, so every later step repeats this one
-                rest = end - i - 1
-                n_out[i + 1:end] = array("d", (n,)) * rest
-                k_out[i + 1:end] = array("d", (k,)) * rest
-                q_out[i + 1:end] = array("d", (q,)) * rest
+                n_out[i + 1:end] = array("d", (n,)) * (end - i - 1)
                 break
             n = n_next
+            k = n / lane_km
+
+
+def _density_flow(n: np.ndarray, first: int, end: int, interval: np.ndarray,
+                  config: ReservoirConfig, curve: NfdCurve, eta: np.ndarray,
+                  omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k after and q during each step in [first, end) of the state series ``n``.
+
+    The array form of ``_advance``'s k and q, with its expressions in the
+    same order, so every value has the same bits: q is the curve's flow at
+    the density before the step (zero before step 0), bent down where the
+    step's toll shifts the demand composition.  ``np.exp`` over an array
+    rounds as it does on the loop's scalars.
+    """
+    lane_km = config.lane_km
+    if first:
+        k = n[first - 1:end] / lane_km
+    else:
+        k = np.concatenate(((0.0,), n[:end] / lane_km))
+    before = k[:-1]
+    q = _curve_flow(before, curve)
+    gain = config.demand_composition_gain
+    if gain > 0.0:
+        k_lo, k_hi, k_jam = curve.k_cr_low, curve.k_cr_high, curve.k_jam
+        h = interval[first:end]
+        # the bend needs k > k_lo on a step whose toll is positive
+        steps = np.flatnonzero((h >= 0) & (before > k_lo))
+        kb, hb = before[steps], h[steps]
+        trip_km = config.avg_trip_length_km
+        v_free = curve.free_flow_speed
+        v = q[steps] / kb
+        v = np.where(kb > 1e-12, np.where(v < 1e-6, 1e-6, v), v_free)
+        delay_h = trip_km / v - trip_km / v_free
+        toll = eta[hb] * trip_km + omega[hb] * np.where(delay_h > 0.0, delay_h, 0.0)
+        tolled = toll > 0.0
+        steps, kb = steps[tolled], kb[tolled]
+        s = gain * (1.0 - np.exp(-toll[tolled] / config.value_of_time))
+        k_hi_eff = k_hi - np.where(s < 1.0, s, 1.0) * (k_hi - k_lo)
+        bent = kb > k_hi_eff
+        q[steps[bent]] = curve.q_max * (k_jam - kb[bent]) / (k_jam - k_hi_eff[bent])
+    return k[1:], q
+
+
+def _rejoin(n: array, key: tuple, h: int, first: int, checkpoints) -> bool:
+    """Copy a checkpoint's steps from ``first``, interval h's first step, into ``n``.
+
+    A checkpoint qualifies when its tolls for intervals h..m-1 equal
+    ``key``'s and its state before ``first`` has the same bits as ``n``'s:
+    every later step is then the same.  Returns whether one did.
+    """
+    state = n[first - 1:first].tobytes()
+    for other, buf in checkpoints.items():
+        if other[h:] == key[h:] and buf[8 * first - 8:8 * first] == state:
+            n[first:] = array("d", buf[8 * first:])
+            return True
+    return False
 
 
 def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
@@ -448,15 +518,20 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
 
     The step plan (the steps as runs of constant demand and interval, and
     each interval's contiguous slice of steps) is cached per scenario and
-    horizon, with checkpoints of the plan's most recent successful runs.
-    The tolls of interval h change no step before it, so a call copies the
-    series of the checkpoint that shares the longest prefix of intervals
-    with it and steps on from the first interval that differs; when every
-    interval matches it steps nothing.  Stepping keeps the state in Python
-    floats and the toll response in ``np.exp`` (``math.exp`` rounds
-    differently on some inputs), and fills the rest of a run from a step
-    that leaves the state unchanged.  Each interval is then averaged over
-    its slice, and the toll vector is quantized once for the noise of
+    horizon, with checkpoints of the n series of the plan's most recent
+    successful runs.  The tolls of interval h change no step before it, so
+    a call copies the series of the checkpoint that shares the longest
+    prefix of intervals with it and steps on from the first interval that
+    differs; when every interval matches it steps nothing.  It steps one
+    interval at a time, and before each further interval it looks for a
+    checkpoint with the same tolls from there on and the same state bits:
+    on a hit it copies that checkpoint's rest and stops.  Stepping keeps
+    the state in Python floats and the toll response in ``np.exp``
+    (``math.exp`` rounds differently on some inputs), and fills the rest of
+    a run from a step that leaves the state unchanged.  Density and flow
+    over the horizon then come from one array pass over the n series, each
+    interval is averaged over its slice (one reshaped mean when the slices
+    share a length), and the toll vector is quantized once for the noise of
     every interval.
 
     The call steps only to the end of the tolling horizon, since the
@@ -469,12 +544,14 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
         raise ValueError("tolling horizon extends beyond the demand profile")
 
     m = scheme.m_intervals
-    n_steps, runs, resume, slices, tail, checkpoints = _step_plan(
+    n_steps, runs, resume, slices, tail, interval, width, checkpoints = _step_plan(
         config, curve, scheme.horizon_start_min, scheme.horizon_end_min,
         scheme.interval_length_min, m)
+    eta = scheme.eta
     omega = scheme.omega if scheme.joint else np.zeros(m)
-    bits = np.column_stack((scheme.eta, omega)).tobytes()
+    bits = np.column_stack((eta, omega)).tobytes()
     key = tuple(bits[16 * h:16 * h + 16] for h in range(m))
+    start, end = slices[0][0], slices[-1][1]
 
     # the checkpoint sharing the most leading intervals; any one holds the warm-up
     shared, source = -1, None
@@ -485,28 +562,34 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
         if p > shared:
             shared, source = p, other
     if source is None:
-        series = [array("d", bytes(8 * slices[-1][1])) for _ in range(3)]
-        first_run = 0
+        n = array("d", bytes(8 * end))
     else:
         checkpoints.move_to_end(source)
-        series = [array("d", buf) for buf in checkpoints[source]]
-        first_run = resume[shared] if shared < m else tail
-    if first_run < tail:
-        first_step = runs[first_run][0]
-        # the n series holds the state after each step, so no state is stored
-        n0 = series[0][first_step - 1] if first_step else 0.0
-        _advance(n0, runs[first_run:tail], config, curve, scheme.eta.tolist(),
-                 omega.tolist(), *series)
-        checkpoints[key] = tuple(s.tobytes() for s in series)
+        n = array("d", checkpoints[source])
+    if shared < m:
+        eta_list, omega_list = eta.tolist(), omega.tolist()
+        run = resume[shared] if shared >= 0 else 0
+        for h in range(max(shared, 0), m):
+            stop = resume[h + 1] if h + 1 < m else tail
+            # the n series holds the state after each step, so no state is stored
+            step = runs[run][0]
+            _advance(n[step - 1] if step else 0.0, runs[run:stop], config, curve,
+                     eta_list, omega_list, n)
+            run = stop
+            if h + 1 < m and _rejoin(n, key, h + 1, slices[h + 1][0], checkpoints):
+                break
+        checkpoints[key] = n.tobytes()
         if len(checkpoints) > _CHECKPOINTS:
             checkpoints.popitem(last=False)
-    k_series, q_series = (np.frombuffer(s, dtype=float) for s in series[1:])
+    k, q = _density_flow(np.frombuffer(n, dtype=float), start, end, interval, config,
+                         curve, eta, omega)
 
-    k_bar_clean = np.empty(m)
-    q_bar_clean = np.empty(m)
-    for h, (a, b) in enumerate(slices):
-        k_bar_clean[h] = float(np.mean(k_series[a:b]))
-        q_bar_clean[h] = float(np.mean(q_series[a:b]))
+    if width:
+        k_bar_clean = k.reshape(m, width).mean(axis=1)
+        q_bar_clean = q.reshape(m, width).mean(axis=1)
+    else:
+        k_bar_clean = np.array([np.mean(k[a - start:b - start]) for a, b in slices])
+        q_bar_clean = np.array([np.mean(q[a - start:b - start]) for a, b in slices])
 
     k_bar = k_bar_clean.copy()
     q_bar = q_bar_clean.copy()
@@ -529,23 +612,26 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
         k_bar=k_bar, q_bar=q_bar,
         k_bar_clean=k_bar_clean, q_bar_clean=q_bar_clean,
     )
-    out._pending = functools.partial(_full_series, series, runs[tail:], config, curve)
+    # copies: scheme.eta and omega can be views of the caller's toll vector
+    out._pending = functools.partial(_full_series, n, runs[tail:], interval, config,
+                                     curve, eta.copy(), omega.copy())
     return out
 
 
-def _full_series(series, runs, config: ReservoirConfig, curve: NfdCurve) -> tuple:
-    """n, k and q over every step: the stepped ``series``, then ``runs`` stepped on.
+def _full_series(n: array, runs, interval: np.ndarray, config: ReservoirConfig,
+                 curve: NfdCurve, eta: np.ndarray, omega: np.ndarray) -> tuple:
+    """n, k and q over every step: the stepped ``n``, ``runs`` stepped on, k and q derived.
 
     ``runs`` are the untolled runs after the horizon, so the loop needs no
-    tolls.  They are stepped into copies, which leaves ``series`` as it was
-    if a step raises.
+    tolls.  They are stepped into a copy, which leaves ``n`` as it was if a
+    step raises.
     """
     if runs:
         first = runs[0][0]
-        rest = array("d", bytes(8 * (runs[-1][1] - first)))
-        series = [s + rest for s in series]
-        _advance(series[0][first - 1], runs, config, curve, (), (), *series)
-    return tuple(np.frombuffer(s, dtype=float) for s in series)
+        n = n + array("d", bytes(8 * (runs[-1][1] - first)))
+        _advance(n[first - 1], runs, config, curve, (), (), n)
+    n = np.frombuffer(n, dtype=float)
+    return (n, *_density_flow(n, 0, n.size, interval, config, curve, eta, omega))
 
 
 def _per_interval(out) -> tuple[np.ndarray, np.ndarray]:

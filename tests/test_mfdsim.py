@@ -11,6 +11,7 @@ import sbopt as sb
 from sbopt import bench
 from sbopt.bench.problems import (complex_toll_scenario, composition_scenario,
                                   simple_toll_scenario)
+from sbopt import mfdsim
 from sbopt.mfdsim import _CHECKPOINTS, _derived_seed, _step_plan
 
 TRAPEZOID = sb.NfdCurve(k_cr_low=20.0, k_cr_high=30.0, k_jam=80.0, q_max=600.0)
@@ -409,8 +410,10 @@ SIM_FIELDS = ("t_s", "n", "k", "q", "k_bar", "q_bar", "k_bar_clean", "q_bar_clea
 
 
 def assert_same_output(got, want):
+    # bytes, not values: the CSV writers print repr, which tells -0.0 from 0.0
     for name in SIM_FIELDS:
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 @pytest.mark.parametrize("name", ["simple", "complex", "composition_flow",
@@ -468,6 +471,17 @@ def test_returned_series_do_not_alias_the_step_plan():
                        reference_run_reservoir(cfg, curve, other, 0))
 
 
+def test_series_read_after_the_caller_reuses_its_toll_vector():
+    # with_tau keeps a view of tau, and k and q are derived on the first read
+    cfg, curve, template = composition_scenario()
+    tau = np.concatenate([np.full(4, 0.2), np.full(4, 25.0)])
+    scheme = template.with_tau(tau)
+    want = reference_run_reservoir(cfg, curve, scheme, 0)
+    out = sb.run_reservoir(cfg, curve, scheme, 0)
+    tau[:] = 0.0
+    assert_same_output(out, want)
+
+
 def test_zero_toll_run_skips_its_fixed_points():
     cfg, curve, template = complex_toll_scenario()
     scheme = template.with_tau(np.zeros(16))
@@ -480,22 +494,28 @@ def test_zero_toll_run_skips_its_fixed_points():
 
 
 # DIRECT-like toll sequences on a 10 s step version of `complex`: each new
-# vector takes an earlier one and changes one coordinate, or repeats it.  The
-# zero-toll start jams the reservoir, so its runs pass through fixed points.
+# vector takes an earlier one and changes one coordinate, or repeats it, and
+# the late moves change the tolls of intervals 5-7 only.  The zero-toll start
+# jams the reservoir, so its runs pass through fixed points, and a call that
+# changes one interval often returns to a checkpoint's state after it.
 _COMPLEX = bench.get_problem("complex")
 _COARSE = replace(complex_toll_scenario()[0], dt_s=10.0)
+_LATE = (5, 6, 7, 13, 14, 15)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 99), st.integers(-1, 15),
                           st.floats(0.0, 1.0)),
                 min_size=1, max_size=8),
+       st.lists(st.tuples(st.integers(0, 99), st.sampled_from(_LATE),
+                          st.floats(0.0, 1.0)),
+                max_size=4),
        st.integers(0, 3))
-def test_checkpoints_match_a_cold_cache_bit_for_bit(moves, seed):
+def test_checkpoints_match_a_cold_cache_bit_for_bit(moves, late, seed):
     _, curve, template = complex_toll_scenario()
     lo, hi = _COMPLEX.bounds.lower, _COMPLEX.bounds.upper
     taus = [lo.copy(), lo + 0.5 * (hi - lo)]
-    for source, coord, u in moves:
+    for source, coord, u in moves + late:
         tau = taus[source % len(taus)].copy()
         if coord >= 0:
             tau[coord] = lo[coord] + u * (hi[coord] - lo[coord])
@@ -503,8 +523,8 @@ def test_checkpoints_match_a_cold_cache_bit_for_bit(moves, seed):
     _step_plan.cache_clear()
     warm = [sb.run_reservoir(_COARSE, curve, template.with_tau(t), seed) for t in taus]
     # evict every checkpoint before any series is read: each of these vectors
-    # differs from all of taus, which keep at least 8 coordinates at lo or the
-    # middle, and from each other, so each call stores a new checkpoint
+    # differs from all of taus, which keep at least 4 of their 16 coordinates
+    # at lo or the middle, and from each other, so each call stores a new one
     for j in range(_CHECKPOINTS):
         sb.run_reservoir(_COARSE, curve, template.with_tau(lo + (0.05 + 0.1 * j) * (hi - lo)),
                          seed)
@@ -514,6 +534,74 @@ def test_checkpoints_match_a_cold_cache_bit_for_bit(moves, seed):
         assert_same_output(got, want)
         _step_plan.cache_clear()
         assert_same_output(sb.run_reservoir(_COARSE, curve, scheme, seed), want)
+
+
+@pytest.mark.parametrize("coord", [2, 5, 13])
+def test_reconverged_state_resumes_from_a_checkpoint(monkeypatch, coord):
+    """A call whose state returns to a checkpoint's copies the rest of it."""
+    cfg, curve, template = complex_toll_scenario()
+    stepped = []
+    advance = mfdsim._advance
+
+    def counting(n, runs, *args):
+        stepped.append(sum(end - first for first, end, *_ in runs))
+        advance(n, runs, *args)
+
+    monkeypatch.setattr(mfdsim, "_advance", counting)
+    lo, hi = _COMPLEX.bounds.lower, _COMPLEX.bounds.upper
+    tau = lo.copy()
+    tau[coord] = 0.5 * hi[coord]
+    scheme = template.with_tau(tau)
+    plan = (cfg, curve, template.horizon_start_min, template.horizon_end_min,
+            template.interval_length_min, template.m_intervals)
+    _step_plan.cache_clear()
+    sb.run_reservoir(cfg, curve, template.with_tau(lo), 0)
+    slices = _step_plan(*plan)[3]
+    h = coord % template.m_intervals
+    # the zero-toll run jams through interval h, and so does this one: its
+    # state before interval h + 1 has the same bits, so it steps interval h alone
+    stepped.clear()
+    out = sb.run_reservoir(cfg, curve, scheme, 0)  # a series read would step the cool-down
+    assert sum(stepped) == slices[h][1] - slices[h][0]
+    assert sum(stepped) < slices[-1][1] - slices[h][0]  # what the prefix resume steps
+    assert_same_output(out, reference_run_reservoir(cfg, curve, scheme, 0))
+    # the only checkpoint shares the intervals before h and no later one, so
+    # none can be rejoined: the same call steps every interval from h on
+    _step_plan.cache_clear()
+    prefix = hi.copy()
+    prefix[:h] = prefix[8:8 + h] = 0.0
+    sb.run_reservoir(cfg, curve, template.with_tau(prefix), 0)
+    stepped.clear()
+    again = sb.run_reservoir(cfg, curve, scheme, 0)
+    assert sum(stepped) == slices[-1][1] - slices[h][0]
+    assert_same_output(again, out)
+
+
+def test_unequal_interval_slices_are_averaged_one_by_one():
+    cfg, curve, template = simple_toll_scenario()
+    coarse = replace(cfg, dt_s=11.0)  # 30 min intervals of 163 and 164 steps
+    scheme = template.with_tau([0.3, 0.6])
+    _step_plan.cache_clear()
+    out = sb.run_reservoir(coarse, curve, scheme, 2)
+    slices = _step_plan(coarse, curve, template.horizon_start_min, template.horizon_end_min,
+                        template.interval_length_min, template.m_intervals)[3]
+    assert len({end - first for first, end in slices}) > 1
+    assert_same_output(out, reference_run_reservoir(coarse, curve, scheme, 2))
+
+
+def test_checkpoints_hold_one_n_series_each():
+    cfg, curve, template = complex_toll_scenario()
+    lo, hi = _COMPLEX.bounds.lower, _COMPLEX.bounds.upper
+    _step_plan.cache_clear()
+    rng = np.random.default_rng(3)
+    for _ in range(_CHECKPOINTS + 4):
+        sb.run_reservoir(cfg, curve, template.with_tau(lo + rng.random(16) * (hi - lo)), 0)
+    *_, slices, _, _, _, checkpoints = _step_plan(
+        cfg, curve, template.horizon_start_min, template.horizon_end_min,
+        template.interval_length_min, template.m_intervals)
+    assert len(checkpoints) == _CHECKPOINTS
+    for buf in checkpoints.values():
+        assert type(buf) is bytes and len(buf) == 8 * slices[-1][1]
 
 
 @pytest.mark.parametrize("nan_segment", [0, 1])
