@@ -173,6 +173,9 @@ class ExperimentConfig:
                 or any(type(s) is not int for s in seeds) or len(set(seeds)) < len(seeds)):
             raise ConfigError(
                 f"seeds must be a non-empty list of distinct integers, got {seeds!r}")
+        negative = [s for s in seeds if s < 0]
+        if negative:
+            raise ConfigError(f"seeds must be non-negative, got {negative}")
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if not isinstance(self.params, dict):

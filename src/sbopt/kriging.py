@@ -19,7 +19,10 @@ uses one value of each.
 One correlation kernel, ``_psi``, serves the correlation matrix R, the
 predictions, the error variances and EI: a squared Euclidean distance on
 ``sqrt(theta)``-scaled inputs, so it allocates only its (k, n) result.
-Predictions, error variances and EI share one moments routine.
+Predictions, error variances and EI share one moments routine,
+``_moments``, and a row's result does not depend on the other rows of
+its batch: a point gets the same bits alone or in any stack.  The infill
+search relies on that to leave infeasible candidates out of its batches.
 Feasibility predicates passed to ``propose_infill`` and ``run_rk`` are
 row masks: they map a (k, m) array of points to a length-k boolean
 array, e.g. ``constraints.feasible_mask``.
@@ -170,18 +173,25 @@ def _lower_solve(L, B, trans=0):
     return x
 
 
-def _solve_parts(X, y, theta, lam):
+def _ones_y(y: np.ndarray) -> np.ndarray:
+    """The (n, 2) right-hand side [1, y] of the likelihood's triangular solve."""
+    return np.column_stack([np.ones(y.size), y])
+
+
+def _solve_parts(X, ones_y, theta, lam):
     """Cholesky of R = Psi + lam*I plus the MLE pieces, None if singular.
 
     One triangular solve of L Z = [1, y] gives the generalized-least-squares
-    mean, sigma^2 and the whitened residual L^-1 (y - mu).  R is exactly
+    mean, sigma^2 and the whitened residual L^-1 (y - mu); ``ones_y`` is
+    that right-hand side from ``_ones_y``, which the solve leaves intact, so
+    a likelihood search builds it once.  R is exactly
     symmetric, so ``R.T`` is R in Fortran order and LAPACK factors it in
     place; the wrappers in ``scipy.linalg`` would copy it and give the same
     bits.
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise FitError(f"lambda must be finite and non-negative, got {lam!r}")
-    n = y.size
+    n = ones_y.shape[0]
     R = _psi(X, X, theta)
     R.flat[::n + 1] += lam
     L, info = dpotrf(R.T, lower=1, clean=0, overwrite_a=1)
@@ -190,7 +200,7 @@ def _solve_parts(X, y, theta, lam):
     if info < 0:
         raise ValueError(f"dpotrf: illegal value in argument {-info}")
     cho = (L, True)
-    Z = _lower_solve(L, np.column_stack([np.ones(n), y]))
+    Z = _lower_solve(L, ones_y)
     z1, zy = Z[:, 0], Z[:, 1]
     denom = float(z1 @ z1)
     if denom <= 0:
@@ -213,7 +223,7 @@ def concentrated_log_likelihood(X, y, theta, lam) -> float:
     theta = as_vector(theta, X.shape[1])
     if np.any(theta < 0):
         return -np.inf
-    parts = _solve_parts(X, y, theta, float(lam))
+    parts = _solve_parts(X, _ones_y(y), theta, float(lam))
     if parts is None:
         return -np.inf
     _, _, _, sigma2, logdet = parts
@@ -221,7 +231,7 @@ def concentrated_log_likelihood(X, y, theta, lam) -> float:
 
 
 def _build_model(X, y, theta, lam) -> KrigingModel:
-    parts = _solve_parts(X, y, theta, lam)
+    parts = _solve_parts(X, _ones_y(y), theta, lam)
     if parts is None:
         raise FitError(
             "correlation matrix is singular; duplicated samples need lambda > 0")
@@ -276,9 +286,11 @@ def fit(X, y, config: FitConfig | None = None) -> KrigingModel:
         lam = float(lam_fixed) if lam_fixed is not None else float(10.0 ** p[m])
         return theta, lam
 
+    ones_y = _ones_y(y)
+
     def nll(p):
         theta, lam = unpack(p)
-        parts = _solve_parts(X, y, theta, lam)
+        parts = _solve_parts(X, ones_y, theta, lam)
         if parts is None:
             return np.inf
         _, _, _, sigma2, logdet = parts
@@ -341,10 +353,14 @@ def _moments(model: KrigingModel, xq: np.ndarray, reinterp: bool):
 
     ``reinterp`` selects the re-interpolation variance, which adds the
     nugget to psi at every query that equals a sample row; otherwise the
-    plain regressing variance.
+    plain regressing variance.  Each output row depends only on its own
+    query row: ``psi @ alpha`` would go to BLAS ``dgemv``, whose rounding
+    of a row depends on where it sits in the batch, so the predictor is a
+    per-row ``einsum``.  The ``cho_solve`` and the quadratic form are
+    row-independent as they stand.
     """
     psi = _psi(model.X, xq, model.theta)
-    y_hat = model.mu_hat + psi @ model.alpha
+    y_hat = model.mu_hat + np.einsum("ij,j->i", psi, model.alpha)
     if reinterp and model.lam > 0:
         # an exact sample match gives psi == 1.0, so only those rows are compared
         rows = np.flatnonzero(np.any(psi == 1.0, axis=1))
@@ -445,7 +461,8 @@ def propose_infill(model: KrigingModel, y_min: float, feasibility_predicate,
 
     ``feasibility_predicate`` is None or a row mask: it maps a (k, m)
     array of candidates to a length-k boolean array.  It runs once per
-    probe and once per sweep, on the candidates the search could pick.
+    probe and once per sweep: in a sweep, on every candidate that moved
+    off its start, before EI, so EI is computed for feasible moves only.
     ``sampler`` is None or a candidate generator ``(rng, n, bounds) ->
     (n, m) array``; it lets a problem with a tiny feasible fraction
     propose mostly-feasible probe points instead of rejection-sampling
@@ -496,27 +513,24 @@ def propose_infill(model: KrigingModel, y_min: float, feasibility_predicate,
                        bounds.lower[dim], bounds.upper[dim])
         cand = np.repeat(base[:, None, :], n_dir, axis=1)
         cand[:, np.arange(n_dir), dim] = cols
-        changed = cols != base[:, dim]
+        # EI rows do not depend on their batch, so only the changed
+        # feasible candidates need it; the rest stay at -inf
+        mask = cols != base[:, dim]
+        if predicate is not None and np.any(mask):
+            mask[mask] = _row_mask(predicate, cand[mask])
         ei_mat = np.full((live.size, n_dir), -np.inf)
-        mask = changed.reshape(-1)
         if np.any(mask):
-            flat = cand.reshape(live.size * n_dir, m)
-            ei_mat.reshape(-1)[mask] = expected_improvement(
-                model, flat[mask], y_min, use_reinterp)
+            ei_mat[mask] = expected_improvement(model, cand[mask], y_min, use_reinterp)
         # a direction qualifies when its EI is not at or below the point's
-        # own; the predicate runs only on those
+        # own; each row moves along its best one, ties to the lowest index
         ok = ~(ei_mat <= vals[live, None] + 1e-15)
-        if predicate is not None and np.any(ok):
-            ok[ok] = _row_mask(predicate, cand[ok])
+        rows = np.flatnonzero(np.any(ok, axis=1))
+        d = np.argmax(np.where(ok[rows], ei_mat[rows], -np.inf), axis=1)
+        i = live[rows]
+        pts[i] = cand[rows, d]
+        vals[i] = ei_mat[rows, d]
         moved = np.zeros(k, dtype=bool)
-        for row in np.flatnonzero(np.any(ok, axis=1)):
-            # the best qualifying direction, ties in argsort order
-            order = np.argsort(ei_mat[row])[::-1]
-            d = order[ok[row, order]][0]
-            i = live[row]
-            pts[i] = cand[row, d]
-            vals[i] = ei_mat[row, d]
-            moved[i] = True
+        moved[i] = True
         steps[~moved] *= 0.5
     best = int(np.argmax(vals))
     return EIProposal(x=pts[best].copy(), ei=float(vals[best]))

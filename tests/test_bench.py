@@ -420,3 +420,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     for name, spec in bench.harness.SOLVERS.items():
         assert name in help_text
         assert all(param in help_text for param in spec.params)
+
+
+@pytest.mark.parametrize("solver", ["rk", "spsa", "direct", "pi"])
+def test_config_rejects_negative_seeds(solver):
+    cfg = {"problem": "simple", "solver": solver, "budget": 5, "seeds": [0, -1]}
+    with pytest.raises(bench.ConfigError, match=r"non-negative, got \[-1\]"):
+        bench.ExperimentConfig.from_dict(cfg)
+
+
+def test_cli_rejects_negative_seed(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "problem": "quadratic", "solver": "direct", "budget": 5,
+        "seeds": [0], "output_dir": str(tmp_path)}))
+    assert main(["run", "--config", str(cfg_path), "--seed", "-1"]) == 2
+    assert r"seeds must be non-negative, got [-1]" in capsys.readouterr().err
+    assert not list(tmp_path.glob("trace_*"))

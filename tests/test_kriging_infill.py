@@ -5,6 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 import sbopt as sb
+import sbopt.kriging as kriging
+from sbopt.bench import get_problem
 
 UNIT2 = sb.Bounds(np.zeros(2), np.ones(2))
 
@@ -139,3 +141,141 @@ def test_proposal_deterministic_per_seed():
     b = sb.propose_infill(model, float(y.min()), None, UNIT2, seed=7)
     assert np.array_equal(a.x, b.x)
     assert a.ei == b.ei
+
+
+# ------------------------------------------------- batch-independent EI rows
+
+
+def band_model(n, seed=0):
+    # a 16-D model on points of the complex problem's smoothing band, with
+    # its unit-coordinate row mask and band sampler
+    problem = get_problem("complex")
+    mask = problem.feasibility_mask()
+    sampler = problem.infill_sampler
+    X = sampler(np.random.default_rng(seed), n, problem.bounds)
+    y = np.sin(3 * X[:, :8]).sum(axis=1) - ((X[:, 8:] - 0.4) * (X[:, 8:] - 0.6)).sum(axis=1)
+    model = sb.fit(X, y, sb.FitConfig(theta=np.full(16, 0.8), lam=1e-4))
+    unit_mask = lambda U: mask(problem.bounds.from_unit(U))
+    return model, y, unit_mask, sampler
+
+
+@pytest.mark.parametrize("m, n", [(16, 25), (16, 60), (16, 100), (2, 14)])
+def test_ei_rows_do_not_depend_on_their_batch(m, n):
+    if m == 16:
+        model, y, _, _ = band_model(n)
+    else:
+        model, _, y = wavy_model()
+    rng = np.random.default_rng(n)
+    # sample rows in the stack take the re-interpolation hit path
+    Q = np.vstack([rng.random((150, m)), model.X[: n // 2]])
+    Q = Q[rng.permutation(len(Q))]
+    y_min = float(np.min(y))
+    full_pred = sb.predict(model, Q)
+    for use_reinterp in (True, False):
+        full_ei = sb.expected_improvement(model, Q, y_min, use_reinterp)
+        for k in (1, 2, 7, 40, 120, len(Q) - 1):
+            idx = np.sort(rng.choice(len(Q), size=k, replace=False))
+            ei = sb.expected_improvement(model, Q[idx], y_min, use_reinterp)
+            assert ei.tobytes() == full_ei[idx].tobytes()
+            for got, want in zip(sb.predict(model, Q[idx]), full_pred):
+                assert got.tobytes() == want[idx].tobytes()
+
+
+# ---------------------------------------------- the sweep against a reference
+
+_ei = kriging.expected_improvement
+
+
+def reference_propose_infill(model, y_min, predicate, bounds, seed, sampler=None):
+    """The sweep before the predicate moved ahead of EI: EI on every changed
+    candidate, the predicate only on the improving ones, per-row argsort.
+
+    Returns the proposal and the sweep candidate counts: changed, and
+    changed and feasible.
+    """
+    rng = np.random.default_rng(seed)
+    m = bounds.m_dim
+    starts, start_ei = [], []
+    for _ in range(kriging._INFILL_RESTARTS):
+        if sampler is not None:
+            cand = np.asarray(sampler(rng, kriging._INFILL_PROBE, bounds), dtype=float)
+        else:
+            cand = bounds.lower + rng.random((kriging._INFILL_PROBE, m)) * bounds.span
+        ei_cand = _ei(model, cand, y_min)
+        order = np.argsort(ei_cand)[::-1]
+        if predicate is not None:
+            order = order[predicate(cand)[order]]
+        for i in order[: kriging._INFILL_STARTS - len(starts)]:
+            starts.append(cand[i])
+            start_ei.append(ei_cand[i])
+        if len(starts) >= kriging._INFILL_STARTS:
+            break
+    pts, vals = np.array(starts), np.array(start_ei, dtype=float)
+    k = pts.shape[0]
+    steps = np.full(k, 0.25)
+    dim = np.repeat(np.flatnonzero(bounds.span > 0), 2)
+    sgn = np.tile([1.0, -1.0], dim.size // 2)
+    n_dir = dim.size
+    counts = {"changed": 0, "feasible": 0}
+    for _ in range(kriging._INFILL_SWEEPS):
+        live = np.where(steps >= kriging._INFILL_MIN_STEP)[0]
+        if live.size == 0:
+            break
+        base = pts[live]
+        cols = np.clip(base[:, dim] + sgn * steps[live, None] * bounds.span[dim],
+                       bounds.lower[dim], bounds.upper[dim])
+        cand = np.repeat(base[:, None, :], n_dir, axis=1)
+        cand[:, np.arange(n_dir), dim] = cols
+        changed = cols != base[:, dim]
+        ei_mat = np.full((live.size, n_dir), -np.inf)
+        if np.any(changed):
+            ei_mat[changed] = _ei(model, cand[changed], y_min)
+        counts["changed"] += int(changed.sum())
+        counts["feasible"] += int(changed.sum() if predicate is None
+                                  else predicate(cand[changed]).sum())
+        ok = ~(ei_mat <= vals[live, None] + 1e-15)
+        if predicate is not None and np.any(ok):
+            ok[ok] = predicate(cand[ok])
+        moved = np.zeros(k, dtype=bool)
+        for row in np.flatnonzero(np.any(ok, axis=1)):
+            order = np.argsort(ei_mat[row])[::-1]
+            d = order[ok[row, order]][0]
+            i = live[row]
+            pts[i], vals[i], moved[i] = cand[row, d], ei_mat[row, d], True
+        steps[~moved] *= 0.5
+    best = int(np.argmax(vals))
+    return sb.EIProposal(x=pts[best].copy(), ei=float(vals[best])), counts
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("case", ["band16", "plain2"])
+def test_sweep_matches_reference_and_skips_wasted_ei(case, seed, monkeypatch):
+    if case == "band16":
+        model, y, predicate, sampler = band_model(40, seed)
+        bounds = sb.Bounds.unit(16)
+    else:
+        model, _, y = wavy_model()
+        predicate, sampler, bounds = None, None, UNIT2
+    y_min = float(np.min(y))
+    want, counts = reference_propose_infill(model, y_min, predicate, bounds, seed,
+                                            sampler)
+
+    batches = []
+
+    def counting_ei(model, x, y_min, use_reinterp=True):
+        batches.append(np.array(x))
+        return _ei(model, x, y_min, use_reinterp)
+
+    monkeypatch.setattr(kriging, "expected_improvement", counting_ei)
+    got = sb.propose_infill(model, y_min, predicate, bounds, seed=seed,
+                            sampler=sampler)
+    assert got.x.tobytes() == want.x.tobytes()
+    assert got.ei == want.ei
+
+    sweeps = [b for b in batches if len(b) != kriging._INFILL_PROBE]
+    # every row reaching EI in a sweep is a feasible changed candidate, and
+    # every such candidate does
+    assert sum(map(len, sweeps)) == counts["feasible"]
+    if predicate is not None:
+        assert all(predicate(b).all() for b in sweeps)
+        assert counts["feasible"] < counts["changed"]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 import sbopt as sb
-from sbopt.kriging import _psi, _solve_parts, concentrated_log_likelihood
+from sbopt.kriging import _ones_y, _psi, _solve_parts, concentrated_log_likelihood
 
 
 def sine_design(n=11, seed=4):
@@ -224,7 +224,7 @@ def test_lapack_solve_equals_the_scipy_wrappers(n, m, theta, lam):
     theta = np.full(m, theta)
     R = _psi(X, X, theta)
     R.flat[::n + 1] += lam
-    parts = _solve_parts(X, y, theta, lam)
+    parts = _solve_parts(X, _ones_y(y), theta, lam)
     try:
         L, lower = cho_factor(R, lower=True, check_finite=False)
     except np.linalg.LinAlgError:
