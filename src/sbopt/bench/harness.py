@@ -115,6 +115,18 @@ def _check_problem(solver: str, problem: Problem) -> None:
                           f"{reason}")
 
 
+def _check_seeds(seeds) -> None:
+    """Reject anything but a non-empty sequence of distinct non-negative integers."""
+    # type() rather than isinstance(): JSON true must not pass as 1
+    if (not isinstance(seeds, (list, tuple)) or not seeds
+            or any(type(s) is not int for s in seeds) or len(set(seeds)) < len(seeds)):
+        raise ConfigError(
+            f"seeds must be a non-empty list of distinct integers, got {seeds!r}")
+    negative = [s for s in seeds if s < 0]
+    if negative:
+        raise ConfigError(f"seeds must be non-negative, got {negative}")
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment: a problem, a solver, a budget, and seeds to replicate."""
@@ -168,14 +180,7 @@ class ExperimentConfig:
         # type() rather than isinstance(): JSON true must not pass as 1
         if type(self.budget) is not int or self.budget < 1:
             raise ConfigError(f"budget must be a positive integer, got {self.budget!r}")
-        seeds = self.seeds
-        if (not isinstance(seeds, (list, tuple)) or not seeds
-                or any(type(s) is not int for s in seeds) or len(set(seeds)) < len(seeds)):
-            raise ConfigError(
-                f"seeds must be a non-empty list of distinct integers, got {seeds!r}")
-        negative = [s for s in seeds if s < 0]
-        if negative:
-            raise ConfigError(f"seeds must be non-negative, got {negative}")
+        _check_seeds(self.seeds)
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         if not isinstance(self.params, dict):
@@ -194,7 +199,12 @@ class ExperimentConfig:
 
 def run_single(problem: Problem, solver: str, budget: int, seed: int,
                params: dict = None) -> Trace:
-    """Run one solver on one problem for one seed; returns the trace."""
+    """Run one solver on one problem for one seed; returns the trace.
+
+    Raises ConfigError for a seed that ``ExperimentConfig.validate`` would
+    reject (negative or not an integer), with the same message.
+    """
+    _check_seeds((seed,))
     evaluator = Evaluator(problem.objective, budget=budget, sense=problem.sense,
                           seed=seed)
     if solver not in SOLVERS:

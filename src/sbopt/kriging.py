@@ -26,18 +26,23 @@ search relies on that to leave infeasible candidates out of its batches.
 Feasibility predicates passed to ``propose_infill`` and ``run_rk`` are
 row masks: they map a (k, m) array of points to a length-k boolean
 array, e.g. ``constraints.feasible_mask``.
+
+This is the only sbopt module that uses scipy (``cdist``, ``pdist``,
+``cho_solve``, LAPACK ``dpotrf``/``dtrtrs`` and ``ndtr``), and it does not
+import scipy at import time: every call goes through one cached loader,
+``_scipy()``, which imports the callables on the first kriging call of a
+process.  Importing sbopt, building problems and running PI, DIRECT or
+SPSA load numpy only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf, dtrtrs
-from scipy.spatial.distance import cdist, pdist
-from scipy.special import ndtr
 
 from .core import Bounds, EvaluationError, Evaluator, SboError, Trace, as_vector
 
@@ -53,6 +58,24 @@ _INFILL_RESTARTS = 5
 _INFILL_SWEEPS = 40
 _INFILL_MIN_STEP = 1e-4
 _LOO_RESIDUAL_LIMIT = 3.0
+
+
+@functools.cache
+def _scipy() -> SimpleNamespace:
+    """The scipy callables the surrogate uses, imported on the first call.
+
+    scipy is the surrogate's alone, and importing it costs a process more
+    than everything else sbopt loads, so the package and the other solvers
+    run on numpy only.  The first kriging call pays the import once; every
+    later one is a cache hit, far cheaper than a function-local import.
+    """
+    from scipy.linalg import cho_solve
+    from scipy.linalg.lapack import dpotrf, dtrtrs
+    from scipy.spatial.distance import cdist, pdist
+    from scipy.special import ndtr
+
+    return SimpleNamespace(cdist=cdist, pdist=pdist, cho_solve=cho_solve,
+                           dpotrf=dpotrf, dtrtrs=dtrtrs, ndtr=ndtr)
 
 
 class FitError(SboError):
@@ -94,7 +117,7 @@ def maximin_lhs(n: int, m_dim: int, seed: int = 0) -> np.ndarray:
     best, best_d = None, -np.inf
     for _ in range(_LHS_CANDIDATES):
         pts = random_lhs(n, m_dim, rng)
-        d = float(np.min(pdist(pts))) if n > 1 else np.inf
+        d = float(np.min(_scipy().pdist(pts))) if n > 1 else np.inf
         if d > best_d:
             best, best_d = pts, d
     return best
@@ -160,14 +183,14 @@ def _psi(X: np.ndarray, Xq: np.ndarray, theta: np.ndarray) -> np.ndarray:
     sample's row of ``_psi(X, X, theta)``, with 1.0 at the sample itself.
     """
     w = np.sqrt(theta)
-    psi = cdist(Xq * w, X * w, "sqeuclidean")
+    psi = _scipy().cdist(Xq * w, X * w, "sqeuclidean")
     np.negative(psi, out=psi)
     return np.exp(psi, out=psi)
 
 
 def _lower_solve(L, B, trans=0):
     """Solve L X = B (``trans=1``: L^T X = B) with the lower Cholesky factor L."""
-    x, info = dtrtrs(L, B, lower=1, trans=trans)
+    x, info = _scipy().dtrtrs(L, B, lower=1, trans=trans)
     if info != 0:
         raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
     return x
@@ -194,7 +217,7 @@ def _solve_parts(X, ones_y, theta, lam):
     n = ones_y.shape[0]
     R = _psi(X, X, theta)
     R.flat[::n + 1] += lam
-    L, info = dpotrf(R.T, lower=1, clean=0, overwrite_a=1)
+    L, info = _scipy().dpotrf(R.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         return None
     if info < 0:
@@ -367,7 +390,7 @@ def _moments(model: KrigingModel, xq: np.ndarray, reinterp: bool):
         if rows.size:
             hits = np.all(xq[rows, None, :] == model.X[None, :, :], axis=2)
             psi[rows] = psi[rows] + model.lam * hits
-    rinv_psi = cho_solve(model.cho, psi.T, check_finite=False)
+    rinv_psi = _scipy().cho_solve(model.cho, psi.T, check_finite=False)
     quad = np.einsum("ij,ji->i", psi, rinv_psi)
     if reinterp:
         s2 = np.maximum(0.0, model.sigma2_ri * (1.0 - quad))
@@ -421,7 +444,7 @@ def expected_improvement(model: KrigingModel, x, y_min: float,
     if np.any(ok):
         z = (y_min - y_hat[ok]) / s[ok]
         pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        ei[ok] = (y_min - y_hat[ok]) * ndtr(z) + s[ok] * pdf
+        ei[ok] = (y_min - y_hat[ok]) * _scipy().ndtr(z) + s[ok] * pdf
     ei = np.maximum(ei, 0.0)
     if scalar:
         return float(ei[0])

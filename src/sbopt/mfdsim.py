@@ -279,9 +279,8 @@ class SimOutput:
         return {"k_bar": self.k_bar, "q_bar": self.q_bar}
 
 
-def _hash_unit(payload: bytes) -> float:
-    """Deterministic uniform in [-1, 1) from arbitrary bytes."""
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
+def _digest_unit(digest: bytes) -> float:
+    """Uniform in [-1, 1) from an 8-byte hash digest."""
     return int.from_bytes(digest, "little") / 2.0 ** 64 * 2.0 - 1.0
 
 
@@ -297,8 +296,27 @@ def _quantize(tau) -> bytes:
     return np.round(as_vector(tau) / _TOLL_QUANTUM).astype("<i8").tobytes()
 
 
-def _hash_noise(value: float, quantized: bytes, amplitude: float, seed: int) -> float:
-    return float(value) + amplitude * _hash_unit(quantized + struct.pack("<q", int(seed)))
+@functools.lru_cache(maxsize=64)
+def _noise_seeds(seed: int, m: int) -> tuple:
+    """Packed derived seeds of the k noise of intervals 0..m-1, then of the q noise."""
+    return tuple(struct.pack("<q", _derived_seed(seed, f"{series}{h}"))
+                 for series in "kq" for h in range(m))
+
+
+def _interval_noise(quantized: bytes, seed: int, m: int) -> np.ndarray:
+    """Hash noise units of every interval, shape (2, m): the k row, then the q row.
+
+    Entry (0, h) has the bits of the unit ``apply_numerical_noise`` draws
+    for the derived seed ``k{h}``, and likewise for ``q{h}``: the toll bytes
+    are hashed once, and the hash state is copied for each packed seed.
+    """
+    base = hashlib.blake2b(quantized, digest_size=8)
+    units = []
+    for packed in _noise_seeds(seed, m):
+        state = base.copy()
+        state.update(packed)
+        units.append(_digest_unit(state.digest()))
+    return np.array(units).reshape(2, m)
 
 
 def apply_numerical_noise(value: float, tau, amplitude: float, seed: int) -> float:
@@ -311,7 +329,9 @@ def apply_numerical_noise(value: float, tau, amplitude: float, seed: int) -> flo
         raise ValueError("amplitude must be non-negative")
     if amplitude == 0:
         return float(value)
-    return _hash_noise(value, _quantize(tau), amplitude, seed)
+    digest = hashlib.blake2b(_quantize(tau) + struct.pack("<q", int(seed)),
+                             digest_size=8).digest()
+    return float(value) + amplitude * _digest_unit(digest)
 
 
 @functools.lru_cache(maxsize=16)
@@ -531,8 +551,8 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
     a run from a step that leaves the state unchanged.  Density and flow
     over the horizon then come from one array pass over the n series, each
     interval is averaged over its slice (one reshaped mean when the slices
-    share a length), and the toll vector is quantized once for the noise of
-    every interval.
+    share a length), and the toll vector is quantized and hashed once for
+    the noise of every interval (``_interval_noise``).
 
     The call steps only to the end of the tolling horizon, since the
     aggregates read nothing after it.  The untolled steps after the horizon
@@ -599,10 +619,9 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
         q_bar = q_bar + config.stochastic_noise_sd * rng.standard_normal(m)
     amplitude = config.noise_amplitude
     if amplitude > 0:
-        quantized = _quantize(scheme.tau())
-        for h in range(m):
-            k_bar[h] = _hash_noise(k_bar[h], quantized, amplitude, _derived_seed(seed, f"k{h}"))
-            q_bar[h] = _hash_noise(q_bar[h], quantized, amplitude, _derived_seed(seed, f"q{h}"))
+        noise = amplitude * _interval_noise(_quantize(scheme.tau()), seed, m)
+        k_bar = k_bar + noise[0]
+        q_bar = q_bar + noise[1]
     k_bar = np.maximum(k_bar, 0.0)
     q_bar = np.maximum(q_bar, 0.0)
 

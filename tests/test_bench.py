@@ -429,6 +429,17 @@ def test_config_rejects_negative_seeds(solver):
         bench.ExperimentConfig.from_dict(cfg)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (-1, r"seeds must be non-negative, got \[-1\]"),
+    (1.0, r"seeds must be a non-empty list of distinct integers, got \(1\.0,\)"),
+    (True, r"seeds must be a non-empty list of distinct integers, got \(True,\)"),
+])
+@pytest.mark.parametrize("solver", ["rk", "spsa", "direct", "pi"])
+def test_run_single_rejects_bad_seeds(solver, seed, message):
+    with pytest.raises(bench.ConfigError, match=message):
+        bench.run_single(bench.get_problem("simple"), solver, 5, seed)
+
+
 def test_cli_rejects_negative_seed(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({

@@ -77,6 +77,33 @@ def test_numerical_noise_decorrelates_nearby_inputs():
     assert abs(np.corrcoef(u, v)[0, 1]) < 0.1
 
 
+@pytest.mark.parametrize("name", ["simple", "complex"])
+def test_interval_noise_matches_apply_numerical_noise_bit_for_bit(name):
+    # run_reservoir hashes the tolls once per call; each interval's noise must
+    # keep the bits of the public per-value function
+    problem = bench.get_problem(name)
+    cfg, curve, template = (problem.scenario[key] for key in ("config", "curve", "template"))
+    assert cfg.noise_amplitude > 0 and cfg.stochastic_noise_sd > 0
+    lo, hi = problem.bounds.lower, problem.bounds.upper
+    rng = np.random.default_rng(11)
+    profiles = [lo, hi] + [lo + rng.random(lo.size) * (hi - lo) for _ in range(4)]
+    for tau in profiles:
+        scheme = template.with_tau(tau)
+        m = scheme.m_intervals
+        for seed in range(4):
+            out = sb.run_reservoir(cfg, curve, scheme, seed)
+            normal = np.random.default_rng(_derived_seed(seed, "stochastic"))
+            k_bar = out.k_bar_clean + cfg.stochastic_noise_sd * normal.standard_normal(m)
+            q_bar = out.q_bar_clean + cfg.stochastic_noise_sd * normal.standard_normal(m)
+            for h in range(m):
+                k_bar[h] = sb.apply_numerical_noise(
+                    k_bar[h], tau, cfg.noise_amplitude, _derived_seed(seed, f"k{h}"))
+                q_bar[h] = sb.apply_numerical_noise(
+                    q_bar[h], tau, cfg.noise_amplitude, _derived_seed(seed, f"q{h}"))
+            assert np.maximum(k_bar, 0.0).tobytes() == out.k_bar.tobytes()
+            assert np.maximum(q_bar, 0.0).tobytes() == out.q_bar.tobytes()
+
+
 def test_zero_demand_stays_empty():
     cfg = sb.ReservoirConfig(lane_km=40.0, avg_trip_length_km=5.0,
                              demand_segments=((90.0, 0.0),), toll_elasticity=0.3)
