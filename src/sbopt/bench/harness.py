@@ -115,6 +115,13 @@ def _check_problem(solver: str, problem: Problem) -> None:
                           f"{reason}")
 
 
+def _check_budget(budget) -> None:
+    """Reject anything but a positive integer."""
+    # type() rather than isinstance(): JSON true must not pass as 1
+    if type(budget) is not int or budget < 1:
+        raise ConfigError(f"budget must be a positive integer, got {budget!r}")
+
+
 def _check_seeds(seeds) -> None:
     """Reject anything but a non-empty sequence of distinct non-negative integers."""
     # type() rather than isinstance(): JSON true must not pass as 1
@@ -177,9 +184,7 @@ class ExperimentConfig:
                 f"unknown problem {self.problem!r}; known: {available_problems()}")
         if self.solver not in SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}; known: {list(SOLVERS)}")
-        # type() rather than isinstance(): JSON true must not pass as 1
-        if type(self.budget) is not int or self.budget < 1:
-            raise ConfigError(f"budget must be a positive integer, got {self.budget!r}")
+        _check_budget(self.budget)
         _check_seeds(self.seeds)
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
@@ -201,9 +206,11 @@ def run_single(problem: Problem, solver: str, budget: int, seed: int,
                params: dict = None) -> Trace:
     """Run one solver on one problem for one seed; returns the trace.
 
-    Raises ConfigError for a seed that ``ExperimentConfig.validate`` would
-    reject (negative or not an integer), with the same message.
+    Raises ConfigError, with ``ExperimentConfig.validate``'s message, for a
+    budget that is not a positive integer or a seed that is negative or not
+    an integer.
     """
+    _check_budget(budget)
     _check_seeds((seed,))
     evaluator = Evaluator(problem.objective, budget=budget, sense=problem.sense,
                           seed=seed)

@@ -20,20 +20,18 @@ A solver calls the simulator once per evaluation, so its step loop sets
 the wall time of every solver.  What the tolls cannot change is built
 once per scenario and tolling horizon and cached (``_step_plan``): the
 steps grouped into runs of constant demand and tolling interval, and the
-contiguous step slice of each interval.  The simulator is causal, so the
-tolls of interval h change no step before it.  Beside each plan sit
-checkpoints of its most recent runs, keyed by the exact bits of every
-interval's (eta_h, omega_h): a call copies the series of the run that
-shares the longest interval prefix with it and steps on from the first
-interval that differs, or steps nothing when every interval matches.
-The untolled warm-up is the empty prefix that every checkpoint shares.
-The state is Markov, so the call steps one interval at a time, and when
-its state before an interval has the same bits as a checkpoint's, and
-the tolls from that interval on are the same, it copies the rest of that
-checkpoint instead.  No objective reads a step after the tolling
-horizon, so a call stops there: the untolled cool-down is stepped on the
-first read of the output's series, from the state at the horizon's end,
-which restarts the loop exactly as a checkpoint does.  Inside a run of
+m + 1 segments a call walks, the untolled warm-up and then each tolling
+interval's contiguous slice of steps.  The state is Markov, so a
+segment's steps depend only on the bits of the state before it and of
+its interval's (eta_h, omega_h).  Beside each plan sits an LRU memo of
+segment slices keyed by exactly those bits: a call copies every segment
+it finds there and steps the others, so an exact repeat steps nothing, a
+call that shares leading intervals with an earlier one steps from the
+first that differs, and a call whose state before an interval returns to
+an earlier run's, with the same tolls from there, copies its steps again.
+No objective reads a step after the tolling horizon, so a call stops
+there: the untolled cool-down is stepped on the first read of the
+output's series, from the state at the horizon's end.  Inside a run of
 constant demand and interval, a step that leaves the state exactly where
 it was repeats every later step of the run, so the loop fills the rest
 of the run with it.
@@ -66,9 +64,9 @@ class SimulationError(SboError):
 
 
 _TOLL_QUANTUM = 1e-4
-# checkpoints kept per step plan; each holds the n series up to the end of the
-# tolling horizon (72 KB for two and a half hours of 1 s steps)
-_CHECKPOINTS = 8
+# the segment memo of a step plan holds this many calls' worth of slices,
+# _MEMO_RUNS * (m + 1), about 1 MB on `complex`
+_MEMO_RUNS = 16
 
 
 @dataclass(frozen=True)
@@ -339,21 +337,21 @@ def _step_plan(config: ReservoirConfig, curve: NfdCurve, start_min: float,
                end_min: float, interval_min: float, m: int) -> tuple:
     """Everything about a run that the tolls cannot change.
 
-    Returns (n_steps, runs, resume, slices, tail, interval, width,
-    checkpoints).  ``runs`` lists every step as (first step, end step,
-    demand veh/h, interval index or -1) runs of constant demand and
-    interval.  ``resume[h]`` is the index in ``runs`` of interval h's first
-    run and ``slices[h]`` its (first, end) step range; the slices are
-    contiguous.  ``tail`` is the index of the first run after the last
-    slice, ``len(runs)`` when the horizon ends with the demand profile; the
-    runs from there on are untolled.  ``interval`` holds each step's
-    interval index, -1 outside the horizon, and ``width`` the length the
-    slices share, 0 when they differ.  ``checkpoints`` starts empty;
-    run_reservoir keeps there the n series of its most recent runs on this
-    plan, up to the end of the last slice, as immutable bytes keyed by the
-    bits of each interval's tolls, so that no caller can write into the
-    cache.  Raises ValueError if a tolling interval holds no step.  A
-    process uses a few scenarios, so 16 plans are kept.
+    Returns (n_steps, runs, segments, slices, interval, width, memo).
+    ``runs`` lists every step as (first step, end step, demand veh/h,
+    interval index or -1) runs of constant demand and interval.
+    ``segments`` holds the (first step, end step, first run, end run) of
+    the untolled warm-up, then of each tolling interval; the runs from the
+    last segment's end run on are the untolled cool-down.  ``slices[h]`` is
+    interval h's (first, end) step range; the slices are contiguous.
+    ``interval`` holds each step's interval index, -1 outside the horizon,
+    and ``width`` the length the slices share, 0 when they differ.
+    ``memo`` starts empty; run_reservoir keeps there the n slices of the
+    segments it stepped on this plan, as immutable bytes keyed by the
+    segment, the bits of the state before it and the bits of its interval's
+    tolls, so that no caller can write into the cache.  Raises ValueError
+    if a tolling interval holds no step.  A process uses a few scenarios,
+    so 16 plans are kept.
     """
     n_steps = int(round(config.horizon_min * 60.0 / config.dt_s))
     step_min = config.dt_s / 60.0
@@ -379,12 +377,14 @@ def _step_plan(config: ReservoirConfig, curve: NfdCurve, start_min: float,
         if not steps.size:
             raise ValueError(f"tolling interval {h} contains no simulation steps")
         slices.append((int(steps[0]), int(steps[-1]) + 1))
-    resume = tuple(next(j for j, run in enumerate(runs) if run[3] == h)
-                   for h in range(m))
-    tail = next((j for j, run in enumerate(runs) if run[0] >= slices[-1][1]), len(runs))
+    # every segment edge is an interval change, so a run starts there
+    starts = [run[0] for run in runs] + [n_steps]
+    bounds = [0, *(a for a, _ in slices), slices[-1][1]]
+    segments = tuple((a, b, starts.index(a), starts.index(b))
+                     for a, b in zip(bounds, bounds[1:]))
     widths = {b - a for a, b in slices}
     width = widths.pop() if len(widths) == 1 else 0
-    return n_steps, runs, resume, tuple(slices), tail, interval, width, OrderedDict()
+    return n_steps, runs, segments, tuple(slices), interval, width, OrderedDict()
 
 
 def _advance(n: float, runs, config: ReservoirConfig, curve: NfdCurve, eta, omega,
@@ -512,21 +512,6 @@ def _density_flow(n: np.ndarray, first: int, end: int, interval: np.ndarray,
     return k[1:], q
 
 
-def _rejoin(n: array, key: tuple, h: int, first: int, checkpoints) -> bool:
-    """Copy a checkpoint's steps from ``first``, interval h's first step, into ``n``.
-
-    A checkpoint qualifies when its tolls for intervals h..m-1 equal
-    ``key``'s and its state before ``first`` has the same bits as ``n``'s:
-    every later step is then the same.  Returns whether one did.
-    """
-    state = n[first - 1:first].tobytes()
-    for other, buf in checkpoints.items():
-        if other[h:] == key[h:] and buf[8 * first - 8:8 * first] == state:
-            n[first:] = array("d", buf[8 * first:])
-            return True
-    return False
-
-
 def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
                   seed: int = 0) -> SimOutput:
     """Simulate one sample path and aggregate per tolling interval.
@@ -537,70 +522,61 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
     no step.
 
     The step plan (the steps as runs of constant demand and interval, and
-    each interval's contiguous slice of steps) is cached per scenario and
-    horizon, with checkpoints of the n series of the plan's most recent
-    successful runs.  The tolls of interval h change no step before it, so
-    a call copies the series of the checkpoint that shares the longest
-    prefix of intervals with it and steps on from the first interval that
-    differs; when every interval matches it steps nothing.  It steps one
-    interval at a time, and before each further interval it looks for a
-    checkpoint with the same tolls from there on and the same state bits:
-    on a hit it copies that checkpoint's rest and stops.  Stepping keeps
-    the state in Python floats and the toll response in ``np.exp``
-    (``math.exp`` rounds differently on some inputs), and fills the rest of
-    a run from a step that leaves the state unchanged.  Density and flow
-    over the horizon then come from one array pass over the n series, each
-    interval is averaged over its slice (one reshaped mean when the slices
-    share a length), and the toll vector is quantized and hashed once for
-    the noise of every interval (``_interval_noise``).
+    the call's segments: the untolled warm-up, then each interval's
+    contiguous slice of steps) is cached per scenario and horizon, with a
+    memo of the n slices of the segments its recent calls stepped.  The
+    state is Markov, so a segment's steps depend only on the bits of the
+    state before it and of its interval's tolls: the call walks the
+    segments in order and, for each, copies the memo's slice under those
+    bits or steps the segment and stores its slice.  An exact repeat, a
+    shared prefix of intervals and a state that returns to an earlier
+    run's before equal later tolls all come from that one lookup.  The
+    memo keeps the slices of the last ``_MEMO_RUNS`` calls' worth of
+    segments, evicting the least recently used.  Stepping keeps the state
+    in Python floats and the toll response in ``np.exp`` (``math.exp``
+    rounds differently on some inputs), and fills the rest of a run from a
+    step that leaves the state unchanged.  Density and flow over the
+    horizon then come from one array pass over the n series, each interval
+    is averaged over its slice (one reshaped mean when the slices share a
+    length), and the toll vector is quantized and hashed once for the
+    noise of every interval (``_interval_noise``).
 
     The call steps only to the end of the tolling horizon, since the
     aggregates read nothing after it.  The untolled steps after the horizon
     run on the first read of the output's ``n``, ``k`` or ``q``, from the
-    output's own state at the horizon's end, not from a checkpoint; a
-    SimulationError there is raised by that read, not by this call.
+    output's own state at the horizon's end, not from the memo; a
+    SimulationError there is raised by that read, not by this call, and a
+    segment whose steps raise leaves no memo entry.
     """
     if scheme.horizon_end_min > config.horizon_min + 1e-9:
         raise ValueError("tolling horizon extends beyond the demand profile")
 
     m = scheme.m_intervals
-    n_steps, runs, resume, slices, tail, interval, width, checkpoints = _step_plan(
+    n_steps, runs, segments, slices, interval, width, memo = _step_plan(
         config, curve, scheme.horizon_start_min, scheme.horizon_end_min,
         scheme.interval_length_min, m)
     eta = scheme.eta
     omega = scheme.omega if scheme.joint else np.zeros(m)
+    eta_list, omega_list = eta.tolist(), omega.tolist()
     bits = np.column_stack((eta, omega)).tobytes()
-    key = tuple(bits[16 * h:16 * h + 16] for h in range(m))
+    tolls = (b"", *(bits[16 * h:16 * h + 16] for h in range(m)))  # per segment
     start, end = slices[0][0], slices[-1][1]
 
-    # the checkpoint sharing the most leading intervals; any one holds the warm-up
-    shared, source = -1, None
-    for other in checkpoints:
-        p = 0
-        while p < m and other[p] == key[p]:
-            p += 1
-        if p > shared:
-            shared, source = p, other
-    if source is None:
-        n = array("d", bytes(8 * end))
-    else:
-        checkpoints.move_to_end(source)
-        n = array("d", checkpoints[source])
-    if shared < m:
-        eta_list, omega_list = eta.tolist(), omega.tolist()
-        run = resume[shared] if shared >= 0 else 0
-        for h in range(max(shared, 0), m):
-            stop = resume[h + 1] if h + 1 < m else tail
-            # the n series holds the state after each step, so no state is stored
-            step = runs[run][0]
-            _advance(n[step - 1] if step else 0.0, runs[run:stop], config, curve,
+    n = array("d", bytes(8 * end))
+    state = bytes(8)  # the bits of the state before the segment, n = 0 at first
+    for s, (first, stop, run, run_end) in enumerate(segments):
+        key = (s, state, tolls[s])
+        seg = memo.get(key)
+        if seg is None:
+            _advance(n[first - 1] if first else 0.0, runs[run:run_end], config, curve,
                      eta_list, omega_list, n)
-            run = stop
-            if h + 1 < m and _rejoin(n, key, h + 1, slices[h + 1][0], checkpoints):
-                break
-        checkpoints[key] = n.tobytes()
-        if len(checkpoints) > _CHECKPOINTS:
-            checkpoints.popitem(last=False)
+            seg = memo[key] = n[first:stop].tobytes()
+            if len(memo) > _MEMO_RUNS * len(segments):
+                memo.popitem(last=False)
+        else:
+            memo.move_to_end(key)
+            n[first:stop] = array("d", seg)
+        state = seg[-8:] or state  # an empty warm-up leaves the state at 0
     k, q = _density_flow(np.frombuffer(n, dtype=float), start, end, interval, config,
                          curve, eta, omega)
 
@@ -632,8 +608,8 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
         k_bar_clean=k_bar_clean, q_bar_clean=q_bar_clean,
     )
     # copies: scheme.eta and omega can be views of the caller's toll vector
-    out._pending = functools.partial(_full_series, n, runs[tail:], interval, config,
-                                     curve, eta.copy(), omega.copy())
+    out._pending = functools.partial(_full_series, n, runs[segments[-1][3]:], interval,
+                                     config, curve, eta.copy(), omega.copy())
     return out
 
 

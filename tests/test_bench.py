@@ -440,6 +440,14 @@ def test_run_single_rejects_bad_seeds(solver, seed, message):
         bench.run_single(bench.get_problem("simple"), solver, 5, seed)
 
 
+@pytest.mark.parametrize("budget", [0, True, 2.5, -1])
+@pytest.mark.parametrize("solver", ["rk", "spsa", "direct", "pi"])
+def test_run_single_rejects_bad_budgets(solver, budget):
+    with pytest.raises(bench.ConfigError,
+                       match=rf"budget must be a positive integer, got {budget!r}$"):
+        bench.run_single(bench.get_problem("simple"), solver, budget, 0)
+
+
 def test_cli_rejects_negative_seed(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({

@@ -12,7 +12,7 @@ from sbopt import bench
 from sbopt.bench.problems import (complex_toll_scenario, composition_scenario,
                                   simple_toll_scenario)
 from sbopt import mfdsim
-from sbopt.mfdsim import _CHECKPOINTS, _derived_seed, _step_plan
+from sbopt.mfdsim import _MEMO_RUNS, _derived_seed, _step_plan
 
 TRAPEZOID = sb.NfdCurve(k_cr_low=20.0, k_cr_high=30.0, k_jam=80.0, q_max=600.0)
 
@@ -492,7 +492,7 @@ def test_returned_series_do_not_alias_the_step_plan():
     for name in SIM_FIELDS:
         assert np.array_equal(getattr(again, name), want[name]), name
         getattr(again, name)[:] = -1.0
-    tau[7] = 0.5  # shares the first seven intervals with the checkpoint
+    tau[7] = 0.5  # shares the warm-up and the first seven intervals with the memo
     other = template.with_tau(tau)
     assert_same_output(sb.run_reservoir(cfg, curve, other, 0),
                        reference_run_reservoir(cfg, curve, other, 0))
@@ -524,7 +524,7 @@ def test_zero_toll_run_skips_its_fixed_points():
 # vector takes an earlier one and changes one coordinate, or repeats it, and
 # the late moves change the tolls of intervals 5-7 only.  The zero-toll start
 # jams the reservoir, so its runs pass through fixed points, and a call that
-# changes one interval often returns to a checkpoint's state after it.
+# changes one interval often returns to an earlier call's state after it.
 _COMPLEX = bench.get_problem("complex")
 _COARSE = replace(complex_toll_scenario()[0], dt_s=10.0)
 _LATE = (5, 6, 7, 13, 14, 15)
@@ -549,12 +549,15 @@ def test_checkpoints_match_a_cold_cache_bit_for_bit(moves, late, seed):
         taus.append(tau)
     _step_plan.cache_clear()
     warm = [sb.run_reservoir(_COARSE, curve, template.with_tau(t), seed) for t in taus]
-    # evict every checkpoint before any series is read: each of these vectors
-    # differs from all of taus, which keep at least 4 of their 16 coordinates
-    # at lo or the middle, and from each other, so each call stores a new one
-    for j in range(_CHECKPOINTS):
-        sb.run_reservoir(_COARSE, curve, template.with_tau(lo + (0.05 + 0.1 * j) * (hi - lo)),
-                         seed)
+    # evict every tolled slice before any series is read: each of these vectors
+    # puts both rates of every interval at the fraction (j + 0.5) / calls of the
+    # range, never lo or the middle, so each call stores m new slices, and
+    # enough calls run to fill the memo's _MEMO_RUNS * (m + 1) slices
+    m = template.m_intervals
+    calls = -(-_MEMO_RUNS * (m + 1) // m)
+    for j in range(calls):
+        evict = lo + (j + 0.5) / calls * (hi - lo)
+        sb.run_reservoir(_COARSE, curve, template.with_tau(evict), seed)
     for tau, got in zip(taus, warm):
         scheme = template.with_tau(tau)
         want = reference_run_reservoir(_COARSE, curve, scheme, seed)
@@ -563,18 +566,24 @@ def test_checkpoints_match_a_cold_cache_bit_for_bit(moves, late, seed):
         assert_same_output(sb.run_reservoir(_COARSE, curve, scheme, seed), want)
 
 
-@pytest.mark.parametrize("coord", [2, 5, 13])
-def test_reconverged_state_resumes_from_a_checkpoint(monkeypatch, coord):
-    """A call whose state returns to a checkpoint's copies the rest of it."""
-    cfg, curve, template = complex_toll_scenario()
-    stepped = []
+@pytest.fixture
+def stepped(monkeypatch):
+    """The step count of every _advance call made while the test runs."""
+    counts = []
     advance = mfdsim._advance
 
     def counting(n, runs, *args):
-        stepped.append(sum(end - first for first, end, *_ in runs))
+        counts.append(sum(end - first for first, end, *_ in runs))
         advance(n, runs, *args)
 
     monkeypatch.setattr(mfdsim, "_advance", counting)
+    return counts
+
+
+@pytest.mark.parametrize("coord", [2, 5, 13])
+def test_reconverged_state_resumes_from_a_checkpoint(stepped, coord):
+    """A call whose state returns to an earlier call's copies the steps after it."""
+    cfg, curve, template = complex_toll_scenario()
     lo, hi = _COMPLEX.bounds.lower, _COMPLEX.bounds.upper
     tau = lo.copy()
     tau[coord] = 0.5 * hi[coord]
@@ -590,10 +599,10 @@ def test_reconverged_state_resumes_from_a_checkpoint(monkeypatch, coord):
     stepped.clear()
     out = sb.run_reservoir(cfg, curve, scheme, 0)  # a series read would step the cool-down
     assert sum(stepped) == slices[h][1] - slices[h][0]
-    assert sum(stepped) < slices[-1][1] - slices[h][0]  # what the prefix resume steps
+    assert sum(stepped) < slices[-1][1] - slices[h][0]  # what a prefix resume alone steps
     assert_same_output(out, reference_run_reservoir(cfg, curve, scheme, 0))
-    # the only checkpoint shares the intervals before h and no later one, so
-    # none can be rejoined: the same call steps every interval from h on
+    # the only earlier call shares the intervals before h and no later one,
+    # so the same call steps every interval from h on
     _step_plan.cache_clear()
     prefix = hi.copy()
     prefix[:h] = prefix[8:8 + h] = 0.0
@@ -616,19 +625,35 @@ def test_unequal_interval_slices_are_averaged_one_by_one():
     assert_same_output(out, reference_run_reservoir(coarse, curve, scheme, 2))
 
 
-def test_checkpoints_hold_one_n_series_each():
+@pytest.mark.parametrize("solver, most", [("direct", 330_300), ("spsa", 711_000)])
+def test_memo_steps_no_more_than_prefix_resume_and_rejoin(stepped, solver, most):
+    """Budget-100 runs on `complex` step no more than the two rules the memo replaced.
+
+    ``most`` is what the longest-prefix resume plus the rejoin of a
+    reconverged state handed to the step loop on the same run.
+    """
+    _step_plan.cache_clear()
+    bench.run_single(_COMPLEX, solver, 100, 0)
+    assert sum(stepped) <= most
+
+
+def test_memo_holds_one_slice_per_segment_key():
     cfg, curve, template = complex_toll_scenario()
     lo, hi = _COMPLEX.bounds.lower, _COMPLEX.bounds.upper
+    m = template.m_intervals
     _step_plan.cache_clear()
     rng = np.random.default_rng(3)
-    for _ in range(_CHECKPOINTS + 4):
+    for _ in range(_MEMO_RUNS + 4):
         sb.run_reservoir(cfg, curve, template.with_tau(lo + rng.random(16) * (hi - lo)), 0)
-    *_, slices, _, _, _, checkpoints = _step_plan(
+    _, _, segments, *_, memo = _step_plan(
         cfg, curve, template.horizon_start_min, template.horizon_end_min,
-        template.interval_length_min, template.m_intervals)
-    assert len(checkpoints) == _CHECKPOINTS
-    for buf in checkpoints.values():
-        assert type(buf) is bytes and len(buf) == 8 * slices[-1][1]
+        template.interval_length_min, m)
+    assert len(segments) == m + 1
+    assert len(memo) == _MEMO_RUNS * (m + 1)
+    for (s, state, tolls), buf in memo.items():
+        first, end = segments[s][:2]
+        assert (len(state), len(tolls)) == (8, 16 if s else 0)
+        assert type(buf) is bytes and len(buf) == 8 * (end - first)
 
 
 @pytest.mark.parametrize("nan_segment", [0, 1])
@@ -643,10 +668,14 @@ def test_non_finite_state_raises_in_warm_up_and_horizon(nan_segment):
     scheme = sb.TollScheme(30.0, 60.0, 30.0, [0.2])
     with pytest.raises(sb.SimulationError) as want:
         reference_run_reservoir(cfg, curve, scheme)
-    for _ in range(2):
+    _step_plan.cache_clear()
+    for _ in range(2):  # the failed segment left no memo entry, so it raises again
         with pytest.raises(sb.SimulationError) as got:
             sb.run_reservoir(cfg, curve, scheme)
         assert str(got.value) == str(want.value)
+        memo = _step_plan(cfg, curve, 30.0, 60.0, 30.0, 1)[-1]
+        # the warm-up before a NaN horizon stays cached; the failed segment does not
+        assert [key[0] for key in memo] == list(range(nan_segment))
 
 
 def test_cool_down_is_stepped_on_the_first_series_read():
