@@ -134,6 +134,20 @@ def _check_seeds(seeds) -> None:
         raise ConfigError(f"seeds must be non-negative, got {negative}")
 
 
+def _check_params(solver: str, params) -> None:
+    """Reject params that are not an object, keys the solver does not take,
+    and a ``use_reinterp`` that is not a bool."""
+    if not isinstance(params, dict):
+        raise ConfigError("params must be an object")
+    allowed = SOLVERS[solver].params
+    bad = sorted(set(params) - allowed)
+    if bad:
+        raise ConfigError(
+            f"params {bad} not recognized for solver {solver!r}; "
+            f"allowed: {sorted(allowed)}")
+    _use_reinterp(params)  # only rk allows the key; the others rejected it above
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment: a problem, a solver, a budget, and seeds to replicate."""
@@ -188,15 +202,7 @@ class ExperimentConfig:
         _check_seeds(self.seeds)
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
-        if not isinstance(self.params, dict):
-            raise ConfigError("params must be an object")
-        allowed = SOLVERS[self.solver].params
-        bad = sorted(set(self.params) - allowed)
-        if bad:
-            raise ConfigError(
-                f"params {bad} not recognized for solver {self.solver!r}; "
-                f"allowed: {sorted(allowed)}")
-        _use_reinterp(self.params)  # only rk allows the key; the others rejected it above
+        _check_params(self.solver, self.params)
         # solver-problem compatibility is structural, so reject it here
         # rather than at run time
         _check_problem(self.solver, get_problem(self.problem))
@@ -207,18 +213,20 @@ def run_single(problem: Problem, solver: str, budget: int, seed: int,
     """Run one solver on one problem for one seed; returns the trace.
 
     Raises ConfigError, with ``ExperimentConfig.validate``'s message, for a
-    budget that is not a positive integer or a seed that is negative or not
-    an integer.
+    budget that is not a positive integer, a seed that is negative or not
+    an integer, and params the solver does not take.
     """
     _check_budget(budget)
     _check_seeds((seed,))
-    evaluator = Evaluator(problem.objective, budget=budget, sense=problem.sense,
-                          seed=seed)
     if solver not in SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}")
+    params = {} if params is None else params
+    _check_params(solver, params)
     _check_problem(solver, problem)
+    evaluator = Evaluator(problem.objective, budget=budget, sense=problem.sense,
+                          seed=seed)
     try:
-        return SOLVERS[solver].run(evaluator, problem, seed, dict(params or {}))
+        return SOLVERS[solver].run(evaluator, problem, seed, dict(params))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad parameters for solver {solver!r}: {exc}") from exc
 

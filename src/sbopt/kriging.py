@@ -13,8 +13,8 @@ dimension and ``log10 lambda`` in [-12, 0].  Each likelihood evaluation
 builds R, factors it, and takes mu, sigma^2 and the whitened residual
 from one two-column triangular solve.  The search box, the size of the
 maximin design candidate pool, the infill search's probe, starts, restarts
-and sweeps, and the LOO outlier limit are module constants: the method
-uses one value of each.
+and sweeps, the LOO outlier limit and the moments' block size are module
+constants: the method uses one value of each.
 
 One correlation kernel, ``_psi``, serves the correlation matrix R, the
 predictions, the error variances and EI: a squared Euclidean distance on
@@ -22,13 +22,16 @@ predictions, the error variances and EI: a squared Euclidean distance on
 Predictions, error variances and EI share one moments routine,
 ``_moments``, and a row's result does not depend on the other rows of
 its batch: a point gets the same bits alone or in any stack.  The infill
-search relies on that to leave infeasible candidates out of its batches.
+search relies on that to leave infeasible candidates out of its batches,
+and ``_moments`` relies on it to walk a stack in blocks of
+``_MOMENT_BLOCK`` rows, so a call holds only one (block, n) psi and its
+solve however many rows it is given.
 Feasibility predicates passed to ``propose_infill`` and ``run_rk`` are
 row masks: they map a (k, m) array of points to a length-k boolean
 array, e.g. ``constraints.feasible_mask``.
 
 This is the only sbopt module that uses scipy (``cdist``, ``pdist``,
-``cho_solve``, LAPACK ``dpotrf``/``dtrtrs`` and ``ndtr``), and it does not
+LAPACK ``dpotrf``/``dpotrs``/``dtrtrs`` and ``ndtr``), and it does not
 import scipy at import time: every call goes through one cached loader,
 ``_scipy()``, which imports the callables on the first kriging call of a
 process.  Importing sbopt, building problems and running PI, DIRECT or
@@ -58,6 +61,8 @@ _INFILL_RESTARTS = 5
 _INFILL_SWEEPS = 40
 _INFILL_MIN_STEP = 1e-4
 _LOO_RESIDUAL_LIMIT = 3.0
+# query rows per block of the moments routine
+_MOMENT_BLOCK = 512
 
 
 @functools.cache
@@ -69,13 +74,12 @@ def _scipy() -> SimpleNamespace:
     run on numpy only.  The first kriging call pays the import once; every
     later one is a cache hit, far cheaper than a function-local import.
     """
-    from scipy.linalg import cho_solve
-    from scipy.linalg.lapack import dpotrf, dtrtrs
+    from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
     from scipy.spatial.distance import cdist, pdist
     from scipy.special import ndtr
 
-    return SimpleNamespace(cdist=cdist, pdist=pdist, cho_solve=cho_solve,
-                           dpotrf=dpotrf, dtrtrs=dtrtrs, ndtr=ndtr)
+    return SimpleNamespace(cdist=cdist, pdist=pdist, dpotrf=dpotrf,
+                           dpotrs=dpotrs, dtrtrs=dtrtrs, ndtr=ndtr)
 
 
 class FitError(SboError):
@@ -377,10 +381,25 @@ def _moments(model: KrigingModel, xq: np.ndarray, reinterp: bool):
     ``reinterp`` selects the re-interpolation variance, which adds the
     nugget to psi at every query that equals a sample row; otherwise the
     plain regressing variance.  Each output row depends only on its own
-    query row: ``psi @ alpha`` would go to BLAS ``dgemv``, whose rounding
-    of a row depends on where it sits in the batch, so the predictor is a
-    per-row ``einsum``.  The ``cho_solve`` and the quadratic form are
-    row-independent as they stand.
+    query row, so the rows go through in blocks of ``_MOMENT_BLOCK``: a
+    call holds one block's (block, n) psi and its solve rather than (k, n)
+    arrays, and gives the bits the whole stack at once would give.
+    """
+    k = xq.shape[0]
+    y_hat, s2 = np.empty(k), np.empty(k)
+    for start in range(0, k, _MOMENT_BLOCK):
+        rows = slice(start, start + _MOMENT_BLOCK)
+        y_hat[rows], s2[rows] = _block_moments(model, xq[rows], reinterp)
+    return y_hat, s2
+
+
+def _block_moments(model: KrigingModel, xq: np.ndarray, reinterp: bool):
+    """``_moments`` on one block of rows; its arrays go when it returns.
+
+    ``psi @ alpha`` would go to BLAS ``dgemv``, whose rounding of a row
+    depends on where it sits in the batch, so the predictor is a per-row
+    ``einsum``.  LAPACK ``dpotrs`` (the solve ``cho_solve`` wraps) and the
+    quadratic form are row-independent as they stand.
     """
     psi = _psi(model.X, xq, model.theta)
     y_hat = model.mu_hat + np.einsum("ij,j->i", psi, model.alpha)
@@ -390,7 +409,10 @@ def _moments(model: KrigingModel, xq: np.ndarray, reinterp: bool):
         if rows.size:
             hits = np.all(xq[rows, None, :] == model.X[None, :, :], axis=2)
             psi[rows] = psi[rows] + model.lam * hits
-    rinv_psi = _scipy().cho_solve(model.cho, psi.T, check_finite=False)
+    # psi.T is Fortran-ordered; dpotrs solves a copy of it
+    rinv_psi, info = _scipy().dpotrs(model.cho[0], psi.T, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs: illegal value in argument {-info}")
     quad = np.einsum("ij,ji->i", psi, rinv_psi)
     if reinterp:
         s2 = np.maximum(0.0, model.sigma2_ri * (1.0 - quad))

@@ -448,6 +448,21 @@ def test_run_single_rejects_bad_budgets(solver, budget):
         bench.run_single(bench.get_problem("simple"), solver, budget, 0)
 
 
+@pytest.mark.parametrize("solver, key", [
+    ("rk", "bogus"), ("spsa", "bogus"), ("direct", "bogus"), ("pi", "bogus"),
+    ("spsa", "use_reinterp"), ("direct", "use_reinterp"), ("pi", "use_reinterp"),
+])
+def test_run_single_rejects_params_the_config_rejects(solver, key):
+    params = {key: True if key == "use_reinterp" else 1}
+    cfg = bench.ExperimentConfig(problem="simple", solver=solver, budget=5, params=params)
+    with pytest.raises(bench.ConfigError) as want:
+        cfg.validate()
+    with pytest.raises(bench.ConfigError) as got:
+        bench.run_single(bench.get_problem("simple"), solver, 5, 0, params)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"params ['{key}'] not recognized for solver '{solver}'")
+
+
 def test_cli_rejects_negative_seed(tmp_path, capsys):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({

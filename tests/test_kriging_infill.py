@@ -1,5 +1,7 @@
 """Expected improvement and the feasible infill search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -179,6 +181,56 @@ def test_ei_rows_do_not_depend_on_their_batch(m, n):
             assert ei.tobytes() == full_ei[idx].tobytes()
             for got, want in zip(sb.predict(model, Q[idx]), full_pred):
                 assert got.tobytes() == want[idx].tobytes()
+
+
+_BLOCK = kriging._MOMENT_BLOCK
+
+
+@pytest.mark.parametrize("m", [16, 2])
+def test_moment_blocks_give_the_bits_of_single_rows(m):
+    if m == 16:
+        model, y, _, _ = band_model(100)
+    else:
+        model, _, y = wavy_model()
+    n = model.n_samples
+    rng = np.random.default_rng(m)
+    Q = rng.random((4096, m))
+    # sample rows at the first row of the second block and spread after it,
+    # so the re-interpolation hit path runs in later blocks; one more in the first
+    at = np.concatenate([[3, _BLOCK],
+                         np.sort(rng.choice(np.arange(_BLOCK + 1, 4096), n - 2,
+                                            replace=False))])
+    Q[at] = model.X
+    y_min = float(np.min(y))
+    funcs = {
+        "predict": lambda q: np.concatenate(sb.predict(model, q)),
+        "reinterp_error": lambda q: sb.reinterp_error(model, q),
+        "ei_reinterp": lambda q: sb.expected_improvement(model, q, y_min, True),
+        "ei_plain": lambda q: sb.expected_improvement(model, q, y_min, False),
+    }
+    for name, f in funcs.items():
+        one = [f(Q[i:i + 1]) for i in range(len(Q))]
+        for k in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7, 4096):
+            if name == "predict":
+                want = np.concatenate([[r[0] for r in one[:k]], [r[1] for r in one[:k]]])
+            else:
+                want = np.concatenate(one[:k])
+            assert f(Q[:k]).tobytes() == want.tobytes(), (name, k)
+    assert np.all(sb.reinterp_error(model, Q[at]) == 0.0)
+
+
+def test_ei_working_set_is_one_block():
+    model, y, _, _ = band_model(100)
+    Q = np.random.default_rng(1).random((4096, 16))
+    y_min = float(np.min(y))
+    sb.expected_improvement(model, Q[:1], y_min)  # loads scipy outside the trace
+    tracemalloc.start()
+    try:
+        sb.expected_improvement(model, Q, y_min)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 # ---------------------------------------------- the sweep against a reference

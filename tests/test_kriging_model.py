@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrs
 
 import sbopt as sb
 from sbopt.kriging import _ones_y, _psi, _solve_parts, concentrated_log_likelihood
@@ -215,7 +216,8 @@ def test_likelihood_matches_dense_reference(n):
     (12, 1, 1e-3, 0.0),  # cond(R) about 7e17: the factorization fails
 ])
 def test_lapack_solve_equals_the_scipy_wrappers(n, m, theta, lam):
-    """dpotrf on R.T and dtrtrs give the bits cho_factor and solve_triangular give."""
+    """dpotrf on R.T, dtrtrs and dpotrs give the bits cho_factor,
+    solve_triangular and cho_solve give."""
     if m == 1:
         X = np.linspace(0.0, 1.0, n)[:, None]
     else:
@@ -239,6 +241,12 @@ def test_lapack_solve_equals_the_scipy_wrappers(n, m, theta, lam):
     assert np.array_equal(resid, zy - mu * z1)
     model = sb.fit(X, y, sb.FitConfig(theta=theta, lam=lam))
     assert np.array_equal(model.alpha, solve_triangular(L, resid, lower=True, trans="T"))
+    # the moments solve one Fortran-ordered psi.T block at a time with dpotrs
+    for cols in (1, 7, 512):
+        psi = _psi(X, np.random.default_rng(cols).random((cols, m)), theta)
+        x, info = dpotrs(cho[0], psi.T, lower=1)
+        assert info == 0
+        assert x.tobytes() == cho_solve((L, True), psi.T, check_finite=False).tobytes()
 
 
 @pytest.mark.filterwarnings("error")
