@@ -32,32 +32,40 @@ class ConfigError(SboError):
 
 
 class Solver(NamedTuple):
-    """One row of SOLVERS: the params a config may set, the runner, and an
-    optional check(problem) returning why the solver cannot run on it."""
+    """One row of SOLVERS: the params a config may set, each with its JSON
+    type (a key of ``PARAM_TYPES``), the runner, and an optional
+    check(problem) returning why the solver cannot run on it."""
 
-    params: frozenset
+    params: dict
     run: Callable  # (evaluator, problem, seed, params) -> Trace
     check: Callable | None = None
 
 
+def _is_finite_number(v) -> bool:
+    return type(v) is int or (type(v) is float and bool(np.isfinite(v)))
+
+
+# JSON type of a solver param -> the test its values must pass; type()
+# rather than isinstance(), so JSON true does not pass as the number 1
+PARAM_TYPES = {
+    "boolean": lambda v: type(v) is bool,
+    "positive integer": lambda v: type(v) is int and v >= 1,
+    "finite number": _is_finite_number,
+    "list of finite numbers": lambda v: (type(v) in (list, tuple)
+                                         and all(map(_is_finite_number, v))),
+}
+
 # The runners look up run_rk, run_spsa, run_direct and run_pi in this
 # module's globals at call time, so a wrapper rebound over those names
-# (perfbench's tracer does this) sees every solver run.
-
-def _use_reinterp(params) -> bool:
-    value = params.get("use_reinterp", True)
-    # bool() would read the JSON string "false" as true
-    if type(value) is not bool:
-        raise ConfigError(f"use_reinterp must be true or false, got {value!r}")
-    return value
-
+# (perfbench's tracer does this) sees every solver run.  Their params
+# have passed _check_params.
 
 def _run_rk(evaluator, problem, seed, params):
     return run_rk(
         evaluator, problem.bounds,
-        n_init=int(params.get("n_init", problem.rk_n_init)),
+        n_init=params.get("n_init", problem.rk_n_init),
         feasibility_predicate=problem.feasibility_mask(),
-        use_reinterp=_use_reinterp(params),
+        use_reinterp=params.get("use_reinterp", True),
         seed=seed, sampler=problem.infill_sampler)
 
 
@@ -70,18 +78,15 @@ def _run_spsa(evaluator, problem, seed, params):
         raise ConfigError(
             f"problem {problem.name!r} has no default SPSA start; pass params.tau_0")
     gain_args = {k: params[k] for k in _SPSA_GAINS if k in params}
-    max_it = params.get("max_iterations")
-    return run_spsa(evaluator, np.asarray(tau_0, dtype=float), problem.bounds,
+    return run_spsa(evaluator, tau_0, problem.bounds,
                     gains=SpsaGains(**gain_args) if gain_args else None,
-                    max_iterations=None if max_it is None else int(max_it),
+                    max_iterations=params.get("max_iterations"),
                     penalty=problem.penalty, seed=seed)
 
 
 def _run_direct(evaluator, problem, seed, params):
-    max_it = params.get("max_iterations")
-    return run_direct(evaluator, problem.bounds,
-                      epsilon=float(params.get("epsilon", 1e-4)),
-                      max_iterations=None if max_it is None else int(max_it),
+    return run_direct(evaluator, problem.bounds, epsilon=params.get("epsilon", 1e-4),
+                      max_iterations=params.get("max_iterations"),
                       penalty=problem.penalty)
 
 
@@ -95,15 +100,18 @@ def _pi_check(problem):
 def _run_pi(evaluator, problem, seed, params):
     cfg = problem.pi_config
     if "n_max" in params:
-        cfg = replace(cfg, n_max=int(params["n_max"]))
+        cfg = replace(cfg, n_max=params["n_max"])
     return run_pi(evaluator, cfg, problem.bounds)
 
 
 SOLVERS = {
-    "pi": Solver(frozenset({"n_max"}), _run_pi, _pi_check),
-    "rk": Solver(frozenset({"n_init", "use_reinterp"}), _run_rk),
-    "direct": Solver(frozenset({"epsilon", "max_iterations"}), _run_direct),
-    "spsa": Solver(frozenset({*_SPSA_GAINS, "max_iterations", "tau_0"}), _run_spsa),
+    "pi": Solver({"n_max": "positive integer"}, _run_pi, _pi_check),
+    "rk": Solver({"n_init": "positive integer", "use_reinterp": "boolean"}, _run_rk),
+    "direct": Solver({"epsilon": "finite number", "max_iterations": "positive integer"},
+                     _run_direct),
+    "spsa": Solver({**dict.fromkeys(_SPSA_GAINS, "finite number"),
+                    "max_iterations": "positive integer",
+                    "tau_0": "list of finite numbers"}, _run_spsa),
 }
 
 
@@ -136,16 +144,18 @@ def _check_seeds(seeds) -> None:
 
 def _check_params(solver: str, params) -> None:
     """Reject params that are not an object, keys the solver does not take,
-    and a ``use_reinterp`` that is not a bool."""
+    and values that are not of the key's type in ``SOLVERS``."""
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
-    allowed = SOLVERS[solver].params
-    bad = sorted(set(params) - allowed)
+    types = SOLVERS[solver].params
+    bad = sorted(set(params) - set(types))
     if bad:
         raise ConfigError(
             f"params {bad} not recognized for solver {solver!r}; "
-            f"allowed: {sorted(allowed)}")
-    _use_reinterp(params)  # only rk allows the key; the others rejected it above
+            f"allowed: {sorted(types)}")
+    for key, value in params.items():
+        if not PARAM_TYPES[types[key]](value):
+            raise ConfigError(f"params.{key}: expected {types[key]}, got {value!r}")
 
 
 @dataclass

@@ -88,21 +88,17 @@ def feasible_mask(taus, spec: SmoothingSpec, tol: float = 0.0) -> np.ndarray:
     return np.all(_excess(taus, spec) <= tol, axis=-1)
 
 
-def penalize(value: float, tau, spec: SmoothingSpec, weight: float,
-             sense: str = "minimize") -> float:
+def penalize(value: float, tau, spec: SmoothingSpec, weight: float) -> float:
     """Objective value pushed away from infeasible profiles.
 
-    Adds ``weight * sum(v ** 2)`` when minimizing and subtracts it
-    when maximizing, so the penalized problem keeps the original sense.
-    Feasible profiles are returned unchanged.
+    Adds ``weight * sum(v ** 2)``, so the penalized value is meant to be
+    minimized: a maximized objective is negated first (see
+    ``Evaluator.on_unit_cube``).  Feasible profiles are returned unchanged.
     """
-    if sense not in ("minimize", "maximize"):
-        raise ValueError(f"sense must be 'minimize' or 'maximize', got {sense!r}")
     v = violations(tau, spec)
     if v.size == 0:
         return float(value)
-    pen = weight * float(np.sum(v ** 2))
-    return float(value) + pen if sense == "minimize" else float(value) - pen
+    return float(value) + weight * float(np.sum(v ** 2))
 
 
 def penalty_weight_from_probe(values) -> float:
@@ -133,5 +129,5 @@ class PenaltyTransform:
         if self.weight <= 0:
             raise ValueError("penalty weight must be positive")
 
-    def apply(self, value: float, tau, sense: str) -> float:
-        return penalize(value, tau, self.spec, self.weight, sense)
+    def apply(self, value: float, tau) -> float:
+        return penalize(value, tau, self.spec, self.weight)

@@ -194,6 +194,10 @@ class Trace:
 class Evaluator:
     """Budgeted, seeded front end to a black-box objective.
 
+    It is the one boundary between a solver and the problem: ``evaluate``
+    records raw values, ``can_evaluate`` answers the budget question, and
+    ``on_unit_cube`` gives box solvers the minimized, penalized objective.
+
     Parameters
     ----------
     objective : callable
@@ -228,6 +232,27 @@ class Evaluator:
     def remaining(self) -> int | None:
         return None if self.budget is None else self.budget - self.used
 
+    def can_evaluate(self, k: int = 1) -> bool:
+        """True when the budget leaves room for k more evaluations."""
+        return self.budget is None or self.remaining >= k
+
+    def on_unit_cube(self, bounds: Bounds, penalty=None):
+        """The objective as a box solver minimizes it: ``f(u)`` over the unit cube.
+
+        ``f`` maps ``u`` into ``bounds``, evaluates it through ``evaluate``
+        (so the trace keeps the raw value at the box point), negates the
+        value when the problem maximizes, and then adds the exterior
+        penalty of ``penalty`` (a ``PenaltyTransform``) at the box point.
+        """
+        sign = 1.0 if self.sense == "minimize" else -1.0
+
+        def f(u) -> float:
+            tau = bounds.from_unit(u)
+            v = sign * self.evaluate(tau).value
+            return v if penalty is None else penalty.apply(v, tau)
+
+        return f
+
     def _call(self, tau: np.ndarray, seed: int) -> tuple[float, dict | None]:
         out = self.objective(tau, seed)
         if isinstance(out, tuple):
@@ -244,7 +269,7 @@ class Evaluator:
     def evaluate(self, tau) -> Evaluation:
         """Evaluate the objective on the evaluator's seed, record it, and return it."""
         tau = as_vector(tau)
-        if self.remaining is not None and self.remaining <= 0:
+        if not self.can_evaluate():
             raise BudgetExhausted(f"budget of {self.budget} evaluations exhausted")
         value, aux = self._call(tau, self.seed)
         ev = Evaluation(value=value, seed=self.seed, eval_index=self.used, aux=aux)

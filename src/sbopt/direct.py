@@ -2,6 +2,8 @@
 
 The search space is normalized to the unit cube and covered by a tiling
 of hyperrectangles, each carrying the objective value at its center.
+The values come from ``Evaluator.on_unit_cube``, so the tiling always
+minimizes: a maximized objective is negated and then penalized there.
 Every iteration selects the potentially optimal rectangles (those on the
 lower-right convex hull of half-diagonal versus value for some positive
 Lipschitz constant, with an epsilon guard against over-exploiting the
@@ -155,38 +157,31 @@ def trisect(rect: Hyperrect, eval_unit) -> tuple[list[Hyperrect], bool]:
 
 def run_direct(evaluator: Evaluator, bounds: Bounds, epsilon: float = 1e-4,
                max_iterations: int | None = None, penalty=None) -> Trace:
-    """Partition until the budget or iteration cap stops the run.
+    """Partition until the budget or ``max_iterations`` (None: no cap) stops the run.
 
-    Maximization and penalty wrapping happen on an internal sign-adjusted
-    copy of the values; the trace keeps raw objective values at the
-    original coordinates.  Boxes thinner than 1e-9 on every side are not
-    refined further.  Each iteration appends one record to
-    ``trace.iterations`` with fields ``n_rects``, ``n_selected`` and
-    ``y_min`` (on the internal scale).  The final tiling lands in
-    ``trace.annotations["direct_cells"]``, one record per cell with fields
-    ``center``, ``depth``, ``value`` and ``d``.
+    The tiling holds ``evaluator.on_unit_cube(bounds, penalty)`` values:
+    negated when the problem maximizes, then penalized.  The trace keeps
+    raw objective values at the original coordinates.  Boxes thinner than
+    1e-9 on every side are not refined further.  Each iteration appends
+    one record to ``trace.iterations`` with fields ``n_rects``,
+    ``n_selected`` and ``y_min`` (on the tiling's scale).  The final
+    tiling lands in ``trace.annotations["direct_cells"]``, one record per
+    cell with fields ``center``, ``depth``, ``value`` and ``d``.
     """
     if not (1e-7 <= epsilon <= 1e-3):
         raise ValueError("epsilon must lie in [1e-7, 1e-3]")
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     m = bounds.m_dim
-    sign = 1.0 if evaluator.sense == "minimize" else -1.0
-
-    def eval_unit(u: np.ndarray) -> float:
-        tau = bounds.from_unit(u)
-        v = evaluator.evaluate(tau).value
-        if penalty is not None:
-            v = penalty.apply(v, tau, evaluator.sense)
-        return sign * v
-
+    eval_unit = evaluator.on_unit_cube(bounds, penalty)
     trace = evaluator.trace
-    try:
-        v0 = eval_unit(np.full(m, 0.5))
-    except BudgetExhausted:
+    if not evaluator.can_evaluate():
         return trace
+    v0 = eval_unit(np.full(m, 0.5))
     rects = [Hyperrect(np.full(m, 0.5), np.zeros(m, dtype=int), v0)]
     y_min = v0
     iteration = 0
-    while evaluator.remaining is None or evaluator.remaining > 0:
+    while evaluator.can_evaluate():
         if max_iterations is not None and iteration >= max_iterations:
             break
         selected = identify_potentially_optimal(rects, y_min, epsilon)

@@ -634,9 +634,10 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
     number, every hyperparameter search and infill probe.  The first fit
     is a cold ``FitConfig(seed=seed)`` search; every later one is a short
     search warm-started from the previous model's hyperparameters.
-    The model is fit in unit-cube coordinates, and the infill search
-    (including any ``sampler``, see ``propose_infill``) runs in those
-    coordinates.
+    The model is fit to ``evaluator.on_unit_cube(bounds)`` values: unit-cube
+    coordinates, and values negated when the problem maximizes, without a
+    penalty.  The infill search (including any ``sampler``, see
+    ``propose_infill``) runs in those coordinates.
     ``feasibility_predicate`` is None or a row mask over box coordinates:
     it maps a (k, m) array of points to a length-k boolean array, such as
     ``Problem.feasibility_mask()``.  When given, infill candidates are
@@ -651,15 +652,11 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
     if n_init < 2:
         raise ValueError("n_init must be >= 2")
     m = bounds.m_dim
-    minimize = evaluator.sense == "minimize"
+    f = evaluator.on_unit_cube(bounds)
 
     design = maximin_lhs(min(n_init, evaluator.budget), m, seed=seed)
-    X_unit = []
-    y_signed = []
-    for u in design:
-        ev = evaluator.evaluate(bounds.from_unit(u))
-        X_unit.append(np.array(u))
-        y_signed.append(ev.value if minimize else -ev.value)
+    X_unit = [np.array(u) for u in design]
+    y_signed = [f(u) for u in design]
 
     unit_box = Bounds.unit(m)
     unit_mask = None
@@ -668,7 +665,7 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
 
     warm = None
     iteration = 0
-    while evaluator.remaining > 0:
+    while evaluator.can_evaluate():
         X_arr, y_arr = np.array(X_unit), np.array(y_signed)
         cfg = FitConfig(seed=seed) if warm is None else FitConfig(
             n_starts=2, n_probe=4, max_sweeps=3, warm_start=warm, seed=seed + iteration)
@@ -683,9 +680,8 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
 
         proposal = propose_infill(model, y_min, unit_mask, unit_box, use_reinterp,
                                   seed=seed + iteration, sampler=sampler)
-        ev = evaluator.evaluate(bounds.from_unit(proposal.x))
         X_unit.append(np.array(proposal.x))
-        y_signed.append(ev.value if minimize else -ev.value)
+        y_signed.append(f(proposal.x))
         iteration += 1
         evaluator.trace.iterations.append({
             "iteration": iteration, "evals": evaluator.used, "ei": proposal.ei,

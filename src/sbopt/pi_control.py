@@ -73,11 +73,7 @@ def run_pi(evaluator: Evaluator, config: PIConfig, bounds: Bounds) -> Trace:
     """
     m = bounds.m_dim
     log = evaluator.trace.iterations
-
-    def room_for_one():
-        return evaluator.remaining is None or evaluator.remaining > 0
-
-    if not room_for_one():
+    if not evaluator.can_evaluate():
         return evaluator.trace
     ev = evaluator.evaluate(np.zeros(m))
     k_prev = _k_bar_from(ev, m)
@@ -86,7 +82,7 @@ def run_pi(evaluator: Evaluator, config: PIConfig, bounds: Bounds) -> Trace:
 
     tau = bounds.clamp(pi_init(config, k_prev))
     for i in range(1, config.n_max + 1):
-        if not room_for_one():
+        if not evaluator.can_evaluate():
             break
         ev = evaluator.evaluate(tau)
         k_now = _k_bar_from(ev, m)

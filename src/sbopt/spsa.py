@@ -6,9 +6,11 @@ gradient estimate from that single pair, so the cost per iteration is
 two evaluations regardless of dimension.  Gain sequences decay as
 ``a_i = a / (A + i)**alpha`` and ``c_i = c / (i + 1)**gamma``.
 
-Perturbed points are clamped to the box before evaluation while the
-divided difference keeps the nominal step in its denominator; clamping
-events are reported on this module's logger since they bias the
+``run_spsa`` descends ``Evaluator.on_unit_cube``: the iterate lives in
+the unit cube, and a maximized objective is negated and then penalized
+there.  Perturbed points are clamped to the cube before evaluation while
+the divided difference keeps the nominal step in its denominator;
+clamping events are reported on this module's logger since they bias the
 estimate.  The best solution is tracked over the perturbed points, the
 only ones actually evaluated.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bounds, BudgetExhausted, Evaluator, Trace, as_vector
+from .core import Bounds, Evaluator, Trace, as_vector
 
 logger = logging.getLogger(__name__)
 
@@ -59,15 +61,11 @@ def perturbation(m_dim: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 2, size=m_dim) * 2.0 - 1.0
 
 
-def approx_gradient(evaluator: Evaluator, tau, c_i: float, delta,
-                    bounds: Bounds | None = None, transform=None):
-    """Two-point simultaneous-perturbation gradient estimate.
+def approx_gradient(evaluator: Evaluator, tau, c_i: float, delta):
+    """Two-point simultaneous-perturbation gradient estimate of the raw objective.
 
-    Evaluates at tau +- c_i * delta (clamped to bounds when given; the
-    divided difference keeps the nominal denominator and the clamping is
-    logged).  ``transform(value, tau)`` maps raw objective values onto
-    the scale the gradient should descend, e.g. a sign flip for
-    maximization or a penalty wrap.  Returns (g_hat, y_plus, y_minus).
+    Evaluates at tau +- c_i * delta, unclamped.  Returns (g_hat, y_plus,
+    y_minus).
     """
     tau = as_vector(tau)
     delta = as_vector(delta, tau.size)
@@ -75,33 +73,24 @@ def approx_gradient(evaluator: Evaluator, tau, c_i: float, delta,
         raise ValueError("c_i must be positive")
     if np.any(np.abs(delta) != 1.0):
         raise ValueError("delta must be a +-1 vector")
-    return _two_point(evaluator, tau, c_i, delta,
-                      clamp=None if bounds is None else bounds.clamp,
-                      to_tau=lambda x: x,
-                      transform=transform or (lambda v, _: v),
-                      clamp_note=("perturbed point clamped to bounds at tau=%s", tau))
+    return _two_point(lambda x: evaluator.evaluate(x).value, tau, c_i, delta)
 
 
-def _two_point(evaluator: Evaluator, x, c_i: float, delta, clamp, to_tau,
-               transform, clamp_note):
-    """Evaluate the pair x +- c_i * delta and form the divided difference.
+def _two_point(f, x, c_i: float, delta, clamp=None):
+    """Evaluate f at the pair x +- c_i * delta and form the divided difference.
 
-    ``clamp`` (None for no clamping) projects each point before
-    ``to_tau`` maps it to decision space; ``clamp_note`` is logged when
-    clamping moved either point.  The denominator keeps the nominal step.
-    Returns (g_hat, y_plus, y_minus) on the ``transform``-ed scale.
+    ``clamp`` (None for no clamping) projects each point before ``f``
+    sees it; clamping either point is logged.  The denominator keeps the
+    nominal step.  Returns (g_hat, y_plus, y_minus).
     """
     x_plus, x_minus = x + c_i * delta, x - c_i * delta
     if clamp is not None:
         clipped_plus, clipped_minus = clamp(x_plus), clamp(x_minus)
         if not (np.array_equal(clipped_plus, x_plus)
                 and np.array_equal(clipped_minus, x_minus)):
-            logger.info(*clamp_note)
+            logger.info("perturbed point clamped to bounds at x=%s", x)
         x_plus, x_minus = clipped_plus, clipped_minus
-    tau_plus, tau_minus = to_tau(x_plus), to_tau(x_minus)
-    y_plus = evaluator.evaluate(tau_plus).value
-    y_minus = evaluator.evaluate(tau_minus).value
-    y_plus, y_minus = transform(y_plus, tau_plus), transform(y_minus, tau_minus)
+    y_plus, y_minus = f(x_plus), f(x_minus)
     return (y_plus - y_minus) / (2.0 * c_i * delta), y_plus, y_minus
 
 
@@ -112,40 +101,29 @@ def run_spsa(evaluator: Evaluator, tau_0, bounds: Bounds,
 
     The iterate lives in unit-box coordinates internally, so one set of
     gains works for decision vectors mixing scales (distance rates in
-    [0, 1] next to delay rates in [0, 15]); evaluations and the trace
-    stay in original coordinates.  Two evaluations per iteration; a
+    [0, 1] next to delay rates in [0, 15]); the gradient is taken of
+    ``evaluator.on_unit_cube(bounds, penalty)``, and evaluations and the
+    trace stay in original coordinates.  Two evaluations per iteration; a
     remaining budget of one is left unused rather than half-stepping.
     Each iteration appends one record to ``trace.iterations`` with fields
-    ``a_i``, ``c_i``, ``delta``, ``y_plus``, ``y_minus``, ``g_norm`` and
-    ``tau_next``; the last record's ``tau_next`` is the final iterate.  The
-    best evaluated point is the trace's running best as usual.
+    ``a_i``, ``c_i``, ``delta``, ``y_plus``, ``y_minus`` (on the minimized,
+    penalized scale), ``g_norm`` and ``tau_next``; the last record's
+    ``tau_next`` is the final iterate.  The best evaluated point is the
+    trace's running best as usual.
     """
     gains = gains or SpsaGains()
     if max_iterations is not None and max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     rng = np.random.default_rng(seed)
-    sign = 1.0 if evaluator.sense == "minimize" else -1.0
-
-    def transform(v: float, tau: np.ndarray) -> float:
-        if penalty is not None:
-            v = penalty.apply(v, tau, evaluator.sense)
-        return sign * v
-
+    f = evaluator.on_unit_cube(bounds, penalty)
     u = bounds.to_unit(bounds.clamp(as_vector(tau_0, bounds.m_dim)))
     log = evaluator.trace.iterations
     i = 1
-    while max_iterations is None or i <= max_iterations:
-        if evaluator.remaining is not None and evaluator.remaining < 2:
-            break
+    while (max_iterations is None or i <= max_iterations) and evaluator.can_evaluate(2):
         delta = perturbation(bounds.m_dim, rng)
         c_i = gains.c_at(i)
-        try:
-            g_hat, y_plus, y_minus = _two_point(
-                evaluator, u, c_i, delta, clamp=lambda x: np.clip(x, 0.0, 1.0),
-                to_tau=bounds.from_unit, transform=transform,
-                clamp_note=("perturbed point clamped to bounds at iteration %d", i))
-        except BudgetExhausted:
-            break
+        g_hat, y_plus, y_minus = _two_point(f, u, c_i, delta,
+                                            clamp=lambda x: np.clip(x, 0.0, 1.0))
         a_i = gains.a_at(i)
         u = np.clip(u - a_i * g_hat, 0.0, 1.0)
         log.append({"iteration": i, "evals": evaluator.used, "a_i": a_i, "c_i": c_i,

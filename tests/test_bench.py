@@ -74,6 +74,15 @@ def test_config_rejects_unknown_and_missing_keys():
         bench.ExperimentConfig.from_dict({"problem": "simple"})
 
 
+# params of a known key whose value is not of the key's type
+BAD_VALUES = [
+    ("direct", {"max_iterations": 2.7}), ("direct", {"max_iterations": True}),
+    ("direct", {"max_iterations": 0}), ("direct", {"max_iterations": -3}),
+    ("direct", {"epsilon": "1e-4"}), ("pi", {"n_max": "3"}), ("pi", {"n_max": 3.9}),
+    ("rk", {"n_init": 5.9}), ("spsa", {"a": True}),
+]
+
+
 def test_config_rejects_bad_fields():
     good = {"problem": "simple", "solver": "rk", "budget": 20}
     for patch in ({"budget": 0}, {"budget": "many"}, {"solver": "newton"},
@@ -81,7 +90,8 @@ def test_config_rejects_bad_fields():
                   {"budget": True}, {"seeds": 3}, {"params": [1, 2]},
                   {"seeds": [0, 0]}, {"output_dir": 5},
                   {"params": {"use_reinterp": "false"}}, {"params": {"use_reinterp": 0}},
-                  {"solver": "spsa", "params": {"gradient_scale": 2.0}}):
+                  {"solver": "spsa", "params": {"gradient_scale": 2.0}},
+                  *({"solver": solver, "params": params} for solver, params in BAD_VALUES)):
         with pytest.raises(bench.ConfigError):
             bench.ExperimentConfig.from_dict(good | patch).validate()
 
@@ -95,13 +105,14 @@ def test_config_rejects_foreign_solver_params():
 
 def test_readme_params_table_matches_solvers():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    head = "| solver | accepted `params` | problems |"
+    head = "| solver | accepted `params` | their types | problems |"
     rows = readme.split(head, 1)[1].split("\n\n", 1)[0].strip().splitlines()[1:]
     table = {}
     for row in rows:
-        solver, params = [cell.strip() for cell in row.strip("|").split("|")][:2]
-        table[solver.strip("`")] = {p.strip().strip("`") for p in params.split(",")}
-    assert table == {name: set(spec.params) for name, spec in bench.harness.SOLVERS.items()}
+        solver, params, types = [cell.strip() for cell in row.strip("|").split("|")][:3]
+        table[solver.strip("`")] = dict(zip([p.strip().strip("`") for p in params.split(",")],
+                                            [t.strip() for t in types.split(",")], strict=True))
+    assert table == {name: spec.params for name, spec in bench.harness.SOLVERS.items()}
 
 
 def test_pi_needs_density_feedback():
@@ -448,19 +459,27 @@ def test_run_single_rejects_bad_budgets(solver, budget):
         bench.run_single(bench.get_problem("simple"), solver, budget, 0)
 
 
-@pytest.mark.parametrize("solver, key", [
-    ("rk", "bogus"), ("spsa", "bogus"), ("direct", "bogus"), ("pi", "bogus"),
-    ("spsa", "use_reinterp"), ("direct", "use_reinterp"), ("pi", "use_reinterp"),
+@pytest.mark.parametrize("solver, params", [
+    *(pytest.param(solver, {key: True if key == "use_reinterp" else 1},
+                   id=f"{solver}-{key}")
+      for solver, key in [("rk", "bogus"), ("spsa", "bogus"), ("direct", "bogus"),
+                          ("pi", "bogus"), ("spsa", "use_reinterp"),
+                          ("direct", "use_reinterp"), ("pi", "use_reinterp")]),
+    *(pytest.param(solver, params, id=f"{solver}-{key}={value!r}")
+      for solver, params in BAD_VALUES for key, value in params.items()),
 ])
-def test_run_single_rejects_params_the_config_rejects(solver, key):
-    params = {key: True if key == "use_reinterp" else 1}
+def test_run_single_rejects_params_the_config_rejects(solver, params):
     cfg = bench.ExperimentConfig(problem="simple", solver=solver, budget=5, params=params)
     with pytest.raises(bench.ConfigError) as want:
         cfg.validate()
     with pytest.raises(bench.ConfigError) as got:
         bench.run_single(bench.get_problem("simple"), solver, 5, 0, params)
     assert str(got.value) == str(want.value)
-    assert str(got.value).startswith(f"params ['{key}'] not recognized for solver '{solver}'")
+    (key, value), = params.items()
+    kind = bench.harness.SOLVERS[solver].params.get(key)
+    assert str(got.value).startswith(
+        f"params ['{key}'] not recognized for solver '{solver}'" if kind is None
+        else f"params.{key}: expected {kind}, got {value!r}")
 
 
 def test_cli_rejects_negative_seed(tmp_path, capsys):

@@ -55,23 +55,20 @@ def test_wrong_length_rejected():
 
 def test_penalize_arithmetic():
     tau = np.array([0.0, 0.5, 0.0, 0.0])  # violation 0.17
-    got = sb.penalize(10.0, tau, SPEC2, 100.0, "minimize")
+    got = sb.penalize(10.0, tau, SPEC2, 100.0)
     assert got == pytest.approx(10.0 + 100.0 * 0.17 ** 2)
-    # maximization pushes the value down instead
-    got_max = sb.penalize(10.0, tau, SPEC2, 100.0, "maximize")
-    assert got_max == pytest.approx(10.0 - 100.0 * 0.17 ** 2)
 
 
 def test_penalty_linear_in_weight():
     tau = np.array([0.0, 0.6, 0.0, 7.0])
-    base = sb.penalize(0.0, tau, SPEC2, 50.0, "minimize")
-    double = sb.penalize(0.0, tau, SPEC2, 100.0, "minimize")
+    base = sb.penalize(0.0, tau, SPEC2, 50.0)
+    double = sb.penalize(0.0, tau, SPEC2, 100.0)
     assert double == pytest.approx(2.0 * base)
 
 
 def test_feasible_point_passes_through_unchanged():
     tau = np.array([0.2, 0.3, 1.0, 4.0])
-    assert sb.penalize(3.25, tau, SPEC2, 1e6, "minimize") == 3.25
+    assert sb.penalize(3.25, tau, SPEC2, 1e6) == 3.25
 
 
 def test_is_feasible_tolerance_semantics():
@@ -88,7 +85,7 @@ def test_penalty_weight_from_probe():
 def test_penalty_transform_wraps_spec_and_config():
     pt = sb.PenaltyTransform(SPEC2, 100.0)
     tau = np.array([0.0, 0.5, 0.0, 0.0])
-    assert pt.apply(10.0, tau, "minimize") == pytest.approx(12.89)
+    assert pt.apply(10.0, tau) == pytest.approx(12.89)
     with pytest.raises(ValueError, match="positive"):
         sb.PenaltyTransform(SPEC2, 0.0)
 

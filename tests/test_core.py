@@ -63,6 +63,56 @@ def test_budget_exhausted():
         ev.evaluate([0.0])
 
 
+def test_can_evaluate_answers_the_budget_question():
+    unlimited = sb.Evaluator(lambda t, s: 0.0, budget=None)
+    assert unlimited.can_evaluate() and unlimited.can_evaluate(10 ** 9)
+    ev = sb.Evaluator(lambda t, s: 0.0, budget=2)
+    assert ev.can_evaluate() and ev.can_evaluate(2) and not ev.can_evaluate(3)
+    ev.evaluate([0.0])
+    assert ev.can_evaluate() and not ev.can_evaluate(2)
+    ev.evaluate([0.0])
+    assert not ev.can_evaluate()
+    assert not sb.Evaluator(lambda t, s: 0.0, budget=0).can_evaluate()
+
+
+SPEC2 = sb.SmoothingSpec(alpha_smooth=0.33, beta_smooth=5.0, m_intervals=2)
+BOX2 = sb.Bounds(np.zeros(4), np.array([1.0, 1.0, 15.0, 15.0]))
+
+
+def _wavy(tau, seed):
+    return float(123.456 * np.sum(np.sin(7.0 * tau)) + 17.0)
+
+
+def test_unit_cube_objective_negates_then_penalizes():
+    # the solvers used to penalize in the problem's sense, then flip the sign:
+    # -(v - pen) when maximizing; adding pen to -v gives the same bits
+    penalty = sb.PenaltyTransform(SPEC2, 100.0)
+    ev = sb.Evaluator(_wavy, budget=None, sense="maximize")
+    f = ev.on_unit_cube(BOX2, penalty)
+    U = np.random.default_rng(3).random((300, 4))
+    n_infeasible = 0
+    for i, u in enumerate(U):
+        got = f(u)
+        tau = BOX2.from_unit(u)
+        v = _wavy(tau, 0)
+        pen = 100.0 * float(np.sum(sb.violations(tau, SPEC2) ** 2))
+        n_infeasible += pen > 0
+        assert np.float64(got).tobytes() == np.float64(-(v - pen)).tobytes()
+        assert ev.trace.records[i].evaluation.value == v  # the trace keeps raw v
+        assert np.array_equal(ev.trace.records[i].tau, tau)
+    assert n_infeasible > 100
+    # maximization pushes the value down: -(10 - 100 * 0.17 ** 2)
+    const = sb.Evaluator(lambda t, s: 10.0, sense="maximize").on_unit_cube(BOX2, penalty)
+    assert const([0.0, 0.5, 0.0, 0.0]) == pytest.approx(-(10.0 - 100.0 * 0.17 ** 2))
+
+
+def test_unit_cube_objective_keeps_minimized_values():
+    ev = sb.Evaluator(_wavy, budget=None)
+    f = ev.on_unit_cube(BOX2)
+    for u in np.random.default_rng(4).random((20, 4)):
+        assert f(u) == _wavy(BOX2.from_unit(u), 0) == ev.trace.records[-1].evaluation.value
+
+
 def test_constant_zero_objective():
     ev = sb.Evaluator(lambda t, s: 0.0, budget=1)
     ev.evaluate([0.5])

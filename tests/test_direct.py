@@ -95,6 +95,14 @@ def test_epsilon_outside_working_range_rejected():
                           epsilon=eps)
 
 
+@pytest.mark.parametrize("max_iterations", [0, -3])
+def test_iteration_cap_below_one_rejected(max_iterations):
+    ev = sb.Evaluator(bowl, budget=5, seed=0)
+    with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+        sb.run_direct(ev, UNIT2, max_iterations=max_iterations)
+    assert ev.used == 0
+
+
 def test_one_dim_run_costs_two_evals_per_selection():
     def wavy(tau, seed):
         return float(np.sin(7 * tau[0]) + 0.5 * tau[0])

@@ -148,6 +148,17 @@ def test_iterates_stay_inside_the_box():
         assert np.all(rec.tau >= 0.0) and np.all(rec.tau <= 1.0)
 
 
+def test_clamping_is_logged(caplog):
+    ev = sb.Evaluator(quadratic, budget=4, seed=0)
+    with caplog.at_level("INFO", logger="sbopt.spsa"):
+        sb.run_spsa(ev, [1.0, 1.0], UNIT2, seed=2)
+    assert "perturbed point clamped to bounds" in caplog.text
+    caplog.clear()
+    with caplog.at_level("INFO", logger="sbopt.spsa"):
+        sb.run_spsa(sb.Evaluator(quadratic, budget=2, seed=0), [0.5, 0.5], UNIT2, seed=2)
+    assert "clamped" not in caplog.text
+
+
 def test_converges_on_smooth_quadratic():
     ev = sb.Evaluator(quadratic, budget=None, seed=0)
     trace = sb.run_spsa(ev, [0.5, 0.5], UNIT2,
