@@ -68,7 +68,6 @@ def _cmd_run(args) -> int:
         config = replace(config, budget=args.budget)
     if args.out is not None:
         config = replace(config, output_dir=args.out)
-    config.validate()
     report = run_experiment(config)
     for s in report["per_seed"]:
         flag = "" if s["feasible"] else "  [infeasible]"

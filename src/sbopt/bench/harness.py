@@ -10,7 +10,7 @@ Each solver is declared once, in ``SOLVERS``.
 import json
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -55,39 +55,34 @@ PARAM_TYPES = {
                                          and all(map(_is_finite_number, v))),
 }
 
+# Each runner passes params straight to its solver, which owns every
+# default and range check; no runner changes the params it is given.
 # The runners look up run_rk, run_spsa, run_direct and run_pi in this
 # module's globals at call time, so a wrapper rebound over those names
-# (perfbench's tracer does this) sees every solver run.  Their params
-# have passed _check_params.
+# (perfbench's tracer does this) sees every solver run.
 
 def _run_rk(evaluator, problem, seed, params):
-    return run_rk(
-        evaluator, problem.bounds,
-        n_init=params.get("n_init", problem.rk_n_init),
-        feasibility_predicate=problem.feasibility_mask(),
-        use_reinterp=params.get("use_reinterp", True),
-        seed=seed, sampler=problem.infill_sampler)
+    params = {"n_init": problem.rk_n_init, **params}
+    return run_rk(evaluator, problem.bounds,
+                  feasibility_predicate=problem.feasibility_mask(),
+                  seed=seed, sampler=problem.infill_sampler, **params)
 
 
 _SPSA_GAINS = ("a", "big_a", "alpha", "c", "gamma")
 
 
 def _run_spsa(evaluator, problem, seed, params):
-    tau_0 = params.get("tau_0", problem.spsa_tau_0)
-    if tau_0 is None:
+    params = {"tau_0": problem.spsa_tau_0, **params}
+    if params["tau_0"] is None:
         raise ConfigError(
             f"problem {problem.name!r} has no default SPSA start; pass params.tau_0")
-    gain_args = {k: params[k] for k in _SPSA_GAINS if k in params}
-    return run_spsa(evaluator, tau_0, problem.bounds,
-                    gains=SpsaGains(**gain_args) if gain_args else None,
-                    max_iterations=params.get("max_iterations"),
-                    penalty=problem.penalty, seed=seed)
+    gains = SpsaGains(**{k: params.pop(k) for k in _SPSA_GAINS if k in params})
+    return run_spsa(evaluator, bounds=problem.bounds, gains=gains,
+                    penalty=problem.penalty, seed=seed, **params)
 
 
 def _run_direct(evaluator, problem, seed, params):
-    return run_direct(evaluator, problem.bounds, epsilon=params.get("epsilon", 1e-4),
-                      max_iterations=params.get("max_iterations"),
-                      penalty=problem.penalty)
+    return run_direct(evaluator, problem.bounds, penalty=problem.penalty, **params)
 
 
 def _pi_check(problem):
@@ -98,10 +93,7 @@ def _pi_check(problem):
 
 
 def _run_pi(evaluator, problem, seed, params):
-    cfg = problem.pi_config
-    if "n_max" in params:
-        cfg = replace(cfg, n_max=params["n_max"])
-    return run_pi(evaluator, cfg, problem.bounds)
+    return run_pi(evaluator, replace(problem.pi_config, **params), problem.bounds)
 
 
 SOLVERS = {
@@ -113,14 +105,6 @@ SOLVERS = {
                     "max_iterations": "positive integer",
                     "tau_0": "list of finite numbers"}, _run_spsa),
 }
-
-
-def _check_problem(solver: str, problem: Problem) -> None:
-    check = SOLVERS[solver].check
-    reason = None if check is None else check(problem)
-    if reason is not None:
-        raise ConfigError(f"solver {solver!r} cannot run on problem {problem.name!r}: "
-                          f"{reason}")
 
 
 def _check_budget(budget) -> None:
@@ -158,6 +142,32 @@ def _check_params(solver: str, params) -> None:
             raise ConfigError(f"params.{key}: expected {types[key]}, got {value!r}")
 
 
+def _check_run(problem: Problem, solver: str, budget, seeds, params) -> None:
+    """Raise ConfigError unless ``solver`` can run on ``problem`` as asked.
+
+    Checks the solver name, the budget, the seeds, the params' keys and
+    types, and the solver-problem pairing, in that order.  Then it calls
+    the solver's runner with a zero budget: every solver checks its
+    arguments before its first evaluation and evaluates nothing without
+    budget, so this applies exactly the solver's own range checks.
+    """
+    if solver not in SOLVERS:
+        raise ConfigError(f"unknown solver {solver!r}; known: {list(SOLVERS)}")
+    _check_budget(budget)
+    _check_seeds(seeds)
+    _check_params(solver, params)
+    check = SOLVERS[solver].check
+    reason = None if check is None else check(problem)
+    if reason is not None:
+        raise ConfigError(f"solver {solver!r} cannot run on problem {problem.name!r}: "
+                          f"{reason}")
+    try:
+        SOLVERS[solver].run(Evaluator(problem.objective, budget=0), problem,
+                            seeds[0], params)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad parameters for solver {solver!r}: {exc}") from exc
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment: a problem, a solver, a budget, and seeds to replicate."""
@@ -173,11 +183,11 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        known = {"problem", "solver", "budget", "seeds", "output_dir", "params"}
-        unknown = sorted(set(raw) - known)
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        missing = sorted({"problem", "solver", "budget"} - set(raw))
+        missing = sorted(f.name for f in fields(cls) if f.name not in raw
+                         and f.default is MISSING and f.default_factory is MISSING)
         if missing:
             raise ConfigError(f"missing config keys: {missing}")
         # copy the containers; validate() rejects anything of the wrong type
@@ -206,39 +216,28 @@ class ExperimentConfig:
         if self.problem not in available_problems():
             raise ConfigError(
                 f"unknown problem {self.problem!r}; known: {available_problems()}")
-        if self.solver not in SOLVERS:
-            raise ConfigError(f"unknown solver {self.solver!r}; known: {list(SOLVERS)}")
-        _check_budget(self.budget)
-        _check_seeds(self.seeds)
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
-        _check_params(self.solver, self.params)
-        # solver-problem compatibility is structural, so reject it here
-        # rather than at run time
-        _check_problem(self.solver, get_problem(self.problem))
+        _check_run(get_problem(self.problem), self.solver, self.budget, self.seeds,
+                   self.params)
 
 
 def run_single(problem: Problem, solver: str, budget: int, seed: int,
                params: dict = None) -> Trace:
     """Run one solver on one problem for one seed; returns the trace.
 
-    Raises ConfigError, with ``ExperimentConfig.validate``'s message, for a
-    budget that is not a positive integer, a seed that is negative or not
-    an integer, and params the solver does not take.
+    Raises ConfigError, with ``ExperimentConfig.validate``'s message, for
+    anything ``validate`` rejects: an unknown solver, a budget that is not
+    a positive integer, a seed that is negative or not an integer, params
+    the solver does not take or of the wrong type, a problem the solver
+    cannot run on, and params out of the solver's own range.  Errors
+    raised during the run itself, by the objective say, keep their type.
     """
-    _check_budget(budget)
-    _check_seeds((seed,))
-    if solver not in SOLVERS:
-        raise ConfigError(f"unknown solver {solver!r}")
     params = {} if params is None else params
-    _check_params(solver, params)
-    _check_problem(solver, problem)
+    _check_run(problem, solver, budget, (seed,), params)
     evaluator = Evaluator(problem.objective, budget=budget, sense=problem.sense,
                           seed=seed)
-    try:
-        return SOLVERS[solver].run(evaluator, problem, seed, dict(params))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad parameters for solver {solver!r}: {exc}") from exc
+    return SOLVERS[solver].run(evaluator, problem, seed, params)
 
 
 def _summarize_seed(problem: Problem, trace: Trace, seed: int) -> dict:

@@ -646,11 +646,15 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
     one record to ``trace.iterations`` with fields ``ei`` (of the proposal),
     ``theta`` (unit-cube lengthscales), ``lam`` and ``log_likelihood`` of the
     model it was proposed from; the design points get no record.
+    Arguments are checked before the first evaluation; with no budget left
+    on the evaluator, the trace comes back unchanged, as in every solver.
     """
     if evaluator.budget is None:
         raise ValueError("run_rk needs a budgeted evaluator")
     if n_init < 2:
         raise ValueError("n_init must be >= 2")
+    if not evaluator.can_evaluate():
+        return evaluator.trace
     m = bounds.m_dim
     f = evaluator.on_unit_cube(bounds)
 

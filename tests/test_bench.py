@@ -82,6 +82,14 @@ BAD_VALUES = [
     ("rk", {"n_init": 5.9}), ("spsa", {"a": True}),
 ]
 
+# params of the right type that the solver's own checks reject
+RANGE_VALUES = [
+    ("direct", {"epsilon": 10**400}), ("direct", {"epsilon": 0.01}),
+    ("rk", {"n_init": 1}), ("spsa", {"tau_0": [0.5]}), ("spsa", {"alpha": 0.05}),
+]
+RANGE_CASES = [pytest.param(solver, params, id=f"{solver}-{key}-out-of-range-{i}")
+               for i, (solver, params) in enumerate(RANGE_VALUES) for key in params]
+
 
 def test_config_rejects_bad_fields():
     good = {"problem": "simple", "solver": "rk", "budget": 20}
@@ -91,7 +99,8 @@ def test_config_rejects_bad_fields():
                   {"seeds": [0, 0]}, {"output_dir": 5},
                   {"params": {"use_reinterp": "false"}}, {"params": {"use_reinterp": 0}},
                   {"solver": "spsa", "params": {"gradient_scale": 2.0}},
-                  *({"solver": solver, "params": params} for solver, params in BAD_VALUES)):
+                  *({"solver": solver, "params": params}
+                    for solver, params in BAD_VALUES + RANGE_VALUES)):
         with pytest.raises(bench.ConfigError):
             bench.ExperimentConfig.from_dict(good | patch).validate()
 
@@ -467,6 +476,7 @@ def test_run_single_rejects_bad_budgets(solver, budget):
                           ("direct", "use_reinterp"), ("pi", "use_reinterp")]),
     *(pytest.param(solver, params, id=f"{solver}-{key}={value!r}")
       for solver, params in BAD_VALUES for key, value in params.items()),
+    *RANGE_CASES,
 ])
 def test_run_single_rejects_params_the_config_rejects(solver, params):
     cfg = bench.ExperimentConfig(problem="simple", solver=solver, budget=5, params=params)
@@ -477,9 +487,56 @@ def test_run_single_rejects_params_the_config_rejects(solver, params):
     assert str(got.value) == str(want.value)
     (key, value), = params.items()
     kind = bench.harness.SOLVERS[solver].params.get(key)
-    assert str(got.value).startswith(
-        f"params ['{key}'] not recognized for solver '{solver}'" if kind is None
-        else f"params.{key}: expected {kind}, got {value!r}")
+    if (solver, params) in RANGE_VALUES:
+        prefix = f"bad parameters for solver '{solver}': "
+    elif kind is None:
+        prefix = f"params ['{key}'] not recognized for solver '{solver}'"
+    else:
+        prefix = f"params.{key}: expected {kind}, got {value!r}"
+    assert str(got.value).startswith(prefix)
+
+
+@pytest.mark.parametrize("solver, params", RANGE_CASES)
+def test_cli_rejects_out_of_range_params_before_writing(solver, params, tmp_path,
+                                                        capsys):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "problem": "simple", "solver": solver, "budget": 5, "params": params,
+        "output_dir": str(out)}))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert f"bad parameters for solver '{solver}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver", ["rk", "spsa", "direct"])
+def test_run_time_errors_keep_their_type(solver):
+    def objective(tau, seed):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ValueError("objective blew up")
+        return float(np.sum(tau ** 2))
+
+    calls = []
+    problem = bench.Problem(name="fragile", objective=objective, bounds=sb.Bounds.unit(2),
+                            rk_n_init=4, spsa_tau_0=np.full(2, 0.5))
+    with pytest.raises(ValueError, match="objective blew up"):
+        bench.run_single(problem, solver, 10, 0)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("solver", list(bench.harness.SOLVERS))
+def test_no_budget_means_no_evaluation(solver):
+    def objective(tau, seed):
+        calls.append(1)
+        return 0.0
+
+    calls = []
+    evaluator = sb.Evaluator(objective, budget=0)
+    trace = bench.harness.SOLVERS[solver].run(evaluator, bench.get_problem("simple"), 0, {})
+    assert trace is evaluator.trace
+    assert len(trace) == 0 and not trace.iterations
+    assert calls == []
 
 
 def test_cli_rejects_negative_seed(tmp_path, capsys):

@@ -41,6 +41,47 @@ def test_trisection_thirds_and_depths():
     assert sum(ch.volume for ch in children) == pytest.approx(1.0)
 
 
+def _budget_runs_out_on_call(n):
+    """An eval_unit that returns 1.0, 2.0, ... and raises BudgetExhausted on call n."""
+    calls = []
+
+    def eval_unit(c):
+        calls.append(c.copy())
+        if len(calls) == n:
+            raise sb.BudgetExhausted("no evaluations left")
+        return float(len(calls))
+
+    return eval_unit
+
+
+def test_trisection_cut_short_by_the_budget_fills_the_gap_with_inf():
+    root = sb.Hyperrect(np.array([0.5, 0.5]), np.array([0, 0]), 5.0)
+    children, exhausted = sb.trisect(root, _budget_runs_out_on_call(2))
+    assert exhausted
+    assert [ch.value for ch in children] == [1.0, np.inf, 5.0]
+    assert sum(ch.volume for ch in children) == pytest.approx(1.0)
+    assert np.allclose(children[-1].center, root.center)
+
+
+def test_trisection_with_no_budget_keeps_the_box():
+    root = sb.Hyperrect(np.array([0.5, 0.5]), np.array([0, 0]), 5.0)
+    children, exhausted = sb.trisect(root, _budget_runs_out_on_call(1))
+    assert exhausted
+    assert len(children) == 1 and children[0] is root
+
+
+@pytest.mark.parametrize("budget, n_inf", [(8, 1), (9, 0)])
+def test_run_cut_short_mid_trisection_keeps_a_complete_tiling(budget, n_inf):
+    p = strip_problem()
+    trace = sb.run_direct(sb.Evaluator(p.objective, budget=budget, seed=0,
+                                       sense=p.sense), p.bounds)
+    cells = trace.annotations["direct_cells"]
+    assert len(trace) == budget
+    assert len(cells) == 9
+    assert sum(np.isinf(c["value"]) for c in cells) == n_inf
+    assert sum(3.0 ** (-float(np.sum(c["depth"]))) for c in cells) == pytest.approx(1.0)
+
+
 def test_half_diagonal_depth_permutation_stable():
     a = sb.half_diagonal([2, 0, 1])
     b = sb.half_diagonal([0, 1, 2])
