@@ -121,6 +121,9 @@ def main(argv=None) -> int:
     except (SboError, OSError) as exc:
         print(f"sbo: error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except Exception as exc:  # any other failure of the command is a runtime error
+        print(f"sbo: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

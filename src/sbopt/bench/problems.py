@@ -1,6 +1,6 @@
 """Calibrated benchmark problems shared by the harness, demos, and tests.
 
-Each builder returns a :class:`Problem` bundling an objective closure with
+Each builder returns a :class:`Problem` bundling an objective callable with
 the search box, solver presets, and (for tolling problems) the smoothing
 constraint and its exterior-penalty transform.  All fixture constants are
 frozen here so that runs are reproducible across machines; recalibrating a
@@ -172,18 +172,24 @@ def plant_problem() -> Problem:
     )
 
 
-def _toll_objective(cfg, curve, template, kind, k_cr=None):
-    if kind == "density":
-        def objective(tau, seed):
-            out = run_reservoir(cfg, curve, template.with_tau(tau), seed)
-            return objective_density(out, k_cr), out.aux()
-    elif kind == "flow":
-        def objective(tau, seed):
-            out = run_reservoir(cfg, curve, template.with_tau(tau), seed)
-            return objective_flow(out), out.aux()
-    else:
-        raise ValueError(f"unknown objective kind {kind!r}")
-    return objective
+class _TollObjective:
+    """The simulator objective of a toll fixture: ``f(tau, seed) -> (value, aux)``.
+
+    A module-level class rather than a closure so that it pickles, which
+    lets ``Evaluator.evaluate_pair`` hand it to its helper process.
+    """
+
+    def __init__(self, cfg, curve, template, kind, k_cr=None):
+        if kind not in ("density", "flow"):
+            raise ValueError(f"unknown objective kind {kind!r}")
+        self.cfg, self.curve, self.template = cfg, curve, template
+        self.kind, self.k_cr = kind, k_cr
+
+    def __call__(self, tau, seed):
+        out = run_reservoir(self.cfg, self.curve, self.template.with_tau(tau), seed)
+        if self.kind == "density":
+            return objective_density(out, self.k_cr), out.aux()
+        return objective_flow(out), out.aux()
 
 
 def simple_toll_scenario():
@@ -207,7 +213,7 @@ def simple_toll_problem() -> Problem:
     k_cr = 15.0
     return Problem(
         name="simple",
-        objective=_toll_objective(cfg, curve, template, "density", k_cr),
+        objective=_TollObjective(cfg, curve, template, "density", k_cr),
         bounds=Bounds(np.zeros(2), np.ones(2)),
         rk_n_init=12,
         spsa_tau_0=np.array([0.5, 0.5]),
@@ -272,7 +278,7 @@ def recompute_complex_penalty_weight() -> float:
     from ..constraints import penalty_weight_from_probe
 
     cfg, curve, template = complex_toll_scenario()
-    objective = _toll_objective(cfg, curve, template, "flow")
+    objective = _TollObjective(cfg, curve, template, "flow")
     values = []
     for u in np.linspace(0.0, 1.0, 20):
         tau = np.concatenate([np.full(8, u), np.full(8, 15.0 * u)])
@@ -295,7 +301,7 @@ def complex_toll_problem() -> Problem:
     penalty = PenaltyTransform(spec, COMPLEX_PENALTY_WEIGHT)
     return Problem(
         name="complex",
-        objective=_toll_objective(cfg, curve, template, "flow"),
+        objective=_TollObjective(cfg, curve, template, "flow"),
         bounds=bounds,
         sense="maximize",
         smoothing=spec,
@@ -335,7 +341,7 @@ def _composition_problem(kind: str, k_cr: float | None) -> Problem:
     name = "composition_density" if kind == "density" else "composition_flow"
     return Problem(
         name=name,
-        objective=_toll_objective(cfg, curve, template, kind, k_cr),
+        objective=_TollObjective(cfg, curve, template, kind, k_cr),
         bounds=bounds,
         sense="minimize" if kind == "density" else "maximize",
         rk_n_init=16,

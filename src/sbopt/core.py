@@ -8,10 +8,17 @@ optional dict of per-interval simulator outputs such as mean densities
 realization of the simulation, so every solver in this package optimizes
 a deterministic sample path and two evaluations of the same ``(tau, seed)``
 must return identical values.
+
+That purity rule is what lets ``Evaluator.evaluate_pair`` (SPSA's two
+perturbed points) run its second point concurrently in one helper process
+and still record exactly what two ``evaluate`` calls would.  It does so
+only when the objective pickles and the process may run on at least two
+CPUs; otherwise, and for closures, both points run here in turn.
 """
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,8 +202,9 @@ class Evaluator:
     """Budgeted, seeded front end to a black-box objective.
 
     It is the one boundary between a solver and the problem: ``evaluate``
-    records raw values, ``can_evaluate`` answers the budget question, and
-    ``on_unit_cube`` gives box solvers the minimized, penalized objective.
+    records raw values, ``evaluate_pair`` records two independent points,
+    ``can_evaluate`` answers the budget question, and ``on_unit_cube``
+    gives box solvers the minimized, penalized objective.
 
     Parameters
     ----------
@@ -219,6 +227,7 @@ class Evaluator:
         self.budget = budget
         self.seed = int(seed)
         self.trace = Trace(sense)
+        self._pickled = None  # the objective's pickle, b"" if it does not pickle
 
     @property
     def sense(self) -> str:
@@ -243,18 +252,32 @@ class Evaluator:
         (so the trace keeps the raw value at the box point), negates the
         value when the problem maximizes, and then adds the exterior
         penalty of ``penalty`` (a ``PenaltyTransform``) at the box point.
+        ``f.pair(u_a, u_b)`` returns ``(f(u_a), f(u_b))`` through
+        ``evaluate_pair``.
         """
         sign = 1.0 if self.sense == "minimize" else -1.0
 
-        def f(u) -> float:
-            tau = bounds.from_unit(u)
-            v = sign * self.evaluate(tau).value
+        def scaled(tau, ev: Evaluation) -> float:
+            v = sign * ev.value
             return v if penalty is None else penalty.apply(v, tau)
 
+        def f(u) -> float:
+            tau = bounds.from_unit(u)
+            return scaled(tau, self.evaluate(tau))
+
+        def pair(u_a, u_b) -> tuple[float, float]:
+            tau_a, tau_b = bounds.from_unit(u_a), bounds.from_unit(u_b)
+            ev_a, ev_b = self.evaluate_pair(tau_a, tau_b)
+            return scaled(tau_a, ev_a), scaled(tau_b, ev_b)
+
+        f.pair = pair
         return f
 
     def _call(self, tau: np.ndarray, seed: int) -> tuple[float, dict | None]:
-        out = self.objective(tau, seed)
+        return self._checked(self.objective(tau, seed), tau)
+
+    @staticmethod
+    def _checked(out, tau: np.ndarray) -> tuple[float, dict | None]:
         if isinstance(out, tuple):
             value, aux = out
             if aux is not None and not isinstance(aux, dict):
@@ -272,9 +295,62 @@ class Evaluator:
         if not self.can_evaluate():
             raise BudgetExhausted(f"budget of {self.budget} evaluations exhausted")
         value, aux = self._call(tau, self.seed)
+        return self._record(tau, value, aux)
+
+    def _record(self, tau: np.ndarray, value: float, aux: dict | None) -> Evaluation:
         ev = Evaluation(value=value, seed=self.seed, eval_index=self.used, aux=aux)
         self.trace.append(tau, ev)
         return ev
+
+    def evaluate_pair(self, tau_a, tau_b) -> tuple[Evaluation, Evaluation]:
+        """Evaluate two independent points and record them in this order.
+
+        The result, the trace and any error are those of ``evaluate(tau_a)``
+        followed by ``evaluate(tau_b)``.  When the budget holds both, the
+        objective pickles and the process may run on two CPUs, ``tau_b``
+        goes to the pair helper process while ``tau_a`` runs here; by the
+        purity rule of the objective contract the helper's value is the one
+        a local call would give.  A helper that cannot start, dies, or
+        cannot take the objective leaves the work to this process.
+        """
+        helper = self._helper_for(tau_b)
+        if helper is None:
+            return self.evaluate(tau_a), self.evaluate(tau_b)
+        try:
+            tau_b = as_vector(tau_b)
+            sent = helper.submit(self._pickled, tau_b, self.seed)
+            try:
+                ev_a = self.evaluate(tau_a)
+            finally:
+                reply = helper.result() if sent else None
+        finally:
+            helper.lock.release()
+        if reply is None:  # the helper is gone or cannot take this objective
+            self._pickled = b""
+            value, aux = self._call(tau_b, self.seed)
+        else:
+            helper.pairs += 1
+            ok, out = reply
+            if not ok:
+                raise out
+            value, aux = self._checked(out, tau_b)
+        return ev_a, self._record(tau_b, value, aux)
+
+    def _helper_for(self, tau_b):
+        """The locked pair helper when ``evaluate_pair`` may use it, else None."""
+        if self._pickled is None:
+            try:
+                self._pickled = pickle.dumps(self.objective)
+            except Exception:  # closures, lambdas, open handles
+                self._pickled = b""
+        if not (self._pickled and self.can_evaluate(2)):
+            return None
+        tau_b = np.asarray(tau_b, dtype=float)
+        if tau_b.ndim != 1 or not np.all(np.isfinite(tau_b)):
+            return None  # let evaluate raise where the sequential calls would
+        from ._pair import locked_helper  # multiprocessing loads on the first pair
+
+        return locked_helper()
 
 
 def _csv_cell(x):

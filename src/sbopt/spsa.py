@@ -3,7 +3,10 @@
 Each iteration draws one Bernoulli +-1 perturbation direction, evaluates
 the objective at the two symmetric perturbed points, and forms a full
 gradient estimate from that single pair, so the cost per iteration is
-two evaluations regardless of dimension.  Gain sequences decay as
+two evaluations regardless of dimension.  The two are independent, so
+they go through ``Evaluator.evaluate_pair``, which runs them concurrently
+when the objective pickles and two CPUs are available, with the same
+result as running them in turn.  Gain sequences decay as
 ``a_i = a / (A + i)**alpha`` and ``c_i = c / (i + 1)**gamma``.
 
 ``run_spsa`` descends ``Evaluator.on_unit_cube``: the iterate lives in
@@ -73,13 +76,16 @@ def approx_gradient(evaluator: Evaluator, tau, c_i: float, delta):
         raise ValueError("c_i must be positive")
     if np.any(np.abs(delta) != 1.0):
         raise ValueError("delta must be a +-1 vector")
-    return _two_point(lambda x: evaluator.evaluate(x).value, tau, c_i, delta)
+    return _two_point(lambda a, b: [ev.value for ev in evaluator.evaluate_pair(a, b)],
+                      tau, c_i, delta)
 
 
-def _two_point(f, x, c_i: float, delta, clamp=None):
-    """Evaluate f at the pair x +- c_i * delta and form the divided difference.
+def _two_point(pair, x, c_i: float, delta, clamp=None):
+    """Evaluate the pair x +- c_i * delta and form the divided difference.
 
-    ``clamp`` (None for no clamping) projects each point before ``f``
+    ``pair(x_plus, x_minus)`` returns both values; it goes through
+    ``Evaluator.evaluate_pair``, which may run the two points concurrently.
+    ``clamp`` (None for no clamping) projects each point before ``pair``
     sees it; clamping either point is logged.  The denominator keeps the
     nominal step.  Returns (g_hat, y_plus, y_minus).
     """
@@ -90,7 +96,7 @@ def _two_point(f, x, c_i: float, delta, clamp=None):
                 and np.array_equal(clipped_minus, x_minus)):
             logger.info("perturbed point clamped to bounds at x=%s", x)
         x_plus, x_minus = clipped_plus, clipped_minus
-    y_plus, y_minus = f(x_plus), f(x_minus)
+    y_plus, y_minus = pair(x_plus, x_minus)
     return (y_plus - y_minus) / (2.0 * c_i * delta), y_plus, y_minus
 
 
@@ -122,7 +128,7 @@ def run_spsa(evaluator: Evaluator, tau_0, bounds: Bounds,
     while (max_iterations is None or i <= max_iterations) and evaluator.can_evaluate(2):
         delta = perturbation(bounds.m_dim, rng)
         c_i = gains.c_at(i)
-        g_hat, y_plus, y_minus = _two_point(f, u, c_i, delta,
+        g_hat, y_plus, y_minus = _two_point(f.pair, u, c_i, delta,
                                             clamp=lambda x: np.clip(x, 0.0, 1.0))
         a_i = gains.a_at(i)
         u = np.clip(u - a_i * g_hat, 0.0, 1.0)

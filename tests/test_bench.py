@@ -525,6 +525,33 @@ def test_run_time_errors_keep_their_type(solver):
     assert len(calls) == 3
 
 
+def test_cli_maps_any_run_time_error_to_exit_3(tmp_path, capsys, monkeypatch):
+    build = bench.harness.get_problem
+
+    def fragile(name):
+        problem = build(name)
+        inner = problem.objective
+
+        def objective(tau, seed):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("objective blew up")
+            return inner(tau, seed)
+
+        problem.objective = objective
+        return problem
+
+    calls = []
+    monkeypatch.setattr(bench.harness, "get_problem", fragile)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"problem": "quadratic", "solver": "direct",
+                                    "budget": 10, "output_dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err == "sbo: error: ValueError: objective blew up\n"
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("solver", list(bench.harness.SOLVERS))
 def test_no_budget_means_no_evaluation(solver):
     def objective(tau, seed):

@@ -1,5 +1,11 @@
 """Evaluator, bounds, and trace bookkeeping."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +110,30 @@ def test_unit_cube_objective_negates_then_penalizes():
     # maximization pushes the value down: -(10 - 100 * 0.17 ** 2)
     const = sb.Evaluator(lambda t, s: 10.0, sense="maximize").on_unit_cube(BOX2, penalty)
     assert const([0.0, 0.5, 0.0, 0.0]) == pytest.approx(-(10.0 - 100.0 * 0.17 ** 2))
+
+
+def test_unit_cube_pair_gives_what_two_calls_give():
+    # _wavy pickles, so on two CPUs the second point of each pair runs in
+    # the pair helper process
+    penalty = sb.PenaltyTransform(SPEC2, 100.0)
+    paired = sb.Evaluator(_wavy, budget=None, sense="maximize")
+    single = sb.Evaluator(_wavy, budget=None, sense="maximize")
+    f_pair, f = paired.on_unit_cube(BOX2, penalty).pair, single.on_unit_cube(BOX2, penalty)
+    U = np.random.default_rng(5).random((20, 2, 4))
+    for u_a, u_b in U:
+        assert f_pair(u_a, u_b) == (f(u_a), f(u_b))
+    assert [(r.tau.tobytes(), r.evaluation) for r in paired.trace.records] == \
+        [(r.tau.tobytes(), r.evaluation) for r in single.trace.records]
+
+
+def test_pair_with_room_for_one_evaluates_the_first_then_stops():
+    ev = sb.Evaluator(_wavy, budget=3)
+    first, second = ev.evaluate_pair([0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8])
+    assert (first.eval_index, second.eval_index) == (0, 1)
+    with pytest.raises(sb.BudgetExhausted):
+        ev.evaluate_pair([0.2, 0.2, 0.2, 0.2], [0.9, 0.9, 0.9, 0.9])
+    assert len(ev.trace) == 3
+    assert np.array_equal(ev.trace.records[2].tau, [0.2, 0.2, 0.2, 0.2])
 
 
 def test_unit_cube_objective_keeps_minimized_values():
@@ -255,3 +285,34 @@ def test_write_records_csv_checks_shapes(tmp_path):
         sb.write_records_csv([good, {"x": np.zeros(2), "i": 1}], path)
     sb.write_records_csv([], path)
     assert path.read_bytes() == b""
+
+
+SETUP_ONLY = textwrap.dedent("""
+    import sys
+
+    import sbopt
+    from sbopt.bench import available_problems, get_problem
+    from sbopt.bench.harness import SOLVERS, ConfigError, _check_run
+
+    for name in available_problems():
+        problem = get_problem(name)
+        for solver in SOLVERS:
+            try:
+                _check_run(problem, solver, 10, (0,), {})
+            except ConfigError:
+                pass  # pi on a problem it cannot drive
+    loaded = sorted(m for m in sys.modules
+                    if m.partition(".")[0] == "multiprocessing" or m == "sbopt._pair")
+    print(loaded)
+""")
+
+
+def test_setup_loads_no_process_machinery():
+    # the pair helper starts on the first evaluated pair, never at set-up
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", SETUP_ONLY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,9 +1,19 @@
 """Simultaneous-perturbation gradient estimates and the descent loop."""
 
+import dataclasses
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import sbopt as sb
+import sbopt.bench as bench
+from sbopt import _pair, core
 
 UNIT2 = sb.Bounds.unit(2)
 OPT = np.array([0.3, 0.7])
@@ -192,3 +202,217 @@ def test_iteration_log_csv(tmp_path):
     assert lines[0] == ("iteration,evals,a_i,c_i,delta_1,delta_2,y_plus,y_minus,"
                         "g_norm,tau_next_1,tau_next_2")
     assert len(lines) == 1 + len(trace.iterations)
+
+
+# ------------------------------------------------- the pair helper process
+
+needs_two_cpus = pytest.mark.skipif(not _pair.two_cpus(),
+                                    reason="the pair helper needs two CPUs")
+
+
+class TwoPartError(Exception):
+    """An exception that pickles but does not load again: its args are one string."""
+
+    def __init__(self, what, value):
+        super().__init__(f"{what}, got {value!r}")
+
+
+def fails_low(tau, seed):
+    """Picklable objective that raises below tau[0] = 0.45."""
+    if tau[0] < 0.45:
+        raise ValueError(f"no value below 0.45, got {tau[0]!r}")
+    return quadratic(tau, seed)
+
+
+def fails_low_oddly(tau, seed):
+    if tau[0] < 0.45:
+        raise TwoPartError("no value below 0.45", tau[0])
+    return quadratic(tau, seed)
+
+
+def behind_a_closure(problem):
+    """The problem with an objective that does not pickle: the sequential path."""
+    objective = problem.objective
+    return dataclasses.replace(problem, objective=lambda tau, seed: objective(tau, seed))
+
+
+def bits(x):
+    """x as nested tuples of types and exact bytes, so equal bits compare equal."""
+    if isinstance(x, dict):
+        return tuple((k, bits(v)) for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return tuple(bits(v) for v in x)
+    if isinstance(x, (sb.Evaluation, core.TraceRecord)):
+        return type(x).__name__, bits(dataclasses.astuple(x, tuple_factory=list))
+    if isinstance(x, (np.ndarray, np.generic)):
+        return type(x).__name__, x.dtype.str, x.shape, x.tobytes()
+    return type(x).__name__, repr(x)
+
+
+def trace_bits(trace):
+    return bits((trace.records, trace.best_curve, trace.iterations))
+
+
+@pytest.fixture
+def fresh_helper(monkeypatch):
+    """A booted pair helper of the test's own, closed after it; the shared one is kept."""
+    monkeypatch.setattr(_pair, "_helper", None)
+    helper = _pair.process_helper()
+    assert helper.conn.poll(60)  # pairs run in the caller until it has booted
+    yield helper
+    helper.close()
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("name, budget", [("complex", 40), ("simple", 60)])
+def test_pair_helper_gives_the_sequential_bits(fresh_helper, name, budget):
+    problem = bench.get_problem(name)
+    concurrent = bench.run_single(problem, "spsa", budget, 3)
+    assert fresh_helper.pairs == budget // 2
+    sequential = bench.run_single(behind_a_closure(problem), "spsa", budget, 3)
+    assert fresh_helper.pairs == budget // 2
+    assert trace_bits(concurrent) == trace_bits(sequential)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("failing", ["minus", "plus"])
+@pytest.mark.parametrize("fails", [fails_low, fails_low_oddly])
+def test_pair_helper_errors_match_the_sequential_run(fresh_helper, failing, fails):
+    # the first iteration's points are 0.5 +- c_1 * delta_1, about 0.5 +- 0.093
+    seed = next(s for s in range(20) if sb.perturbation(2, np.random.default_rng(s))[0]
+                == (1.0 if failing == "minus" else -1.0))
+    outcomes = []
+    for objective in (fails, lambda tau, s: fails(tau, s)):
+        ev = sb.Evaluator(objective, budget=10, seed=0)
+        with pytest.raises(Exception) as raised:
+            sb.run_spsa(ev, [0.5, 0.5], UNIT2, seed=seed)
+        outcomes.append((type(raised.value), str(raised.value), trace_bits(ev.trace)))
+    assert outcomes[0] == outcomes[1]
+    assert "no value below 0.45" in outcomes[0][1]
+    assert len(outcomes[0][2][0]) == (1 if failing == "minus" else 0)  # records left
+    # the helper answers with the error, or leaves a TwoPartError to the caller
+    assert fresh_helper.pairs == (failing == "minus" and fails is fails_low)
+
+
+@needs_two_cpus
+def test_dead_pair_helper_leaves_the_work_here(fresh_helper):
+    problem = bench.get_problem("simple")
+    first = bench.run_single(problem, "spsa", 20, 0)
+    helper = fresh_helper
+    assert helper.pairs == 10
+    helper.process.kill()
+    helper.process.join(10)
+    assert not helper.process.is_alive()
+    second = bench.run_single(problem, "spsa", 20, 0)
+    assert trace_bits(second) == trace_bits(first)
+    assert not helper.alive and _pair.process_helper() is None
+    assert helper.pairs == 10
+
+
+@needs_two_cpus
+def test_pairs_run_here_until_the_helper_has_booted(monkeypatch):
+    monkeypatch.setattr(_pair, "_helper", None)
+    ev = sb.Evaluator(quadratic, budget=None)
+    ev.evaluate_pair([0.1, 0.2], [0.3, 0.4])  # starts the helper, which is still booting
+    helper = _pair._helper
+    try:
+        assert (helper.pairs, helper.ready) == (0, False)
+        assert helper.conn.poll(60)
+        ev.evaluate_pair([0.1, 0.2], [0.3, 0.4])
+        assert (helper.pairs, helper.ready) == (1, True)
+    finally:
+        helper.close()
+    # one that dies before it has booted is closed at the next pair
+    monkeypatch.setattr(_pair, "_helper", None)
+    ev.evaluate_pair([0.1, 0.2], [0.3, 0.4])
+    helper = _pair._helper
+    helper.process.kill()
+    helper.process.join(10)
+    ev.evaluate_pair([0.1, 0.2], [0.3, 0.4])
+    assert not helper.alive and helper.pairs == 0
+    assert [r.evaluation.value for r in ev.trace.records] == \
+        [quadratic(np.array(t), 0) for t in [[0.1, 0.2], [0.3, 0.4]] * 4]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+STDIN_RUN = """
+from sbopt import _pair, core
+from sbopt.bench import get_problem, run_single
+helper = _pair.process_helper()
+if helper is not None:
+    helper.conn.poll(60)  # pairs run here until it has booted
+trace = run_single(get_problem("complex"), "spsa", 20, 0)
+print(repr(trace_bits(trace)))
+print(helper.pairs if helper else 0)
+"""
+
+
+def child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_a_script_on_stdin_does_not_hang():
+    # spawn would re-run the caller's __main__, which it cannot do for a
+    # script read from stdin; the helper starts without it
+    script = "\n".join(["import dataclasses", "import numpy as np", "import sbopt as sb",
+                         inspect.getsource(bits), inspect.getsource(trace_bits), STDIN_RUN])
+    done = subprocess.run([sys.executable, "-"], input=script, env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got, pairs = done.stdout.splitlines()
+    sequential = bench.run_single(behind_a_closure(bench.get_problem("complex")),
+                                  "spsa", 20, 0)
+    assert got == repr(trace_bits(sequential))
+    assert int(pairs) == (10 if _pair.two_cpus() else 0)
+
+
+MAIN_OBJECTIVE = """
+import numpy as np
+import sbopt as sb
+from sbopt import _pair
+
+def bowl(tau, seed):
+    return float(np.sum((tau - 0.3) ** 2))
+
+_pair.process_helper().conn.poll(60)
+ev = sb.Evaluator(bowl, budget=20)
+sb.run_spsa(ev, [0.5, 0.5], sb.Bounds.unit(2), seed=0)
+print(repr([(r.tau.tolist(), r.evaluation) for r in ev.trace.records]))
+print(_pair._helper.pairs, _pair._helper.alive)
+"""
+
+
+@needs_two_cpus
+def test_an_objective_defined_in_main_runs_in_the_caller():
+    # the helper starts without the caller's __main__, so it cannot load bowl
+    done = subprocess.run([sys.executable, "-c", MAIN_OBJECTIVE], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    records, helper = done.stdout.splitlines()
+    ev = sb.Evaluator(lambda tau, seed: float(np.sum((tau - 0.3) ** 2)), budget=20)
+    sb.run_spsa(ev, [0.5, 0.5], UNIT2, seed=0)
+    assert records == repr([(r.tau.tolist(), r.evaluation) for r in ev.trace.records])
+    assert helper == "0 True"
+
+
+@needs_two_cpus
+def test_pair_helper_ends_with_sbo_run(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"problem": "simple", "solver": "spsa", "budget": 10,
+                                  "output_dir": str(tmp_path / "out")}))
+    # the helper and the resource tracker process that spawning starts
+    run = ("import sys\nfrom multiprocessing import resource_tracker\n"
+           "from sbopt import _pair\nfrom sbopt.bench.cli import main\n"
+           "code = main(sys.argv[1:])\n"
+           "print(_pair._helper.process.pid, resource_tracker._resource_tracker._pid)\n"
+           "sys.exit(code)\n")
+    done = subprocess.run([sys.executable, "-c", run, "run", "--config", str(config)],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    for pid in done.stdout.split()[-2:]:
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid), 0)
