@@ -1,9 +1,9 @@
 """Surrogate vs partition vs stochastic approximation on the hard fixture.
 
-The eight-interval joint-toll problem is 16-dimensional, carries heavy
-hash noise, maximizes mean flow, and couples successive intervals
-through jump constraints (the surrogate gets them as a feasibility
-predicate, the other two as an exterior penalty).  Expect the surrogate
+The eight-interval joint-toll problem is 16-dimensional, carries hash
+noise of about 0.41 flow sd, maximizes mean flow, and couples successive
+intervals through jump constraints (the surrogate gets them as a
+feasibility row mask, the other two as an exterior penalty).  Expect the surrogate
 loop to pull ahead at a 100-evaluation budget and the partition search
 to trail; add seeds for a sturdier comparison.
 """

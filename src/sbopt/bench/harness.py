@@ -63,9 +63,8 @@ PARAM_TYPES = {
 
 def _run_rk(evaluator, problem, seed, params):
     params = {"n_init": problem.rk_n_init, **params}
-    return run_rk(evaluator, problem.bounds,
-                  feasibility_predicate=problem.feasibility_mask(),
-                  seed=seed, sampler=problem.infill_sampler, **params)
+    return run_rk(evaluator, problem.bounds, seed=seed, sampler=problem.infill_sampler,
+                  **params)
 
 
 _SPSA_GAINS = ("a", "big_a", "alpha", "c", "gamma")
@@ -146,8 +145,8 @@ def _check_run(problem: Problem, solver: str, budget, seeds, params) -> None:
     """Raise ConfigError unless ``solver`` can run on ``problem`` as asked.
 
     Checks the solver name, the budget, the seeds, the params' keys and
-    types, and the solver-problem pairing, in that order.  Then it calls
-    the solver's runner with a zero budget: every solver checks its
+    types, and the solver-problem pairing, in that order.  Then it runs
+    the solver through ``_run`` with a zero budget: every solver checks its
     arguments before its first evaluation and evaluates nothing without
     budget, so this applies exactly the solver's own range checks.
     """
@@ -162,8 +161,7 @@ def _check_run(problem: Problem, solver: str, budget, seeds, params) -> None:
         raise ConfigError(f"solver {solver!r} cannot run on problem {problem.name!r}: "
                           f"{reason}")
     try:
-        SOLVERS[solver].run(Evaluator(problem.objective, budget=0), problem,
-                            seeds[0], params)
+        _run(problem, solver, 0, seeds[0], params)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad parameters for solver {solver!r}: {exc}") from exc
 
@@ -235,23 +233,21 @@ def run_single(problem: Problem, solver: str, budget: int, seed: int,
     """
     params = {} if params is None else params
     _check_run(problem, solver, budget, (seed,), params)
+    return _run(problem, solver, budget, seed, params)
+
+
+def _run(problem: Problem, solver: str, budget: int, seed: int, params: dict) -> Trace:
+    """Run a checked solver on a fresh evaluator of the problem (its sense and
+    feasibility mask) with ``budget`` evaluations on ``seed``."""
     evaluator = Evaluator(problem.objective, budget=budget, sense=problem.sense,
-                          seed=seed)
+                          seed=seed, feasible=problem.feasibility_predicate())
     return SOLVERS[solver].run(evaluator, problem, seed, params)
 
 
 def _summarize_seed(problem: Problem, trace: Trace, seed: int) -> dict:
-    predicate = problem.feasibility_predicate()
-    feasible = True
-    if predicate is None:
-        tau, ev = trace.best_so_far()
-    else:
-        hit = trace.best_feasible(predicate)
-        if hit is None:
-            tau, ev = trace.best_so_far()
-            feasible = False
-        else:
-            tau, ev = hit
+    hit = trace.best_feasible()
+    feasible = hit is not None
+    tau, ev = hit if feasible else trace.best_so_far()
     max_violation = 0.0
     if problem.smoothing is not None:
         v = violations(tau, problem.smoothing)
@@ -280,8 +276,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     Per-seed runs are independent of each other (fresh evaluator, seeded
     generators), so their order never changes the results; all files are
-    written from this single process.  Returns the report dict, which is
-    exactly what lands in report_<problem>_<solver>.json.
+    written from this single process.  ``config.validate()`` checks all the
+    seeds at once.  Returns the report dict, which is exactly what lands in
+    report_<problem>_<solver>.json.
     """
     config.validate()
     problem = get_problem(config.problem)
@@ -291,7 +288,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     per_seed, curves, traces = [], {}, {}
     for seed in config.seeds:
-        trace = run_single(problem, config.solver, config.budget, seed, config.params)
+        trace = _run(problem, config.solver, config.budget, seed, config.params)
         if len(trace) == 0:
             raise SboError(f"solver {config.solver!r} produced an empty trace")
         trace_path = out_dir / f"trace_{tag}_seed{seed}.csv"

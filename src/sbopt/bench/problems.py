@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..constraints import PenaltyTransform, SmoothingSpec, feasible_mask, is_feasible
+from ..constraints import PenaltyTransform, SmoothingSpec, feasible_mask
 from ..core import Bounds
 from ..mfdsim import (
     NfdCurve,
@@ -42,6 +42,8 @@ class Problem:
     a float or ``(float, aux_dict)``.  ``pi_config`` is None for problems
     the density-feedback controller cannot drive (no per-interval density
     output, or active smoothing constraints it has no way to respect).
+    A constraint enters rk and the summaries as the row mask
+    ``feasibility_predicate()``, and DIRECT and SPSA as ``penalty``.
     ``scenario`` carries simulator pieces and reference values for plots
     and post-hoc checks; solvers never read it.
     """
@@ -59,18 +61,8 @@ class Problem:
     scenario: dict = field(default_factory=dict)
 
     def feasibility_predicate(self):
-        """Boolean feasibility test for trace filtering, None if unconstrained."""
-        if self.smoothing is None:
-            return None
-        spec = self.smoothing
-        return lambda tau: is_feasible(tau, spec, FEASIBILITY_TOL)
-
-    def feasibility_mask(self):
-        """Row-mask form of the predicate for ``run_rk``, None if unconstrained.
-
-        Maps a (k, m) stack of profiles to a length-k boolean array whose
-        entries equal the per-point predicate on each row.
-        """
+        """``feasible_mask`` at ``FEASIBILITY_TOL`` (a (k, m) stack to k booleans,
+        one profile to a 0-d one), the Evaluator's ``feasible``; None if unconstrained."""
         if self.smoothing is None:
             return None
         spec = self.smoothing
@@ -292,7 +284,7 @@ def complex_toll_problem() -> Problem:
     The smoothing band caps jumps between consecutive distance rates at
     0.33 and consecutive delay rates at 5.  Solvers without native
     constraint handling get the exterior-penalty transform; the surrogate
-    loop instead filters infill through the feasibility predicate and
+    loop instead filters infill through the feasibility row mask and
     seeds its search with the band-walking sampler.
     """
     cfg, curve, template = complex_toll_scenario()

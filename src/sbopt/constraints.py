@@ -66,19 +66,17 @@ def violations(tau, spec: SmoothingSpec) -> np.ndarray:
 
 
 def is_feasible(tau, spec: SmoothingSpec, tol: float = 0.0) -> bool:
-    """True when every violation is within tol."""
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    v = violations(tau, spec)
-    return bool(v.size == 0 or np.max(v) <= tol)
+    """True when every violation of one profile is within tol: ``feasible_mask`` on a 1-D tau."""
+    tau = np.asarray(tau, dtype=float)
+    ok = feasible_mask(tau, spec, tol)
+    if ok.ndim:
+        raise _profile_error(tau.shape, spec)
+    return bool(ok)
 
 
 def feasible_mask(taus, spec: SmoothingSpec, tol: float = 0.0) -> np.ndarray:
-    """Row-wise ``is_feasible`` over a (k, 2m) stack of profiles.
-
-    Returns a boolean array of length k whose entry i equals
-    ``is_feasible(taus[i], spec, tol)``: the violations come from the same
-    elementwise arithmetic.  A 1-D profile gives a 0-d result.
+    """The feasibility test: a length-k boolean row mask over a (k, 2m) stack,
+    True where every violation is within tol.  A 1-D profile gives a 0-d result.
     """
     if tol < 0:
         raise ValueError("tol must be non-negative")

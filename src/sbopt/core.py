@@ -143,6 +143,16 @@ def _better(a: float, b: float, sense: str) -> bool:
     return a < b if sense == "minimize" else a > b
 
 
+def _row_mask(predicate, rows: np.ndarray) -> np.ndarray:
+    """Apply a row-mask feasibility predicate to a (k, m) array, checking its shape."""
+    mask = np.asarray(predicate(rows), dtype=bool)
+    if mask.shape != (rows.shape[0],):
+        raise ValueError(
+            f"feasibility predicate must map a ({rows.shape[0]}, {rows.shape[1]}) "
+            f"array to {rows.shape[0]} booleans, got shape {mask.shape}")
+    return mask
+
+
 class Trace:
     """Ordered record of evaluations plus the running best value.
 
@@ -154,12 +164,14 @@ class Trace:
     can write it.  The incumbent after an iteration is
     ``best_curve[evals - 1]``.  ``annotations`` holds end-of-run entries
     that are not per-iteration, such as DIRECT's final tiling.
+    ``feasible`` is the problem's row mask (see ``Evaluator``) or None.
     """
 
-    def __init__(self, sense: str = "minimize"):
+    def __init__(self, sense: str = "minimize", feasible=None):
         if sense not in ("minimize", "maximize"):
             raise ValueError(f"sense must be 'minimize' or 'maximize', got {sense!r}")
         self.sense = sense
+        self.feasible = feasible
         self.records: list[TraceRecord] = []
         self.best_curve: list[float] = []
         self.iterations: list[dict] = []
@@ -185,17 +197,20 @@ class Trace:
         rec = self.records[self._best_index]
         return rec.tau, rec.evaluation
 
-    def best_feasible(self, predicate) -> tuple[np.ndarray, Evaluation] | None:
-        """Earliest best record whose tau satisfies predicate, None if no feasible record."""
-        best = None
-        for rec in self.records:
-            if not predicate(rec.tau):
-                continue
-            if best is None or _better(rec.evaluation.value, best.evaluation.value, self.sense):
-                best = rec
-        if best is None:
+    def best_feasible(self) -> tuple[np.ndarray, Evaluation] | None:
+        """Earliest best record the ``feasible`` mask accepts, from one mask call
+        over all records; None if it accepts none, ``best_so_far()`` without a mask."""
+        if self.feasible is None:
+            return self.best_so_far()
+        if not self.records:
             return None
-        return best.tau, best.evaluation
+        mask = _row_mask(self.feasible, np.stack([rec.tau for rec in self.records]))
+        best = None
+        for rec, ok in zip(self.records, mask):
+            if ok and (best is None
+                       or _better(rec.evaluation.value, best.evaluation.value, self.sense)):
+                best = rec
+        return None if best is None else (best.tau, best.evaluation)
 
 
 class Evaluator:
@@ -217,16 +232,19 @@ class Evaluator:
     seed : int
         Seed passed to the objective on every ``evaluate`` call, so the
         whole optimization runs on one sample path.
+    feasible : callable or None
+        The problem's one feasibility test, a row mask over box points
+        (``(k, m) array -> k booleans``), kept as ``trace.feasible``.
     """
 
     def __init__(self, objective, budget: int | None = None, sense: str = "minimize",
-                 seed: int = 0):
+                 seed: int = 0, feasible=None):
         if budget is not None and budget < 0:
             raise ValueError("budget must be non-negative")
         self.objective = objective
         self.budget = budget
         self.seed = int(seed)
-        self.trace = Trace(sense)
+        self.trace = Trace(sense, feasible)
         self._pickled = None  # the objective's pickle, b"" if it does not pickle
 
     @property

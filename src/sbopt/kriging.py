@@ -26,9 +26,9 @@ search relies on that to leave infeasible candidates out of its batches,
 and ``_moments`` relies on it to walk a stack in blocks of
 ``_MOMENT_BLOCK`` rows, so a call holds only one (block, n) psi and its
 solve however many rows it is given.
-Feasibility predicates passed to ``propose_infill`` and ``run_rk`` are
-row masks: they map a (k, m) array of points to a length-k boolean
-array, e.g. ``constraints.feasible_mask``.
+Feasibility is a row mask mapping a (k, m) array of points to a length-k
+boolean array, e.g. ``constraints.feasible_mask``: ``propose_infill``
+takes one, and ``run_rk`` reads its evaluator's.
 
 This is the only sbopt module that uses scipy (``cdist``, ``pdist``,
 LAPACK ``dpotrf``/``dpotrs``/``dtrtrs`` and ``ndtr``), and it does not
@@ -47,7 +47,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import Bounds, EvaluationError, Evaluator, SboError, Trace, as_vector
+from .core import Bounds, EvaluationError, Evaluator, SboError, Trace, _row_mask, as_vector
 
 _SIGMA2_FLOOR = 1e-300
 _LOG10_THETA_BOUNDS = (-3.0, 2.0)
@@ -483,16 +483,6 @@ class EIProposal:
     ei: float
 
 
-def _row_mask(predicate, rows: np.ndarray) -> np.ndarray:
-    """Apply a row-mask feasibility predicate to a (k, m) array, checking its shape."""
-    mask = np.asarray(predicate(rows), dtype=bool)
-    if mask.shape != (rows.shape[0],):
-        raise ValueError(
-            f"feasibility predicate must map a ({rows.shape[0]}, {rows.shape[1]}) "
-            f"array to {rows.shape[0]} booleans, got shape {mask.shape}")
-    return mask
-
-
 def propose_infill(model: KrigingModel, y_min: float, feasibility_predicate,
                    bounds: Bounds, use_reinterp: bool = True, seed: int = 0,
                    sampler=None) -> EIProposal:
@@ -626,8 +616,7 @@ def loo_cv(model: KrigingModel) -> list[LooRecord]:
 
 
 def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
-           feasibility_predicate=None, use_reinterp: bool = True,
-           seed: int = 0, sampler=None) -> Trace:
+           use_reinterp: bool = True, seed: int = 0, sampler=None) -> Trace:
     """Design, fit, infill loop until the evaluation budget runs out.
 
     ``seed`` drives the maximin design and, offset by the iteration
@@ -638,11 +627,9 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
     coordinates, and values negated when the problem maximizes, without a
     penalty.  The infill search (including any ``sampler``, see
     ``propose_infill``) runs in those coordinates.
-    ``feasibility_predicate`` is None or a row mask over box coordinates:
-    it maps a (k, m) array of points to a length-k boolean array, such as
-    ``Problem.feasibility_mask()``.  When given, infill candidates are
-    restricted to feasible points and the incumbent for expected
-    improvement is the best feasible value observed.  Each infill appends
+    When the evaluator has a feasibility mask (``Evaluator(feasible=...)``),
+    infill candidates are restricted to feasible points and the incumbent for
+    expected improvement is the best feasible value observed.  Each infill appends
     one record to ``trace.iterations`` with fields ``ei`` (of the proposal),
     ``theta`` (unit-cube lengthscales), ``lam`` and ``log_likelihood`` of the
     model it was proposed from; the design points get no record.
@@ -663,9 +650,8 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
     y_signed = [f(u) for u in design]
 
     unit_box = Bounds.unit(m)
-    unit_mask = None
-    if feasibility_predicate is not None:
-        unit_mask = lambda U: feasibility_predicate(bounds.from_unit(U))
+    feasible = evaluator.trace.feasible
+    unit_mask = None if feasible is None else (lambda U: feasible(bounds.from_unit(U)))
 
     warm = None
     iteration = 0

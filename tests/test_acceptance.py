@@ -28,13 +28,12 @@ def smooth_2d(x):
 def complex_runs():
     """Budget-100 runs of the three black-box solvers, seeds 0..9."""
     problem = bench.get_problem("complex")
-    predicate = problem.feasibility_predicate()
     out = {}
     for solver in ("rk", "spsa", "direct"):
         finals, taus = [], []
         for seed in range(10):
             trace = bench.run_single(problem, solver, 100, seed)
-            tau, ev = trace.best_feasible(predicate)
+            tau, ev = trace.best_feasible()
             finals.append(ev.value)
             taus.append(tau)
         out[solver] = (finals, taus)

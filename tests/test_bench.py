@@ -412,7 +412,7 @@ def test_cli_budget_override(tmp_path):
         "seeds": [0], "output_dir": str(tmp_path)}))
     assert main(["run", "--config", str(cfg_path), "--budget", "5",
                  "--seed", "3"]) == 0
-    report = json.load(open(tmp_path / "report_quadratic_direct.json"))
+    report = json.loads((tmp_path / "report_quadratic_direct.json").read_text())
     assert report["budget"] == 5
     assert report["seeds"] == [3]
 

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sbopt as sb
+from sbopt.bench import get_problem, run_single
+from sbopt.bench.problems import FEASIBILITY_TOL
 
 
 def test_clamp_projects_out_of_box_points():
@@ -184,13 +186,86 @@ def test_aux_must_be_dict():
 
 
 def test_best_feasible_filters_records():
-    ev = sb.Evaluator(lambda t, s: float(t[0]), budget=3)
-    for v in (0.1, 0.5, 0.3):
-        ev.evaluate([v])
-    hit = ev.trace.best_feasible(lambda tau: tau[0] >= 0.25)
+    def run(feasible):
+        ev = sb.Evaluator(lambda t, s: float(t[0]), budget=3, feasible=feasible)
+        for v in (0.1, 0.5, 0.3):
+            ev.evaluate([v])
+        return ev.trace
+
+    hit = run(lambda T: T[:, 0] >= 0.25).best_feasible()
     assert hit is not None
     assert hit[1].value == 0.3
-    assert ev.trace.best_feasible(lambda tau: False) is None
+    assert run(lambda T: np.zeros(len(T), dtype=bool)).best_feasible() is None
+    # the records are stacked into one (k, m) array; a per-point answer is a contract error
+    with pytest.raises(ValueError, match="booleans"):
+        run(lambda tau: tau[0] >= 0.25).best_feasible()
+
+
+def per_point_best_feasible(trace, predicate):
+    """The incumbent as it was found before the row mask: the earliest best
+    record whose tau passes a per-point predicate, records taken in turn."""
+    best = None
+    for rec in trace.records:
+        if not predicate(rec.tau):
+            continue
+        v, b = rec.evaluation.value, None if best is None else best.evaluation.value
+        if b is None or (v < b if trace.sense == "minimize" else v > b):
+            best = rec
+    return None if best is None else (best.tau, best.evaluation)
+
+
+def assert_same_hit(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[1] is want[1]
+        assert np.array_equal(got[0], want[0])
+
+
+# (values, feasible flags): a tie between feasible records, an infeasible
+# best that beats the feasible best, no feasible record at all
+HAND_BUILT = [
+    ([3.0, 1.0, 2.0, 1.0, 5.0, 3.0], [True, True, True, True, False, True]),
+    ([4.0, 0.5, 3.0, 9.0, 0.1], [True, False, True, True, False]),
+    ([2.0, 1.0], [False, False]),
+]
+
+
+@pytest.mark.parametrize("sense", ["minimize", "maximize"])
+@pytest.mark.parametrize("values, flags", HAND_BUILT)
+def test_best_feasible_matches_per_point_loop(values, flags, sense):
+    # tau = (value, flag): the mask reads the flag column
+    mask = lambda T: T[:, 1] > 0.5
+    trace = sb.Trace(sense, mask)
+    for i, (v, ok) in enumerate(zip(values, flags)):
+        trace.append([v, float(ok)], sb.Evaluation(value=v, seed=0, eval_index=i))
+    want = per_point_best_feasible(trace, lambda tau: mask(tau[None])[0])
+    got = trace.best_feasible()
+    assert_same_hit(got, want)
+    if any(flags):
+        best = (min if sense == "minimize" else max)(
+            v for v, ok in zip(values, flags) if ok)
+        first = [i for i, (v, ok) in enumerate(zip(values, flags)) if ok and v == best][0]
+        assert got[1].eval_index == first
+    else:
+        assert got is None
+
+
+@pytest.mark.parametrize("sense", ["minimize", "maximize"])
+def test_best_feasible_without_a_mask_is_best_so_far(sense):
+    trace = sb.Trace(sense)
+    for i, v in enumerate([2.0, 0.5, 3.0, 0.5, 3.0]):
+        trace.append([v], sb.Evaluation(value=v, seed=0, eval_index=i))
+    assert_same_hit(trace.best_feasible(), trace.best_so_far())
+    assert sb.Trace(sense, lambda T: T[:, 0] > 0).best_feasible() is None
+
+
+@pytest.mark.parametrize("solver", ["rk", "direct", "spsa"])
+def test_best_feasible_matches_per_point_loop_on_complex(solver):
+    problem = get_problem("complex")
+    predicate = lambda tau: sb.is_feasible(tau, problem.smoothing, FEASIBILITY_TOL)
+    for seed in (0, 1):
+        trace = run_single(problem, solver, 30, seed)
+        assert_same_hit(trace.best_feasible(), per_point_best_feasible(trace, predicate))
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),

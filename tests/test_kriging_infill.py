@@ -152,7 +152,7 @@ def band_model(n, seed=0):
     # a 16-D model on points of the complex problem's smoothing band, with
     # its unit-coordinate row mask and band sampler
     problem = get_problem("complex")
-    mask = problem.feasibility_mask()
+    mask = problem.feasibility_predicate()
     sampler = problem.infill_sampler
     X = sampler(np.random.default_rng(seed), n, problem.bounds)
     y = np.sin(3 * X[:, :8]).sum(axis=1) - ((X[:, 8:] - 0.4) * (X[:, 8:] - 0.6)).sum(axis=1)

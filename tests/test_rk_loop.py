@@ -73,11 +73,10 @@ def test_constrained_run_respects_predicate():
         return float((tau[0] - 0.1) ** 2 + (tau[1] - 0.9) ** 2
                      + 0.1 * (tau[2] - 1.0) ** 2 + 0.1 * (tau[3] - 4.0) ** 2)
 
-    ev = sb.Evaluator(objective, budget=45, seed=0)
-    trace = sb.run_rk(ev, bounds, n_init=15,
-                      feasibility_predicate=predicate, seed=0)
+    ev = sb.Evaluator(objective, budget=45, seed=0, feasible=predicate)
+    trace = sb.run_rk(ev, bounds, n_init=15, seed=0)
     assert all(predicate(rec.tau) for rec in trace.records[15:])
-    tau, best = trace.best_feasible(predicate)
+    tau, best = trace.best_feasible()
     assert predicate(tau)
     # constrained optimum pins the jump at the cap: eta (0.4, 0.6), value 0.18
     assert best.value == pytest.approx(0.18, abs=0.02)
