@@ -1,20 +1,32 @@
 """The pair helper process behind ``Evaluator.evaluate_pair``.
 
-One spawned process per interpreter evaluates the second point of each
-pair while the caller evaluates the first.  This module is imported on
-the first pair, so importing ``sbopt`` loads no process machinery.
+One child ``python`` per interpreter, started with ``subprocess`` on POSIX,
+evaluates the second point of each pair while the caller evaluates the first.
+It is imported on the first pair, so importing ``sbopt`` loads no process machinery.
 """
 
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
 import pickle
+import subprocess
 import sys
 import threading
-import types
-from multiprocessing import resource_tracker
+from multiprocessing.connection import Pipe
+
+# The helper's __main__, run as ``python -c BOOT fd``; the caller's sys.path comes first.
+# It leaves no name in __main__, where an objective of the caller's __main__ must not load.
+BOOT = """
+def boot():
+    import sys
+    from multiprocessing.connection import Connection
+    conn = Connection(int(sys.argv[1]))
+    sys.path[:] = conn.recv()
+    from sbopt._pair import serve
+    serve(conn)
+globals().pop("boot")()
+"""
 
 
 def two_cpus() -> bool:
@@ -64,7 +76,7 @@ def serve(conn) -> None:
 
 
 class PairHelper:
-    """One spawned process that evaluates the second point of each pair.
+    """One child ``python`` that evaluates the second point of each pair.
 
     It is started on the first pair, never at import, and takes pairs once
     it reports that it has booted, so no caller waits for its start.  The
@@ -80,28 +92,20 @@ class PairHelper:
         self.pairs = 0  # points it answered, for tests
         self.alive = self.ready = False
         try:
-            ctx = multiprocessing.get_context("spawn")
-            self.conn, child = ctx.Pipe()
-        except (ImportError, OSError):  # no process support on this platform
+            self.conn, child = Pipe()
+        except OSError:  # e.g. out of file descriptors
             return
-        # Spawn would re-run the caller's __main__ script in the helper, all of
-        # it when the script has no __name__ guard; the helper needs only sbopt
-        # and the objective's module, so it is started with a blank __main__.
-        main = sys.modules["__main__"]
-        sys.modules["__main__"] = types.ModuleType("__main__")
-        # the private _fd is None until a first spawn starts the tracker
-        self.own_tracker = getattr(resource_tracker._resource_tracker, "_fd", 0) is None
-        try:
-            self.process = ctx.Process(target=serve, args=(child,), daemon=True,
-                                       name="sbopt-pair-helper")
-            self.process.start()
-            self.alive = True
-            atexit.register(self.close, at_exit=True)
-        except (OSError, RuntimeError):  # e.g. started while a spawned process boots
-            self.conn.close()
-        finally:
-            sys.modules["__main__"] = main
-            child.close()
+        with child:  # the helper holds its own copy
+            try:
+                self.conn.send(sys.path)
+                flags = subprocess._args_from_interpreter_flags()  # -W, -X: warn as here
+                self.process = subprocess.Popen(
+                    [sys.executable, *flags, "-c", BOOT, str(child.fileno())],
+                    pass_fds=(child.fileno(),))
+                self.alive = True
+                atexit.register(self.close)
+            except OSError:  # e.g. no process left to start
+                self.conn.close()
 
     def started(self) -> bool:
         """True once the helper has booted; pairs run in the caller until then."""
@@ -133,20 +137,15 @@ class PairHelper:
             self.close()
             raise
 
-    def close(self, at_exit: bool = False) -> None:
-        if self.owner != os.getpid():
-            return
-        if self.alive:
+    def close(self) -> None:
+        if self.owner == os.getpid() and self.alive:
             self.alive = False
             self.conn.close()
-            self.process.join(1.0)  # the closed pipe ends its loop
-            if self.process.exitcode is None:
-                self.process.terminate()
-                self.process.join()
-        if at_exit and self.own_tracker:
-            # Spawning started multiprocessing's resource tracker process, which
-            # would otherwise exit only after this interpreter has.
-            resource_tracker._resource_tracker._stop()
+            try:
+                self.process.wait(1.0)  # the closed pipe ends its loop
+            except subprocess.TimeoutExpired:
+                self.process.kill()
+                self.process.wait()
 
 
 _helper: PairHelper | None = None
@@ -163,11 +162,11 @@ def process_helper() -> PairHelper | None:
 def locked_helper() -> PairHelper | None:
     """The booted pair helper, locked for one pair; None when pairs run in the caller.
 
-    That is on fewer than two CPUs, before the helper has booted, once it
-    is gone, and while another thread holds it.  The caller releases
-    ``lock``.
+    That is off POSIX, on fewer than two CPUs, before the helper has
+    booted, once it is gone, and while another thread holds it.  The caller
+    releases ``lock``.
     """
-    if not two_cpus():
+    if os.name != "posix" or not two_cpus():  # pass_fds is POSIX-only
         return None
     helper = process_helper()
     if helper is None or not helper.lock.acquire(blocking=False):

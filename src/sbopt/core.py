@@ -10,10 +10,11 @@ a deterministic sample path and two evaluations of the same ``(tau, seed)``
 must return identical values.
 
 That purity rule is what lets ``Evaluator.evaluate_pair`` (SPSA's two
-perturbed points) run its second point concurrently in one helper process
-and still record exactly what two ``evaluate`` calls would.  It does so
-only when the objective pickles and the process may run on at least two
-CPUs; otherwise, and for closures, both points run here in turn.
+perturbed points) run its second point concurrently in one helper process,
+a child ``python`` started with ``subprocess``, and still record exactly
+what two ``evaluate`` calls would.  It does so only on POSIX, when the
+objective pickles and the process may run on at least two CPUs;
+otherwise, and for closures, both points run here in turn.
 """
 
 from __future__ import annotations
@@ -324,9 +325,9 @@ class Evaluator:
         """Evaluate two independent points and record them in this order.
 
         The result, the trace and any error are those of ``evaluate(tau_a)``
-        followed by ``evaluate(tau_b)``.  When the budget holds both, the
-        objective pickles and the process may run on two CPUs, ``tau_b``
-        goes to the pair helper process while ``tau_a`` runs here; by the
+        followed by ``evaluate(tau_b)``.  On POSIX, when the budget holds
+        both, the objective pickles and the process may run on two CPUs,
+        ``tau_b`` goes to the pair helper process while ``tau_a`` runs here; by the
         purity rule of the objective contract the helper's value is the one
         a local call would give.  A helper that cannot start, dies, or
         cannot take the objective leaves the work to this process.

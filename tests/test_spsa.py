@@ -1,11 +1,16 @@
 """Simultaneous-perturbation gradient estimates and the descent loop."""
 
+import ast
 import dataclasses
+import gc
+import importlib
 import inspect
 import json
 import os
 import subprocess
 import sys
+import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -301,8 +306,8 @@ def test_dead_pair_helper_leaves_the_work_here(fresh_helper):
     helper = fresh_helper
     assert helper.pairs == 10
     helper.process.kill()
-    helper.process.join(10)
-    assert not helper.process.is_alive()
+    helper.process.wait(10)
+    assert helper.process.poll() is not None
     second = bench.run_single(problem, "spsa", 20, 0)
     assert trace_bits(second) == trace_bits(first)
     assert not helper.alive and _pair.process_helper() is None
@@ -327,7 +332,7 @@ def test_pairs_run_here_until_the_helper_has_booted(monkeypatch):
     ev.evaluate_pair([0.1, 0.2], [0.3, 0.4])
     helper = _pair._helper
     helper.process.kill()
-    helper.process.join(10)
+    helper.process.wait(10)
     ev.evaluate_pair([0.1, 0.2], [0.3, 0.4])
     assert not helper.alive and helper.pairs == 0
     assert [r.evaluation.value for r in ev.trace.records] == \
@@ -355,8 +360,8 @@ def child_env():
 
 
 def test_a_script_on_stdin_does_not_hang():
-    # spawn would re-run the caller's __main__, which it cannot do for a
-    # script read from stdin; the helper starts without it
+    # the helper starts without the caller's __main__, which it could not
+    # re-run for a script read from stdin
     script = "\n".join(["import dataclasses", "import numpy as np", "import sbopt as sb",
                          inspect.getsource(bits), inspect.getsource(trace_bits), STDIN_RUN])
     done = subprocess.run([sys.executable, "-"], input=script, env=child_env(),
@@ -386,10 +391,12 @@ print(_pair._helper.pairs, _pair._helper.alive)
 
 
 @needs_two_cpus
-def test_an_objective_defined_in_main_runs_in_the_caller():
-    # the helper starts without the caller's __main__, so it cannot load bowl
-    done = subprocess.run([sys.executable, "-c", MAIN_OBJECTIVE], env=child_env(),
-                          capture_output=True, text=True, timeout=120)
+@pytest.mark.parametrize("name", ["bowl", "boot", "serve"])
+def test_an_objective_defined_in_main_runs_in_the_caller(name):
+    # the helper starts without the caller's __main__, so it cannot load the
+    # objective, and holds none of its own boot code's names there
+    done = subprocess.run([sys.executable, "-c", MAIN_OBJECTIVE.replace("bowl", name)],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     records, helper = done.stdout.splitlines()
     ev = sb.Evaluator(lambda tau, seed: float(np.sum((tau - 0.3) ** 2)), budget=20)
@@ -403,16 +410,119 @@ def test_pair_helper_ends_with_sbo_run(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"problem": "simple", "solver": "spsa", "budget": 10,
                                   "output_dir": str(tmp_path / "out")}))
-    # the helper and the resource tracker process that spawning starts
-    run = ("import sys\nfrom multiprocessing import resource_tracker\n"
-           "from sbopt import _pair\nfrom sbopt.bench.cli import main\n"
+    # the helper is one plain child: spawn's machinery and its resource tracker
+    # process are never loaded
+    run = ("import sys\nfrom sbopt import _pair\nfrom sbopt.bench.cli import main\n"
            "code = main(sys.argv[1:])\n"
-           "print(_pair._helper.process.pid, resource_tracker._resource_tracker._pid)\n"
+           "assert 'multiprocessing.spawn' not in sys.modules\n"
+           "assert 'multiprocessing.resource_tracker' not in sys.modules\n"
+           "print(_pair._helper.process.pid)\n"
            "sys.exit(code)\n")
     done = subprocess.run([sys.executable, "-c", run, "run", "--config", str(config)],
                           env=child_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
-    for pid in done.stdout.split()[-2:]:
-        with pytest.raises(ProcessLookupError):
-            os.kill(int(pid), 0)
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(done.stdout.split()[-1]), 0)
+
+
+WARNER = """
+import warnings
+import numpy as np
+
+def warns_low(tau, seed):
+    if tau[0] < 0.45:
+        warnings.warn(f"no value below 0.45, got {tau[0]!r}", RuntimeWarning)
+    return float(np.sum((tau - 0.3) ** 2))
+"""
+
+WARNING_RUN = """
+from sbopt import _pair, core
+from warner import warns_low
+
+# the first pair's minus point, the helper's, is the one below 0.45
+seed = next(s for s in range(20) if sb.perturbation(2, np.random.default_rng(s))[0] == 1.0)
+_pair.process_helper().conn.poll(60)  # pairs run here until it has booted
+for objective in (warns_low, lambda tau, s: warns_low(tau, s)):
+    ev = sb.Evaluator(objective, budget=10, seed=0)
+    raised = None
+    try:
+        sb.run_spsa(ev, [0.5, 0.5], sb.Bounds.unit(2), seed=seed)
+    except Exception as exc:
+        raised = (type(exc).__name__, str(exc))
+    print(repr((raised, len(ev.trace.records), trace_bits(ev.trace))))
+print(_pair._helper.pairs)
+"""
+
+
+@needs_two_cpus
+def test_interpreter_options_reach_the_helper(tmp_path):
+    # under -W error the helper raises where the caller raises; without the
+    # flag it would print the warning and answer with a value
+    (tmp_path / "warner.py").write_text(WARNER)
+    script = "\n".join(["import dataclasses", "import numpy as np", "import sbopt as sb",
+                         inspect.getsource(bits), inspect.getsource(trace_bits), WARNING_RUN])
+    env = child_env()
+    env["PYTHONPATH"] += os.pathsep + str(tmp_path)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    helper_run, closure_run, pairs = done.stdout.splitlines()
+    assert helper_run == closure_run
+    raised, records, _ = ast.literal_eval(helper_run)
+    assert raised[0] == "RuntimeWarning" and "no value below 0.45" in raised[1]
+    assert records == 1
+    assert pairs == "1"
+
+
+@needs_two_cpus
+def test_pair_helper_gets_the_callers_sys_path(tmp_path, monkeypatch):
+    # the objective's module is importable only through a sys.path entry made
+    # at run time, which the helper's environment does not carry
+    (tmp_path / "runtime_bowl.py").write_text(
+        "import numpy as np\n\n"
+        "def bowl(tau, seed):\n    return float(np.sum((tau - 0.3) ** 2))\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    bowl = importlib.import_module("runtime_bowl").bowl
+    monkeypatch.setattr(_pair, "_helper", None)
+    helper = _pair.process_helper()
+    try:
+        assert helper.conn.poll(60)
+        concurrent = sb.Evaluator(bowl, budget=20)
+        sb.run_spsa(concurrent, [0.5, 0.5], UNIT2, seed=0)
+        assert helper.pairs == 10
+    finally:
+        helper.close()
+        del sys.modules["runtime_bowl"]
+    sequential = sb.Evaluator(lambda tau, seed: bowl(tau, seed), budget=20)
+    sb.run_spsa(sequential, [0.5, 0.5], UNIT2, seed=0)
+    assert trace_bits(concurrent.trace) == trace_bits(sequential.trace)
+
+
+def no_process(*args, **kwargs):
+    raise OSError("no process can be started")
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("cannot_start", ["popen_fails", "not_posix"])
+def test_a_helper_that_cannot_start_leaves_the_pairs_here(monkeypatch, cannot_start):
+    monkeypatch.setattr(_pair, "_helper", None)
+    if cannot_start == "popen_fails":
+        monkeypatch.setattr(_pair.subprocess, "Popen", no_process)
+    else:  # the check reads only the platform's name
+        monkeypatch.setattr(_pair, "os", types.SimpleNamespace(name="nt"))
+    problem = bench.get_problem("simple")
+    fds = len(os.listdir("/dev/fd"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        concurrent = bench.run_single(problem, "spsa", 20, 0)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert len(os.listdir("/dev/fd")) == fds  # both ends of the pipe are closed
+    if cannot_start == "popen_fails":
+        assert _pair._helper is not None and _pair.process_helper() is None
+    else:
+        assert _pair._helper is None  # no helper was made
+    sequential = bench.run_single(behind_a_closure(problem), "spsa", 20, 0)
+    assert trace_bits(concurrent) == trace_bits(sequential)
