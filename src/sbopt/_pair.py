@@ -1,8 +1,12 @@
 """The pair helper process behind ``Evaluator.evaluate_pair``.
 
-One child ``python`` per interpreter, started with ``subprocess`` on POSIX,
-evaluates the second point of each pair while the caller evaluates the first.
-It is imported on the first pair, so importing ``sbopt`` loads no process machinery.
+``run_pair`` is its one entry: it decides whether the second point of a
+pair goes to the helper, sends it, evaluates the first point in the caller
+meanwhile, and falls back to the caller when the helper does not answer.
+The helper is one child ``python`` per interpreter, started with
+``subprocess`` on POSIX in a session of its own, so Ctrl-C at a terminal
+reaches only the caller.  This module is imported on the first pair, so
+importing ``sbopt`` loads no process machinery.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import subprocess
 import sys
 import threading
 from multiprocessing.connection import Pipe
+
+import numpy as np
 
 # The helper's __main__, run as ``python -c BOOT fd``; the caller's sys.path comes first.
 # It leaves no name in __main__, where an objective of the caller's __main__ must not load.
@@ -44,9 +50,6 @@ def serve(conn) -> None:
     the objective did not load or the reply would not load in the caller;
     the caller then evaluates the point itself.
     """
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
     try:
         conn.send("ready")
         objective = None
@@ -88,7 +91,8 @@ class PairHelper:
     def __init__(self):
         self.owner = os.getpid()
         self.lock = threading.Lock()
-        self.sent = None  # the pickled objective the helper holds
+        self.holds = None  # the objective whose pickle the helper was sent last
+        self.refused = None  # the last objective it did not answer for, which runs here
         self.pairs = 0  # points it answered, for tests
         self.alive = self.ready = False
         try:
@@ -101,7 +105,7 @@ class PairHelper:
                 flags = subprocess._args_from_interpreter_flags()  # -W, -X: warn as here
                 self.process = subprocess.Popen(
                     [sys.executable, *flags, "-c", BOOT, str(child.fileno())],
-                    pass_fds=(child.fileno(),))
+                    pass_fds=(child.fileno(),), start_new_session=True)
                 self.alive = True
                 atexit.register(self.close)
             except OSError:  # e.g. no process left to start
@@ -116,26 +120,30 @@ class PairHelper:
                 self.close()
         return self.ready
 
-    def submit(self, pickled: bytes, tau, seed: int) -> bool:
-        """Send one point; False (and closed) if the helper is gone."""
+    def pair(self, objective, pickled: bytes, tau, seed: int, local):
+        """Send one point, run ``local()`` meanwhile, and return ``(local(), reply)``.
+
+        The reply is the helper's, drained even when ``local`` raises, or
+        None when the helper is gone.
+        """
         try:
-            self.conn.send((None if pickled == self.sent else pickled, tau, seed))
+            self.conn.send((None if objective is self.holds else pickled, tau, seed))
         except OSError:  # a closed or broken pipe
             self.close()
-            return False
-        self.sent = pickled
-        return True
-
-    def result(self):
-        """The reply to the last ``submit``; None if the helper is gone."""
+            return local(), None
+        self.holds = objective
         try:
-            return self.conn.recv()
-        except Exception:  # it died
-            self.close()
-            return None
-        except BaseException:  # interrupted: out of step with the helper from here on
-            self.close()
-            raise
+            ev_a = local()
+        finally:
+            try:
+                reply = self.conn.recv()
+            except Exception:  # it died
+                self.close()
+                reply = None
+            except BaseException:  # interrupted: out of step with the helper from here on
+                self.close()
+                raise
+        return ev_a, reply
 
     def close(self) -> None:
         if self.owner == os.getpid() and self.alive:
@@ -149,6 +157,9 @@ class PairHelper:
 
 
 _helper: PairHelper | None = None
+# The last objective asked about, held so that its id is not reused, and its
+# pickle, b"" when it does not pickle.
+_pickled = (None, b"")
 
 
 def process_helper() -> PairHelper | None:
@@ -159,19 +170,45 @@ def process_helper() -> PairHelper | None:
     return _helper if _helper.alive else None
 
 
-def locked_helper() -> PairHelper | None:
-    """The booted pair helper, locked for one pair; None when pairs run in the caller.
+def run_pair(objective, tau_b, seed: int, local):
+    """Evaluate ``objective(tau_b, seed)`` in the helper while ``local()`` runs here.
 
-    That is off POSIX, on fewer than two CPUs, before the helper has
-    booted, once it is gone, and while another thread holds it.  The caller
-    releases ``lock``.
+    Returns ``(local(), output)``: the objective's output at ``tau_b``, or
+    None when the helper did not answer, so the caller evaluates ``tau_b``
+    itself.  An exception the objective raised in the helper is raised
+    here once ``local()`` has returned.  Returns None, without calling
+    ``local``, when the pair runs in turn: off POSIX, on fewer than two
+    CPUs, for an objective that does not pickle or that the helper could
+    not take, for a ``tau_b`` that is not a finite 1-D vector, before the
+    helper has booted, once it is gone, and while another thread holds it.
     """
+    global _pickled
     if os.name != "posix" or not two_cpus():  # pass_fds is POSIX-only
         return None
+    entry = _pickled
+    if entry[0] is not objective:
+        try:
+            entry = (objective, pickle.dumps(objective))
+        except Exception:  # closures, lambdas, open handles
+            entry = (objective, b"")
+        _pickled = entry
+    tau = np.asarray(tau_b, dtype=float)
+    if not entry[1] or tau.ndim != 1 or not np.all(np.isfinite(tau)):
+        return None  # the caller's evaluate raises where the sequential calls would
     helper = process_helper()
-    if helper is None or not helper.lock.acquire(blocking=False):
+    if helper is None or objective is helper.refused or not helper.lock.acquire(False):
         return None
-    if not helper.started():
+    try:
+        if not helper.started():
+            return None
+        ev_a, reply = helper.pair(objective, entry[1], tau, seed, local)
+    finally:
         helper.lock.release()
-        return None
-    return helper
+    if reply is None:  # it is gone, or cannot take this objective or this reply
+        helper.refused = objective
+        return ev_a, None
+    helper.pairs += 1
+    ok, out = reply
+    if not ok:
+        raise out
+    return ev_a, out

@@ -10,16 +10,16 @@ a deterministic sample path and two evaluations of the same ``(tau, seed)``
 must return identical values.
 
 That purity rule is what lets ``Evaluator.evaluate_pair`` (SPSA's two
-perturbed points) run its second point concurrently in one helper process,
-a child ``python`` started with ``subprocess``, and still record exactly
-what two ``evaluate`` calls would.  It does so only on POSIX, when the
-objective pickles and the process may run on at least two CPUs;
-otherwise, and for closures, both points run here in turn.
+perturbed points) run its second point concurrently in one helper process
+and still record exactly what two ``evaluate`` calls would.  It makes one
+call, ``sbopt._pair.run_pair``, which owns the helper and decides where
+the point runs: in the helper only on POSIX, when the objective pickles
+and the process may run on at least two CPUs; otherwise, and for
+closures, both points run here in turn.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,7 +246,6 @@ class Evaluator:
         self.budget = budget
         self.seed = int(seed)
         self.trace = Trace(sense, feasible)
-        self._pickled = None  # the objective's pickle, b"" if it does not pickle
 
     @property
     def sense(self) -> str:
@@ -292,9 +291,6 @@ class Evaluator:
         f.pair = pair
         return f
 
-    def _call(self, tau: np.ndarray, seed: int) -> tuple[float, dict | None]:
-        return self._checked(self.objective(tau, seed), tau)
-
     @staticmethod
     def _checked(out, tau: np.ndarray) -> tuple[float, dict | None]:
         if isinstance(out, tuple):
@@ -313,7 +309,7 @@ class Evaluator:
         tau = as_vector(tau)
         if not self.can_evaluate():
             raise BudgetExhausted(f"budget of {self.budget} evaluations exhausted")
-        value, aux = self._call(tau, self.seed)
+        value, aux = self._checked(self.objective(tau, self.seed), tau)
         return self._record(tau, value, aux)
 
     def _record(self, tau: np.ndarray, value: float, aux: dict | None) -> Evaluation:
@@ -325,51 +321,24 @@ class Evaluator:
         """Evaluate two independent points and record them in this order.
 
         The result, the trace and any error are those of ``evaluate(tau_a)``
-        followed by ``evaluate(tau_b)``.  On POSIX, when the budget holds
-        both, the objective pickles and the process may run on two CPUs,
-        ``tau_b`` goes to the pair helper process while ``tau_a`` runs here; by the
-        purity rule of the objective contract the helper's value is the one
-        a local call would give.  A helper that cannot start, dies, or
-        cannot take the objective leaves the work to this process.
+        followed by ``evaluate(tau_b)``.  When the budget holds both, the
+        pair goes to ``sbopt._pair.run_pair``, which may send ``tau_b`` to
+        the pair helper process while ``tau_a`` runs here; by the purity
+        rule of the objective contract the helper's value is the one a
+        local call would give.  When the helper does not answer, or the
+        pair must run in turn, the work stays in this process.
         """
-        helper = self._helper_for(tau_b)
-        if helper is None:
-            return self.evaluate(tau_a), self.evaluate(tau_b)
-        try:
-            tau_b = as_vector(tau_b)
-            sent = helper.submit(self._pickled, tau_b, self.seed)
-            try:
-                ev_a = self.evaluate(tau_a)
-            finally:
-                reply = helper.result() if sent else None
-        finally:
-            helper.lock.release()
-        if reply is None:  # the helper is gone or cannot take this objective
-            self._pickled = b""
-            value, aux = self._call(tau_b, self.seed)
-        else:
-            helper.pairs += 1
-            ok, out = reply
-            if not ok:
-                raise out
-            value, aux = self._checked(out, tau_b)
-        return ev_a, self._record(tau_b, value, aux)
+        if self.can_evaluate(2):
+            from ._pair import run_pair  # the process machinery loads on the first pair
 
-    def _helper_for(self, tau_b):
-        """The locked pair helper when ``evaluate_pair`` may use it, else None."""
-        if self._pickled is None:
-            try:
-                self._pickled = pickle.dumps(self.objective)
-            except Exception:  # closures, lambdas, open handles
-                self._pickled = b""
-        if not (self._pickled and self.can_evaluate(2)):
-            return None
-        tau_b = np.asarray(tau_b, dtype=float)
-        if tau_b.ndim != 1 or not np.all(np.isfinite(tau_b)):
-            return None  # let evaluate raise where the sequential calls would
-        from ._pair import locked_helper  # multiprocessing loads on the first pair
-
-        return locked_helper()
+            pair = run_pair(self.objective, tau_b, self.seed, lambda: self.evaluate(tau_a))
+            if pair is not None:
+                ev_a, out = pair
+                if out is None:  # the helper did not answer
+                    return ev_a, self.evaluate(tau_b)
+                tau_b = as_vector(tau_b)
+                return ev_a, self._record(tau_b, *self._checked(out, tau_b))
+        return self.evaluate(tau_a), self.evaluate(tau_b)
 
 
 def _csv_cell(x):

@@ -4,10 +4,11 @@ Each iteration draws one Bernoulli +-1 perturbation direction, evaluates
 the objective at the two symmetric perturbed points, and forms a full
 gradient estimate from that single pair, so the cost per iteration is
 two evaluations regardless of dimension.  The two are independent, so
-they go through ``Evaluator.evaluate_pair``, which runs them concurrently
-on POSIX when the objective pickles and two CPUs are available, with the
-same result as running them in turn.  Gain sequences decay as
-``a_i = a / (A + i)**alpha`` and ``c_i = c / (i + 1)**gamma``.
+they go through ``Evaluator.evaluate_pair``, whose one call into
+``sbopt._pair`` runs them concurrently on POSIX when the objective pickles
+and two CPUs are available, with the same result as running them in turn.
+Gain sequences decay as ``a_i = a / (A + i)**alpha`` and
+``c_i = c / (i + 1)**gamma``.
 
 ``run_spsa`` descends ``Evaluator.on_unit_cube``: the iterate lives in
 the unit cube, and a maximized objective is negated and then penalized

@@ -7,8 +7,10 @@ import importlib
 import inspect
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import types
 import warnings
 from pathlib import Path
@@ -297,6 +299,35 @@ def test_pair_helper_errors_match_the_sequential_run(fresh_helper, failing, fail
     assert len(outcomes[0][2][0]) == (1 if failing == "minus" else 0)  # records left
     # the helper answers with the error, or leaves a TwoPartError to the caller
     assert fresh_helper.pairs == (failing == "minus" and fails is fails_low)
+    # it stays in step: a reply left pending by the error was drained, so a
+    # new run through it answers every pair with that run's own values
+    answered = fresh_helper.pairs
+    runs = []
+    for objective in (noisy_quadratic, lambda tau, s: noisy_quadratic(tau, s)):
+        ev = sb.Evaluator(objective, budget=10, seed=0)
+        sb.run_spsa(ev, [0.5, 0.5], UNIT2, seed=seed)
+        runs.append(trace_bits(ev.trace))
+    assert runs[0] == runs[1]
+    assert fresh_helper.pairs == answered + 5
+
+
+@needs_two_cpus
+def test_pairs_of_two_objectives_interleave_on_one_helper(fresh_helper):
+    # each switch sends the other objective; a stale one would show in the bits
+    problems = [bench.get_problem("complex"), bench.get_problem("simple")]
+    rng = np.random.default_rng(0)
+    points = [[(p.bounds.from_unit(rng.random(p.bounds.m_dim)),
+                p.bounds.from_unit(rng.random(p.bounds.m_dim))) for _ in range(10)]
+              for p in problems]
+    traces = []
+    for twin in (lambda p: p, behind_a_closure):
+        evaluators = [sb.Evaluator(twin(p).objective, budget=20, seed=3) for p in problems]
+        for pairs in zip(*points):
+            for ev, (tau_a, tau_b) in zip(evaluators, pairs):
+                ev.evaluate_pair(tau_a, tau_b)
+        traces.append([trace_bits(ev.trace) for ev in evaluators])
+        assert fresh_helper.pairs == 20
+    assert traces[0] == traces[1]
 
 
 @needs_two_cpus
@@ -424,6 +455,37 @@ def test_pair_helper_ends_with_sbo_run(tmp_path):
     assert done.stderr == ""
     with pytest.raises(ProcessLookupError):
         os.kill(int(done.stdout.split()[-1]), 0)
+
+
+INTERRUPTED = """
+from sbopt import _pair
+from sbopt.bench import get_problem, run_single
+print(_pair.process_helper().process.pid, flush=True)
+run_single(get_problem("complex"), "spsa", 2000, 0)
+"""
+
+
+@pytest.mark.parametrize("delay", [0.02, 0.1])
+def test_ctrl_c_while_the_helper_boots_reaches_only_the_caller(delay):
+    # SIGINT goes to the script's whole process group, as Ctrl-C at a terminal
+    # does, while the helper is still booting; the helper runs in its own session
+    script = subprocess.Popen([sys.executable, "-c", INTERRUPTED], env=child_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                              start_new_session=True)
+    try:
+        helper_pid = int(script.stdout.readline())
+        time.sleep(delay)
+        os.killpg(script.pid, signal.SIGINT)
+        _, err = script.communicate(timeout=120)
+    finally:
+        if script.poll() is None:
+            script.kill()
+            script.communicate()
+    assert err.count("Traceback (most recent call last)") == 1, err
+    assert err.rstrip().endswith("KeyboardInterrupt"), err
+    assert "Fatal Python error" not in err
+    with pytest.raises(ProcessLookupError):
+        os.kill(helper_pid, 0)
 
 
 WARNER = """
