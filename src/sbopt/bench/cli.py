@@ -48,7 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("reports", nargs="+", metavar="REPORT",
                       help="report JSON files written by 'sbo run'")
     comp.add_argument("--out", default=None, metavar="CSV",
-                      help="also write aligned median/quartile curves here")
+                      help="also write aligned median/quartile curves here, "
+                           "and the figure next to it with the suffix .svg")
 
     plot = sub.add_parser("plot", help="emit plot data from a trace CSV")
     plot.add_argument("trace", help="trace CSV written by 'sbo run'")
@@ -83,6 +84,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.out and Path(args.out).suffix.lower() == ".svg":
+        raise ConfigError(f"--out {args.out} ends in .svg, where the figure goes; "
+                          "name the curves CSV")
     for path in args.reports:
         if not Path(path).exists():
             raise ConfigError(f"report file not found: {path}")

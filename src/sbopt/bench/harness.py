@@ -33,12 +33,11 @@ class ConfigError(SboError):
 
 class Solver(NamedTuple):
     """One row of SOLVERS: the params a config may set, each with its JSON
-    type (a key of ``PARAM_TYPES``), the runner, and an optional
-    check(problem) returning why the solver cannot run on it."""
+    type (a key of ``PARAM_TYPES``), and the runner.  The runner raises
+    ConfigError, before any evaluation, on a problem it cannot run on."""
 
     params: dict
     run: Callable  # (evaluator, problem, seed, params) -> Trace
-    check: Callable | None = None
 
 
 def _is_finite_number(v) -> bool:
@@ -67,7 +66,7 @@ def _run_rk(evaluator, problem, seed, params):
                   **params)
 
 
-_SPSA_GAINS = ("a", "big_a", "alpha", "c", "gamma")
+_SPSA_GAINS = tuple(f.name for f in fields(SpsaGains))
 
 
 def _run_spsa(evaluator, problem, seed, params):
@@ -84,19 +83,16 @@ def _run_direct(evaluator, problem, seed, params):
     return run_direct(evaluator, problem.bounds, penalty=problem.penalty, **params)
 
 
-def _pi_check(problem):
-    if problem.pi_config is None:
-        return ("the controller needs per-interval density feedback and has no "
-                "way to honor general constraints")
-    return None
-
-
 def _run_pi(evaluator, problem, seed, params):
+    if problem.pi_config is None:
+        raise ConfigError(
+            f"solver 'pi' cannot run on problem {problem.name!r}: the controller needs "
+            "per-interval density feedback and has no way to honor general constraints")
     return run_pi(evaluator, replace(problem.pi_config, **params), problem.bounds)
 
 
 SOLVERS = {
-    "pi": Solver({"n_max": "positive integer"}, _run_pi, _pi_check),
+    "pi": Solver({"n_max": "positive integer"}, _run_pi),
     "rk": Solver({"n_init": "positive integer", "use_reinterp": "boolean"}, _run_rk),
     "direct": Solver({"epsilon": "finite number", "max_iterations": "positive integer"},
                      _run_direct),
@@ -144,22 +140,18 @@ def _check_params(solver: str, params) -> None:
 def _check_run(problem: Problem, solver: str, budget, seeds, params) -> None:
     """Raise ConfigError unless ``solver`` can run on ``problem`` as asked.
 
-    Checks the solver name, the budget, the seeds, the params' keys and
-    types, and the solver-problem pairing, in that order.  Then it runs
-    the solver through ``_run`` with a zero budget: every solver checks its
-    arguments before its first evaluation and evaluates nothing without
-    budget, so this applies exactly the solver's own range checks.
+    Checks the solver name, the budget, the seeds and the params' keys and
+    types, in that order.  Then it runs the solver through ``_run`` with a
+    zero budget: the runner refuses a problem it cannot run on, and every
+    solver checks its arguments before its first evaluation and evaluates
+    nothing without budget, so this applies exactly the runner's refusal
+    and the solver's own range checks.
     """
     if solver not in SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}; known: {list(SOLVERS)}")
     _check_budget(budget)
     _check_seeds(seeds)
     _check_params(solver, params)
-    check = SOLVERS[solver].check
-    reason = None if check is None else check(problem)
-    if reason is not None:
-        raise ConfigError(f"solver {solver!r} cannot run on problem {problem.name!r}: "
-                          f"{reason}")
     try:
         _run(problem, solver, 0, seeds[0], params)
     except (ValueError, TypeError) as exc:
@@ -286,7 +278,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = f"{config.problem}_{config.solver}"
 
-    per_seed, curves, traces = [], {}, {}
+    per_seed, curves = [], {}
     for seed in config.seeds:
         trace = _run(problem, config.solver, config.budget, seed, config.params)
         if len(trace) == 0:
@@ -297,7 +289,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
         summary["trace_csv"] = trace_path.name
         per_seed.append(summary)
         curves[str(seed)] = _aligned_curve(trace.best_curve, config.budget)
-        traces[seed] = trace
 
     best_values = np.array([s["best_value"] for s in per_seed])
     q1, med, q3 = np.percentile(best_values, [25.0, 50.0, 75.0])
@@ -459,8 +450,6 @@ def compare(*reports) -> ComparisonReport:
     share the problem and the budget; per-seed best curves are already
     carry-forward monotone, so alignment just pads short traces.
     """
-    if len(reports) == 1 and isinstance(reports[0], (list, tuple)):
-        reports = tuple(reports[0])
     if not reports:
         raise ConfigError("compare needs at least one report")
     loaded = [_check_report(r, f"report {i}") if isinstance(r, dict) else load_report(r)

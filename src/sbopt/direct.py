@@ -159,6 +159,9 @@ def run_direct(evaluator: Evaluator, bounds: Bounds, epsilon: float = 1e-4,
                max_iterations: int | None = None, penalty=None) -> Trace:
     """Partition until the budget or ``max_iterations`` (None: no cap) stops the run.
 
+    One of the two must bound the run: with neither, ValueError is raised
+    before the first evaluation.
+
     The tiling holds ``evaluator.on_unit_cube(bounds, penalty)`` values:
     negated when the problem maximizes, then penalized.  The trace keeps
     raw objective values at the original coordinates.  Boxes thinner than
@@ -172,6 +175,8 @@ def run_direct(evaluator: Evaluator, bounds: Bounds, epsilon: float = 1e-4,
         raise ValueError("epsilon must lie in [1e-7, 1e-3]")
     if max_iterations is not None and max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    if evaluator.budget is None and max_iterations is None:
+        raise ValueError("run_direct needs a budgeted evaluator or max_iterations")
     m = bounds.m_dim
     eval_unit = evaluator.on_unit_cube(bounds, penalty)
     trace = evaluator.trace

@@ -629,23 +629,14 @@ def _full_series(n: array, runs, interval: np.ndarray, config: ReservoirConfig,
     return (n, *_density_flow(n, 0, n.size, interval, config, curve, eta, omega))
 
 
-def _per_interval(out) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(out, SimOutput):
-        return out.k_bar, out.q_bar
-    k_bar, q_bar = out
-    return np.asarray(k_bar, dtype=float), np.asarray(q_bar, dtype=float)
-
-
-def objective_density(out, k_cr: float) -> float:
+def objective_density(out: SimOutput, k_cr: float) -> float:
     """Mean absolute deviation of interval densities from the critical density."""
-    k_bar, _ = _per_interval(out)
-    return float(np.mean(np.abs(k_bar - k_cr)))
+    return float(np.mean(np.abs(out.k_bar - k_cr)))
 
 
-def objective_flow(out) -> float:
+def objective_flow(out: SimOutput) -> float:
     """Mean interval flow, to be maximized."""
-    _, q_bar = _per_interval(out)
-    return float(np.mean(q_bar))
+    return float(np.mean(out.q_bar))
 
 
 def write_series_csv(out: SimOutput, path) -> None:

@@ -106,6 +106,9 @@ def run_spsa(evaluator: Evaluator, tau_0, bounds: Bounds,
              penalty=None, seed: int = 0) -> Trace:
     """Iterate until the budget or ``max_iterations`` (None: no cap) runs out.
 
+    One of the two must bound the run: with neither, ValueError is raised
+    before the first evaluation.
+
     The iterate lives in unit-box coordinates internally, so one set of
     gains works for decision vectors mixing scales (distance rates in
     [0, 1] next to delay rates in [0, 15]); the gradient is taken of
@@ -121,6 +124,8 @@ def run_spsa(evaluator: Evaluator, tau_0, bounds: Bounds,
     gains = gains or SpsaGains()
     if max_iterations is not None and max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
+    if evaluator.budget is None and max_iterations is None:
+        raise ValueError("run_spsa needs a budgeted evaluator or max_iterations")
     rng = np.random.default_rng(seed)
     f = evaluator.on_unit_cube(bounds, penalty)
     u = bounds.to_unit(bounds.clamp(as_vector(tau_0, bounds.m_dim)))

@@ -130,6 +130,34 @@ def test_pi_needs_density_feedback():
         cfg.validate()
 
 
+def test_pi_runner_refuses_as_the_config_does():
+    def objective(tau, seed):
+        calls.append(1)
+        return 0.0
+
+    calls = []
+    cfg = bench.ExperimentConfig(problem="complex", solver="pi", budget=20)
+    with pytest.raises(bench.ConfigError) as refused:
+        cfg.validate()
+    with pytest.raises(bench.ConfigError) as raised:
+        bench.harness.SOLVERS["pi"].run(sb.Evaluator(objective, budget=0),
+                                        bench.get_problem("complex"), 0, {})
+    assert str(raised.value) == str(refused.value)
+    assert calls == []
+
+
+def test_spsa_refuses_a_problem_without_a_start():
+    def objective(tau, seed):
+        calls.append(1)
+        return float(np.sum(tau ** 2))
+
+    calls = []
+    problem = bench.Problem(name="startless", objective=objective, bounds=sb.Bounds.unit(2))
+    with pytest.raises(bench.ConfigError, match="no default SPSA start"):
+        bench.run_single(problem, "spsa", 5, 0)
+    assert calls == []
+
+
 def test_bad_param_value_becomes_config_error():
     with pytest.raises(bench.ConfigError, match="n_init"):
         bench.run_single(bench.get_problem("quadratic"), "rk", 30, 0,
@@ -403,6 +431,16 @@ def test_cli_run_compare_plot_roundtrip(tmp_path):
     trace = tmp_path / "trace_quadratic_direct_seed0.csv"
     assert main(["plot", str(trace), "--out", str(tmp_path / "plots")]) == 0
     assert (tmp_path / "plots" / "trace_quadratic_direct_seed0_best.csv").exists()
+
+
+def test_cli_compare_refuses_an_svg_out(tmp_path, capsys):
+    # the figure goes next to the CSV with the suffix .svg, which would be
+    # the CSV's own path
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(_tiny_report("rk")))
+    assert main(["compare", str(report), "--out", str(tmp_path / "cmp.svg")]) == 2
+    assert "ends in .svg" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_cli_budget_override(tmp_path):

@@ -144,6 +144,20 @@ def test_iteration_cap_below_one_rejected(max_iterations):
     assert ev.used == 0
 
 
+def test_a_run_with_no_budget_and_no_iteration_cap_is_refused():
+    def objective(tau, seed):
+        calls.append(1)
+        if len(calls) > 2000:
+            raise RuntimeError("still running after 2,000 evaluations")
+        return bowl(tau, seed)
+
+    calls = []
+    with pytest.raises(ValueError,
+                       match="run_direct needs a budgeted evaluator or max_iterations"):
+        sb.run_direct(sb.Evaluator(objective), UNIT2)
+    assert calls == []
+
+
 def test_one_dim_run_costs_two_evals_per_selection():
     def wavy(tau, seed):
         return float(np.sin(7 * tau[0]) + 0.5 * tau[0])

@@ -176,6 +176,20 @@ def test_clamping_is_logged(caplog):
     assert "clamped" not in caplog.text
 
 
+def test_a_run_with_no_budget_and_no_iteration_cap_is_refused():
+    def objective(tau, seed):
+        calls.append(1)
+        if len(calls) > 2000:
+            raise RuntimeError("still running after 2,000 evaluations")
+        return quadratic(tau, seed)
+
+    calls = []
+    with pytest.raises(ValueError,
+                       match="run_spsa needs a budgeted evaluator or max_iterations"):
+        sb.run_spsa(sb.Evaluator(objective), [0.5, 0.5], UNIT2)
+    assert calls == []
+
+
 def test_converges_on_smooth_quadratic():
     ev = sb.Evaluator(quadratic, budget=None, seed=0)
     trace = sb.run_spsa(ev, [0.5, 0.5], UNIT2,
