@@ -59,10 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = ExperimentConfig.from_json(args.config)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {args.config}")
+    config = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
         config = replace(config, seeds=(args.seed,))
     if args.budget is not None:
@@ -87,9 +84,6 @@ def _cmd_compare(args) -> int:
     if args.out and Path(args.out).suffix.lower() == ".svg":
         raise ConfigError(f"--out {args.out} ends in .svg, where the figure goes; "
                           "name the curves CSV")
-    for path in args.reports:
-        if not Path(path).exists():
-            raise ConfigError(f"report file not found: {path}")
     result = compare(*args.reports)
     print(f"problem: {result.problem}  budget: {result.budget}  "
           f"sense: {result.sense}")

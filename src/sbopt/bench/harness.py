@@ -195,12 +195,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(_read_json(path, "config", f"config file {path}"))
 
     def validate(self) -> None:
         if self.problem not in available_problems():
@@ -263,6 +258,37 @@ def _aligned_curve(curve, budget: int) -> list:
     return [float(v) for v in curve[:budget]]
 
 
+class SeedStats(NamedTuple):
+    """One run's statistics over its seeds: the median and quartile best
+    curves at evaluations 1..budget, the median and quartiles of the final
+    best values, the feasible and total seed counts, and the median
+    evaluation count."""
+
+    median_curve: np.ndarray
+    iqr_curve: tuple
+    median_best: float
+    iqr_best: tuple
+    n_feasible: int
+    n_seeds: int
+    n_evals: int
+
+
+def _seed_stats(per_seed: list, curves, budget: int) -> SeedStats:
+    """The one place statistics over seeds are taken: ``per_seed`` holds
+    the report's per-seed summaries, ``curves`` each seed's best curve."""
+    stack = np.array([_aligned_curve(c, budget) for c in curves])
+    q1, med, q3 = np.percentile([s["best_value"] for s in per_seed], [25.0, 50.0, 75.0])
+    return SeedStats(
+        median_curve=np.median(stack, axis=0),
+        iqr_curve=(np.percentile(stack, 25.0, axis=0), np.percentile(stack, 75.0, axis=0)),
+        median_best=float(med),
+        iqr_best=(float(q1), float(q3)),
+        n_feasible=int(sum(s["feasible"] for s in per_seed)),
+        n_seeds=len(per_seed),
+        n_evals=int(np.median([s["n_evals"] for s in per_seed])),
+    )
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run all seeds, write traces, plot data, and the report JSON.
 
@@ -290,8 +316,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         per_seed.append(summary)
         curves[str(seed)] = _aligned_curve(trace.best_curve, config.budget)
 
-    best_values = np.array([s["best_value"] for s in per_seed])
-    q1, med, q3 = np.percentile(best_values, [25.0, 50.0, 75.0])
+    stats = _seed_stats(per_seed, curves.values(), config.budget)
     report = {
         "problem": config.problem,
         "solver": config.solver,
@@ -301,10 +326,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "params": config.params,
         "per_seed": per_seed,
         "summary": {
-            "median_best": float(med),
-            "iqr_best": [float(q1), float(q3)],
-            "n_feasible": int(sum(s["feasible"] for s in per_seed)),
-            "n_seeds": len(per_seed),
+            "median_best": stats.median_best,
+            "iqr_best": list(stats.iqr_best),
+            "n_feasible": stats.n_feasible,
+            "n_seeds": stats.n_seeds,
         },
         "curves": curves,
     }
@@ -313,9 +338,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
         json.dump(report, fh, indent=2)
         fh.write("\n")
 
-    grid = np.arange(1, config.budget + 1)
-    stack = np.array([curves[str(s)] for s in config.seeds])
-    write_best_curve_csv(grid, np.median(stack, axis=0),
+    write_best_curve_csv(np.arange(1, config.budget + 1), stats.median_curve,
                          out_dir / f"curve_{tag}.csv")
 
     scenario = problem.scenario
@@ -337,18 +360,28 @@ def _is_number(x) -> bool:
     return type(x) in (int, float)
 
 
+def _read_json(path, kind: str, name: str):
+    """The JSON value in the UTF-8 file at ``path``.  Raises ConfigError when
+    the file is missing, cannot be read or does not decode; ``kind`` names
+    the file in the first message, ``name`` starts the others."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{kind} file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{name} cannot be read: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"{name} is not valid JSON: {exc}") from exc
+
+
 def load_report(path) -> dict:
     """Read a report JSON written by run_experiment, checking what compare reads.
 
-    Raises ConfigError unless the file holds JSON that ``_check_report``
-    accepts.
+    Raises ConfigError unless the file can be read and holds JSON that
+    ``_check_report`` accepts.
     """
-    try:
-        with open(path) as fh:
-            report = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"report {path} is not valid JSON: {exc}") from exc
-    return _check_report(report, f"report {path}")
+    return _check_report(_read_json(path, "report", f"report {path}"), f"report {path}")
 
 
 def _check_report(report, name: str) -> dict:
@@ -388,33 +421,29 @@ def _check_report(report, name: str) -> dict:
 
 @dataclass
 class ComparisonReport:
-    """Aligned cross-solver statistics on a shared problem and budget."""
+    """Cross-solver statistics on a shared problem and budget: ``stats``
+    maps each solver, in report order, to its ``SeedStats``."""
 
     problem: str
     sense: str
     budget: int
-    solvers: list
-    grid: np.ndarray
-    median_curves: dict
-    iqr_curves: dict
-    final_values: dict
-    evals_used: dict
-    feasibility: dict
+    stats: dict
+
+    @property
+    def solvers(self) -> list:
+        return list(self.stats)
+
+    @property
+    def grid(self) -> np.ndarray:
+        return np.arange(1, self.budget + 1)
 
     def final_table(self) -> str:
         """Plain-text summary table, one row per solver."""
         rows = [("solver", "median best", "iqr", "evals", "feasible")]
-        for name in self.solvers:
-            finals = np.array(self.final_values[name])
-            q1, med, q3 = np.percentile(finals, [25.0, 50.0, 75.0])
-            feas = self.feasibility[name]
-            rows.append((
-                name,
-                f"{med:.6g}",
-                f"[{q1:.6g}, {q3:.6g}]",
-                f"{int(np.median(self.evals_used[name]))}",
-                f"{feas['n_feasible']}/{feas['n_seeds']}",
-            ))
+        for name, s in self.stats.items():
+            q1, q3 = s.iqr_best
+            rows.append((name, f"{s.median_best:.6g}", f"[{q1:.6g}, {q3:.6g}]",
+                         f"{s.n_evals}", f"{s.n_feasible}/{s.n_seeds}"))
         widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
         lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
                  for row in rows]
@@ -426,9 +455,9 @@ class ComparisonReport:
         path = Path(path)
         header = ["eval_index"]
         columns = []
-        for name in self.solvers:
+        for name, s in self.stats.items():
             header += [f"{name}_median", f"{name}_q1", f"{name}_q3"]
-            columns += [self.median_curves[name], *self.iqr_curves[name]]
+            columns += [s.median_curve, *s.iqr_curve]
         _write_csv(path, header,
                    ([int(g), *(c[i] for c in columns)]
                     for i, g in enumerate(self.grid)))
@@ -438,7 +467,9 @@ class ComparisonReport:
         """SVG of the median curves with interquartile bands; returns its path."""
         ylab = ("best objective (maximized)" if self.sense == "maximize"
                 else "best objective")
-        return plot_curve_bands(self.grid, self.median_curves, self.iqr_curves,
+        return plot_curve_bands(self.grid,
+                                {name: s.median_curve for name, s in self.stats.items()},
+                                {name: s.iqr_curve for name, s in self.stats.items()},
                                 path, ylabel=ylab)
 
 
@@ -465,29 +496,13 @@ def compare(*reports) -> ComparisonReport:
                 f"mismatched budgets: {first['budget']} vs {rep['budget']}")
 
     budget = first["budget"]
-    grid = np.arange(1, budget + 1)
-    solvers, median_curves, iqr_curves = [], {}, {}
-    final_values, evals_used, feasibility = {}, {}, {}
+    stats = {}
     for rep in loaded:
         name = rep["solver"]
-        if name in median_curves:  # same solver twice: keep both, suffixed
+        if name in stats:  # same solver twice: keep both, suffixed
             k = 2
-            while f"{name}_{k}" in median_curves:
+            while f"{name}_{k}" in stats:
                 k += 1
             name = f"{name}_{k}"
-        stack = np.array([_aligned_curve(c, budget) for c in rep["curves"].values()])
-        solvers.append(name)
-        median_curves[name] = np.median(stack, axis=0)
-        iqr_curves[name] = (np.percentile(stack, 25.0, axis=0),
-                            np.percentile(stack, 75.0, axis=0))
-        final_values[name] = [s["best_value"] for s in rep["per_seed"]]
-        evals_used[name] = [s["n_evals"] for s in rep["per_seed"]]
-        feasibility[name] = {
-            "n_feasible": int(sum(s["feasible"] for s in rep["per_seed"])),
-            "n_seeds": len(rep["per_seed"]),
-        }
-    return ComparisonReport(
-        problem=first["problem"], sense=first["sense"], budget=budget,
-        solvers=solvers, grid=grid, median_curves=median_curves,
-        iqr_curves=iqr_curves, final_values=final_values,
-        evals_used=evals_used, feasibility=feasibility)
+        stats[name] = _seed_stats(rep["per_seed"], rep["curves"].values(), budget)
+    return ComparisonReport(first["problem"], first["sense"], budget, stats)

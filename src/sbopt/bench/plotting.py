@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core import SboError, Trace, _write_csv
+from ..core import SboError, _write_csv
 from ..mfdsim import SimOutput, nfd_flow
 
 
@@ -71,35 +71,20 @@ def write_nfd_scatter(out: SimOutput, path) -> Path:
     return path
 
 
-def _curve_from_source(source) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(source, Trace):
-        if len(source) == 0:
-            raise SboError("trace is empty, nothing to plot")
-        idx = np.array([rec.evaluation.eval_index for rec in source.records])
-        return idx, np.asarray(source.best_curve, dtype=float)
-    data = read_trace_csv(source)
-    return data["eval_index"], data["best_value"]
+def emit_plot_data(trace_csv, out_dir, stem: str = None) -> list[Path]:
+    """Write a trace CSV's best curve to ``<stem>_best.csv`` and its SVG
+    rendering to ``<stem>_best.svg`` in out_dir; returns the two paths.
 
-
-def emit_plot_data(source, out_dir, stem: str = None) -> list[Path]:
-    """Write plottable CSVs for a trace (or trace CSV path) or a SimOutput.
-
-    Traces yield a best-curve CSV; simulator output yields a density-flow
-    scatter CSV, each followed by its SVG rendering.  Returns the paths
-    written.
+    The stem defaults to the trace file's.  The trace is read, and checked
+    by ``read_trace_csv``, before anything is written.
     """
+    data = read_trace_csv(trace_csv)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if isinstance(source, SimOutput):
-        stem = stem or "nfd_scatter"
-        return [write_nfd_scatter(source, out_dir / f"{stem}.csv"),
-                plot_nfd_scatter(source, out_dir / f"{stem}.svg")]
-    stem = stem or (Path(source).stem if not isinstance(source, Trace) else "best_curve")
-    idx, best = _curve_from_source(source)
+    stem = stem or Path(trace_csv).stem
+    idx, best = data["eval_index"], data["best_value"]
     return [write_best_curve_csv(idx, best, out_dir / f"{stem}_best.csv"),
             plot_best_curve(idx, best, out_dir / f"{stem}_best.svg")]
-
-
 
 
 # ------------------------------------------------------------------ SVG
@@ -254,15 +239,14 @@ def plot_curve_bands(grid, median_curves, iqr_curves, path,
                      ylabel="best objective") -> Path:
     """SVG of per-solver median curves with interquartile bands.
 
-    Each solver gets one post-step median line and, when iqr_curves has
-    it, a translucent band in the same colour.
+    Each solver gets one post-step median line and a translucent band, from
+    its (q1, q3) pair in iqr_curves, in the same colour.
     """
     x = _floats(grid)
     bands, lines = [], []
     for colour, (name, med) in zip(cycle(_COLOURS), median_curves.items()):
-        if name in iqr_curves:
-            lo, hi = iqr_curves[name]
-            bands.append(_Series("band", x, _floats(lo), colour, y_hi=_floats(hi)))
+        lo, hi = iqr_curves[name]
+        bands.append(_Series("band", x, _floats(lo), colour, y_hi=_floats(hi)))
         lines.append(_Series("step", x, _floats(med), colour, str(name)))
     return _write_svg(path, bands + lines, "evaluations", ylabel)
 

@@ -1,6 +1,7 @@
 """Problem registry, experiment harness, report files, and the CLI."""
 
 import json
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -187,6 +188,53 @@ def test_malformed_json_config(tmp_path):
         bench.ExperimentConfig.from_json(path)
 
 
+def _unreadable(tmp_path):
+    """A file that is not UTF-8, and a directory, each where JSON is expected."""
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    a_dir = tmp_path / "a_dir.json"
+    a_dir.mkdir()
+    return {"not_utf8": not_utf8, "directory": a_dir}
+
+
+@pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+def test_unreadable_config_or_report_is_a_config_error(tmp_path, kind):
+    path = _unreadable(tmp_path)[kind]
+    with pytest.raises(bench.ConfigError, match=re.escape(f"config file {path} ")):
+        bench.ExperimentConfig.from_json(path)
+    with pytest.raises(bench.ConfigError, match=re.escape(f"report {path} ")):
+        bench.load_report(path)
+    with pytest.raises(bench.ConfigError, match=re.escape(f"report {path} ")):
+        bench.compare(_tiny_report("rk"), path)
+
+
+@pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+def test_cli_refuses_an_unreadable_config_or_report(tmp_path, capsys, kind):
+    path = _unreadable(tmp_path)[kind]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert main(["compare", str(path), "--out", str(out / "cmp.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("sbo: config error:") == 2
+    assert not out.exists()
+
+
+def test_missing_or_malformed_config_or_report_keeps_its_message(tmp_path, capsys):
+    missing, broken = tmp_path / "missing.json", tmp_path / "broken.json"
+    broken.write_text("{not json")
+    for read, path, want in [
+            (bench.ExperimentConfig.from_json, missing, f"config file not found: {missing}"),
+            (bench.load_report, missing, f"report file not found: {missing}"),
+            (bench.ExperimentConfig.from_json, broken,
+             f"config file {broken} is not valid JSON: "),
+            (bench.load_report, broken, f"report {broken} is not valid JSON: ")]:
+        with pytest.raises(bench.ConfigError) as exc:
+            read(path)
+        assert str(exc.value).startswith(want)
+    assert main(["compare", str(missing)]) == 2
+    assert f"report file not found: {missing}\n" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ run_experiment
 
 
@@ -280,9 +328,10 @@ def test_compare_two_solvers(rk_simple_run, tmp_path):
                                  seeds=(0,), output_dir=str(tmp_path))
     direct_report = bench.run_experiment(cfg)
     comp = bench.compare(rk_report, direct_report)
-    assert comp.solvers == ["rk", "direct"]
+    assert list(comp.stats) == ["rk", "direct"]
     assert len(comp.grid) == 50
-    for curve in comp.median_curves.values():
+    for stats in comp.stats.values():
+        curve = stats.median_curve
         assert len(curve) == 50
         assert all(a >= b for a, b in zip(curve, curve[1:]))
     table = comp.final_table()
@@ -339,7 +388,8 @@ def test_emit_plot_data_writes_best_curve_svg(rk_simple_run, tmp_path):
 def test_emit_plot_data_writes_nfd_scatter_svg(tmp_path):
     cfg, curve, template = complex_toll_scenario()
     out = sb.run_reservoir(cfg, curve, template.with_tau(np.zeros(16)), seed=0)
-    csv_path, svg = emit_plot_data(out, tmp_path, "nfd")
+    csv_path = write_nfd_scatter(out, tmp_path / "nfd.csv")
+    svg = plot_nfd_scatter(out, tmp_path / "nfd.svg")
     n_rows = len(csv_path.read_text().splitlines()) - 1
     assert _svg_parts(svg) == (0, 0, n_rows)
     with_curve = plot_nfd_scatter(out, tmp_path / "ideal.svg", curve=curve)
@@ -384,9 +434,11 @@ def test_all_non_finite_curve_raises(tmp_path):
 
 
 def test_empty_trace_has_nothing_to_plot(tmp_path):
+    trace = tmp_path / "empty.csv"
+    trace.write_text("")
     with pytest.raises(sb.SboError, match="empty"):
-        emit_plot_data(sb.Trace(), tmp_path, "none")
-    assert not (tmp_path / "none.csv").exists()
+        emit_plot_data(trace, tmp_path, "none")
+    assert not (tmp_path / "none_best.csv").exists()
 
 
 def test_untolled_peak_flow_sits_on_the_plateau(tmp_path):
