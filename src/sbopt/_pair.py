@@ -1,12 +1,22 @@
-"""The pair helper process behind ``Evaluator.evaluate_pair``.
+"""The pair helper: one child process that runs half of a job while the caller runs the other.
 
-``run_pair`` is its one entry: it decides whether the second point of a
-pair goes to the helper, sends it, evaluates the first point in the caller
+``run_call(fn, args, local)`` is its one entry.  It decides whether
+``fn(*args)`` goes to the helper, sends it, runs ``local()`` in the caller
 meanwhile, and falls back to the caller when the helper does not answer.
+``fn`` is a picklable module-level function.  Two modules use it:
+
+- ``Evaluator.evaluate_pair`` sends the objective at the second point of a
+  pair (SPSA's two perturbed points);
+- ``sbopt.kriging`` sends half of each fit's likelihood starts, half of
+  the infill probe's EI rows and half of the infill pattern-search
+  starts.  Each of those rows and starts is computed independently of the
+  others, so the merged halves are bit for bit the whole.
+
 The helper is one child ``python`` per interpreter, started with
 ``subprocess`` on POSIX in a session of its own, so Ctrl-C at a terminal
-reaches only the caller.  This module is imported on the first pair, so
-importing ``sbopt`` loads no process machinery.
+reaches only the caller; the two talk over a socket pair (``Channel``).
+This module is imported on the first job, so importing ``sbopt`` loads no
+process machinery.
 """
 
 from __future__ import annotations
@@ -14,25 +24,71 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
+import select
+import socket
 import subprocess
 import sys
 import threading
-from multiprocessing.connection import Pipe
 
-import numpy as np
-
-# The helper's __main__, run as ``python -c BOOT fd``; the caller's sys.path comes first.
-# It leaves no name in __main__, where an objective of the caller's __main__ must not load.
+# The helper's __main__, run as ``python -c BOOT fd``; the caller's sys.path, the first
+# message on the channel, comes first.  It leaves no name in __main__, where a function
+# of the caller's __main__ must not load.
 BOOT = """
 def boot():
-    import sys
-    from multiprocessing.connection import Connection
-    conn = Connection(int(sys.argv[1]))
-    sys.path[:] = conn.recv()
-    from sbopt._pair import serve
-    serve(conn)
+    import pickle, socket, sys
+    sock = socket.socket(fileno=int(sys.argv[1]))
+    n = int.from_bytes(sock.recv(8, socket.MSG_WAITALL), "big")
+    sys.path[:] = pickle.loads(sock.recv(n, socket.MSG_WAITALL))
+    from sbopt._pair import Channel, serve
+    serve(Channel(sock.detach()))
 globals().pop("boot")()
 """
+
+
+class Channel:
+    """The caller's or the helper's end of the socket pair between them, a file descriptor.
+
+    A message is an 8-byte length and that many bytes; ``send`` and
+    ``recv`` carry pickles.  A closed peer shows up as EOFError on receive
+    and as OSError on send, never as a hang.
+    """
+
+    def __init__(self, fd: int):
+        self.fd = fd
+        self.poller = select.poll()
+        self.poller.register(fd, select.POLLIN)
+
+    def send_bytes(self, data) -> None:
+        for part in (len(data).to_bytes(8, "big"), data):
+            view = memoryview(part)
+            while view:
+                view = view[os.write(self.fd, view):]
+
+    def recv_bytes(self) -> bytearray:
+        return self._exactly(int.from_bytes(self._exactly(8), "big"))
+
+    def _exactly(self, n: int) -> bytearray:
+        data = bytearray(n)
+        view, got = memoryview(data), 0
+        while got < n:
+            k = os.readv(self.fd, [view[got:]])
+            if k == 0:
+                raise EOFError("the other end closed the channel")
+            got += k
+        return data
+
+    def send(self, obj) -> None:
+        self.send_bytes(pickle.dumps(obj, 5))
+
+    def recv(self):
+        return pickle.loads(self.recv_bytes())
+
+    def poll(self, timeout: float = 0.0) -> bool:
+        """True when a message, or the other end's close, arrives within timeout seconds."""
+        return bool(self.poller.poll(timeout * 1000))
+
+    def close(self) -> None:
+        os.close(self.fd)
 
 
 def two_cpus() -> bool:
@@ -43,62 +99,69 @@ def two_cpus() -> bool:
 
 
 def serve(conn) -> None:
-    """The pair helper's loop: evaluate each point received until the pipe closes.
+    """The helper's loop: run each call received until the channel closes.
 
-    A request is ``(pickled objective or None to keep the last, tau, seed)``.
-    The reply is ``(True, output)`` or ``(False, exception)``, or None when
-    the objective did not load or the reply would not load in the caller;
-    the caller then evaluates the point itself.
+    A request is the pickle of ``(pickled function or None to keep the
+    last, args)``.  The reply is ``(True, fn(*args))`` or ``(False,
+    exception)``, or None when the function or its arguments did not load
+    or the reply would not load in the caller; the caller then runs the
+    call itself.
     """
     try:
         conn.send("ready")
-        objective = None
+        fn = None
         while True:
-            pickled, tau, seed = conn.recv()
-            if pickled is not None:
-                try:
-                    objective = pickle.loads(pickled)
-                except Exception:  # e.g. a function of the caller's __main__
-                    objective = None
-            if objective is None:
+            data = conn.recv_bytes()
+            try:
+                pickled, args = pickle.loads(data)
+                if pickled is not None:
+                    fn = None
+                    fn = pickle.loads(pickled)
+            except Exception:  # e.g. a function of the caller's __main__
+                args = None
+            if fn is None or args is None:
                 conn.send(None)
                 continue
             try:
-                reply = (True, objective(tau, seed))
+                reply = (True, fn(*args))
             except Exception as exc:
                 reply = (False, exc)
             try:
-                data = pickle.dumps(reply)
+                data = pickle.dumps(reply, 5)
                 if not reply[0]:
                     pickle.loads(data)  # some exception types do not load again
             except Exception:
                 data = pickle.dumps(None)
             conn.send_bytes(data)
-    except (EOFError, OSError):  # the caller closed the pipe or exited
+    except (EOFError, OSError):  # the caller closed the channel or exited
         return
 
 
 class PairHelper:
-    """One child ``python`` that evaluates the second point of each pair.
+    """One child ``python`` that runs the second half of each job.
 
-    It is started on the first pair, never at import, and takes pairs once
-    it reports that it has booted, so no caller waits for its start.  The
-    parent closes its copy of the child's end of the pipe, so a helper that
-    dies or fails to start shows up as an error on the pipe, never as a
-    hang, and it is then closed for good.  ``close`` runs at exit.
+    It is started on the first job, never at import, and takes jobs once it
+    reports that it has booted and owes no reply, so no caller waits for its
+    start or for a ``prepare`` call.  The parent closes its copy of the
+    child's end of the channel, so a helper that dies or fails to start
+    shows up as an error on the channel, never as a hang, and it is then
+    closed for good.  ``close`` runs at exit.
     """
 
     def __init__(self):
         self.owner = os.getpid()
         self.lock = threading.Lock()
-        self.holds = None  # the objective whose pickle the helper was sent last
-        self.refused = None  # the last objective it did not answer for, which runs here
-        self.pairs = 0  # points it answered, for tests
+        self.holds = None  # the function whose pickle the helper was sent last
+        self.refused = None  # the last function it did not answer for, which runs here
+        self.prepared = set()  # the prepare functions sent to it
+        self.owed = 1  # replies it owes that no caller waits for: "ready", then prepares
+        self.jobs = 0  # calls it answered, for tests
         self.alive = self.ready = False
         try:
-            self.conn, child = Pipe()
+            ours, child = socket.socketpair()
         except OSError:  # e.g. out of file descriptors
             return
+        self.conn = Channel(ours.detach())
         with child:  # the helper holds its own copy
             try:
                 self.conn.send(sys.path)
@@ -111,29 +174,38 @@ class PairHelper:
             except OSError:  # e.g. no process left to start
                 self.conn.close()
 
-    def started(self) -> bool:
-        """True once the helper has booted; pairs run in the caller until then."""
-        if not self.ready and self.alive and self.conn.poll():
+    def idle(self) -> bool:
+        """True once the helper has booted and owes no reply; reads the replies that are in."""
+        while self.owed and self.alive and self.conn.poll():
             try:
-                self.ready = self.conn.recv() == "ready"
-            except (EOFError, OSError):  # it died while booting
+                reply = self.conn.recv()
+            except (EOFError, OSError):  # it died
                 self.close()
-        return self.ready
+                break
+            self.owed -= 1
+            self.ready = self.ready or reply == "ready"
+        return self.alive and not self.owed
 
-    def pair(self, objective, pickled: bytes, tau, seed: int, local):
-        """Send one point, run ``local()`` meanwhile, and return ``(local(), reply)``.
+    def send(self, fn, request: bytes) -> bool:
+        """Write one request; False, with the helper closed, when the channel is broken."""
+        try:
+            self.conn.send_bytes(request)
+        except OSError:  # a closed or broken channel
+            self.close()
+            return False
+        self.holds = fn
+        return True
 
-        The reply is the helper's, drained even when ``local`` raises, or
+    def call(self, fn, request: bytes, local):
+        """Send one request, run ``local()`` meanwhile, and return ``(local(), reply)``.
+
+        The reply is the helper's, read even when ``local`` raises, or
         None when the helper is gone.
         """
-        try:
-            self.conn.send((None if objective is self.holds else pickled, tau, seed))
-        except OSError:  # a closed or broken pipe
-            self.close()
+        if not self.send(fn, request):
             return local(), None
-        self.holds = objective
         try:
-            ev_a = local()
+            out = local()
         finally:
             try:
                 reply = self.conn.recv()
@@ -143,21 +215,21 @@ class PairHelper:
             except BaseException:  # interrupted: out of step with the helper from here on
                 self.close()
                 raise
-        return ev_a, reply
+        return out, reply
 
     def close(self) -> None:
         if self.owner == os.getpid() and self.alive:
             self.alive = False
             self.conn.close()
             try:
-                self.process.wait(1.0)  # the closed pipe ends its loop
+                self.process.wait(1.0)  # the closed channel ends its loop
             except subprocess.TimeoutExpired:
                 self.process.kill()
                 self.process.wait()
 
 
 _helper: PairHelper | None = None
-# The last objective asked about, held so that its id is not reused, and its
+# The last function asked about, held so that its id is not reused, and its
 # pickle, b"" when it does not pickle.
 _pickled = (None, b"")
 
@@ -170,45 +242,60 @@ def process_helper() -> PairHelper | None:
     return _helper if _helper.alive else None
 
 
-def run_pair(objective, tau_b, seed: int, local):
-    """Evaluate ``objective(tau_b, seed)`` in the helper while ``local()`` runs here.
+def run_call(fn, args: tuple, local, prepare=None):
+    """Run ``fn(*args)`` in the helper while ``local()`` runs here.
 
-    Returns ``(local(), output)``: the objective's output at ``tau_b``, or
-    None when the helper did not answer, so the caller evaluates ``tau_b``
-    itself.  An exception the objective raised in the helper is raised
-    here once ``local()`` has returned.  Returns None, without calling
-    ``local``, when the pair runs in turn: off POSIX, on fewer than two
-    CPUs, for an objective that does not pickle or that the helper could
-    not take, for a ``tau_b`` that is not a finite 1-D vector, before the
-    helper has booted, once it is gone, and while another thread holds it.
+    Returns ``(local(), fn(*args))``.  When the helper took the call but did
+    not answer, ``fn(*args)`` runs here once ``local()`` has returned.  An
+    exception ``fn`` raised in the helper is raised here once ``local()``
+    has returned.  Returns None, without calling ``local``, when the call
+    cannot go to the helper: off POSIX, on fewer than two CPUs, for a
+    ``fn`` or ``args`` that do not pickle or a ``fn`` the helper could not
+    take, before the helper has booted or while it owes a reply, once it is
+    gone, and while another thread holds it.  The caller then does the
+    whole job itself.
+
+    ``prepare`` is None or a module-level function that the helper runs
+    once, before its first job that names it, with no caller waiting for
+    it: the call that sends it returns None, and jobs run here until its
+    reply is in.  ``sbopt.kriging`` passes its scipy loader, so the
+    helper's scipy import is never on the caller's critical path.
     """
     global _pickled
     if os.name != "posix" or not two_cpus():  # pass_fds is POSIX-only
         return None
     entry = _pickled
-    if entry[0] is not objective:
+    if entry[0] is not fn:
         try:
-            entry = (objective, pickle.dumps(objective))
+            entry = (fn, pickle.dumps(fn))
         except Exception:  # closures, lambdas, open handles
-            entry = (objective, b"")
+            entry = (fn, b"")
         _pickled = entry
-    tau = np.asarray(tau_b, dtype=float)
-    if not entry[1] or tau.ndim != 1 or not np.all(np.isfinite(tau)):
-        return None  # the caller's evaluate raises where the sequential calls would
+    if not entry[1]:
+        return None
     helper = process_helper()
-    if helper is None or objective is helper.refused or not helper.lock.acquire(False):
+    if helper is None or fn is helper.refused or not helper.lock.acquire(False):
         return None
     try:
-        if not helper.started():
+        if prepare is not None and prepare not in helper.prepared:
+            helper.prepared.add(prepare)
+            if helper.send(prepare, pickle.dumps((pickle.dumps(prepare), ()))):
+                helper.owed += 1
             return None
-        ev_a, reply = helper.pair(objective, entry[1], tau, seed, local)
+        if not helper.idle():
+            return None
+        try:
+            request = pickle.dumps((None if fn is helper.holds else entry[1], args), 5)
+        except Exception:  # e.g. a lambda among the arguments
+            return None
+        out, reply = helper.call(fn, request, local)
     finally:
         helper.lock.release()
-    if reply is None:  # it is gone, or cannot take this objective or this reply
-        helper.refused = objective
-        return ev_a, None
-    helper.pairs += 1
-    ok, out = reply
+    if reply is None:  # it is gone, or cannot take this call or its reply
+        helper.refused = fn
+        return out, fn(*args)
+    helper.jobs += 1
+    ok, value = reply
     if not ok:
-        raise out
-    return ev_a, out
+        raise value
+    return out, value

@@ -23,11 +23,16 @@ def read_trace_csv(path) -> dict:
     """Load a trace CSV back into arrays.
 
     Returns a dict with eval_index, seed, tau (n, m), value, best_value.
-    The column layout is the one write_trace_csv produces.
+    The column layout is the one write_trace_csv produces.  The file is
+    read as UTF-8; one that cannot be read or decoded raises SboError
+    naming it.
     """
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SboError(f"trace file {path} cannot be read: {exc}") from exc
     if not rows:
         raise SboError(f"trace file {path} is empty")
     header, body = rows[0], rows[1:]

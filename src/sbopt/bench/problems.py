@@ -7,6 +7,7 @@ frozen here so that runs are reproducible across machines; recalibrating a
 fixture means editing this module, nothing else.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,8 +66,7 @@ class Problem:
         one profile to a 0-d one), the Evaluator's ``feasible``; None if unconstrained."""
         if self.smoothing is None:
             return None
-        spec = self.smoothing
-        return lambda taus: feasible_mask(taus, spec, FEASIBILITY_TOL)
+        return functools.partial(feasible_mask, spec=self.smoothing, tol=FEASIBILITY_TOL)
 
 
 def quadratic_problem(m: int = 2, amplitude: float = 0.05) -> Problem:

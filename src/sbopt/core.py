@@ -12,10 +12,12 @@ must return identical values.
 That purity rule is what lets ``Evaluator.evaluate_pair`` (SPSA's two
 perturbed points) run its second point concurrently in one helper process
 and still record exactly what two ``evaluate`` calls would.  It makes one
-call, ``sbopt._pair.run_pair``, which owns the helper and decides where
+call, ``sbopt._pair.run_call``, which owns the helper and decides where
 the point runs: in the helper only on POSIX, when the objective pickles
 and the process may run on at least two CPUs; otherwise, and for
-closures, both points run here in turn.
+closures, both points run here in turn.  The same helper takes half of
+the kriging surrogate's fit and infill work (see ``sbopt.kriging``); one
+job at a time, so a pair may find it busy and run here.
 """
 
 from __future__ import annotations
@@ -321,22 +323,21 @@ class Evaluator:
         """Evaluate two independent points and record them in this order.
 
         The result, the trace and any error are those of ``evaluate(tau_a)``
-        followed by ``evaluate(tau_b)``.  When the budget holds both, the
-        pair goes to ``sbopt._pair.run_pair``, which may send ``tau_b`` to
-        the pair helper process while ``tau_a`` runs here; by the purity
+        followed by ``evaluate(tau_b)``.  When the budget holds both and
+        ``tau_b`` is a finite 1-D vector, the pair goes to
+        ``sbopt._pair.run_call``, which may send the objective at ``tau_b``
+        to the pair helper process while ``tau_a`` runs here; by the purity
         rule of the objective contract the helper's value is the one a
         local call would give.  When the helper does not answer, or the
         pair must run in turn, the work stays in this process.
         """
-        if self.can_evaluate(2):
-            from ._pair import run_pair  # the process machinery loads on the first pair
+        tau_b = np.asarray(tau_b, dtype=float)
+        if self.can_evaluate(2) and tau_b.ndim == 1 and np.all(np.isfinite(tau_b)):
+            from ._pair import run_call  # the process machinery loads on the first pair
 
-            pair = run_pair(self.objective, tau_b, self.seed, lambda: self.evaluate(tau_a))
+            pair = run_call(self.objective, (tau_b, self.seed), lambda: self.evaluate(tau_a))
             if pair is not None:
                 ev_a, out = pair
-                if out is None:  # the helper did not answer
-                    return ev_a, self.evaluate(tau_b)
-                tau_b = as_vector(tau_b)
                 return ev_a, self._record(tau_b, *self._checked(out, tau_b))
         return self.evaluate(tau_a), self.evaluate(tau_b)
 

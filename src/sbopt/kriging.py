@@ -36,12 +36,29 @@ import scipy at import time: every call goes through one cached loader,
 ``_scipy()``, which imports the callables on the first kriging call of a
 process.  Importing sbopt, building problems and running PI, DIRECT or
 SPSA load numpy only.
+
+Three pieces of work go half to the pair helper process
+(``sbopt._pair``) while the caller runs the other half: every other one
+of a fit's likelihood starts (``_refine``), the later half of the infill
+probe's rows (EI and the row mask, ``_probe``) and the later half of the
+infill pattern-search starts (``_pattern_search``).  The halves are merged
+in start and row order before any choice is made among them.  A start's
+path reads only its own point and rows, and each EI and mask row depends
+only on its own query row, so the merged halves are bit for bit the whole
+and every output is the same with the helper or without it.  The helper
+takes the halves only on two CPUs and with BLAS held to one thread (see
+``_halves``); otherwise, or while it boots, owes a reply, is gone or is
+held by another thread, the caller does the whole job.  The helper's
+first kriging job would load scipy there while the caller waits; the
+first job asks the helper to load it (``run_call``'s ``prepare``) and
+runs whole, and the helper takes jobs only once that is done.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -63,6 +80,9 @@ _INFILL_MIN_STEP = 1e-4
 _LOO_RESIDUAL_LIMIT = 3.0
 # query rows per block of the moments routine
 _MOMENT_BLOCK = 512
+# the variables BLAS libraries read for their thread count
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 @functools.cache
@@ -306,22 +326,8 @@ def fit(X, y, config: FitConfig | None = None) -> KrigingModel:
         free.extend(range(m))
     if lam_fixed is None:
         free.append(m)
-    free = np.array(free, dtype=int)
-
-    def unpack(p):
-        theta = theta_fixed if theta_fixed is not None else 10.0 ** p[:m]
-        lam = float(lam_fixed) if lam_fixed is not None else float(10.0 ** p[m])
-        return theta, lam
-
-    ones_y = _ones_y(y)
-
-    def nll(p):
-        theta, lam = unpack(p)
-        parts = _solve_parts(X, ones_y, theta, lam)
-        if parts is None:
-            return np.inf
-        _, _, _, sigma2, logdet = parts
-        return n * np.log(max(sigma2, _SIGMA2_FLOOR)) + logdet
+    search = _Search(X, _ones_y(y), theta_fixed, lam_fixed, lo, hi,
+                     np.array(free, dtype=int), config.max_sweeps)
 
     rng = np.random.default_rng(config.seed)
     center = (lo + hi) / 2.0
@@ -330,20 +336,73 @@ def fit(X, y, config: FitConfig | None = None) -> KrigingModel:
         starts.append(np.clip(np.asarray(config.warm_start, dtype=float), lo, hi))
     for _ in range(max(0, config.n_probe - len(starts))):
         starts.append(lo + rng.random(m + 1) * (hi - lo))
-    scored = sorted(((nll(p), i) for i, p in enumerate(starts)), key=lambda t: t[0])
+    scored = sorted(((search.nll(p), i) for i, p in enumerate(starts)), key=lambda t: t[0])
+    chosen = [(starts[i], f0) for f0, i in scored[: config.n_starts]]
+    # every other start goes to the pair helper; the ends are put back in start order
+    ends = chosen[:]
+    ends[0::2], ends[1::2] = _in_halves(_refine, (search, chosen[0::2]),
+                                        (search, chosen[1::2]))
     best_p, best_f = None, np.inf
-    for f0, i in scored[: config.n_starts]:
-        p, fval = starts[i].copy(), f0
+    for p, fval in ends:
+        if fval < best_f:
+            best_p, best_f = p, fval
+    if best_p is None or not np.isfinite(best_f):
+        raise FitError("no factorizable hyperparameters found; check for duplicate rows")
+    theta, lam = search.unpack(best_p)
+    return _build_model(X, y, theta, lam)
+
+
+@dataclass(frozen=True)
+class _Search:
+    """One fit's likelihood search: its samples, pinned entries, box and sweeps.
+
+    A point ``p`` is ``log10 theta`` per dimension then ``log10 lambda``;
+    the ``free`` entries are searched and a fixed theta or lambda pins the
+    others.  A module-level class, so the pair helper can run ``_refine``.
+    """
+
+    X: np.ndarray
+    ones_y: np.ndarray
+    theta_fixed: np.ndarray | None
+    lam_fixed: float | None
+    lo: np.ndarray
+    hi: np.ndarray
+    free: np.ndarray
+    max_sweeps: int
+
+    def unpack(self, p):
+        m = self.X.shape[1]
+        theta = self.theta_fixed if self.theta_fixed is not None else 10.0 ** p[:m]
+        lam = float(self.lam_fixed) if self.lam_fixed is not None else float(10.0 ** p[m])
+        return theta, lam
+
+    def nll(self, p):
+        """Twice the negative concentrated log-likelihood, up to a constant; inf if singular."""
+        parts = _solve_parts(self.X, self.ones_y, *self.unpack(p))
+        if parts is None:
+            return np.inf
+        _, _, _, sigma2, logdet = parts
+        return self.X.shape[0] * np.log(max(sigma2, _SIGMA2_FLOOR)) + logdet
+
+
+def _refine(search: _Search, starts) -> list:
+    """Coordinate search from each ``(p, nll(p))`` start; each one's end ``(p, nll)``, in order.
+
+    A start's path reads only its own point, so a split of the starts
+    gives the same ends.
+    """
+    ends = []
+    for p, fval in starts:
         step = 0.5
-        for _ in range(config.max_sweeps):
+        for _ in range(search.max_sweeps):
             improved = False
-            for j in free:
+            for j in search.free:
                 for s in (step, -step):
                     cand = p.copy()
-                    cand[j] = np.clip(p[j] + s, lo[j], hi[j])
+                    cand[j] = np.clip(p[j] + s, search.lo[j], search.hi[j])
                     if cand[j] == p[j]:
                         continue
-                    fc = nll(cand)
+                    fc = search.nll(cand)
                     if fc < fval - 1e-12:
                         p, fval = cand, fc
                         improved = True
@@ -352,12 +411,40 @@ def fit(X, y, config: FitConfig | None = None) -> KrigingModel:
                 step *= 0.5
                 if step < 0.02:
                     break
-        if fval < best_f:
-            best_p, best_f = p, fval
-    if best_p is None or not np.isfinite(best_f):
-        raise FitError("no factorizable hyperparameters found; check for duplicate rows")
-    theta, lam = unpack(best_p)
-    return _build_model(X, y, theta, lam)
+        ends.append((p, fval))
+    return ends
+
+
+def _one_blas_thread() -> bool:
+    """True when the environment holds BLAS to one thread: at least one of the
+    BLAS thread variables is set, and each one set reads 1."""
+    values = [os.environ.get(var, "").strip() for var in _BLAS_THREAD_VARS]
+    values = [v for v in values if v]
+    return bool(values) and all(v == "1" for v in values)
+
+
+def _in_halves(fn, head: tuple, tail: tuple):
+    """``(fn(*head), fn(*tail))``, the tail in the pair helper while the head runs
+    here, or here after the head when the helper cannot take it."""
+    halves = _halves(lambda: fn(*head), fn, tail)
+    return halves if halves is not None else (fn(*head), fn(*tail))
+
+
+def _halves(local, fn, args: tuple):
+    """``(local(), fn(*args))`` with ``fn(*args)`` in the pair helper meanwhile, or
+    None when the helper cannot take it and the caller does the whole job.
+
+    Only with one BLAS thread (``_one_blas_thread``): a caller whose BLAS
+    runs a thread per core contends with the helper for the cores, and rk
+    on ``complex`` ran 2.6 times slower split than whole that way.  The
+    helper imports scipy (``_scipy``) before its first kriging job, with no
+    caller waiting; see ``sbopt._pair.run_call``.
+    """
+    if not _one_blas_thread():
+        return None
+    from ._pair import run_call  # the process machinery loads on the first kriging job
+
+    return run_call(fn, args, local, prepare=_scipy)
 
 
 # ---------------------------------------------------------------------------
@@ -491,13 +578,16 @@ def propose_infill(model: KrigingModel, y_min: float, feasibility_predicate,
     Multi-start pattern search: a random probe of 4096 points seeds the
     12 best feasible points, then each sweep polls every coordinate step
     of every start in one EI batch and moves each point along its best
-    feasible improving direction, halving stalled step sizes.  ``seed``
-    drives the probe draws.
+    feasible improving direction, halving stalled step sizes
+    (``_pattern_search``).  ``seed`` drives the probe draws.  The pair
+    helper may take the later half of the probe rows and of the starts;
+    the result is the same bits.
 
     ``feasibility_predicate`` is None or a row mask: it maps a (k, m)
     array of candidates to a length-k boolean array.  It runs once per
     probe and once per sweep: in a sweep, on every candidate that moved
     off its start, before EI, so EI is computed for feasible moves only.
+    The helper takes its halves only when the mask pickles.
     ``sampler`` is None or a candidate generator ``(rng, n, bounds) ->
     (n, m) array``; it lets a problem with a tiny feasible fraction
     propose mostly-feasible probe points instead of rejection-sampling
@@ -516,11 +606,16 @@ def propose_infill(model: KrigingModel, y_min: float, feasibility_predicate,
             cand = np.asarray(sampler(rng, _INFILL_PROBE, bounds), dtype=float)
         else:
             cand = bounds.lower + rng.random((_INFILL_PROBE, m)) * bounds.span
-        ei_cand = expected_improvement(model, cand, y_min, use_reinterp)
+        probe = (model, y_min, use_reinterp, predicate)
+        h = len(cand) // 2  # the later rows go to the pair helper
+        (ei_a, ok_a), (ei_b, ok_b) = _in_halves(_probe, (*probe, cand[:h]),
+                                                (*probe, cand[h:]))
+        ei_cand = np.concatenate([ei_a, ei_b])
+        feasible = None if predicate is None else np.concatenate([ok_a, ok_b])
         # the feasible probes in decreasing EI order become the starts
         order = np.argsort(ei_cand)[::-1]
-        if predicate is not None:
-            order = order[_row_mask(predicate, cand)[order]]
+        if feasible is not None:
+            order = order[feasible[order]]
         for i in order[: _INFILL_STARTS - len(starts)]:
             starts.append(cand[i])
             start_ei.append(ei_cand[i])
@@ -533,6 +628,41 @@ def propose_infill(model: KrigingModel, y_min: float, feasibility_predicate,
 
     pts = np.array(starts)
     vals = np.array(start_ei, dtype=float)
+    search = (model, y_min, use_reinterp, predicate, bounds)
+    h = (pts.shape[0] + 1) // 2  # the later starts go to the pair helper
+    halves = None if h == pts.shape[0] else _halves(
+        lambda: _pattern_search(*search, pts[:h], vals[:h]),
+        _pattern_search, (*search, pts[h:], vals[h:]))
+    if halves is None:
+        pts, vals = _pattern_search(*search, pts, vals)
+    else:
+        (pts_a, vals_a), (pts_b, vals_b) = halves
+        pts, vals = np.concatenate([pts_a, pts_b]), np.concatenate([vals_a, vals_b])
+    best = int(np.argmax(vals))
+    return EIProposal(x=pts[best].copy(), ei=float(vals[best]))
+
+
+def _probe(model: KrigingModel, y_min: float, use_reinterp: bool, predicate, cand):
+    """EI at the probe rows ``cand`` and their row mask, None without a predicate.
+
+    Both are row-wise, so a split of the rows gives the same bits.
+    """
+    ei = expected_improvement(model, cand, y_min, use_reinterp)
+    return ei, None if predicate is None else _row_mask(predicate, cand)
+
+
+def _pattern_search(model: KrigingModel, y_min: float, use_reinterp: bool, predicate,
+                    bounds: Bounds, pts: np.ndarray, vals: np.ndarray):
+    """Sweep from the (k, m) starts ``pts`` whose EI is ``vals``; returns the end
+    points and their EI, in start order.
+
+    Each sweep polls every coordinate step of every live start in one EI
+    batch and moves each start along its best feasible improving direction,
+    halving stalled step sizes.  A start's path reads only its own rows of
+    each batch (EI and the row mask are row-wise), so a split of the starts
+    gives the same ends.
+    """
+    pts, vals = np.array(pts, dtype=float), np.array(vals, dtype=float)
     k = pts.shape[0]
     steps = np.full(k, 0.25)
     # direction d moves coordinate dim[d] by sgn[d] steps
@@ -567,8 +697,7 @@ def propose_infill(model: KrigingModel, y_min: float, feasibility_predicate,
         moved = np.zeros(k, dtype=bool)
         moved[i] = True
         steps[~moved] *= 0.5
-    best = int(np.argmax(vals))
-    return EIProposal(x=pts[best].copy(), ei=float(vals[best]))
+    return pts, vals
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +744,11 @@ def loo_cv(model: KrigingModel) -> list[LooRecord]:
 # Solver loop
 
 
+def _unit_mask(feasible, bounds: Bounds, U):
+    """The row mask ``feasible`` at the box points of unit-cube rows ``U``."""
+    return feasible(bounds.from_unit(U))
+
+
 def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
            use_reinterp: bool = True, seed: int = 0, sampler=None) -> Trace:
     """Design, fit, infill loop until the evaluation budget runs out.
@@ -635,6 +769,8 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
     model it was proposed from; the design points get no record.
     Arguments are checked before the first evaluation; with no budget left
     on the evaluator, the trace comes back unchanged, as in every solver.
+    Each iteration's fit and infill search may send half of their work to
+    the pair helper (see the module docstring); the trace is the same.
     """
     if evaluator.budget is None:
         raise ValueError("run_rk needs a budgeted evaluator")
@@ -651,7 +787,7 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
 
     unit_box = Bounds.unit(m)
     feasible = evaluator.trace.feasible
-    unit_mask = None if feasible is None else (lambda U: feasible(bounds.from_unit(U)))
+    unit_mask = None if feasible is None else functools.partial(_unit_mask, feasible, bounds)
 
     warm = None
     iteration = 0

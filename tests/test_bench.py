@@ -219,6 +219,18 @@ def test_cli_refuses_an_unreadable_config_or_report(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+def test_unreadable_trace_is_an_error_naming_it(tmp_path, capsys, kind):
+    path = _unreadable(tmp_path)[kind]
+    with pytest.raises(sb.SboError, match=re.escape(f"trace file {path} cannot be read: ")):
+        emit_plot_data(path, tmp_path / "plots")
+    # exit 3, as for a missing trace, with the file named and nothing written
+    assert main(["plot", str(path), "--out", str(tmp_path / "plots")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"sbo: error: trace file {path} cannot be read: "), err
+    assert not (tmp_path / "plots").exists()
+
+
 def test_missing_or_malformed_config_or_report_keeps_its_message(tmp_path, capsys):
     missing, broken = tmp_path / "missing.json", tmp_path / "broken.json"
     broken.write_text("{not json")

@@ -1,5 +1,7 @@
 """Smoothing-band violations and the exterior penalty."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,3 +160,30 @@ def test_feasible_mask_shapes():
         sb.feasible_mask(np.zeros((3, 5)), spec)
     with pytest.raises(sb.DimensionMismatch):
         sb.feasible_mask(np.zeros((2, 3, 4)), spec)
+
+
+def test_the_problem_and_unit_cube_masks_pickle():
+    # the pair helper gets rk's masks by pickle, so a round trip must keep them
+    import pickle
+
+    from sbopt.bench import get_problem
+    from sbopt.kriging import _unit_mask
+
+    problem = get_problem("complex")
+    bounds = problem.bounds
+    U = problem.infill_sampler(np.random.default_rng(5), 4096, bounds)
+    U[::3, 1] = 1.0 - U[::3, 0]  # a jump past the cap in every third row
+    box_mask = problem.feasibility_predicate()
+    unit_mask = functools.partial(_unit_mask, box_mask, bounds)
+    wrong_width = {box_mask: "joint toll profile needs 16 entries ([eta..., omega...]), "
+                             "got shape (3, 15)",
+                   unit_mask: "expected rows of dimension 16, got shape (3, 15)"}
+    for mask, rows in [(box_mask, bounds.from_unit(U)), (unit_mask, U)]:
+        want = mask(rows)
+        assert want.any() and not want.all()
+        again = pickle.loads(pickle.dumps(mask))
+        assert again(rows).tobytes() == want.tobytes()
+        for m in (mask, again):
+            with pytest.raises(sb.DimensionMismatch) as wrong:
+                m(np.zeros((3, 15)))
+            assert str(wrong.value) == wrong_width[mask]

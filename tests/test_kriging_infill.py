@@ -1,5 +1,6 @@
 """Expected improvement and the feasible infill search."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 
 import sbopt as sb
 import sbopt.kriging as kriging
+from sbopt import _pair
 from sbopt.bench import get_problem
 
 UNIT2 = sb.Bounds(np.zeros(2), np.ones(2))
@@ -319,15 +321,52 @@ def test_sweep_matches_reference_and_skips_wasted_ei(case, seed, monkeypatch):
         return _ei(model, x, y_min, use_reinterp)
 
     monkeypatch.setattr(kriging, "expected_improvement", counting_ei)
+    # the batches are counted in this process, so the pair helper takes no half
+    monkeypatch.setattr(_pair, "two_cpus", lambda: False)
     got = sb.propose_infill(model, y_min, predicate, bounds, seed=seed,
                             sampler=sampler)
     assert got.x.tobytes() == want.x.tobytes()
     assert got.ei == want.ei
 
-    sweeps = [b for b in batches if len(b) != kriging._INFILL_PROBE]
+    # the probe goes to EI in two halves, which no sweep batch is as large as
+    sweeps = [b for b in batches if len(b) != kriging._INFILL_PROBE // 2]
     # every row reaching EI in a sweep is a feasible changed candidate, and
     # every such candidate does
     assert sum(map(len, sweeps)) == counts["feasible"]
     if predicate is not None:
         assert all(predicate(b).all() for b in sweeps)
         assert counts["feasible"] < counts["changed"]
+
+
+# ------------------------------------------------- the pair helper's halves
+
+
+class HelperOnlyError(Exception):
+    """What ``RaisesInTheHelper`` raises."""
+
+
+class RaisesInTheHelper:
+    """A row mask that passes every row in the process that made it and raises in any other."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+
+    def __call__(self, U):
+        if os.getpid() != self.pid:
+            raise HelperOnlyError(f"{len(U)} rows in the helper")
+        return np.ones(len(U), dtype=bool)
+
+
+@pytest.mark.skipif(not _pair.two_cpus(), reason="the pair helper needs two CPUs")
+def test_an_error_in_the_helpers_half_reaches_the_caller(kriging_helper, monkeypatch):
+    model, X, y = wavy_model()
+    y_min, fitted = float(y.min()), kriging_helper.jobs
+    with pytest.raises(HelperOnlyError, match="^2048 rows in the helper$"):
+        sb.propose_infill(model, y_min, RaisesInTheHelper(), UNIT2, seed=0)
+    assert kriging_helper.jobs == fitted + 1 and kriging_helper.alive
+    # it stays in step: the next search's two halves come back, with the whole's bits
+    split = sb.propose_infill(model, y_min, None, UNIT2, seed=0)
+    assert kriging_helper.jobs == fitted + 3
+    monkeypatch.setattr(_pair, "two_cpus", lambda: False)
+    whole = sb.propose_infill(model, y_min, None, UNIT2, seed=0)
+    assert (split.x.tobytes(), split.ei) == (whole.x.tobytes(), whole.ei)

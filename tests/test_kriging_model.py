@@ -1,6 +1,7 @@
 """Kriging model fit, prediction, re-interpolation, and diagnostics."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrs
 
 import sbopt as sb
+from sbopt import _pair, kriging
 from sbopt.kriging import _ones_y, _psi, _solve_parts, concentrated_log_likelihood
 
 
@@ -397,3 +399,43 @@ def test_diagnostics_csv_layout(tmp_path):
     assert lines[0] == ("index,prediction,std_error,standardized_residual,"
                         "outlier,degenerate")
     assert [int(ln.split(",")[0]) for ln in lines[1:]] == list(range(len(recs)))
+
+
+# ------------------------------------------------- the pair helper's halves
+
+needs_two_cpus = pytest.mark.skipif(not _pair.two_cpus(),
+                                    reason="the pair helper needs two CPUs")
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("warm", [False, True])
+def test_fit_gives_the_same_model_split_or_whole(kriging_helper, monkeypatch, warm):
+    rng = np.random.default_rng(4)
+    X = rng.random((30, 16))
+    y = np.sin(3 * X).sum(axis=1) + 0.1 * rng.standard_normal(30)
+    # rk's first fit, and its later ones warm-started from the last model
+    config = sb.FitConfig(seed=4) if not warm else sb.FitConfig(
+        n_starts=2, n_probe=4, max_sweeps=3, seed=4,
+        warm_start=np.concatenate([np.zeros(16), [-6.0]]))
+    split = sb.fit(X, y, config)
+    assert kriging_helper.jobs == 1
+    monkeypatch.setattr(_pair, "two_cpus", lambda: False)
+    whole = sb.fit(X, y, config)
+    assert pickle.dumps(split) == pickle.dumps(whole)
+
+
+def test_kriging_halves_need_one_blas_thread(monkeypatch):
+    # with a BLAS thread per core in each process, the halves contend for the cores
+    for var in kriging._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert not kriging._one_blas_thread()
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert kriging._one_blas_thread()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert not kriging._one_blas_thread()
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", " 1 ")
+    assert kriging._one_blas_thread()
+    calls = []
+    monkeypatch.setattr(_pair, "run_call", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setenv("MKL_NUM_THREADS", "4")
+    assert kriging._halves(lambda: 1, abs, (-2,)) is None and calls == []

@@ -1,9 +1,13 @@
-"""Design, fit, infill loop behavior on toy objectives."""
+"""Design, fit, infill loop behavior on toy objectives, and on the pair helper."""
+
+import pickle
 
 import numpy as np
 import pytest
 
 import sbopt as sb
+from sbopt import _pair, bench, kriging
+from sbopt.bench import harness
 
 UNIT2 = sb.Bounds(np.zeros(2), np.ones(2))
 
@@ -98,3 +102,56 @@ def test_rejects_bad_setup():
         sb.run_rk(sb.Evaluator(quadratic, budget=None, seed=0), UNIT2, n_init=5)
     with pytest.raises(ValueError):
         sb.run_rk(sb.Evaluator(quadratic, budget=30, seed=0), UNIT2, n_init=1)
+
+
+# ------------------------------------------------- the pair helper's halves
+
+needs_two_cpus = pytest.mark.skipif(not _pair.two_cpus(),
+                                    reason="the pair helper needs two CPUs")
+
+
+def registry_rk(problem, budget, out_dir, monkeypatch):
+    """An rk run through the harness: its trace's records and iteration log as
+    bytes, and the bytes of every file it writes."""
+    traces = []
+    run = harness._run
+    monkeypatch.setattr(harness, "_run", lambda *args: traces.append(run(*args)) or traces[-1])
+    bench.run_experiment(bench.ExperimentConfig(problem=problem, solver="rk", budget=budget,
+                                                seeds=(0,), output_dir=str(out_dir)))
+    files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+    return pickle.dumps((traces[0].records, traces[0].iterations)), files
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("problem, budget", [("complex", 40), ("simple", 100)])
+def test_the_helpers_halves_give_the_callers_bits(kriging_helper, monkeypatch, tmp_path,
+                                                  problem, budget):
+    split = registry_rk(problem, budget, tmp_path / "split", monkeypatch)
+    # three jobs per iteration: a fit's starts, the probe and the pattern search
+    assert kriging_helper.jobs == 3 * (budget - bench.get_problem(problem).rk_n_init)
+    monkeypatch.setattr(_pair, "two_cpus", lambda: False)
+    whole = registry_rk(problem, budget, tmp_path / "whole", monkeypatch)
+    assert split == whole
+
+
+@needs_two_cpus
+def test_a_helper_killed_in_a_job_leaves_the_same_trace(kriging_helper, monkeypatch):
+    helper, problem = kriging_helper, bench.get_problem("complex")
+    ei, calls, in_job = kriging.expected_improvement, [], []
+
+    def killing_ei(*args):
+        # the caller computes EI only in its own half, while the helper holds the other
+        calls.append(1)
+        if len(calls) == 150:
+            in_job.append(helper.lock.locked())
+            helper.process.kill()
+            helper.process.wait(10)
+        return ei(*args)
+
+    monkeypatch.setattr(kriging, "expected_improvement", killing_ei)
+    killed = bench.run_single(problem, "rk", 40, 0)
+    assert in_job == [True] and not helper.alive and 0 < helper.jobs < 45
+    monkeypatch.setattr(_pair, "two_cpus", lambda: False)
+    whole = bench.run_single(problem, "rk", 40, 0)
+    assert pickle.dumps((killed.records, killed.iterations)) == \
+        pickle.dumps((whole.records, whole.iterations))

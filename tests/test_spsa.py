@@ -20,7 +20,7 @@ import pytest
 
 import sbopt as sb
 import sbopt.bench as bench
-from sbopt import _pair, core
+from sbopt import _pair, core, kriging
 
 UNIT2 = sb.Bounds.unit(2)
 OPT = np.array([0.3, 0.7])
@@ -274,24 +274,14 @@ def trace_bits(trace):
     return bits((trace.records, trace.best_curve, trace.iterations))
 
 
-@pytest.fixture
-def fresh_helper(monkeypatch):
-    """A booted pair helper of the test's own, closed after it; the shared one is kept."""
-    monkeypatch.setattr(_pair, "_helper", None)
-    helper = _pair.process_helper()
-    assert helper.conn.poll(60)  # pairs run in the caller until it has booted
-    yield helper
-    helper.close()
-
-
 @needs_two_cpus
 @pytest.mark.parametrize("name, budget", [("complex", 40), ("simple", 60)])
 def test_pair_helper_gives_the_sequential_bits(fresh_helper, name, budget):
     problem = bench.get_problem(name)
     concurrent = bench.run_single(problem, "spsa", budget, 3)
-    assert fresh_helper.pairs == budget // 2
+    assert fresh_helper.jobs == budget // 2
     sequential = bench.run_single(behind_a_closure(problem), "spsa", budget, 3)
-    assert fresh_helper.pairs == budget // 2
+    assert fresh_helper.jobs == budget // 2
     assert trace_bits(concurrent) == trace_bits(sequential)
 
 
@@ -312,17 +302,17 @@ def test_pair_helper_errors_match_the_sequential_run(fresh_helper, failing, fail
     assert "no value below 0.45" in outcomes[0][1]
     assert len(outcomes[0][2][0]) == (1 if failing == "minus" else 0)  # records left
     # the helper answers with the error, or leaves a TwoPartError to the caller
-    assert fresh_helper.pairs == (failing == "minus" and fails is fails_low)
+    assert fresh_helper.jobs == (failing == "minus" and fails is fails_low)
     # it stays in step: a reply left pending by the error was drained, so a
     # new run through it answers every pair with that run's own values
-    answered = fresh_helper.pairs
+    answered = fresh_helper.jobs
     runs = []
     for objective in (noisy_quadratic, lambda tau, s: noisy_quadratic(tau, s)):
         ev = sb.Evaluator(objective, budget=10, seed=0)
         sb.run_spsa(ev, [0.5, 0.5], UNIT2, seed=seed)
         runs.append(trace_bits(ev.trace))
     assert runs[0] == runs[1]
-    assert fresh_helper.pairs == answered + 5
+    assert fresh_helper.jobs == answered + 5
 
 
 @needs_two_cpus
@@ -340,7 +330,7 @@ def test_pairs_of_two_objectives_interleave_on_one_helper(fresh_helper):
             for ev, (tau_a, tau_b) in zip(evaluators, pairs):
                 ev.evaluate_pair(tau_a, tau_b)
         traces.append([trace_bits(ev.trace) for ev in evaluators])
-        assert fresh_helper.pairs == 20
+        assert fresh_helper.jobs == 20
     assert traces[0] == traces[1]
 
 
@@ -349,14 +339,14 @@ def test_dead_pair_helper_leaves_the_work_here(fresh_helper):
     problem = bench.get_problem("simple")
     first = bench.run_single(problem, "spsa", 20, 0)
     helper = fresh_helper
-    assert helper.pairs == 10
+    assert helper.jobs == 10
     helper.process.kill()
     helper.process.wait(10)
     assert helper.process.poll() is not None
     second = bench.run_single(problem, "spsa", 20, 0)
     assert trace_bits(second) == trace_bits(first)
     assert not helper.alive and _pair.process_helper() is None
-    assert helper.pairs == 10
+    assert helper.jobs == 10
 
 
 @needs_two_cpus
@@ -366,10 +356,10 @@ def test_pairs_run_here_until_the_helper_has_booted(monkeypatch):
     ev.evaluate_pair([0.1, 0.2], [0.3, 0.4])  # starts the helper, which is still booting
     helper = _pair._helper
     try:
-        assert (helper.pairs, helper.ready) == (0, False)
+        assert (helper.jobs, helper.ready) == (0, False)
         assert helper.conn.poll(60)
         ev.evaluate_pair([0.1, 0.2], [0.3, 0.4])
-        assert (helper.pairs, helper.ready) == (1, True)
+        assert (helper.jobs, helper.ready) == (1, True)
     finally:
         helper.close()
     # one that dies before it has booted is closed at the next pair
@@ -379,7 +369,7 @@ def test_pairs_run_here_until_the_helper_has_booted(monkeypatch):
     helper.process.kill()
     helper.process.wait(10)
     ev.evaluate_pair([0.1, 0.2], [0.3, 0.4])
-    assert not helper.alive and helper.pairs == 0
+    assert not helper.alive and helper.jobs == 0
     assert [r.evaluation.value for r in ev.trace.records] == \
         [quadratic(np.array(t), 0) for t in [[0.1, 0.2], [0.3, 0.4]] * 4]
 
@@ -394,7 +384,7 @@ if helper is not None:
     helper.conn.poll(60)  # pairs run here until it has booted
 trace = run_single(get_problem("complex"), "spsa", 20, 0)
 print(repr(trace_bits(trace)))
-print(helper.pairs if helper else 0)
+print(helper.jobs if helper else 0)
 """
 
 
@@ -431,7 +421,7 @@ _pair.process_helper().conn.poll(60)
 ev = sb.Evaluator(bowl, budget=20)
 sb.run_spsa(ev, [0.5, 0.5], sb.Bounds.unit(2), seed=0)
 print(repr([(r.tau.tolist(), r.evaluation) for r in ev.trace.records]))
-print(_pair._helper.pairs, _pair._helper.alive)
+print(_pair._helper.jobs, _pair._helper.alive)
 """
 
 
@@ -450,25 +440,36 @@ def test_an_objective_defined_in_main_runs_in_the_caller(name):
     assert helper == "0 True"
 
 
-@needs_two_cpus
-def test_pair_helper_ends_with_sbo_run(tmp_path):
+def sbo_run_leaves_no_helper(tmp_path, solver, budget, env):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"problem": "simple", "solver": "spsa", "budget": 10,
+    config.write_text(json.dumps({"problem": "simple", "solver": solver, "budget": budget,
                                   "output_dir": str(tmp_path / "out")}))
-    # the helper is one plain child: spawn's machinery and its resource tracker
-    # process are never loaded
+    # the helper is one plain child on a socket pair: no multiprocessing
+    # machinery, such as spawn or its resource tracker process, is loaded
     run = ("import sys\nfrom sbopt import _pair\nfrom sbopt.bench.cli import main\n"
            "code = main(sys.argv[1:])\n"
-           "assert 'multiprocessing.spawn' not in sys.modules\n"
-           "assert 'multiprocessing.resource_tracker' not in sys.modules\n"
+           "assert not [m for m in sys.modules if m.startswith('multiprocessing')]\n"
            "print(_pair._helper.process.pid)\n"
            "sys.exit(code)\n")
     done = subprocess.run([sys.executable, "-c", run, "run", "--config", str(config)],
-                          env=child_env(), capture_output=True, text=True, timeout=120)
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     with pytest.raises(ProcessLookupError):
         os.kill(int(done.stdout.split()[-1]), 0)
+
+
+@needs_two_cpus
+def test_pair_helper_ends_with_sbo_run(tmp_path):
+    sbo_run_leaves_no_helper(tmp_path, "spsa", 10, child_env())
+
+
+@needs_two_cpus
+def test_pair_helper_ends_with_sbo_run_of_rk(tmp_path):
+    # rk starts the helper on its first fit, past the 12 design points, when
+    # BLAS runs one thread
+    one_thread = dict.fromkeys(kriging._BLAS_THREAD_VARS, "1")
+    sbo_run_leaves_no_helper(tmp_path, "rk", 30, {**child_env(), **one_thread})
 
 
 INTERRUPTED = """
@@ -527,7 +528,7 @@ for objective in (warns_low, lambda tau, s: warns_low(tau, s)):
     except Exception as exc:
         raised = (type(exc).__name__, str(exc))
     print(repr((raised, len(ev.trace.records), trace_bits(ev.trace))))
-print(_pair._helper.pairs)
+print(_pair._helper.jobs)
 """
 
 
@@ -567,7 +568,7 @@ def test_pair_helper_gets_the_callers_sys_path(tmp_path, monkeypatch):
         assert helper.conn.poll(60)
         concurrent = sb.Evaluator(bowl, budget=20)
         sb.run_spsa(concurrent, [0.5, 0.5], UNIT2, seed=0)
-        assert helper.pairs == 10
+        assert helper.jobs == 10
     finally:
         helper.close()
         del sys.modules["runtime_bowl"]
@@ -595,7 +596,7 @@ def test_a_helper_that_cannot_start_leaves_the_pairs_here(monkeypatch, cannot_st
         concurrent = bench.run_single(problem, "spsa", 20, 0)
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
-    assert len(os.listdir("/dev/fd")) == fds  # both ends of the pipe are closed
+    assert len(os.listdir("/dev/fd")) == fds  # both ends of the channel are closed
     if cannot_start == "popen_fails":
         assert _pair._helper is not None and _pair.process_helper() is None
     else:
