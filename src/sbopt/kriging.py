@@ -47,11 +47,12 @@ path reads only its own point and rows, and each EI and mask row depends
 only on its own query row, so the merged halves are bit for bit the whole
 and every output is the same with the helper or without it.  The helper
 takes the halves only on two CPUs and with BLAS held to one thread (see
-``_halves``); otherwise, or while it boots, owes a reply, is gone or is
-held by another thread, the caller does the whole job.  The helper's
-first kriging job would load scipy there while the caller waits; the
-first job asks the helper to load it (``run_call``'s ``prepare``) and
-runs whole, and the helper takes jobs only once that is done.
+``_with_helper``); otherwise, or while it boots, owes a reply, is gone or
+is held by another thread, the caller runs both halves itself, and the
+pattern search whole.  The helper's first kriging job would load scipy
+there while the caller waits; instead the first job only asks the helper
+to load it (``run_call``'s ``prepare``) and runs here, and the helper
+takes jobs once that is done.
 """
 
 from __future__ import annotations
@@ -426,17 +427,17 @@ def _one_blas_thread() -> bool:
 def _in_halves(fn, head: tuple, tail: tuple):
     """``(fn(*head), fn(*tail))``, the tail in the pair helper while the head runs
     here, or here after the head when the helper cannot take it."""
-    halves = _halves(lambda: fn(*head), fn, tail)
+    halves = _with_helper(lambda: fn(*head), fn, tail)
     return halves if halves is not None else (fn(*head), fn(*tail))
 
 
-def _halves(local, fn, args: tuple):
+def _with_helper(local, fn, args: tuple):
     """``(local(), fn(*args))`` with ``fn(*args)`` in the pair helper meanwhile, or
     None when the helper cannot take it and the caller does the whole job.
 
     Only with one BLAS thread (``_one_blas_thread``): a caller whose BLAS
-    runs a thread per core contends with the helper for the cores, and rk
-    on ``complex`` ran 2.6 times slower split than whole that way.  The
+    runs a thread per core contends with the helper for the cores: on two
+    CPUs, rk on ``complex`` ran 2.6 times slower split than whole that way.  The
     helper imports scipy (``_scipy``) before its first kriging job, with no
     caller waiting; see ``sbopt._pair.run_call``.
     """
@@ -629,8 +630,10 @@ def propose_infill(model: KrigingModel, y_min: float, feasibility_predicate,
     pts = np.array(starts)
     vals = np.array(start_ei, dtype=float)
     search = (model, y_min, use_reinterp, predicate, bounds)
-    h = (pts.shape[0] + 1) // 2  # the later starts go to the pair helper
-    halves = None if h == pts.shape[0] else _halves(
+    # the later starts go to the pair helper; without it the search runs whole,
+    # since a sweep costs mostly per batch and two halves here cost nearly twice
+    h = (pts.shape[0] + 1) // 2
+    halves = None if h == pts.shape[0] else _with_helper(
         lambda: _pattern_search(*search, pts[:h], vals[:h]),
         _pattern_search, (*search, pts[h:], vals[h:]))
     if halves is None:

@@ -5,22 +5,36 @@ import pytest
 from sbopt import _pair, kriging
 
 
-@pytest.fixture
-def fresh_helper(monkeypatch):
-    """A booted pair helper of the test's own, closed after it; the shared one is kept."""
+def own_helper(monkeypatch):
+    """A booted pair helper in place of the shared one, which is kept."""
     monkeypatch.setattr(_pair, "_helper", None)
     helper = _pair.process_helper()
     assert helper.conn.poll(60)  # jobs run in the caller until it has booted
+    return helper
+
+
+@pytest.fixture
+def fresh_helper(monkeypatch):
+    """A booted pair helper of the test's own, closed after it."""
+    helper = own_helper(monkeypatch)
     yield helper
     helper.close()
 
 
 @pytest.fixture
-def kriging_helper(fresh_helper, monkeypatch):
-    """``fresh_helper`` once it has loaded scipy, so it takes kriging's halves from
-    the first job, whatever BLAS thread count the tests run with."""
-    monkeypatch.setattr(kriging, "_one_blas_thread", lambda: True)
+def kriging_helper(monkeypatch):
+    """A pair helper of the test's own that takes kriging's halves from the first job.
+
+    It starts with the BLAS thread variables at 1, which opens the split
+    (``kriging._one_blas_thread``) and keeps the helper's BLAS to one
+    thread; the tests' own BLAS keeps the threads it loaded with.  It has
+    loaded scipy before the test starts.
+    """
+    for var in kriging._BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    helper = own_helper(monkeypatch)
     assert _pair.run_call(abs, (0,), lambda: None, prepare=kriging._scipy) is None
-    while not fresh_helper.idle():  # it owes "ready", then the prepare's reply
-        assert fresh_helper.conn.poll(60)
-    return fresh_helper
+    while not helper.idle():  # it owes "ready", then the prepare's reply
+        assert helper.conn.poll(60)
+    yield helper
+    helper.close()

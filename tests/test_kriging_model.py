@@ -438,4 +438,4 @@ def test_kriging_halves_need_one_blas_thread(monkeypatch):
     calls = []
     monkeypatch.setattr(_pair, "run_call", lambda *args, **kwargs: calls.append(args))
     monkeypatch.setenv("MKL_NUM_THREADS", "4")
-    assert kriging._halves(lambda: 1, abs, (-2,)) is None and calls == []
+    assert kriging._with_helper(lambda: 1, abs, (-2,)) is None and calls == []
