@@ -340,7 +340,7 @@ def fit(X, y, config: FitConfig | None = None) -> KrigingModel:
     scored = sorted(((search.nll(p), i) for i, p in enumerate(starts)), key=lambda t: t[0])
     chosen = [(starts[i], f0) for f0, i in scored[: config.n_starts]]
     # every other start goes to the pair helper; the ends are put back in start order
-    ends = chosen[:]
+    ends = [None] * len(chosen)
     ends[0::2], ends[1::2] = _in_halves(_refine, (search, chosen[0::2]),
                                         (search, chosen[1::2]))
     best_p, best_f = None, np.inf

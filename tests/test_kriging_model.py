@@ -2,6 +2,8 @@
 
 import dataclasses
 import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -422,6 +424,26 @@ def test_fit_gives_the_same_model_split_or_whole(kriging_helper, monkeypatch, wa
     monkeypatch.setattr(_pair, "two_cpus", lambda: False)
     whole = sb.fit(X, y, config)
     assert pickle.dumps(split) == pickle.dumps(whole)
+
+
+@needs_two_cpus
+def test_fits_from_several_threads_share_one_helper(kriging_helper):
+    # the helper takes one job at a time; a thread that finds it held runs
+    # both halves itself, and every fit gets the same bits
+    rng = np.random.default_rng(5)
+    X = rng.random((30, 16))
+    y = np.cos(2 * X).sum(axis=1)
+    config = sb.FitConfig(n_starts=4, n_probe=8, max_sweeps=3, seed=5)
+    want = pickle.dumps(sb.fit(X, y, config))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(lambda _: pickle.dumps(sb.fit(X, y, config)), range(24)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 24
+    assert 1 <= kriging_helper.jobs <= 25 and kriging_helper.alive
 
 
 def test_kriging_halves_need_one_blas_thread(monkeypatch):
