@@ -3,14 +3,16 @@
 ``run_call(fn, args, local)`` is its one entry.  It decides whether
 ``fn(*args)`` goes to the helper, sends it, runs ``local()`` in the caller
 meanwhile, and falls back to the caller when the helper does not answer.
-``fn`` is a picklable module-level function.  Two modules use it:
+``fn`` is a picklable module-level function, sent with each job;
+``prepare(fn)`` has the helper run ``fn()`` once with no caller waiting.
+Two modules use it:
 
 - ``Evaluator.evaluate_pair`` sends the objective at the second point of a
   pair (SPSA's two perturbed points);
-- ``sbopt.kriging`` sends half of each fit's likelihood starts, half of
-  the infill probe's EI rows and half of the infill pattern-search
-  starts.  Each of those rows and starts is computed independently of the
-  others, so the merged halves are bit for bit the whole.
+- ``sbopt.kriging`` sends the later half of each fit's likelihood starts,
+  of the infill probe's EI rows and of the infill pattern-search starts.
+  Each of those rows and starts is computed independently of the others,
+  so the joined halves are bit for bit the whole.
 
 The helper is one child ``python`` per interpreter, started with
 ``subprocess`` on POSIX in a session of its own, so Ctrl-C at a terminal
@@ -30,17 +32,15 @@ import subprocess
 import sys
 import threading
 
-# The helper's __main__, run as ``python -c BOOT fd``; the caller's sys.path, the first
-# message on the channel, comes first.  It leaves no name in __main__, where a function
+# The helper's __main__, run as ``python -c BOOT fd *path``; it takes the caller's sys.path
+# from ``path`` before its first import.  It leaves no name in __main__, where a function
 # of the caller's __main__ must not load.
 BOOT = """
 def boot():
-    import pickle, socket, sys
-    sock = socket.socket(fileno=int(sys.argv[1]))
-    n = int.from_bytes(sock.recv(8, socket.MSG_WAITALL), "big")
-    sys.path[:] = pickle.loads(sock.recv(n, socket.MSG_WAITALL))
+    import sys
+    sys.path[:] = sys.argv[2:]
     from sbopt._pair import Channel, serve
-    serve(Channel(sock.detach()))
+    serve(Channel(int(sys.argv[1])))
 globals().pop("boot")()
 """
 
@@ -101,25 +101,19 @@ def two_cpus() -> bool:
 def serve(conn) -> None:
     """The helper's loop: run each call received until the channel closes.
 
-    A request is the pickle of ``(pickled function or None to keep the
-    last, args)``.  The reply is ``(True, fn(*args))`` or ``(False,
-    exception)``, or None when the function or its arguments did not load
-    or the reply would not load in the caller; the caller then runs the
-    call itself.
+    A request is the pickle of ``(pickled function, args)``.  The reply is
+    ``(True, fn(*args))`` or ``(False, exception)``, or None when the
+    function or its arguments did not load or the reply would not load in
+    the caller; the caller then runs the call itself.
     """
     try:
         conn.send("ready")
-        fn = None
         while True:
             data = conn.recv_bytes()
             try:
                 pickled, args = pickle.loads(data)
-                if pickled is not None:
-                    fn = None
-                    fn = pickle.loads(pickled)
+                fn = pickle.loads(pickled)
             except Exception:  # e.g. a function of the caller's __main__
-                args = None
-            if fn is None or args is None:
                 conn.send(None)
                 continue
             try:
@@ -151,12 +145,11 @@ class PairHelper:
     def __init__(self):
         self.owner = os.getpid()
         self.lock = threading.Lock()
-        self.holds = None  # the function whose pickle the helper was sent last
         self.refused = None  # the last function it did not answer for, which runs here
         self.prepared = set()  # the prepare functions sent to it
         self.owed = 1  # replies it owes that no caller waits for: "ready", then prepares
         self.jobs = 0  # calls it answered, for tests
-        self.alive = self.ready = False
+        self.alive = False
         try:
             ours, child = socket.socketpair()
         except OSError:  # e.g. out of file descriptors
@@ -164,10 +157,10 @@ class PairHelper:
         self.conn = Channel(ours.detach())
         with child:  # the helper holds its own copy
             try:
-                self.conn.send(sys.path)
                 flags = subprocess._args_from_interpreter_flags()  # -W, -X: warn as here
+                path = [p for p in sys.path if isinstance(p, str)]  # imports read only str
                 self.process = subprocess.Popen(
-                    [sys.executable, *flags, "-c", BOOT, str(child.fileno())],
+                    [sys.executable, *flags, "-c", BOOT, str(child.fileno()), *path],
                     pass_fds=(child.fileno(),), start_new_session=True)
                 self.alive = True
                 atexit.register(self.close)
@@ -178,31 +171,29 @@ class PairHelper:
         """True once the helper has booted and owes no reply; reads the replies that are in."""
         while self.owed and self.alive and self.conn.poll():
             try:
-                reply = self.conn.recv()
+                self.conn.recv_bytes()
             except (EOFError, OSError):  # it died
                 self.close()
                 break
             self.owed -= 1
-            self.ready = self.ready or reply == "ready"
         return self.alive and not self.owed
 
-    def send(self, fn, request: bytes) -> bool:
+    def send(self, request: bytes) -> bool:
         """Write one request; False, with the helper closed, when the channel is broken."""
         try:
             self.conn.send_bytes(request)
         except OSError:  # a closed or broken channel
             self.close()
             return False
-        self.holds = fn
         return True
 
-    def call(self, fn, request: bytes, local):
+    def call(self, request: bytes, local):
         """Send one request, run ``local()`` meanwhile, and return ``(local(), reply)``.
 
         The reply is the helper's, read even when ``local`` raises, or
         None when the helper is gone.
         """
-        if not self.send(fn, request):
+        if not self.send(request):
             return local(), None
         try:
             out = local()
@@ -242,25 +233,11 @@ def process_helper() -> PairHelper | None:
     return _helper if _helper.alive else None
 
 
-def run_call(fn, args: tuple, local, prepare=None):
-    """Run ``fn(*args)`` in the helper while ``local()`` runs here.
-
-    Returns ``(local(), fn(*args))``.  When the helper took the call but did
-    not answer, ``fn(*args)`` runs here once ``local()`` has returned.  An
-    exception ``fn`` raised in the helper is raised here once ``local()``
-    has returned.  Returns None, without calling ``local``, when the call
-    cannot go to the helper: off POSIX, on fewer than two CPUs, for a
-    ``fn`` or ``args`` that do not pickle or a ``fn`` the helper could not
-    take, before the helper has booted or while it owes a reply, once it is
-    gone, and while another thread holds it.  The caller then does the
-    whole job itself.
-
-    ``prepare`` is None or a module-level function that the helper runs
-    once, before its first job that names it, with no caller waiting for
-    it: the call that sends it returns None, and jobs run here until its
-    reply is in.  ``sbopt.kriging`` passes its scipy loader, so the
-    helper's scipy import is never on the caller's critical path.
-    """
+def _take(fn):
+    """``(helper, pickle of fn)`` with the helper's lock held, or None when the
+    helper may not take ``fn``: off POSIX, on fewer than two CPUs, for a ``fn``
+    that does not pickle or that the helper could not take, once it is gone,
+    and while another thread holds it.  Starts the helper on first use."""
     global _pickled
     if os.name != "posix" or not two_cpus():  # pass_fds is POSIX-only
         return None
@@ -276,19 +253,51 @@ def run_call(fn, args: tuple, local, prepare=None):
     helper = process_helper()
     if helper is None or fn is helper.refused or not helper.lock.acquire(False):
         return None
-    try:
-        if prepare is not None and prepare not in helper.prepared:
-            helper.prepared.add(prepare)
-            if helper.send(prepare, pickle.dumps((pickle.dumps(prepare), ()))):
+    return helper, entry[1]
+
+
+def prepare(fn) -> None:
+    """Have the helper run ``fn()`` once, with no caller waiting for it.
+
+    Starts the helper if it may take ``fn`` (see ``_take``) and sends ``fn``
+    unless it was sent before; jobs run here until its reply is in.
+    ``run_rk`` sends its scipy loader, so the helper's import overlaps the
+    design and is off the caller's critical path.
+    """
+    taken = _take(fn)
+    if taken is not None:
+        helper, pickled = taken
+        try:
+            if fn not in helper.prepared and helper.send(pickle.dumps((pickled, ()))):
+                helper.prepared.add(fn)
                 helper.owed += 1
-            return None
+        finally:
+            helper.lock.release()
+
+
+def run_call(fn, args: tuple, local):
+    """Run ``fn(*args)`` in the helper while ``local()`` runs here.
+
+    Returns ``(local(), fn(*args))``.  When the helper took the call but did
+    not answer, ``fn(*args)`` runs here once ``local()`` has returned.  An
+    exception ``fn`` raised in the helper is raised here once ``local()``
+    has returned.  Returns None, without calling ``local``, when the call
+    cannot go to the helper: when ``_take`` finds it may not take ``fn``,
+    for ``args`` that do not pickle, and before the helper has booted or
+    while it owes a reply.  The caller then does the whole job itself.
+    """
+    taken = _take(fn)
+    if taken is None:
+        return None
+    helper, pickled = taken
+    try:
         if not helper.idle():
             return None
         try:
-            request = pickle.dumps((None if fn is helper.holds else entry[1], args), 5)
+            request = pickle.dumps((pickled, args), 5)
         except Exception:  # e.g. a lambda among the arguments
             return None
-        out, reply = helper.call(fn, request, local)
+        out, reply = helper.call(request, local)
     finally:
         helper.lock.release()
     if reply is None:  # it is gone, or cannot take this call or its reply

@@ -97,8 +97,6 @@ def _cmd_compare(args) -> int:
 
 def _cmd_plot(args) -> int:
     trace = Path(args.trace)
-    if not trace.exists():
-        raise SboError(f"trace file not found: {trace}")
     out_dir = Path(args.out) if args.out else trace.parent
     for path in emit_plot_data(trace, out_dir):
         print(f"wrote {path}")

@@ -24,13 +24,15 @@ def read_trace_csv(path) -> dict:
 
     Returns a dict with eval_index, seed, tau (n, m), value, best_value.
     The column layout is the one write_trace_csv produces.  The file is
-    read as UTF-8; one that cannot be read or decoded raises SboError
-    naming it.
+    read as UTF-8; one that is missing, cannot be read or does not decode
+    raises SboError naming it.
     """
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
+    except FileNotFoundError:
+        raise SboError(f"trace file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise SboError(f"trace file {path} cannot be read: {exc}") from exc
     if not rows:

@@ -37,22 +37,20 @@ import scipy at import time: every call goes through one cached loader,
 process.  Importing sbopt, building problems and running PI, DIRECT or
 SPSA load numpy only.
 
-Three pieces of work go half to the pair helper process
-(``sbopt._pair``) while the caller runs the other half: every other one
-of a fit's likelihood starts (``_refine``), the later half of the infill
-probe's rows (EI and the row mask, ``_probe``) and the later half of the
-infill pattern-search starts (``_pattern_search``).  The halves are merged
-in start and row order before any choice is made among them.  A start's
-path reads only its own point and rows, and each EI and mask row depends
-only on its own query row, so the merged halves are bit for bit the whole
-and every output is the same with the helper or without it.  The helper
-takes the halves only on two CPUs and with BLAS held to one thread (see
-``_with_helper``); otherwise, or while it boots, owes a reply, is gone or
-is held by another thread, the caller runs both halves itself, and the
-pattern search whole.  The helper's first kriging job would load scipy
-there while the caller waits; instead the first job only asks the helper
-to load it (``run_call``'s ``prepare``) and runs here, and the helper
-takes jobs once that is done.
+Three pieces of work go through one routine, ``_split``, which sends the
+later half to the pair helper process (``sbopt._pair``) while the caller
+runs the first half: a fit's likelihood starts (``_refine``), the infill
+probe's rows (EI and the row mask, ``_probe``) and the infill
+pattern-search starts (``_pattern_search``).  The halves are joined in
+start and row order before any choice is made among them.  A start's path
+reads only its own point and rows, and each EI and mask row depends only
+on its own query row, so the joined halves are bit for bit the whole and
+every output is the same with the helper or without it.  The helper takes
+the halves only on two CPUs and with BLAS held to one thread; otherwise,
+or while it boots, owes a reply, is gone or is held by another thread,
+the caller runs the whole batch in one call.  ``run_rk`` has the helper
+load scipy as it starts (``sbopt._pair.prepare``), so the helper's import
+overlaps the design and is off the caller's critical path.
 """
 
 from __future__ import annotations
@@ -339,12 +337,8 @@ def fit(X, y, config: FitConfig | None = None) -> KrigingModel:
         starts.append(lo + rng.random(m + 1) * (hi - lo))
     scored = sorted(((search.nll(p), i) for i, p in enumerate(starts)), key=lambda t: t[0])
     chosen = [(starts[i], f0) for f0, i in scored[: config.n_starts]]
-    # every other start goes to the pair helper; the ends are put back in start order
-    ends = [None] * len(chosen)
-    ends[0::2], ends[1::2] = _in_halves(_refine, (search, chosen[0::2]),
-                                        (search, chosen[1::2]))
     best_p, best_f = None, np.inf
-    for p, fval in ends:
+    for p, fval in _split(_refine, (search,), chosen):
         if fval < best_f:
             best_p, best_f = p, fval
     if best_p is None or not np.isfinite(best_f):
@@ -424,28 +418,38 @@ def _one_blas_thread() -> bool:
     return bool(values) and all(v == "1" for v in values)
 
 
-def _in_halves(fn, head: tuple, tail: tuple):
-    """``(fn(*head), fn(*tail))``, the tail in the pair helper while the head runs
-    here, or here after the head when the helper cannot take it."""
-    halves = _with_helper(lambda: fn(*head), fn, tail)
-    return halves if halves is not None else (fn(*head), fn(*tail))
+def _split(fn, fixed: tuple, *items):
+    """``fn(*fixed, *items)``, on the first half of each item here and on the later
+    half in the pair helper meanwhile; ``fn``'s result for an entry must read only
+    that entry.  The results are joined in order: lists and arrays end to end,
+    tuples entry by entry, None stays None.
 
-
-def _with_helper(local, fn, args: tuple):
-    """``(local(), fn(*args))`` with ``fn(*args)`` in the pair helper meanwhile, or
-    None when the helper cannot take it and the caller does the whole job.
-
-    Only with one BLAS thread (``_one_blas_thread``): a caller whose BLAS
-    runs a thread per core contends with the helper for the cores: on two
-    CPUs, rk on ``complex`` ran 2.6 times slower split than whole that way.  The
-    helper imports scipy (``_scipy``) before its first kriging job, with no
-    caller waiting; see ``sbopt._pair.run_call``.
+    The helper takes halves only with one BLAS thread (``_one_blas_thread``):
+    with a BLAS thread per core in each process the two contend for the cores,
+    and rk on ``complex`` ran 2.6 times slower split than whole on two CPUs.
+    Without the helper ``fn`` runs once on the whole batch, since an infill
+    sweep costs mostly per batch.
     """
-    if not _one_blas_thread():
-        return None
-    from ._pair import run_call  # the process machinery loads on the first kriging job
+    h = (len(items[0]) + 1) // 2
+    if h < len(items[0]) and _one_blas_thread():
+        from ._pair import run_call  # the process machinery loads on the first split
 
-    return run_call(fn, args, local, prepare=_scipy)
+        halves = run_call(fn, (*fixed, *(item[h:] for item in items)),
+                          lambda: fn(*fixed, *(item[:h] for item in items)))
+        if halves is not None:
+            return _join(*halves)
+    return fn(*fixed, *items)
+
+
+def _join(first, later):
+    """``_split``'s two results as one, in order."""
+    if first is None:
+        return None
+    if isinstance(first, tuple):
+        return tuple(map(_join, first, later))
+    if isinstance(first, list):
+        return first + later
+    return np.concatenate([first, later])
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +611,7 @@ def propose_infill(model: KrigingModel, y_min: float, feasibility_predicate,
             cand = np.asarray(sampler(rng, _INFILL_PROBE, bounds), dtype=float)
         else:
             cand = bounds.lower + rng.random((_INFILL_PROBE, m)) * bounds.span
-        probe = (model, y_min, use_reinterp, predicate)
-        h = len(cand) // 2  # the later rows go to the pair helper
-        (ei_a, ok_a), (ei_b, ok_b) = _in_halves(_probe, (*probe, cand[:h]),
-                                                (*probe, cand[h:]))
-        ei_cand = np.concatenate([ei_a, ei_b])
-        feasible = None if predicate is None else np.concatenate([ok_a, ok_b])
+        ei_cand, feasible = _split(_probe, (model, y_min, use_reinterp, predicate), cand)
         # the feasible probes in decreasing EI order become the starts
         order = np.argsort(ei_cand)[::-1]
         if feasible is not None:
@@ -627,20 +626,8 @@ def propose_infill(model: KrigingModel, y_min: float, feasibility_predicate,
             f"no feasible candidate in {_INFILL_RESTARTS} probes "
             f"of {_INFILL_PROBE} points")
 
-    pts = np.array(starts)
-    vals = np.array(start_ei, dtype=float)
-    search = (model, y_min, use_reinterp, predicate, bounds)
-    # the later starts go to the pair helper; without it the search runs whole,
-    # since a sweep costs mostly per batch and two halves here cost nearly twice
-    h = (pts.shape[0] + 1) // 2
-    halves = None if h == pts.shape[0] else _with_helper(
-        lambda: _pattern_search(*search, pts[:h], vals[:h]),
-        _pattern_search, (*search, pts[h:], vals[h:]))
-    if halves is None:
-        pts, vals = _pattern_search(*search, pts, vals)
-    else:
-        (pts_a, vals_a), (pts_b, vals_b) = halves
-        pts, vals = np.concatenate([pts_a, pts_b]), np.concatenate([vals_a, vals_b])
+    pts, vals = _split(_pattern_search, (model, y_min, use_reinterp, predicate, bounds),
+                       np.array(starts), np.array(start_ei, dtype=float))
     best = int(np.argmax(vals))
     return EIProposal(x=pts[best].copy(), ei=float(vals[best]))
 
@@ -766,7 +753,8 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
     ``propose_infill``) runs in those coordinates.
     When the evaluator has a feasibility mask (``Evaluator(feasible=...)``),
     infill candidates are restricted to feasible points and the incumbent for
-    expected improvement is the best feasible value observed.  Each infill appends
+    expected improvement is the trace's best feasible value
+    (``Trace.best_feasible``), or its best value when none is feasible.  Each infill appends
     one record to ``trace.iterations`` with fields ``ei`` (of the proposal),
     ``theta`` (unit-cube lengthscales), ``lam`` and ``log_likelihood`` of the
     model it was proposed from; the design points get no record.
@@ -781,6 +769,10 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
         raise ValueError("n_init must be >= 2")
     if not evaluator.can_evaluate():
         return evaluator.trace
+    if _one_blas_thread():
+        from ._pair import prepare
+
+        prepare(_scipy)  # the helper boots and loads scipy while the design is evaluated
     m = bounds.m_dim
     f = evaluator.on_unit_cube(bounds)
 
@@ -789,7 +781,8 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
     y_signed = [f(u) for u in design]
 
     unit_box = Bounds.unit(m)
-    feasible = evaluator.trace.feasible
+    trace, sign = evaluator.trace, (1.0 if evaluator.sense == "minimize" else -1.0)
+    feasible = trace.feasible
     unit_mask = None if feasible is None else functools.partial(_unit_mask, feasible, bounds)
 
     warm = None
@@ -801,19 +794,14 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
         model = fit(X_arr, y_arr, cfg)
         warm = np.concatenate([np.log10(model.theta), [np.log10(max(model.lam, 1e-12))]])
 
-        if unit_mask is not None:
-            feas_mask = _row_mask(unit_mask, X_arr)
-            y_min = float(np.min(y_arr[feas_mask])) if np.any(feas_mask) else float(np.min(y_arr))
-        else:
-            y_min = float(np.min(y_arr))
-
+        y_min = sign * (trace.best_feasible() or trace.best_so_far())[1].value
         proposal = propose_infill(model, y_min, unit_mask, unit_box, use_reinterp,
                                   seed=seed + iteration, sampler=sampler)
         X_unit.append(np.array(proposal.x))
         y_signed.append(f(proposal.x))
         iteration += 1
-        evaluator.trace.iterations.append({
+        trace.iterations.append({
             "iteration": iteration, "evals": evaluator.used, "ei": proposal.ei,
             "theta": model.theta, "lam": model.lam,
             "log_likelihood": model.log_likelihood})
-    return evaluator.trace
+    return trace

@@ -33,7 +33,7 @@ def kriging_helper(monkeypatch):
     for var in kriging._BLAS_THREAD_VARS:
         monkeypatch.setenv(var, "1")
     helper = own_helper(monkeypatch)
-    assert _pair.run_call(abs, (0,), lambda: None, prepare=kriging._scipy) is None
+    _pair.prepare(kriging._scipy)
     while not helper.idle():  # it owes "ready", then the prepare's reply
         assert helper.conn.poll(60)
     yield helper

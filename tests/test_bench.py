@@ -231,6 +231,13 @@ def test_unreadable_trace_is_an_error_naming_it(tmp_path, capsys, kind):
     assert not (tmp_path / "plots").exists()
 
 
+def test_missing_trace_is_an_error_naming_it(tmp_path):
+    path = tmp_path / "missing.csv"
+    with pytest.raises(sb.SboError, match=f"^{re.escape(f'trace file not found: {path}')}$"):
+        emit_plot_data(path, tmp_path / "plots")
+    assert not (tmp_path / "plots").exists()
+
+
 def test_missing_or_malformed_config_or_report_keeps_its_message(tmp_path, capsys):
     missing, broken = tmp_path / "missing.json", tmp_path / "broken.json"
     broken.write_text("{not json")
@@ -526,6 +533,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(bad)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.json")]) == 2
     assert main(["plot", str(tmp_path / "missing.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.endswith(f"\nsbo: error: trace file not found: {tmp_path / 'missing.csv'}\n")
     pi_cfg = tmp_path / "pi.json"
     pi_cfg.write_text(json.dumps({"problem": "complex", "solver": "pi",
                                   "budget": 9}))

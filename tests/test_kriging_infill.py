@@ -1,6 +1,7 @@
 """Expected improvement and the feasible infill search."""
 
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -328,8 +329,7 @@ def test_sweep_matches_reference_and_skips_wasted_ei(case, seed, monkeypatch):
     assert got.x.tobytes() == want.x.tobytes()
     assert got.ei == want.ei
 
-    # the probe goes to EI in two halves, which no sweep batch is as large as
-    sweeps = [b for b in batches if len(b) != kriging._INFILL_PROBE // 2]
+    sweeps = [b for b in batches if len(b) != kriging._INFILL_PROBE]
     # every row reaching EI in a sweep is a feasible changed candidate, and
     # every such candidate does
     assert sum(map(len, sweeps)) == counts["feasible"]
@@ -339,6 +339,24 @@ def test_sweep_matches_reference_and_skips_wasted_ei(case, seed, monkeypatch):
 
 
 # ------------------------------------------------- the pair helper's halves
+
+
+def test_a_probe_round_without_the_helper_is_one_call(monkeypatch):
+    monkeypatch.setattr(_pair, "two_cpus", lambda: False)
+    probe, rows, rounds = kriging._probe, [], []
+    monkeypatch.setattr(kriging, "_probe", lambda *args: rows.append(len(args[-1])) or probe(*args))
+    model, y, predicate, sampler = band_model(40)
+
+    def counting_sampler(*args):
+        rounds.append(1)
+        return sampler(*args)
+
+    y_min, box = float(np.min(y)), sb.Bounds.unit(16)
+    sb.propose_infill(model, y_min, predicate, box, seed=0, sampler=counting_sampler)
+    assert rows == [kriging._INFILL_PROBE] * len(rounds)
+    # a mask of the wrong shape is named with the whole probe's shape
+    with pytest.raises(ValueError, match=re.escape("a (4096, 16) array to 4096 booleans")):
+        sb.propose_infill(model, y_min, lambda U: np.ones(3, dtype=bool), box, seed=0)
 
 
 class HelperOnlyError(Exception):

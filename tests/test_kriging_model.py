@@ -446,6 +446,16 @@ def test_fits_from_several_threads_share_one_helper(kriging_helper):
     assert 1 <= kriging_helper.jobs <= 25 and kriging_helper.alive
 
 
+def test_a_fit_without_the_helper_refines_its_starts_in_one_call(monkeypatch):
+    monkeypatch.setattr(_pair, "two_cpus", lambda: False)
+    refine, calls = kriging._refine, []
+    monkeypatch.setattr(kriging, "_refine",
+                        lambda search, starts: calls.append(len(starts)) or refine(search, starts))
+    X, y = sine_design()
+    sb.fit(X, y, sb.FitConfig(seed=4))
+    assert calls == [sb.FitConfig().n_starts]
+
+
 def test_kriging_halves_need_one_blas_thread(monkeypatch):
     # with a BLAS thread per core in each process, the halves contend for the cores
     for var in kriging._BLAS_THREAD_VARS:
@@ -460,4 +470,4 @@ def test_kriging_halves_need_one_blas_thread(monkeypatch):
     calls = []
     monkeypatch.setattr(_pair, "run_call", lambda *args, **kwargs: calls.append(args))
     monkeypatch.setenv("MKL_NUM_THREADS", "4")
-    assert kriging._with_helper(lambda: 1, abs, (-2,)) is None and calls == []
+    assert kriging._split(len, (), [1, 2, 3]) == 3 and calls == []

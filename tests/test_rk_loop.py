@@ -155,3 +155,32 @@ def test_a_helper_killed_in_a_job_leaves_the_same_trace(kriging_helper, monkeypa
     whole = bench.run_single(problem, "rk", 40, 0)
     assert pickle.dumps((killed.records, killed.iterations)) == \
         pickle.dumps((whole.records, whole.iterations))
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("one_thread", [True, False])
+def test_rk_warms_the_helper_before_its_design(monkeypatch, one_thread):
+    # with BLAS at one thread the helper boots and loads scipy while the design
+    # is evaluated; otherwise rk keeps all of its work here and starts none
+    for var in kriging._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if one_thread:
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setattr(_pair, "_helper", None)
+    at_first_call = []
+
+    def objective(tau, seed):
+        if not at_first_call:
+            at_first_call.append(_pair._helper)
+        return quadratic(tau, seed)
+
+    try:
+        sb.run_rk(sb.Evaluator(objective, budget=8, seed=0), UNIT2, n_init=6)
+    finally:
+        if _pair._helper is not None:
+            _pair._helper.close()
+    if one_thread:
+        helper, = at_first_call
+        assert helper is not None and kriging._scipy in helper.prepared
+    else:
+        assert at_first_call == [None] and _pair._helper is None

@@ -356,10 +356,10 @@ def test_pairs_run_here_until_the_helper_has_booted(monkeypatch):
     ev.evaluate_pair([0.1, 0.2], [0.3, 0.4])  # starts the helper, which is still booting
     helper = _pair._helper
     try:
-        assert (helper.jobs, helper.ready) == (0, False)
+        assert (helper.jobs, helper.idle()) == (0, False)
         assert helper.conn.poll(60)
         ev.evaluate_pair([0.1, 0.2], [0.3, 0.4])
-        assert (helper.jobs, helper.ready) == (1, True)
+        assert (helper.jobs, helper.idle()) == (1, True)
     finally:
         helper.close()
     # one that dies before it has booted is closed at the next pair
@@ -575,6 +575,23 @@ def test_pair_helper_gets_the_callers_sys_path(tmp_path, monkeypatch):
     sequential = sb.Evaluator(lambda tau, seed: bowl(tau, seed), budget=20)
     sb.run_spsa(sequential, [0.5, 0.5], UNIT2, seed=0)
     assert trace_bits(concurrent.trace) == trace_bits(sequential.trace)
+
+
+@needs_two_cpus
+def test_the_helpers_command_line_carries_every_str_path_entry(monkeypatch):
+    # each str entry is one argument, unchanged: empty, non-ASCII or undecodable
+    odd = ["/tmp/café dir", Path("/tmp/a path"), "/tmp/bad\udcff", ""]
+    monkeypatch.setattr(sys, "path", [*sys.path, *odd])
+    monkeypatch.setattr(_pair, "_helper", None)
+    helper = _pair.process_helper()
+    try:
+        assert helper.conn.poll(60)
+        _, got = _pair.run_call(eval, ("__import__('sys').path",), lambda: None)
+    finally:
+        helper.close()
+    assert helper.jobs == 1
+    assert got == [entry for entry in sys.path if isinstance(entry, str)]
+    assert got[-3:] == ["/tmp/café dir", "/tmp/bad\udcff", ""]
 
 
 def no_process(*args, **kwargs):
