@@ -33,11 +33,13 @@ class ConfigError(SboError):
 
 class Solver(NamedTuple):
     """One row of SOLVERS: the params a config may set, each with its JSON
-    type (a key of ``PARAM_TYPES``), and the runner.  The runner raises
-    ConfigError, before any evaluation, on a problem it cannot run on."""
+    type (a key of ``PARAM_TYPES``), the runner, and the fewest evaluations
+    one run needs to record any.  The runner raises ConfigError, before any
+    evaluation, on a problem it cannot run on."""
 
     params: dict
     run: Callable  # (evaluator, problem, seed, params) -> Trace
+    min_budget: int = 1
 
 
 def _is_finite_number(v) -> bool:
@@ -98,19 +100,26 @@ SOLVERS = {
                      _run_direct),
     "spsa": Solver({**dict.fromkeys(_SPSA_GAINS, "finite number"),
                     "max_iterations": "positive integer",
-                    "tau_0": "list of finite numbers"}, _run_spsa),
+                    "tau_0": "list of finite numbers"}, _run_spsa,
+                   min_budget=2),  # evaluations come in pairs
 }
 
 
-def _check_budget(budget) -> None:
-    """Reject anything but a positive integer."""
+def _check_budget(solver: str, budget) -> None:
+    """Reject anything but a positive integer, and a budget below the
+    solver's ``min_budget``."""
     # type() rather than isinstance(): JSON true must not pass as 1
     if type(budget) is not int or budget < 1:
         raise ConfigError(f"budget must be a positive integer, got {budget!r}")
+    least = SOLVERS[solver].min_budget
+    if budget < least:
+        raise ConfigError(
+            f"solver {solver!r} needs a budget of at least {least}, got {budget}")
 
 
 def _check_seeds(seeds) -> None:
-    """Reject anything but a non-empty sequence of distinct non-negative integers."""
+    """Reject anything but a non-empty sequence of distinct integers in
+    [0, 2**63), the range the simulator's noise hash packs a seed in."""
     # type() rather than isinstance(): JSON true must not pass as 1
     if (not isinstance(seeds, (list, tuple)) or not seeds
             or any(type(s) is not int for s in seeds) or len(set(seeds)) < len(seeds)):
@@ -119,6 +128,9 @@ def _check_seeds(seeds) -> None:
     negative = [s for s in seeds if s < 0]
     if negative:
         raise ConfigError(f"seeds must be non-negative, got {negative}")
+    too_big = [s for s in seeds if s >= 2 ** 63]
+    if too_big:
+        raise ConfigError(f"seeds must be below 2**63, got {too_big}")
 
 
 def _check_params(solver: str, params) -> None:
@@ -147,9 +159,10 @@ def _check_run(problem: Problem, solver: str, budget, seeds, params) -> None:
     nothing without budget, so this applies exactly the runner's refusal
     and the solver's own range checks.
     """
-    if solver not in SOLVERS:
+    # isinstance first: a list or dict as the name would raise TypeError here
+    if not isinstance(solver, str) or solver not in SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}; known: {list(SOLVERS)}")
-    _check_budget(budget)
+    _check_budget(solver, budget)
     _check_seeds(seeds)
     _check_params(solver, params)
     try:
@@ -180,16 +193,12 @@ class ExperimentConfig:
                          and f.default is MISSING and f.default_factory is MISSING)
         if missing:
             raise ConfigError(f"missing config keys: {missing}")
+        cfg = cls(**raw)
         # copy the containers; validate() rejects anything of the wrong type
-        seeds, params = raw.get("seeds", (0,)), raw.get("params", {})
-        cfg = cls(
-            problem=raw["problem"],
-            solver=raw["solver"],
-            budget=raw["budget"],
-            seeds=tuple(seeds) if isinstance(seeds, (list, tuple)) else seeds,
-            output_dir=raw.get("output_dir", "."),
-            params=dict(params) if isinstance(params, dict) else params,
-        )
+        if isinstance(cfg.seeds, (list, tuple)):
+            cfg.seeds = tuple(cfg.seeds)
+        if isinstance(cfg.params, dict):
+            cfg.params = dict(cfg.params)
         cfg.validate()
         return cfg
 
@@ -213,10 +222,11 @@ def run_single(problem: Problem, solver: str, budget: int, seed: int,
 
     Raises ConfigError, with ``ExperimentConfig.validate``'s message, for
     anything ``validate`` rejects: an unknown solver, a budget that is not
-    a positive integer, a seed that is negative or not an integer, params
-    the solver does not take or of the wrong type, a problem the solver
-    cannot run on, and params out of the solver's own range.  Errors
-    raised during the run itself, by the objective say, keep their type.
+    a positive integer or is below the solver's ``min_budget``, a seed that
+    is not an integer in [0, 2**63), params the solver does not take or of
+    the wrong type, a problem the solver cannot run on, and params out of
+    the solver's own range.  Errors raised during the run itself, by the
+    objective say, keep their type.
     """
     params = {} if params is None else params
     _check_run(problem, solver, budget, (seed,), params)
@@ -428,10 +438,6 @@ class ComparisonReport:
     sense: str
     budget: int
     stats: dict
-
-    @property
-    def solvers(self) -> list:
-        return list(self.stats)
 
     @property
     def grid(self) -> np.ndarray:

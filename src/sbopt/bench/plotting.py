@@ -78,17 +78,17 @@ def write_nfd_scatter(out: SimOutput, path) -> Path:
     return path
 
 
-def emit_plot_data(trace_csv, out_dir, stem: str = None) -> list[Path]:
+def emit_plot_data(trace_csv, out_dir) -> list[Path]:
     """Write a trace CSV's best curve to ``<stem>_best.csv`` and its SVG
     rendering to ``<stem>_best.svg`` in out_dir; returns the two paths.
 
-    The stem defaults to the trace file's.  The trace is read, and checked
-    by ``read_trace_csv``, before anything is written.
+    The stem is the trace file's.  The trace is read, and checked by
+    ``read_trace_csv``, before anything is written.
     """
     data = read_trace_csv(trace_csv)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = stem or Path(trace_csv).stem
+    stem = Path(trace_csv).stem
     idx, best = data["eval_index"], data["best_value"]
     return [write_best_curve_csv(idx, best, out_dir / f"{stem}_best.csv"),
             plot_best_curve(idx, best, out_dir / f"{stem}_best.svg")]
@@ -235,10 +235,9 @@ def _write_svg(path, series, xlabel: str, ylabel: str) -> Path:
     return path
 
 
-def plot_best_curve(eval_index, best_value, path, label: str = None) -> Path:
-    """SVG post-step line of the running best, with an optional legend label."""
-    series = [_Series("step", _floats(eval_index), _floats(best_value),
-                      _COLOURS[0], label)]
+def plot_best_curve(eval_index, best_value, path) -> Path:
+    """SVG post-step line of the running best."""
+    series = [_Series("step", _floats(eval_index), _floats(best_value), _COLOURS[0])]
     return _write_svg(path, series, "evaluations", "best objective")
 
 

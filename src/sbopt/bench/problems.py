@@ -165,23 +165,20 @@ def plant_problem() -> Problem:
 
 
 class _TollObjective:
-    """The simulator objective of a toll fixture: ``f(tau, seed) -> (value, aux)``.
+    """The simulator objective of a toll fixture: ``f(tau, seed) -> (value, aux)``,
+    where ``score`` maps the run's ``SimOutput`` to the value.
 
     A module-level class rather than a closure so that it pickles, which
-    lets ``Evaluator.evaluate_pair`` hand it to its helper process.
+    lets ``Evaluator.evaluate_pair`` hand it to its helper process; so
+    ``score`` is a module-level function or a ``functools.partial`` of one.
     """
 
-    def __init__(self, cfg, curve, template, kind, k_cr=None):
-        if kind not in ("density", "flow"):
-            raise ValueError(f"unknown objective kind {kind!r}")
-        self.cfg, self.curve, self.template = cfg, curve, template
-        self.kind, self.k_cr = kind, k_cr
+    def __init__(self, cfg, curve, template, score):
+        self.cfg, self.curve, self.template, self.score = cfg, curve, template, score
 
     def __call__(self, tau, seed):
         out = run_reservoir(self.cfg, self.curve, self.template.with_tau(tau), seed)
-        if self.kind == "density":
-            return objective_density(out, self.k_cr), out.aux()
-        return objective_flow(out), out.aux()
+        return self.score(out), out.aux()
 
 
 def simple_toll_scenario():
@@ -205,7 +202,8 @@ def simple_toll_problem() -> Problem:
     k_cr = 15.0
     return Problem(
         name="simple",
-        objective=_TollObjective(cfg, curve, template, "density", k_cr),
+        objective=_TollObjective(cfg, curve, template,
+                                 functools.partial(objective_density, k_cr=k_cr)),
         bounds=Bounds(np.zeros(2), np.ones(2)),
         rk_n_init=12,
         spsa_tau_0=np.array([0.5, 0.5]),
@@ -270,7 +268,7 @@ def recompute_complex_penalty_weight() -> float:
     from ..constraints import penalty_weight_from_probe
 
     cfg, curve, template = complex_toll_scenario()
-    objective = _TollObjective(cfg, curve, template, "flow")
+    objective = _TollObjective(cfg, curve, template, objective_flow)
     values = []
     for u in np.linspace(0.0, 1.0, 20):
         tau = np.concatenate([np.full(8, u), np.full(8, 15.0 * u)])
@@ -293,7 +291,7 @@ def complex_toll_problem() -> Problem:
     penalty = PenaltyTransform(spec, COMPLEX_PENALTY_WEIGHT)
     return Problem(
         name="complex",
-        objective=_TollObjective(cfg, curve, template, "flow"),
+        objective=_TollObjective(cfg, curve, template, objective_flow),
         bounds=bounds,
         sense="maximize",
         smoothing=spec,
@@ -327,15 +325,14 @@ def composition_scenario():
     return cfg, curve, template
 
 
-def _composition_problem(kind: str, k_cr: float | None) -> Problem:
+def _composition_problem(name: str, sense: str, score, k_cr: float | None) -> Problem:
     cfg, curve, template = composition_scenario()
     bounds = Bounds(np.zeros(8), np.concatenate([np.ones(4), np.full(4, 25.0)]))
-    name = "composition_density" if kind == "density" else "composition_flow"
     return Problem(
         name=name,
-        objective=_TollObjective(cfg, curve, template, kind, k_cr),
+        objective=_TollObjective(cfg, curve, template, score),
         bounds=bounds,
-        sense="minimize" if kind == "density" else "maximize",
+        sense=sense,
         rk_n_init=16,
         spsa_tau_0=np.concatenate([np.full(4, 0.25), np.full(4, 10.0)]),
         scenario={"config": cfg, "curve": curve, "template": template, "k_cr": k_cr},
@@ -344,12 +341,14 @@ def _composition_problem(kind: str, k_cr: float | None) -> Problem:
 
 def composition_density_problem() -> Problem:
     """Pin density at 25 on the composition-shift fixture."""
-    return _composition_problem("density", 25.0)
+    k_cr = 25.0
+    return _composition_problem("composition_density", "minimize",
+                                functools.partial(objective_density, k_cr=k_cr), k_cr)
 
 
 def composition_flow_problem() -> Problem:
     """Maximize flow on the composition-shift fixture."""
-    return _composition_problem("flow", None)
+    return _composition_problem("composition_flow", "maximize", objective_flow, None)
 
 
 _BUILDERS = {

@@ -99,10 +99,6 @@ class Bounds:
         tau = as_vector(tau, self.m_dim)
         return np.clip(tau, self.lower, self.upper)
 
-    def contains(self, tau, tol: float = 0.0) -> bool:
-        tau = as_vector(tau, self.m_dim)
-        return bool(np.all(tau >= self.lower - tol) and np.all(tau <= self.upper + tol))
-
     def to_unit(self, tau) -> np.ndarray:
         """Map a point into unit-cube coordinates (degenerate dims go to 0.5)."""
         tau = as_vector(tau, self.m_dim)

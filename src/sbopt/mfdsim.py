@@ -90,10 +90,6 @@ class NfdCurve:
             raise ValueError("q_max must be positive and finite")
 
     @property
-    def shape(self) -> str:
-        return "triangular" if self.k_cr_low == self.k_cr_high else "trapezoidal"
-
-    @property
     def free_flow_speed(self) -> float:
         """km/h on the uncongested branch."""
         return self.q_max / self.k_cr_low
@@ -173,12 +169,6 @@ class TollScheme:
         tau = as_vector(tau, want)
         omega = tau[m:] if self.joint else self.omega
         return replace(self, eta=tau[:m], omega=omega)
-
-    def interval_at(self, t_min: float) -> int | None:
-        """Tolling interval index at a clock time, None outside the horizon."""
-        if not (self.horizon_start_min <= t_min < self.horizon_end_min):
-            return None
-        return int((t_min - self.horizon_start_min) // self.interval_length_min)
 
 
 @dataclass(frozen=True)

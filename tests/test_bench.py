@@ -333,7 +333,7 @@ def test_cli_compare_rejects_malformed_report(tmp_path, capsys, patch):
 def test_compare_rejects_malformed_report_dict(patch):
     report = _tiny_report("direct")
     patch(report)
-    assert bench.compare(_tiny_report("rk")).solvers == ["rk"]
+    assert list(bench.compare(_tiny_report("rk")).stats) == ["rk"]
     with pytest.raises(bench.ConfigError, match="report 1"):
         bench.compare(_tiny_report("rk"), report)
 
@@ -375,10 +375,9 @@ def test_compare_rejects_mixed_problems(rk_simple_run, tmp_path):
 
 def test_emit_plot_data_from_trace_csv(rk_simple_run, tmp_path):
     _, _, out = rk_simple_run
-    files = emit_plot_data(out / "trace_simple_rk_seed0.csv",
-                           tmp_path, "replot")
-    assert (tmp_path / "replot_best.csv") in files
-    rows = (tmp_path / "replot_best.csv").read_text().splitlines()
+    files = emit_plot_data(out / "trace_simple_rk_seed0.csv", tmp_path)
+    assert (tmp_path / "trace_simple_rk_seed0_best.csv") in files
+    rows = (tmp_path / "trace_simple_rk_seed0_best.csv").read_text().splitlines()
     assert len(rows) == 51
 
 
@@ -396,9 +395,9 @@ def _svg_parts(path):
 def test_emit_plot_data_writes_best_curve_svg(rk_simple_run, tmp_path):
     _, _, out = rk_simple_run
     trace = out / "trace_simple_rk_seed0.csv"
-    first = emit_plot_data(trace, tmp_path / "a", "replot")
-    again = emit_plot_data(trace, tmp_path / "b", "replot")
-    svg = tmp_path / "a" / "replot_best.svg"
+    first = emit_plot_data(trace, tmp_path / "a")
+    again = emit_plot_data(trace, tmp_path / "b")
+    svg = tmp_path / "a" / "trace_simple_rk_seed0_best.svg"
     assert first[-1] == svg
     assert _svg_parts(svg) == (1, 0, 0)
     assert svg.read_bytes() == again[-1].read_bytes()
@@ -439,8 +438,7 @@ def test_curve_bands_svg_has_a_line_and_band_per_solver(tmp_path):
 
 
 def test_flat_curve_svg_gets_an_axis_span(tmp_path):
-    svg = plot_best_curve([0, 1, 2], [7.0, 7.0, 7.0], tmp_path / "flat.svg",
-                          label="flat")
+    svg = plot_best_curve([0, 1, 2], [7.0, 7.0, 7.0], tmp_path / "flat.svg")
     assert _svg_parts(svg) == (1, 0, 0)
     assert "nan" not in svg.read_text()
 
@@ -456,8 +454,8 @@ def test_empty_trace_has_nothing_to_plot(tmp_path):
     trace = tmp_path / "empty.csv"
     trace.write_text("")
     with pytest.raises(sb.SboError, match="empty"):
-        emit_plot_data(trace, tmp_path, "none")
-    assert not (tmp_path / "none_best.csv").exists()
+        emit_plot_data(trace, tmp_path)
+    assert not (tmp_path / "empty_best.csv").exists()
 
 
 def test_untolled_peak_flow_sits_on_the_plateau(tmp_path):
@@ -685,3 +683,49 @@ def test_cli_rejects_negative_seed(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--seed", "-1"]) == 2
     assert r"seeds must be non-negative, got [-1]" in capsys.readouterr().err
     assert not list(tmp_path.glob("trace_*"))
+
+
+# Each passed validate() once, and then `sbo run` created the output
+# directory and failed the run with exit 3.
+UNRUNNABLE = [
+    pytest.param({"solver": ["rk"]}, r"unknown solver \['rk'\]; known: ", id="solver-list"),
+    pytest.param({"solver": {"a": 1}}, r"unknown solver \{'a': 1\}; known: ",
+                 id="solver-object"),
+    pytest.param({"seeds": [2 ** 63]}, r"seeds must be below 2\*\*63, got \[9223372036854775808\]",
+                 id="seed-2**63"),
+    pytest.param({"solver": "spsa", "budget": 1},
+                 r"solver 'spsa' needs a budget of at least 2, got 1", id="spsa-budget-1"),
+]
+
+
+@pytest.mark.parametrize("patch, message", UNRUNNABLE)
+def test_unrunnable_configs_exit_2_before_writing(patch, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    raw = {"problem": "quadratic", "solver": "direct", "budget": 5,
+           "output_dir": str(out)} | patch
+    with pytest.raises(bench.ConfigError, match=message):
+        bench.ExperimentConfig.from_dict(raw)
+    (seed,) = raw.get("seeds", [0])
+    with pytest.raises(bench.ConfigError, match=message):
+        bench.run_single(bench.get_problem("quadratic"), raw["solver"], raw["budget"], seed)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_rejects_a_seed_of_2_63_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"problem": "simple", "solver": "direct", "budget": 5}))
+    assert main(["run", "--config", str(cfg_path), "--seed", str(2 ** 63),
+                 "--out", str(out)]) == 2
+    assert "seeds must be below 2**63, got [9223372036854775808]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("problem", bench.available_problems())
+def test_the_largest_seed_runs(problem):
+    trace = bench.run_single(bench.get_problem(problem), "direct", 2, 2 ** 63 - 1)
+    assert len(trace) == 2

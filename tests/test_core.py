@@ -29,8 +29,6 @@ def test_bounds_validation():
     b = sb.Bounds(np.array([0.0, -1.0]), np.array([2.0, 3.0]))
     assert b.m_dim == 2
     assert np.allclose(b.span, [2.0, 4.0])
-    assert b.contains([1.0, 0.0])
-    assert not b.contains([2.5, 0.0])
 
 
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))

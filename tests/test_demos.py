@@ -1,5 +1,4 @@
-"""The demos that read the per-iteration records, and the two shootouts that
-print ``compare``'s table, run end to end."""
+"""Every demo runs end to end."""
 
 import os
 import subprocess
@@ -16,6 +15,22 @@ def run_demo(name, *args):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, str(ROOT / "demos" / name), *args],
                           capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_reservoir_playground_writes_the_untolled_series(tmp_path):
+    series = tmp_path / "series.csv"
+    proc = run_demo("01_reservoir_playground.py", "--out", str(series))
+    assert proc.returncode == 0, proc.stderr
+    lines = series.read_text().splitlines()
+    assert lines[0] == "t_s,n,k,q"
+    assert len(lines) == 1 + 7200
+
+
+def test_surrogate_fit_demo_shows_reinterpolation_removes_ei_at_the_samples():
+    proc = run_demo("03_surrogate_fit.py")
+    assert proc.returncode == 0, proc.stderr
+    # the paper's caveat (ii)
+    assert "with re-interpolation: max 0.000e+00" in proc.stdout
 
 
 def test_feedback_controller_demo():
@@ -53,3 +68,9 @@ def test_complex_shootout_prints_a_row_per_solver(tmp_path):
     proc = run_demo("06_complex_shootout.py", "--budget", "30", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert _table_rows(proc.stdout) == ["rk", "spsa", "direct"]
+
+
+def test_composition_shift_demo_prints_the_flow_given_up():
+    proc = run_demo("07_composition_shift.py", "--budget", "30")
+    assert proc.returncode == 0, proc.stderr
+    assert "flow given up by targeting the shifted critical density: " in proc.stdout
