@@ -36,7 +36,6 @@ from .kriging import (
     KrigingModel,
     expected_improvement,
     fit,
-    gaussian_correlation,
     loo_cv,
     maximin_lhs,
     predict,

@@ -220,9 +220,6 @@ class PairHelper:
 
 
 _helper: PairHelper | None = None
-# The last function asked about, held so that its id is not reused, and its
-# pickle, b"" when it does not pickle.
-_pickled = (None, b"")
 
 
 def process_helper() -> PairHelper | None:
@@ -238,22 +235,16 @@ def _take(fn):
     helper may not take ``fn``: off POSIX, on fewer than two CPUs, for a ``fn``
     that does not pickle or that the helper could not take, once it is gone,
     and while another thread holds it.  Starts the helper on first use."""
-    global _pickled
     if os.name != "posix" or not two_cpus():  # pass_fds is POSIX-only
         return None
-    entry = _pickled
-    if entry[0] is not fn:
-        try:
-            entry = (fn, pickle.dumps(fn))
-        except Exception:  # closures, lambdas, open handles
-            entry = (fn, b"")
-        _pickled = entry
-    if not entry[1]:
+    try:
+        pickled = pickle.dumps(fn)
+    except Exception:  # closures, lambdas, open handles
         return None
     helper = process_helper()
     if helper is None or fn is helper.refused or not helper.lock.acquire(False):
         return None
-    return helper, entry[1]
+    return helper, pickled
 
 
 def prepare(fn) -> None:

@@ -20,7 +20,6 @@ from ..constraints import violations
 from ..core import Evaluator, SboError, Trace, _write_csv, write_trace_csv
 from ..direct import run_direct
 from ..kriging import run_rk
-from ..mfdsim import run_reservoir
 from ..pi_control import run_pi
 from ..spsa import SpsaGains, run_spsa
 from .plotting import plot_curve_bands, write_best_curve_csv, write_nfd_scatter
@@ -351,23 +350,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
     write_best_curve_csv(np.arange(1, config.budget + 1), stats.median_curve,
                          out_dir / f"curve_{tag}.csv")
 
-    scenario = problem.scenario
-    if {"config", "curve", "template"} <= set(scenario):
+    simulate = getattr(problem.objective, "simulate", None)
+    if simulate is not None:
         # replay the best seed's solution for a density-flow scatter
         ranked = sorted(per_seed, key=lambda s: s["best_value"],
                         reverse=(problem.sense == "maximize"))
         top = ranked[0]
-        scheme = scenario["template"].with_tau(np.array(top["best_tau"]))
-        out = run_reservoir(scenario["config"], scenario["curve"], scheme,
-                            seed=top["seed"])
+        out = simulate(np.array(top["best_tau"]), top["seed"])
         write_nfd_scatter(out, out_dir / f"nfd_{tag}.csv")
 
     return report
-
-
-def _is_number(x) -> bool:
-    # type() checks: JSON true must not pass as the number 1
-    return type(x) in (int, float)
 
 
 def _read_json(path, kind: str, name: str):
@@ -398,8 +390,8 @@ def _check_report(report, name: str) -> dict:
     """Return ``report`` if it holds what compare reads, else raise ConfigError.
 
     The keys must be present, ``budget`` a positive integer, ``curves`` a
-    map from seeds to non-empty lists of numbers and ``per_seed`` a
-    non-empty list of objects with a numeric ``best_value``, an integer
+    map from seeds to non-empty lists of finite numbers and ``per_seed`` a
+    non-empty list of objects with a finite numeric ``best_value``, an integer
     ``n_evals`` and a boolean ``feasible``.  ``name`` starts each message.
     """
     if not isinstance(report, dict):
@@ -414,18 +406,18 @@ def _check_report(report, name: str) -> dict:
         raise ConfigError(f"{name}: budget must be a positive integer")
     curves = report["curves"]
     if (not isinstance(curves, dict) or not curves
-            or not all(isinstance(c, list) and c and all(map(_is_number, c))
+            or not all(isinstance(c, list) and c and all(map(_is_finite_number, c))
                        for c in curves.values())):
         raise ConfigError(
-            f"{name}: curves must map seeds to non-empty lists of numbers")
+            f"{name}: curves must map seeds to non-empty lists of finite numbers")
     per_seed = report["per_seed"]
     if (not isinstance(per_seed, list) or not per_seed
-            or not all(isinstance(s, dict) and _is_number(s.get("best_value"))
+            or not all(isinstance(s, dict) and _is_finite_number(s.get("best_value"))
                        and type(s.get("n_evals")) is int
                        and type(s.get("feasible")) is bool for s in per_seed)):
         raise ConfigError(
             f"{name}: per_seed must be a non-empty list of objects with a "
-            "numeric best_value, an integer n_evals and a boolean feasible")
+            "finite numeric best_value, an integer n_evals and a boolean feasible")
     return report
 
 

@@ -45,8 +45,10 @@ class Problem:
     output, or active smoothing constraints it has no way to respect).
     A constraint enters rk and the summaries as the row mask
     ``feasibility_predicate()``, and DIRECT and SPSA as ``penalty``.
-    ``scenario`` carries simulator pieces and reference values for plots
-    and post-hoc checks; solvers never read it.
+    ``scenario`` carries simulator pieces and reference values for probes,
+    tests and demos; neither the solvers nor the harness read it.  The
+    harness replays a best point through ``objective.simulate`` when the
+    objective has one, as a toll fixture's does.
     """
 
     name: str
@@ -176,8 +178,12 @@ class _TollObjective:
     def __init__(self, cfg, curve, template, score):
         self.cfg, self.curve, self.template, self.score = cfg, curve, template, score
 
+    def simulate(self, tau, seed):
+        """The simulator's run of the toll profile ``tau`` on ``seed``, a ``SimOutput``."""
+        return run_reservoir(self.cfg, self.curve, self.template.with_tau(tau), seed)
+
     def __call__(self, tau, seed):
-        out = run_reservoir(self.cfg, self.curve, self.template.with_tau(tau), seed)
+        out = self.simulate(tau, seed)
         return self.score(out), out.aux()
 
 

@@ -11,7 +11,9 @@ search to feasible points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -30,10 +32,12 @@ class SmoothingSpec:
     m_intervals: int
 
     def __post_init__(self):
-        if self.alpha_smooth <= 0 or self.beta_smooth <= 0:
-            raise ValueError("smoothing limits must be positive")
-        if self.m_intervals < 1:
-            raise ValueError("m_intervals must be >= 1")
+        # a comparison with NaN is False, so NaN fails the test
+        if not (self.alpha_smooth > 0 and self.beta_smooth > 0):
+            raise ValueError(f"smoothing limits must be positive, got "
+                             f"{self.alpha_smooth!r} and {self.beta_smooth!r}")
+        if not (isinstance(self.m_intervals, Integral) and self.m_intervals >= 1):
+            raise ValueError(f"m_intervals must be an integer >= 1, got {self.m_intervals!r}")
 
 
 def _excess(taus: np.ndarray, spec: SmoothingSpec) -> np.ndarray:
@@ -93,10 +97,17 @@ def penalize(value: float, tau, spec: SmoothingSpec, weight: float) -> float:
     minimized: a maximized objective is negated first (see
     ``Evaluator.on_unit_cube``).  Feasible profiles are returned unchanged.
     """
+    _check_weight(weight)
     v = violations(tau, spec)
     if v.size == 0:
         return float(value)
     return float(value) + weight * float(np.sum(v ** 2))
+
+
+def _check_weight(weight) -> None:
+    # an infinite weight times a zero violation is NaN, not zero
+    if not 0 < weight < math.inf:
+        raise ValueError(f"penalty weight must be positive and finite, got {weight!r}")
 
 
 def penalty_weight_from_probe(values) -> float:
@@ -118,14 +129,13 @@ def penalty_weight_from_probe(values) -> float:
 
 @dataclass(frozen=True)
 class PenaltyTransform:
-    """Bundled spec + weight (> 0) handed to solvers that need penalty wrapping."""
+    """Bundled spec + weight (positive, finite) handed to solvers that need penalty wrapping."""
 
     spec: SmoothingSpec
     weight: float
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise ValueError("penalty weight must be positive")
+        _check_weight(self.weight)
 
     def apply(self, value: float, tau) -> float:
         return penalize(value, tau, self.spec, self.weight)

@@ -23,6 +23,7 @@ job at a time, so a pair may find it busy and run here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -238,8 +239,8 @@ class Evaluator:
 
     def __init__(self, objective, budget: int | None = None, sense: str = "minimize",
                  seed: int = 0, feasible=None):
-        if budget is not None and budget < 0:
-            raise ValueError("budget must be non-negative")
+        if budget is not None and not (isinstance(budget, Integral) and budget >= 0):
+            raise ValueError(f"budget must be a non-negative integer or None, got {budget!r}")
         self.objective = objective
         self.budget = budget
         self.seed = int(seed)

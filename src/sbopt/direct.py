@@ -43,10 +43,6 @@ class Hyperrect:
     def longest_side(self) -> float:
         return 3.0 ** (-int(self.depth.min()))
 
-    @property
-    def volume(self) -> float:
-        return 3.0 ** (-float(self.depth.sum()))
-
 
 def half_diagonal(depth) -> float:
     """Center-to-vertex distance of a box with sides 3**-depth_l.

@@ -109,15 +109,6 @@ class InfillSearchError(SboError):
     """No feasible infill candidate could be found."""
 
 
-def gaussian_correlation(xi, xj, theta) -> float:
-    """Anisotropic Gaussian kernel exp(-sum theta_l (xi_l - xj_l)^2)."""
-    xi, xj = as_vector(xi), as_vector(xj, m_dim=np.atleast_1d(xi).size)
-    theta = as_vector(theta, xi.size)
-    if np.any(theta <= 0):
-        raise ValueError("theta entries must be positive")
-    return float(_psi(xj[None, :], xi[None, :], theta)[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # Latin hypercube sampling
 
@@ -308,6 +299,10 @@ def fit(X, y, config: FitConfig | None = None) -> KrigingModel:
         raise FitError("fixed theta must be positive")
     if lam_fixed is not None and lam_fixed < 0:
         raise FitError("fixed lambda must be non-negative")
+    warm = None if config.warm_start is None else np.asarray(config.warm_start, dtype=float)
+    if warm is not None and (warm.shape != (m + 1,) or not np.all(np.isfinite(warm))):
+        raise FitError(f"warm_start needs m + 1 = {m + 1} finite entries "
+                       f"(log10 theta per dimension, then log10 lambda), got {warm}")
 
     if theta_fixed is not None and lam_fixed is not None:
         return _build_model(X, y, theta_fixed, float(lam_fixed))
@@ -331,8 +326,8 @@ def fit(X, y, config: FitConfig | None = None) -> KrigingModel:
     rng = np.random.default_rng(config.seed)
     center = (lo + hi) / 2.0
     starts = [center]
-    if config.warm_start is not None:
-        starts.append(np.clip(np.asarray(config.warm_start, dtype=float), lo, hi))
+    if warm is not None:
+        starts.append(np.clip(warm, lo, hi))
     for _ in range(max(0, config.n_probe - len(starts))):
         starts.append(lo + rng.random(m + 1) * (hi - lo))
     scored = sorted(((search.nll(p), i) for i, p in enumerate(starts)), key=lambda t: t[0])

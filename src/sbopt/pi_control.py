@@ -14,7 +14,9 @@ error changes sign the toll moves back immediately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -31,10 +33,13 @@ class PIConfig:
     n_max: int = 35
 
     def __post_init__(self):
-        if self.p_p <= 0 or self.p_i <= 0:
-            raise ValueError("controller gains must be positive")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        # a comparison with NaN is False, so each check rejects NaN too
+        if not (0 < self.p_p < math.inf and 0 < self.p_i < math.inf):
+            raise ValueError("controller gains must be positive and finite")
+        if not -math.inf < self.k_cr < math.inf:
+            raise ValueError("k_cr must be finite")
+        if not (isinstance(self.n_max, Integral) and self.n_max >= 1):
+            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
 
 
 def pi_init(config: PIConfig, k_bar_baseline) -> np.ndarray:

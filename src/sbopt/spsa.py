@@ -22,6 +22,7 @@ only ones actually evaluated.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +43,11 @@ class SpsaGains:
     gamma: float = 0.101
 
     def __post_init__(self):
-        if self.a <= 0 or self.c <= 0:
-            raise ValueError("a and c must be positive")
-        if self.big_a < 0:
-            raise ValueError("A must be non-negative")
+        # a comparison with NaN is False, so each check rejects NaN too
+        if not (0 < self.a < math.inf and 0 < self.c < math.inf):
+            raise ValueError("a and c must be positive and finite")
+        if not 0 <= self.big_a < math.inf:
+            raise ValueError("A must be non-negative and finite")
         if not (0 < self.gamma < self.alpha <= 1):
             raise ValueError("need 0 < gamma < alpha <= 1")
 

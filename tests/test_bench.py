@@ -312,8 +312,11 @@ malformed = pytest.mark.parametrize("patch", [
     lambda r: r["per_seed"][0].update(feasible="yes"),
     lambda r: r.update(per_seed=[]),
     lambda r: r.update(budget=True),
+    # JSON has no NaN or Infinity, but Python's json reads both
+    lambda r: r["per_seed"][0].update(best_value=float("nan")),
+    lambda r: r.update(curves={"0": [0.9, float("-inf"), 0.5]}),
 ], ids=["empty_curve", "curves_list", "curve_string", "no_best_value",
-        "feasible_string", "no_seeds", "budget_bool"])
+        "feasible_string", "no_seeds", "budget_bool", "best_value_nan", "curve_inf"])
 
 
 @malformed

@@ -12,6 +12,16 @@ import sbopt as sb
 SPEC2 = sb.SmoothingSpec(alpha_smooth=0.33, beta_smooth=5.0, m_intervals=2)
 
 
+@pytest.mark.parametrize("args", [
+    (float("nan"), 5.0, 2),
+    (0.33, float("nan"), 2),
+    (0.33, 5.0, 2.0),  # feasible_mask would raise TypeError on the float
+], ids=["alpha-nan", "beta-nan", "m-float"])
+def test_smoothing_spec_rejects_impossible_settings(args):
+    with pytest.raises(ValueError, match="must be"):
+        sb.SmoothingSpec(*args)
+
+
 def test_constant_profile_has_no_violations():
     tau = np.array([0.4, 0.4, 3.0, 3.0])
     assert np.all(sb.violations(tau, SPEC2) == 0.0)
@@ -90,6 +100,17 @@ def test_penalty_transform_wraps_spec_and_config():
     assert pt.apply(10.0, tau) == pytest.approx(12.89)
     with pytest.raises(ValueError, match="positive"):
         sb.PenaltyTransform(SPEC2, 0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda w: sb.PenaltyTransform(SPEC2, w),
+    # a feasible profile: inf * 0 would make its value NaN
+    lambda w: sb.penalize(3.0, np.array([0.4, 0.4, 3.0, 3.0]), SPEC2, w),
+], ids=["transform", "penalize"])
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_penalty_weight_must_be_finite(build, weight):
+    with pytest.raises(ValueError, match="penalty weight must be positive and finite"):
+        build(weight)
 
 
 @given(st.integers(2, 6), st.floats(-3.0, 3.0), st.data())

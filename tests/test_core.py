@@ -69,6 +69,13 @@ def test_budget_exhausted():
         ev.evaluate([0.0])
 
 
+@pytest.mark.parametrize("budget", [float("nan"), 2.5], ids=["nan", "fraction"])
+def test_evaluator_rejects_a_budget_that_is_no_count(budget):
+    # a NaN budget made run_direct stop after no evaluation, without an error
+    with pytest.raises(ValueError, match="budget must be a non-negative integer or None"):
+        sb.Evaluator(lambda t, s: 0.0, budget=budget)
+
+
 def test_can_evaluate_answers_the_budget_question():
     unlimited = sb.Evaluator(lambda t, s: 0.0, budget=None)
     assert unlimited.can_evaluate() and unlimited.can_evaluate(10 ** 9)

@@ -6,6 +6,8 @@ import sys
 from itertools import takewhile
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -58,16 +60,15 @@ def _table_rows(stdout):
     return [line.split()[0] for line in takewhile(bool, lines[start + 2:])]
 
 
-def test_simple_shootout_prints_a_row_per_solver(tmp_path):
-    proc = run_demo("05_simple_shootout.py", "--budget", "12", "--out", str(tmp_path))
+@pytest.mark.parametrize("problem, budget, rows", [
+    ("simple", "12", ["pi", "rk", "spsa", "direct"]),
+    ("complex", "30", ["rk", "spsa", "direct"]),  # the controller cannot run on it
+], ids=["simple", "complex"])
+def test_shootout_prints_a_row_per_solver(problem, budget, rows, tmp_path):
+    proc = run_demo("05_shootout.py", "--problem", problem, "--budget", budget,
+                    "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert _table_rows(proc.stdout) == ["pi", "rk", "spsa", "direct"]
-
-
-def test_complex_shootout_prints_a_row_per_solver(tmp_path):
-    proc = run_demo("06_complex_shootout.py", "--budget", "30", "--out", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert _table_rows(proc.stdout) == ["rk", "spsa", "direct"]
+    assert _table_rows(proc.stdout) == rows
 
 
 def test_composition_shift_demo_prints_the_flow_given_up():

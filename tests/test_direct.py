@@ -38,7 +38,7 @@ def test_trisection_thirds_and_depths():
     assert np.allclose(centers, [1 / 6, 0.5, 5 / 6])
     assert all(ch.depth[0] == 1 for ch in children)
     assert all(ch.longest_side == pytest.approx(1 / 3) for ch in children)
-    assert sum(ch.volume for ch in children) == pytest.approx(1.0)
+    assert sum(3.0 ** -ch.depth.sum() for ch in children) == pytest.approx(1.0)
 
 
 def _budget_runs_out_on_call(n):
@@ -59,7 +59,7 @@ def test_trisection_cut_short_by_the_budget_fills_the_gap_with_inf():
     children, exhausted = sb.trisect(root, _budget_runs_out_on_call(2))
     assert exhausted
     assert [ch.value for ch in children] == [1.0, np.inf, 5.0]
-    assert sum(ch.volume for ch in children) == pytest.approx(1.0)
+    assert sum(3.0 ** -ch.depth.sum() for ch in children) == pytest.approx(1.0)
     assert np.allclose(children[-1].center, root.center)
 
 

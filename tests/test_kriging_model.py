@@ -63,8 +63,8 @@ def test_maximin_beats_single_random_draw():
 
 
 def test_correlation_at_zero_distance():
-    x = np.array([0.3, 0.7])
-    assert sb.gaussian_correlation(x, x, np.array([1.0, 4.0])) == 1.0
+    x = np.array([[0.3, 0.7]])
+    assert _psi(x, x, np.array([1.0, 4.0]))[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("n, m, k", [
@@ -97,10 +97,8 @@ def test_psi_query_at_a_sample_is_that_samples_row(n, m):
 
 
 def test_correlation_unit_distance_unit_theta():
-    a, b = np.array([0.0]), np.array([1.0])
-    assert sb.gaussian_correlation(a, b, np.array([1.0])) == pytest.approx(
-        np.exp(-1.0)
-    )
+    a, b = np.array([[0.0]]), np.array([[1.0]])
+    assert _psi(b, a, np.array([1.0]))[0, 0] == pytest.approx(np.exp(-1.0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -108,9 +106,9 @@ def test_correlation_unit_distance_unit_theta():
        st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
 def test_correlation_symmetry(u, v):
     theta = np.array([2.0, 0.5])
-    a, b = np.array(u), np.array(v)
-    lhs = sb.gaussian_correlation(a, b, theta)
-    rhs = sb.gaussian_correlation(b, a, theta)
+    a, b = np.array([u]), np.array([v])
+    lhs = _psi(b, a, theta)[0, 0]
+    rhs = _psi(a, b, theta)[0, 0]
     assert lhs == pytest.approx(rhs)
     assert 0.0 < lhs <= 1.0
 
@@ -151,6 +149,14 @@ def test_duplicated_rows_with_zero_lambda_raise():
     y = np.array([1.0, 1.0, 2.0])
     with pytest.raises(sb.FitError):
         sb.fit(X, y, sb.FitConfig(theta=np.array([1.0]), lam=0.0))
+
+
+@pytest.mark.parametrize("warm", [0.0, np.zeros(7), np.array([0.0, 0.0, np.nan])],
+                         ids=["scalar", "seven-entries", "nan"])
+def test_warm_start_needs_m_plus_one_finite_entries(warm):
+    X, y = np.random.default_rng(1).random((6, 2)), np.arange(6.0)
+    with pytest.raises(sb.FitError, match=r"warm_start needs m \+ 1 = 3 finite entries"):
+        sb.fit(X, y, sb.FitConfig(warm_start=warm))
 
 
 def test_single_point_fit_predicts_its_value():

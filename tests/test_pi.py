@@ -44,6 +44,17 @@ def test_gains_must_be_positive():
         sb.PIConfig(0.02, -0.1, 15.0)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((float("nan"), 0.005, 15.0), "gains must be positive and finite"),
+    ((0.02, float("inf"), 15.0), "gains must be positive and finite"),
+    ((0.02, 0.005, float("nan")), "k_cr must be finite"),
+    ((0.02, 0.005, 15.0, 2.5), "n_max must be an integer"),
+], ids=["p_p-nan", "p_i-inf", "k_cr-nan", "n_max-fraction"])
+def test_config_rejects_impossible_settings(args, message):
+    with pytest.raises(ValueError, match=message):
+        sb.PIConfig(*args)
+
+
 def test_single_iteration_costs_two_evaluations():
     p = plant_problem()
     ev = sb.Evaluator(p.objective, budget=50, seed=0, sense=p.sense)

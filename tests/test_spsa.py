@@ -131,6 +131,17 @@ def test_gain_validation():
         sb.SpsaGains(alpha=0.1, gamma=0.5)
 
 
+@pytest.mark.parametrize("gain", [
+    {"a": float("nan")},
+    {"c": float("inf")},
+    {"big_a": float("inf")},  # a_i = 0: the iterate would never move
+    {"big_a": float("nan")},
+], ids=["a-nan", "c-inf", "A-inf", "A-nan"])
+def test_gains_must_be_finite(gain):
+    with pytest.raises(ValueError, match="and finite"):
+        sb.SpsaGains(**gain)
+
+
 # ------------------------------------------------------------------ the loop
 
 
