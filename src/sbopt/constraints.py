@@ -82,8 +82,8 @@ def feasible_mask(taus, spec: SmoothingSpec, tol: float = 0.0) -> np.ndarray:
     """The feasibility test: a length-k boolean row mask over a (k, 2m) stack,
     True where every violation is within tol.  A 1-D profile gives a 0-d result.
     """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    if not tol >= 0:  # NaN fails the test too
+        raise ValueError(f"tol must be non-negative, got {tol!r}")
     taus = np.asarray(taus, dtype=float)
     if taus.ndim not in (1, 2) or taus.shape[-1] != 2 * spec.m_intervals:
         raise _profile_error(taus.shape, spec)
@@ -115,10 +115,13 @@ def penalty_weight_from_probe(values) -> float:
 
     ``values`` is a probe of objective values at feasible points (twenty
     is plenty).  Falls back to 1.0 when the probe is identically zero.
+    Raises ValueError on an empty probe or a non-finite value in it.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("probe values must be non-empty")
+    if not np.isfinite(values).all():
+        raise ValueError("probe values must be finite")
     mag = float(np.median(np.abs(values)))
     if mag == 0.0:
         mag = float(np.max(np.abs(values)))

@@ -17,6 +17,7 @@ exactly ``3**-depth`` long, so center coordinates always have the form
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -169,6 +170,8 @@ def run_direct(evaluator: Evaluator, bounds: Bounds, epsilon: float = 1e-4,
     """
     if not (1e-7 <= epsilon <= 1e-3):
         raise ValueError("epsilon must lie in [1e-7, 1e-3]")
+    if max_iterations is not None and not isinstance(max_iterations, Integral):
+        raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
     if max_iterations is not None and max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     if evaluator.budget is None and max_iterations is None:

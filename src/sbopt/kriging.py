@@ -59,6 +59,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field
+from numbers import Integral
 from types import SimpleNamespace
 
 import numpy as np
@@ -115,6 +116,8 @@ class InfillSearchError(SboError):
 
 def random_lhs(n: int, m_dim: int, rng: np.random.Generator) -> np.ndarray:
     """One Latin hypercube draw: each column permutes the stratum midpoints."""
+    if not (isinstance(n, Integral) and isinstance(m_dim, Integral)):
+        raise ValueError(f"n and m_dim must be integers, got {n!r} and {m_dim!r}")
     if n < 1 or m_dim < 1:
         raise ValueError("n and m_dim must be >= 1")
     mids = (2.0 * np.arange(n) + 1.0) / (2.0 * n)
@@ -126,6 +129,7 @@ def maximin_lhs(n: int, m_dim: int, seed: int = 0) -> np.ndarray:
 
     The candidate stream starts at the plain single draw for the same
     seed, so the result is never worse space-filling than that draw.
+    Raises ValueError unless n and m_dim are integers >= 1.
     """
     rng = np.random.default_rng(seed)
     best, best_d = None, -np.inf
@@ -143,7 +147,11 @@ def maximin_lhs(n: int, m_dim: int, seed: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Hyperparameter search settings; fixed theta or lam bypass the search."""
+    """Hyperparameter search settings; fixed theta or lam bypass the search.
+
+    ``n_starts`` and ``max_sweeps`` must be integers >= 1 and ``n_probe`` an
+    integer >= 0, or ValueError names the field.
+    """
 
     n_starts: int = 20
     n_probe: int = 60
@@ -152,6 +160,12 @@ class FitConfig:
     lam: float | None = None
     warm_start: np.ndarray | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        for name, least in (("n_starts", 1), ("n_probe", 0), ("max_sweeps", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -760,6 +774,8 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
     """
     if evaluator.budget is None:
         raise ValueError("run_rk needs a budgeted evaluator")
+    if not isinstance(n_init, Integral):
+        raise ValueError(f"n_init must be an integer, got {n_init!r}")
     if n_init < 2:
         raise ValueError("n_init must be >= 2")
     if not evaluator.can_evaluate():

@@ -36,6 +36,16 @@ constant demand and interval, a step that leaves the state exactly where
 it was repeats every later step of the run, so the loop fills the rest
 of the run with it.
 
+The loop (``_advance``) steps each run with one of two bodies, picked by
+a property of the run's tolls.  A run outside the tolling horizon, or in
+an interval whose delay rate ``omega[h]`` is 0.0, has a toll no state can
+change: the distance toll alone, or none.  Its inflow and, under the
+composition effect, the lowered top edge of the plateau are computed once
+before its loop, so a step computes only flow, outflow, the clamps and
+the state.  A run with a nonzero delay rate keeps the per-step speed,
+delay, toll and response.  So the warm-up, the cool-down and every
+interval of a distance-only scheme take the first body.
+
 The loop keeps only the state ``n``: density and flow are functions of
 it and the step's tolls, so one array pass derives them afterwards
 (``_density_flow``) from the loop's own expressions.  The state stays a
@@ -385,10 +395,21 @@ def _advance(n: float, runs, config: ReservoirConfig, curve: NfdCurve, eta, omeg
     a run at once from a step that leaves n unchanged; ``_density_flow``
     derives k and q from the result.  The state stays a Python float, and
     min/max are spelled as the conditionals they reduce to, so every step
-    rounds exactly like the numpy-scalar reference loop.  The toll response
-    keeps ``np.exp``: ``math.exp`` differs from it in the last bits on some
-    inputs, which moves the outputs.
+    rounds exactly like the numpy-scalar reference loop.
+
+    Each run is stepped by one of two loop bodies, picked once per run.  A
+    run outside the horizon (``h < 0``) or with ``omega[h] == 0.0`` has a
+    toll the state cannot change, the distance toll ``eta[h] * trip_km``
+    or none, so the constant-toll body computes the run's inflow and, with
+    the composition gain on, the plateau's lowered top edge before its
+    loop: a step does only the flow, the outflow, the drain and room
+    clamps, the range check and the store.  A run with a delay rate takes
+    the delay-toll body, which recomputes speed, delay, toll and response
+    at every step.  Both keep the reference's expressions and operand
+    order, and the toll response stays ``np.exp``: ``math.exp`` differs
+    from it in the last bits on some inputs, which moves the outputs.
     """
+    exp = np.exp
     dt_h = config.dt_s / 3600.0
     lane_km = config.lane_km
     trip_km = config.avg_trip_length_km
@@ -401,15 +422,58 @@ def _advance(n: float, runs, config: ReservoirConfig, curve: NfdCurve, eta, omeg
     n_max = k_jam * lane_km
     jam_span = k_jam - k_hi
     plateau = k_hi - k_lo
+    # a zero delay rate times the delay is a signed zero, which leaves the
+    # distance toll as it is, unless the delay (below trip_km / 1e-6 hours)
+    # overflows to inf and the toll to NaN
+    finite_delay = trip_km / 1e-6 < math.inf
 
-    # the toll response depends on the toll alone: reuse it while the toll repeats
+    # the delay-toll body reuses the toll response while the toll repeats
     last_toll = resp = k_hi_eff = None
     k = n / lane_km
     for first, end, d, h in runs:
-        tolled = h >= 0
-        if tolled:
-            dist_toll = eta[h] * trip_km
-            om = omega[h]
+        om = omega[h] if h >= 0 else 0.0
+        if h < 0 or om == 0.0 and finite_delay:
+            # constant toll: the composition shift, if any, lowers the plateau's
+            # top edge from k_hi to `top`, and the flow falls over `span` above it
+            inflow_run, top, span = d, k_hi, jam_span
+            toll = eta[h] * trip_km if h >= 0 else 0.0
+            if toll > 0.0:
+                inflow_run = d * float(exp(-elast * toll))
+                if comp_gain > 0.0:
+                    # rounding can put the lowered edge just below k_lo
+                    s = comp_gain * (1.0 - float(exp(-toll / vot)))
+                    top = k_hi - (s if s < 1.0 else 1.0) * plateau
+                    span = k_jam - top
+            for i in range(first, end):
+                if k <= k_lo:
+                    q = q_max * k / k_lo
+                elif k <= top:
+                    q = q_max
+                else:
+                    q = q_max * (k_jam - k) / span
+                outflow = q * lane_km / trip_km
+                drain = n / dt_h
+                if drain < outflow:
+                    outflow = drain
+                # receiving capacity: extra arrivals beyond jam accumulation are turned away
+                room = (n_max - n) / dt_h + outflow
+                inflow = inflow_run
+                if room < inflow:
+                    inflow = room
+                n_next = n + dt_h * (inflow - outflow)
+                if not (0.0 <= n_next <= 1e15):
+                    raise SimulationError(
+                        f"reservoir state became invalid at step {i} (n={n_next})")
+                n_out[i] = n_next
+                if n_next == n:
+                    # a fixed point: q and the inflow are functions of n and the
+                    # run's constants, so every later step repeats this one
+                    n_out[i + 1:end] = array("d", (n,)) * (end - i - 1)
+                    break
+                n = n_next
+                k = n / lane_km
+            continue
+        dist_toll = eta[h] * trip_km
         for i in range(first, end):
             # flow at k on the base curve; it also sets the speed the delay toll sees
             if k <= k_lo:
@@ -418,28 +482,27 @@ def _advance(n: float, runs, config: ReservoirConfig, curve: NfdCurve, eta, omeg
                 q = q_max
             else:
                 q = q_max * (k_jam - k) / jam_span
+            if k > 1e-12:
+                v = q / k
+                if v < 1e-6:
+                    v = 1e-6
+            else:
+                v = v_free
+            delay_h = trip_km / v - t_free
+            toll = dist_toll + om * (delay_h if delay_h > 0.0 else 0.0)
             inflow = d
-            if tolled:
-                if k > 1e-12:
-                    v = q / k
-                    if v < 1e-6:
-                        v = 1e-6
-                else:
-                    v = v_free
-                delay_h = trip_km / v - t_free
-                toll = dist_toll + om * (delay_h if delay_h > 0.0 else 0.0)
-                if toll > 0.0:
-                    if toll != last_toll:
-                        last_toll = toll
-                        resp = float(np.exp(-elast * toll))
-                        if comp_gain > 0.0:
-                            # the composition shift lowers the plateau's top edge to
-                            # k_hi_eff <= k_hi, which rounding can put just below k_lo
-                            s = comp_gain * (1.0 - float(np.exp(-toll / vot)))
-                            k_hi_eff = k_hi - (s if s < 1.0 else 1.0) * plateau
-                    if comp_gain > 0.0 and k > k_lo and k > k_hi_eff:
-                        q = q_max * (k_jam - k) / (k_jam - k_hi_eff)
-                    inflow = d * resp
+            if toll > 0.0:
+                if toll != last_toll:
+                    last_toll = toll
+                    resp = float(exp(-elast * toll))
+                    if comp_gain > 0.0:
+                        # the composition shift lowers the plateau's top edge to
+                        # k_hi_eff <= k_hi, which rounding can put just below k_lo
+                        s = comp_gain * (1.0 - float(exp(-toll / vot)))
+                        k_hi_eff = k_hi - (s if s < 1.0 else 1.0) * plateau
+                if comp_gain > 0.0 and k > k_lo and k > k_hi_eff:
+                    q = q_max * (k_jam - k) / (k_jam - k_hi_eff)
+                inflow = d * resp
             outflow = q * lane_km / trip_km
             drain = n / dt_h
             if drain < outflow:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -124,6 +125,8 @@ def run_spsa(evaluator: Evaluator, tau_0, bounds: Bounds,
     trace's running best as usual.
     """
     gains = gains or SpsaGains()
+    if max_iterations is not None and not isinstance(max_iterations, Integral):
+        raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
     if max_iterations is not None and max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     if evaluator.budget is None and max_iterations is None:

@@ -94,6 +94,12 @@ def test_penalty_weight_from_probe():
     assert sb.penalty_weight_from_probe([-4.0]) == pytest.approx(400.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_penalty_weight_from_probe_refuses_non_finite_values(bad):
+    with pytest.raises(ValueError, match="probe values must be finite"):
+        sb.penalty_weight_from_probe([bad, 1.0])
+
+
 def test_penalty_transform_wraps_spec_and_config():
     pt = sb.PenaltyTransform(SPEC2, 100.0)
     tau = np.array([0.0, 0.5, 0.0, 0.0])
@@ -181,6 +187,12 @@ def test_feasible_mask_shapes():
         sb.feasible_mask(np.zeros((3, 5)), spec)
     with pytest.raises(sb.DimensionMismatch):
         sb.feasible_mask(np.zeros((2, 3, 4)), spec)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1e-9])
+def test_feasible_mask_refuses_a_tolerance_below_zero_or_nan(tol):
+    with pytest.raises(ValueError, match="tol must be non-negative"):
+        sb.feasible_mask(np.zeros((2, 4)), SPEC2, tol)
 
 
 def test_the_problem_and_unit_cube_masks_pickle():

@@ -144,6 +144,14 @@ def test_iteration_cap_below_one_rejected(max_iterations):
     assert ev.used == 0
 
 
+@pytest.mark.parametrize("max_iterations", [2.5, 3.0, float("nan")])
+def test_a_fractional_iteration_cap_is_refused(max_iterations):
+    ev = sb.Evaluator(bowl, budget=10, seed=0)
+    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+        sb.run_direct(ev, UNIT2, max_iterations=max_iterations)
+    assert ev.used == 0
+
+
 def test_a_run_with_no_budget_and_no_iteration_cap_is_refused():
     def objective(tau, seed):
         calls.append(1)

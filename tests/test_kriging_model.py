@@ -52,6 +52,17 @@ def test_lhs_deterministic_per_seed():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("n, m_dim, message", [
+    (2.5, 2, "must be integers"), (3, 2.0, "must be integers"),
+    (0, 2, "must be >= 1"), (3, 0, "must be >= 1"),
+])
+def test_lhs_refuses_counts_that_are_not_positive_integers(n, m_dim, message):
+    with pytest.raises(ValueError, match=f"n and m_dim {message}"):
+        sb.maximin_lhs(n, m_dim, seed=0)
+    with pytest.raises(ValueError, match=f"n and m_dim {message}"):
+        sb.random_lhs(n, m_dim, np.random.default_rng(0))
+
+
 def test_maximin_beats_single_random_draw():
     rng = np.random.default_rng(2)
     plain = sb.random_lhs(12, 2, rng)
@@ -450,6 +461,22 @@ def test_fits_from_several_threads_share_one_helper(kriging_helper):
         sys.setswitchinterval(interval)
     assert got == [want] * 24
     assert 1 <= kriging_helper.jobs <= 25 and kriging_helper.alive
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_starts", 0), ("n_starts", 2.5), ("n_starts", float("nan")),
+    ("max_sweeps", 0), ("max_sweeps", 3.0), ("max_sweeps", float("nan")),
+    ("n_probe", -1), ("n_probe", 4.5), ("n_probe", float("nan")),
+])
+def test_fit_config_refuses_counts_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= "):
+        sb.FitConfig(**{field: value})
+
+
+def test_fit_config_accepts_the_default_and_the_warm_search():
+    sb.FitConfig()
+    sb.FitConfig(n_probe=0)
+    sb.FitConfig(n_starts=np.int64(2), n_probe=4, max_sweeps=3)
 
 
 def test_a_fit_without_the_helper_refines_its_starts_in_one_call(monkeypatch):

@@ -1,5 +1,6 @@
 """Reservoir dynamics, noise model, and the flow-density curve."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -518,6 +519,82 @@ def test_zero_toll_run_skips_its_fixed_points():
     assert_same_output(out, reference_run_reservoir(cfg, curve, scheme, 0))
 
 
+def _mixed_regime_profiles(problem):
+    """Toll vectors whose intervals mix the step loop's two bodies.
+
+    Each puts some delay rates at exactly zero (a constant-toll run, with or
+    without a distance toll) and others at the upper bound or in between (a
+    delay-toll run), including delay rates on intervals with no distance toll.
+    """
+    lo, hi = problem.bounds.lower, problem.bounds.upper
+    m = lo.size // 2
+    rng = np.random.default_rng(11)
+    profiles = []
+    for j in range(6):
+        tau = lo + rng.random(lo.size) * (hi - lo)
+        eta, omega = tau[:m], tau[m:]
+        off, on = j % 2, 1 - j % 2  # alternate intervals with and without a delay rate
+        omega[off::2] = 0.0
+        if j < 4:
+            omega[on::2] = hi[m + on::2]
+        if j % 3 == 1:
+            eta[on::2] = 0.0  # a delay rate alone
+        profiles.append(tau)
+    profiles[-1][m] = -0.0  # a zero of either sign picks the constant-toll body
+    return profiles
+
+
+@pytest.mark.parametrize("name", ["complex", "composition_flow"])
+def test_constant_and_delay_toll_runs_match_reference_bit_for_bit(name):
+    problem = bench.get_problem(name)
+    cfg, curve, template = (problem.scenario[key] for key in ("config", "curve", "template"))
+    m = template.m_intervals
+    for tau in _mixed_regime_profiles(problem):
+        omega = tau[m:]
+        assert (omega == 0.0).any() and (omega > 0.0).any()
+        scheme = template.with_tau(tau)
+        for seed in (0, 5):
+            assert_same_output(sb.run_reservoir(cfg, curve, scheme, seed),
+                               reference_run_reservoir(cfg, curve, scheme, seed))
+
+
+@pytest.mark.parametrize("scenario, eta, interval, repeats", [
+    (complex_toll_scenario, 0.05, 2, 454),
+    (composition_scenario, 0.3, 0, 929),
+])
+def test_tolled_constant_toll_run_fills_from_its_fixed_point(scenario, eta, interval,
+                                                             repeats):
+    """A distance toll with no delay rate that still jams the reservoir."""
+    cfg, curve, template = scenario()
+    m = template.m_intervals
+    scheme = template.with_tau(np.concatenate([np.full(m, eta), np.zeros(m)]))
+    _step_plan.cache_clear()
+    out = sb.run_reservoir(cfg, curve, scheme, 0)
+    first, end = _step_plan(cfg, curve, template.horizon_start_min, template.horizon_end_min,
+                            template.interval_length_min, m)[3][interval]
+    # the state reaches k_jam inside the interval and stays there for the rest of it
+    assert np.count_nonzero(out.n[first:end] == out.n[first - 1:end - 1]) == repeats
+    assert out.n[end - 1] == curve.k_jam * cfg.lane_km
+    assert_same_output(out, reference_run_reservoir(cfg, curve, scheme, 0))
+
+
+def test_constant_toll_response_rounds_like_np_exp():
+    """The distance toll's response is np.exp's, which math.exp misses on some inputs.
+
+    The tolls come first from those on which the two disagree on this host.
+    """
+    cfg, curve, template = simple_toll_scenario()
+    grid = np.linspace(0.01, 1.0, 400).tolist()
+    apart = [eta for eta in grid
+             if math.exp(-cfg.toll_elasticity * (eta * cfg.avg_trip_length_km))
+             != float(np.exp(-cfg.toll_elasticity * (eta * cfg.avg_trip_length_km)))]
+    etas = (apart + grid)[:8]
+    for tau in zip(etas[::2], etas[1::2]):
+        scheme = template.with_tau(tau)
+        assert_same_output(sb.run_reservoir(cfg, curve, scheme, 0),
+                           reference_run_reservoir(cfg, curve, scheme, 0))
+
+
 # DIRECT-like toll sequences on a 10 s step version of `complex`: each new
 # vector takes an earlier one and changes one coordinate, or repeats it, and
 # the late moves change the tolls of intervals 5-7 only.  The zero-toll start
@@ -654,16 +731,24 @@ def test_memo_holds_one_slice_per_segment_key():
         assert type(buf) is bytes and len(buf) == 8 * (end - first)
 
 
-@pytest.mark.parametrize("nan_segment", [0, 1])
-def test_non_finite_state_raises_in_warm_up_and_horizon(nan_segment):
-    """A NaN demand rate makes the state NaN, before or inside the horizon."""
+@pytest.mark.parametrize("nan_segment, omega", [
+    pytest.param(0, (), id="0"),
+    pytest.param(1, (), id="1"),
+    pytest.param(1, (5.0,), id="1-delay-toll"),
+])
+def test_non_finite_state_raises_in_warm_up_and_horizon(nan_segment, omega):
+    """A NaN demand rate makes the state NaN, before or inside the horizon.
+
+    The bad step falls in a constant-toll run, untolled or with a distance
+    toll alone, or in a delay-toll run.
+    """
     curve = sb.NfdCurve(15.0, 15.0, 60.0, 600.0)
     rates = [1000.0, 2000.0, 0.0]
     rates[nan_segment] = float("nan")
     cfg = sb.ReservoirConfig(lane_km=40.0, avg_trip_length_km=5.0,
                              demand_segments=tuple((30.0, r) for r in rates),
                              toll_elasticity=0.3)
-    scheme = sb.TollScheme(30.0, 60.0, 30.0, [0.2])
+    scheme = sb.TollScheme(30.0, 60.0, 30.0, [0.2], omega)
     with pytest.raises(sb.SimulationError) as want:
         reference_run_reservoir(cfg, curve, scheme)
     _step_plan.cache_clear()

@@ -104,6 +104,14 @@ def test_rejects_bad_setup():
         sb.run_rk(sb.Evaluator(quadratic, budget=30, seed=0), UNIT2, n_init=1)
 
 
+@pytest.mark.parametrize("n_init", [2.5, 4.0, float("nan")])
+def test_a_fractional_design_size_is_refused(n_init):
+    ev = sb.Evaluator(quadratic, budget=10, seed=0)
+    with pytest.raises(ValueError, match="n_init must be an integer"):
+        sb.run_rk(ev, UNIT2, n_init=n_init)
+    assert ev.used == 0
+
+
 # ------------------------------------------------- the pair helper's halves
 
 needs_two_cpus = pytest.mark.skipif(not _pair.two_cpus(),

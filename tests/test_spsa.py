@@ -201,6 +201,16 @@ def test_a_run_with_no_budget_and_no_iteration_cap_is_refused():
     assert calls == []
 
 
+@pytest.mark.parametrize("max_iterations, message", [
+    (2.5, "an integer"), (3.0, "an integer"), (float("nan"), "an integer"), (0, ">= 1"),
+])
+def test_an_iteration_cap_that_is_not_a_positive_integer_is_refused(max_iterations, message):
+    ev = sb.Evaluator(quadratic, budget=10, seed=0)
+    with pytest.raises(ValueError, match=f"max_iterations must be {message}"):
+        sb.run_spsa(ev, [0.5, 0.5], UNIT2, max_iterations=max_iterations)
+    assert ev.used == 0
+
+
 def test_converges_on_smooth_quadratic():
     ev = sb.Evaluator(quadratic, budget=None, seed=0)
     trace = sb.run_spsa(ev, [0.5, 0.5], UNIT2,
