@@ -63,8 +63,7 @@ PARAM_TYPES = {
 
 def _run_rk(evaluator, problem, seed, params):
     params = {"n_init": problem.rk_n_init, **params}
-    return run_rk(evaluator, problem.bounds, seed=seed, sampler=problem.infill_sampler,
-                  **params)
+    return run_rk(evaluator, problem.bounds, seed=seed, **params)
 
 
 _SPSA_GAINS = tuple(f.name for f in fields(SpsaGains))
@@ -76,12 +75,11 @@ def _run_spsa(evaluator, problem, seed, params):
         raise ConfigError(
             f"problem {problem.name!r} has no default SPSA start; pass params.tau_0")
     gains = SpsaGains(**{k: params.pop(k) for k in _SPSA_GAINS if k in params})
-    return run_spsa(evaluator, bounds=problem.bounds, gains=gains,
-                    penalty=problem.penalty, seed=seed, **params)
+    return run_spsa(evaluator, bounds=problem.bounds, gains=gains, seed=seed, **params)
 
 
 def _run_direct(evaluator, problem, seed, params):
-    return run_direct(evaluator, problem.bounds, penalty=problem.penalty, **params)
+    return run_direct(evaluator, problem.bounds, **params)
 
 
 def _run_pi(evaluator, problem, seed, params):
@@ -233,10 +231,11 @@ def run_single(problem: Problem, solver: str, budget: int, seed: int,
 
 
 def _run(problem: Problem, solver: str, budget: int, seed: int, params: dict) -> Trace:
-    """Run a checked solver on a fresh evaluator of the problem (its sense and
-    feasibility mask) with ``budget`` evaluations on ``seed``."""
+    """Run a checked solver on a fresh evaluator of the problem with ``budget``
+    evaluations on ``seed``: the one place a problem's constraint enters a run."""
     evaluator = Evaluator(problem.objective, budget=budget, sense=problem.sense,
-                          seed=seed, feasible=problem.feasibility_predicate())
+                          seed=seed, feasible=problem.feasibility_predicate(),
+                          penalty=problem.penalty, sampler=problem.infill_sampler)
     return SOLVERS[solver].run(evaluator, problem, seed, params)
 
 

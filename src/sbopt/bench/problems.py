@@ -2,8 +2,9 @@
 
 Each builder returns a :class:`Problem` bundling an objective callable with
 the search box, solver presets, and (for tolling problems) the smoothing
-constraint and its exterior-penalty transform.  All fixture constants are
-frozen here so that runs are reproducible across machines; recalibrating a
+constraint, its exterior-penalty transform and infill sampler, which the
+harness hands to a run's ``Evaluator``.  All fixture constants are frozen
+here so that runs are reproducible across machines; recalibrating a
 fixture means editing this module, nothing else.
 """
 
@@ -43,8 +44,8 @@ class Problem:
     a float or ``(float, aux_dict)``.  ``pi_config`` is None for problems
     the density-feedback controller cannot drive (no per-interval density
     output, or active smoothing constraints it has no way to respect).
-    A constraint enters rk and the summaries as the row mask
-    ``feasibility_predicate()``, and DIRECT and SPSA as ``penalty``.
+    The harness hands the constraint to the run's ``Evaluator``: the row
+    mask ``feasibility_predicate()``, ``penalty`` and ``infill_sampler``.
     ``scenario`` carries simulator pieces and reference values for probes,
     tests and demos; neither the solvers nor the harness read it.  The
     harness replays a best point through ``objective.simulate`` when the
@@ -225,7 +226,7 @@ def smoothing_band_sampler(bounds: Bounds, spec: SmoothingSpec):
     within the allowed jump from its predecessor (the delay chain restarts
     fresh, mirroring the constraint structure: the distance-to-delay seam is
     unconstrained).  Output is in unit coordinates of ``bounds``, ready for
-    the ``sampler`` argument of ``run_rk``.  Feasible by construction up to
+    the ``sampler`` of rk's ``Evaluator``.  Feasible by construction up to
     rounding, so a rejection step after it almost never discards anything.
     """
     m = spec.m_intervals
@@ -286,10 +287,10 @@ def complex_toll_problem() -> Problem:
     """Maximize average flow with eight joint-toll intervals under smoothing.
 
     The smoothing band caps jumps between consecutive distance rates at
-    0.33 and consecutive delay rates at 5.  Solvers without native
-    constraint handling get the exterior-penalty transform; the surrogate
-    loop instead filters infill through the feasibility row mask and
-    seeds its search with the band-walking sampler.
+    0.33 and consecutive delay rates at 5.  DIRECT and SPSA add the
+    exterior penalty; the surrogate loop instead filters infill through
+    the feasibility row mask and seeds its search with the band-walking
+    sampler.
     """
     cfg, curve, template = complex_toll_scenario()
     spec = SmoothingSpec(alpha_smooth=0.33, beta_smooth=5.0, m_intervals=8)

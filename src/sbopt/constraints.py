@@ -132,7 +132,7 @@ def penalty_weight_from_probe(values) -> float:
 
 @dataclass(frozen=True)
 class PenaltyTransform:
-    """Bundled spec + weight (positive, finite) handed to solvers that need penalty wrapping."""
+    """Spec + weight (positive, finite): the ``Evaluator`` ``penalty`` DIRECT and SPSA add."""
 
     spec: SmoothingSpec
     weight: float

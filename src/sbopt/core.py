@@ -216,10 +216,10 @@ class Trace:
 class Evaluator:
     """Budgeted, seeded front end to a black-box objective.
 
-    It is the one boundary between a solver and the problem: ``evaluate``
-    records raw values, ``evaluate_pair`` records two independent points,
+    It is the one boundary between a solver and the problem, constraint
+    included: ``evaluate`` and ``evaluate_pair`` record raw values,
     ``can_evaluate`` answers the budget question, and ``on_unit_cube``
-    gives box solvers the minimized, penalized objective.
+    gives DIRECT and SPSA the minimized, penalized objective.
 
     Parameters
     ----------
@@ -235,15 +235,19 @@ class Evaluator:
     feasible : callable or None
         The problem's one feasibility test, a row mask over box points
         (``(k, m) array -> k booleans``), kept as ``trace.feasible``.
+    penalty, sampler : optional
+        The ``PenaltyTransform`` ``on_unit_cube`` adds, and rk's infill generator.
     """
 
     def __init__(self, objective, budget: int | None = None, sense: str = "minimize",
-                 seed: int = 0, feasible=None):
+                 seed: int = 0, feasible=None, penalty=None, sampler=None):
         if budget is not None and not (isinstance(budget, Integral) and budget >= 0):
             raise ValueError(f"budget must be a non-negative integer or None, got {budget!r}")
         self.objective = objective
         self.budget = budget
         self.seed = int(seed)
+        self.penalty = penalty
+        self.sampler = sampler
         self.trace = Trace(sense, feasible)
 
     @property
@@ -262,21 +266,20 @@ class Evaluator:
         """True when the budget leaves room for k more evaluations."""
         return self.budget is None or self.remaining >= k
 
-    def on_unit_cube(self, bounds: Bounds, penalty=None):
-        """The objective as a box solver minimizes it: ``f(u)`` over the unit cube.
+    def on_unit_cube(self, bounds: Bounds):
+        """The objective as DIRECT and SPSA minimize it: ``f(u)`` over the unit cube.
 
         ``f`` maps ``u`` into ``bounds``, evaluates it through ``evaluate``
         (so the trace keeps the raw value at the box point), negates the
-        value when the problem maximizes, and then adds the exterior
-        penalty of ``penalty`` (a ``PenaltyTransform``) at the box point.
-        ``f.pair(u_a, u_b)`` returns ``(f(u_a), f(u_b))`` through
-        ``evaluate_pair``.
+        value when the problem maximizes, and then adds ``self.penalty``
+        at the box point.  ``f.pair(u_a, u_b)`` returns ``(f(u_a), f(u_b))``
+        through ``evaluate_pair``.
         """
         sign = 1.0 if self.sense == "minimize" else -1.0
 
         def scaled(tau, ev: Evaluation) -> float:
             v = sign * ev.value
-            return v if penalty is None else penalty.apply(v, tau)
+            return v if self.penalty is None else self.penalty.apply(v, tau)
 
         def f(u) -> float:
             tau = bounds.from_unit(u)
@@ -337,6 +340,16 @@ class Evaluator:
                 ev_a, out = pair
                 return ev_a, self._record(tau_b, *self._checked(out, tau_b))
         return self.evaluate(tau_a), self.evaluate(tau_b)
+
+
+def _check_run_bounds(solver: str, evaluator: Evaluator, max_iterations) -> None:
+    """Refuse a cap that is not None or an integer >= 1, and an unbounded run."""
+    if max_iterations is not None and not isinstance(max_iterations, Integral):
+        raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
+    if max_iterations is not None and max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    if evaluator.budget is None and max_iterations is None:
+        raise ValueError(f"{solver} needs a budgeted evaluator or max_iterations")
 
 
 def _csv_cell(x):

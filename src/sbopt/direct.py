@@ -3,7 +3,7 @@
 The search space is normalized to the unit cube and covered by a tiling
 of hyperrectangles, each carrying the objective value at its center.
 The values come from ``Evaluator.on_unit_cube``, so the tiling always
-minimizes: a maximized objective is negated and then penalized there.
+minimizes: it negates a maximized objective and adds the evaluator's ``penalty``.
 Every iteration selects the potentially optimal rectangles (those on the
 lower-right convex hull of half-diagonal versus value for some positive
 Lipschitz constant, with an epsilon guard against over-exploiting the
@@ -17,11 +17,10 @@ exactly ``3**-depth`` long, so center coordinates always have the form
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .core import Bounds, BudgetExhausted, Evaluator, Trace
+from .core import Bounds, BudgetExhausted, Evaluator, Trace, _check_run_bounds
 
 _MIN_SIDE = 1e-9
 
@@ -153,14 +152,14 @@ def trisect(rect: Hyperrect, eval_unit) -> tuple[list[Hyperrect], bool]:
 
 
 def run_direct(evaluator: Evaluator, bounds: Bounds, epsilon: float = 1e-4,
-               max_iterations: int | None = None, penalty=None) -> Trace:
+               max_iterations: int | None = None) -> Trace:
     """Partition until the budget or ``max_iterations`` (None: no cap) stops the run.
 
     One of the two must bound the run: with neither, ValueError is raised
     before the first evaluation.
 
-    The tiling holds ``evaluator.on_unit_cube(bounds, penalty)`` values:
-    negated when the problem maximizes, then penalized.  The trace keeps
+    The tiling holds ``evaluator.on_unit_cube(bounds)`` values: negated
+    when the problem maximizes, then penalized by the evaluator's ``penalty``.  The trace keeps
     raw objective values at the original coordinates.  Boxes thinner than
     1e-9 on every side are not refined further.  Each iteration appends
     one record to ``trace.iterations`` with fields ``n_rects``,
@@ -170,14 +169,9 @@ def run_direct(evaluator: Evaluator, bounds: Bounds, epsilon: float = 1e-4,
     """
     if not (1e-7 <= epsilon <= 1e-3):
         raise ValueError("epsilon must lie in [1e-7, 1e-3]")
-    if max_iterations is not None and not isinstance(max_iterations, Integral):
-        raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
-    if max_iterations is not None and max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
-    if evaluator.budget is None and max_iterations is None:
-        raise ValueError("run_direct needs a budgeted evaluator or max_iterations")
+    _check_run_bounds("run_direct", evaluator, max_iterations)
     m = bounds.m_dim
-    eval_unit = evaluator.on_unit_cube(bounds, penalty)
+    eval_unit = evaluator.on_unit_cube(bounds)
     trace = evaluator.trace
     if not evaluator.can_evaluate():
         return trace

@@ -28,7 +28,7 @@ and ``_moments`` relies on it to walk a stack in blocks of
 solve however many rows it is given.
 Feasibility is a row mask mapping a (k, m) array of points to a length-k
 boolean array, e.g. ``constraints.feasible_mask``: ``propose_infill``
-takes one, and ``run_rk`` reads its evaluator's.
+takes one, and ``run_rk`` reads its evaluator's, and its ``sampler`` too.
 
 This is the only sbopt module that uses scipy (``cdist``, ``pdist``,
 LAPACK ``dpotrf``/``dpotrs``/``dtrtrs`` and ``ndtr``), and it does not
@@ -749,17 +749,16 @@ def _unit_mask(feasible, bounds: Bounds, U):
 
 
 def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
-           use_reinterp: bool = True, seed: int = 0, sampler=None) -> Trace:
+           use_reinterp: bool = True, seed: int = 0) -> Trace:
     """Design, fit, infill loop until the evaluation budget runs out.
 
     ``seed`` drives the maximin design and, offset by the iteration
     number, every hyperparameter search and infill probe.  The first fit
     is a cold ``FitConfig(seed=seed)`` search; every later one is a short
     search warm-started from the previous model's hyperparameters.
-    The model is fit to ``evaluator.on_unit_cube(bounds)`` values: unit-cube
-    coordinates, and values negated when the problem maximizes, without a
-    penalty.  The infill search (including any ``sampler``, see
-    ``propose_infill``) runs in those coordinates.
+    The model is fit in unit-cube coordinates to raw values, negated when
+    the problem maximizes: rk ignores the evaluator's ``penalty``.  The
+    infill search (with the evaluator's ``sampler``) runs in those coordinates.
     When the evaluator has a feasibility mask (``Evaluator(feasible=...)``),
     infill candidates are restricted to feasible points and the incumbent for
     expected improvement is the trace's best feasible value
@@ -785,14 +784,16 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
 
         prepare(_scipy)  # the helper boots and loads scipy while the design is evaluated
     m = bounds.m_dim
-    f = evaluator.on_unit_cube(bounds)
+    trace, sign = evaluator.trace, (1.0 if evaluator.sense == "minimize" else -1.0)
+
+    def f(u) -> float:
+        return sign * evaluator.evaluate(bounds.from_unit(u)).value
 
     design = maximin_lhs(min(n_init, evaluator.budget), m, seed=seed)
     X_unit = [np.array(u) for u in design]
     y_signed = [f(u) for u in design]
 
     unit_box = Bounds.unit(m)
-    trace, sign = evaluator.trace, (1.0 if evaluator.sense == "minimize" else -1.0)
     feasible = trace.feasible
     unit_mask = None if feasible is None else functools.partial(_unit_mask, feasible, bounds)
 
@@ -807,7 +808,7 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
 
         y_min = sign * (trace.best_feasible() or trace.best_so_far())[1].value
         proposal = propose_infill(model, y_min, unit_mask, unit_box, use_reinterp,
-                                  seed=seed + iteration, sampler=sampler)
+                                  seed=seed + iteration, sampler=evaluator.sampler)
         X_unit.append(np.array(proposal.x))
         y_signed.append(f(proposal.x))
         iteration += 1

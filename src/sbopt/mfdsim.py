@@ -207,10 +207,12 @@ class ReservoirConfig:
         segs = tuple((float(d), float(r)) for d, r in self.demand_segments)
         object.__setattr__(self, "demand_segments", segs)
         # a comparison with NaN is False, so each check rejects NaN too; a NaN
-        # demand rate passes, and the step loop raises SimulationError on it
+        # demand rate passes, and the step loop raises SimulationError on it.
+        # A trip's delay, below trip_km / 1e-6 hours at the speed floor, stays
+        # finite, so a zero delay rate adds a zero toll (see _advance).
         inf = math.inf
-        if not (0 < self.lane_km < inf and 0 < self.avg_trip_length_km < inf):
-            raise ValueError("lane_km and avg_trip_length_km must be positive and finite")
+        if not (0 < self.lane_km < inf and 0 < self.avg_trip_length_km / 1e-6 < inf):
+            raise ValueError("lane_km and avg_trip_length_km / 1e-6 must be positive and finite")
         if not segs or not all(0 < d < inf and not r < 0 for d, r in segs):
             raise ValueError(
                 "demand segments need positive finite durations, non-negative rates")
@@ -422,17 +424,13 @@ def _advance(n: float, runs, config: ReservoirConfig, curve: NfdCurve, eta, omeg
     n_max = k_jam * lane_km
     jam_span = k_jam - k_hi
     plateau = k_hi - k_lo
-    # a zero delay rate times the delay is a signed zero, which leaves the
-    # distance toll as it is, unless the delay (below trip_km / 1e-6 hours)
-    # overflows to inf and the toll to NaN
-    finite_delay = trip_km / 1e-6 < math.inf
 
     # the delay-toll body reuses the toll response while the toll repeats
     last_toll = resp = k_hi_eff = None
     k = n / lane_km
     for first, end, d, h in runs:
         om = omega[h] if h >= 0 else 0.0
-        if h < 0 or om == 0.0 and finite_delay:
+        if h < 0 or om == 0.0:
             # constant toll: the composition shift, if any, lowers the plateau's
             # top edge from k_hi to `top`, and the flow falls over `span` above it
             inflow_run, top, span = d, k_hi, jam_span

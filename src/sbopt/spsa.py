@@ -12,11 +12,11 @@ Gain sequences decay as ``a_i = a / (A + i)**alpha`` and
 
 ``run_spsa`` descends ``Evaluator.on_unit_cube``: the iterate lives in
 the unit cube, and a maximized objective is negated and then penalized
-there.  Perturbed points are clamped to the cube before evaluation while
-the divided difference keeps the nominal step in its denominator;
-clamping events are reported on this module's logger since they bias the
-estimate.  The best solution is tracked over the perturbed points, the
-only ones actually evaluated.
+there by the evaluator's ``penalty``.  Perturbed points are clamped to
+the cube before evaluation while the divided difference keeps the
+nominal step in its denominator; clamping events are reported on this
+module's logger since they bias the estimate.  The best solution is
+tracked over the perturbed points, the only ones actually evaluated.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .core import Bounds, Evaluator, Trace, as_vector
+from .core import Bounds, Evaluator, Trace, _check_run_bounds, as_vector
 
 logger = logging.getLogger(__name__)
 
@@ -106,7 +105,7 @@ def _two_point(pair, x, c_i: float, delta, clamp=None):
 
 def run_spsa(evaluator: Evaluator, tau_0, bounds: Bounds,
              gains: SpsaGains | None = None, max_iterations: int | None = None,
-             penalty=None, seed: int = 0) -> Trace:
+             seed: int = 0) -> Trace:
     """Iterate until the budget or ``max_iterations`` (None: no cap) runs out.
 
     One of the two must bound the run: with neither, ValueError is raised
@@ -115,9 +114,9 @@ def run_spsa(evaluator: Evaluator, tau_0, bounds: Bounds,
     The iterate lives in unit-box coordinates internally, so one set of
     gains works for decision vectors mixing scales (distance rates in
     [0, 1] next to delay rates in [0, 15]); the gradient is taken of
-    ``evaluator.on_unit_cube(bounds, penalty)``, and evaluations and the
-    trace stay in original coordinates.  Two evaluations per iteration; a
-    remaining budget of one is left unused rather than half-stepping.
+    ``evaluator.on_unit_cube(bounds)``, and evaluations and the trace stay
+    in original coordinates.  Two evaluations per iteration; a remaining
+    budget of one is left unused rather than half-stepping.
     Each iteration appends one record to ``trace.iterations`` with fields
     ``a_i``, ``c_i``, ``delta``, ``y_plus``, ``y_minus`` (on the minimized,
     penalized scale), ``g_norm`` and ``tau_next``; the last record's
@@ -125,14 +124,9 @@ def run_spsa(evaluator: Evaluator, tau_0, bounds: Bounds,
     trace's running best as usual.
     """
     gains = gains or SpsaGains()
-    if max_iterations is not None and not isinstance(max_iterations, Integral):
-        raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
-    if max_iterations is not None and max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
-    if evaluator.budget is None and max_iterations is None:
-        raise ValueError("run_spsa needs a budgeted evaluator or max_iterations")
+    _check_run_bounds("run_spsa", evaluator, max_iterations)
     rng = np.random.default_rng(seed)
-    f = evaluator.on_unit_cube(bounds, penalty)
+    f = evaluator.on_unit_cube(bounds)
     u = bounds.to_unit(bounds.clamp(as_vector(tau_0, bounds.m_dim)))
     log = evaluator.trace.iterations
     i = 1

@@ -100,8 +100,8 @@ def test_unit_cube_objective_negates_then_penalizes():
     # the solvers used to penalize in the problem's sense, then flip the sign:
     # -(v - pen) when maximizing; adding pen to -v gives the same bits
     penalty = sb.PenaltyTransform(SPEC2, 100.0)
-    ev = sb.Evaluator(_wavy, budget=None, sense="maximize")
-    f = ev.on_unit_cube(BOX2, penalty)
+    ev = sb.Evaluator(_wavy, budget=None, sense="maximize", penalty=penalty)
+    f = ev.on_unit_cube(BOX2)
     U = np.random.default_rng(3).random((300, 4))
     n_infeasible = 0
     for i, u in enumerate(U):
@@ -115,7 +115,8 @@ def test_unit_cube_objective_negates_then_penalizes():
         assert np.array_equal(ev.trace.records[i].tau, tau)
     assert n_infeasible > 100
     # maximization pushes the value down: -(10 - 100 * 0.17 ** 2)
-    const = sb.Evaluator(lambda t, s: 10.0, sense="maximize").on_unit_cube(BOX2, penalty)
+    const = sb.Evaluator(lambda t, s: 10.0, sense="maximize",
+                         penalty=penalty).on_unit_cube(BOX2)
     assert const([0.0, 0.5, 0.0, 0.0]) == pytest.approx(-(10.0 - 100.0 * 0.17 ** 2))
 
 
@@ -123,14 +124,27 @@ def test_unit_cube_pair_gives_what_two_calls_give():
     # _wavy pickles, so on two CPUs the second point of each pair runs in
     # the pair helper process
     penalty = sb.PenaltyTransform(SPEC2, 100.0)
-    paired = sb.Evaluator(_wavy, budget=None, sense="maximize")
-    single = sb.Evaluator(_wavy, budget=None, sense="maximize")
-    f_pair, f = paired.on_unit_cube(BOX2, penalty).pair, single.on_unit_cube(BOX2, penalty)
+    paired = sb.Evaluator(_wavy, budget=None, sense="maximize", penalty=penalty)
+    single = sb.Evaluator(_wavy, budget=None, sense="maximize", penalty=penalty)
+    f_pair, f = paired.on_unit_cube(BOX2).pair, single.on_unit_cube(BOX2)
     U = np.random.default_rng(5).random((20, 2, 4))
     for u_a, u_b in U:
         assert f_pair(u_a, u_b) == (f(u_a), f(u_b))
     assert [(r.tau.tobytes(), r.evaluation) for r in paired.trace.records] == \
         [(r.tau.tobytes(), r.evaluation) for r in single.trace.records]
+
+
+def test_an_evaluators_penalty_reaches_only_its_unit_cube_objective():
+    penalty = sb.PenaltyTransform(SPEC2, 100.0)
+    ev = sb.Evaluator(_wavy, budget=None, penalty=penalty)
+    a, b = np.array([0.0, 0.5, 0.0, 0.0]), np.array([0.9, 0.1, 0.0, 15.0])
+    assert sb.violations(a, SPEC2).max() > 0 and sb.violations(b, SPEC2).max() > 0
+    values = [ev.evaluate(a).value, *(e.value for e in ev.evaluate_pair(a, b))]
+    assert values == [_wavy(a, 0), _wavy(a, 0), _wavy(b, 0)]
+    assert [rec.evaluation.value for rec in ev.trace.records] == values
+    f = ev.on_unit_cube(BOX2)
+    assert f(BOX2.to_unit(b)) == penalty.apply(_wavy(b, 0), b) > _wavy(b, 0)
+    assert ev.trace.records[-1].evaluation.value == _wavy(b, 0)
 
 
 def test_pair_with_room_for_one_evaluates_the_first_then_stops():

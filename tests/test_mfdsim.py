@@ -319,6 +319,14 @@ def test_non_finite_settings_are_rejected(name, value):
             sb.ReservoirConfig(**{**fields, name: value})
 
 
+def test_a_trip_length_whose_delay_overflows_is_rejected():
+    # at the 1e-6 km/h speed floor a trip of 1e303 km takes an infinite time,
+    # which would turn a zero delay rate's toll into NaN
+    with pytest.raises(ValueError, match="finite"):
+        sb.ReservoirConfig(lane_km=40.0, avg_trip_length_km=1e303,
+                           demand_segments=((30.0, 1000.0),), toll_elasticity=0.3)
+
+
 def test_series_csv_row_count(tmp_path):
     cfg, curve, template = simple_toll_scenario()
     out = sb.run_reservoir(noiseless(cfg, dt_s=60.0), curve, template, 0)

@@ -87,6 +87,24 @@ def test_constrained_run_respects_predicate():
     assert abs(tau[0] - tau[1]) <= 0.2 + 1e-9
 
 
+def test_an_evaluators_penalty_leaves_rk_unchanged():
+    spec = sb.SmoothingSpec(alpha_smooth=0.33, beta_smooth=5.0, m_intervals=2)
+    bounds = sb.Bounds(np.zeros(4), np.array([1.0, 1.0, 15.0, 15.0]))
+
+    def bowl(tau, seed):
+        return float(np.sum((tau / bounds.upper - [0.1, 0.9, 0.2, 0.8]) ** 2))
+
+    plain, penalized = (
+        sb.run_rk(sb.Evaluator(bowl, budget=12, seed=0, penalty=penalty), bounds,
+                  n_init=8, seed=0)
+        for penalty in (None, sb.PenaltyTransform(spec, 100.0)))
+    assert len(plain) == len(penalized) == 12
+    assert any(sb.violations(rec.tau, spec).max() > 0 for rec in plain.records)
+    assert [(r.tau.tobytes(), r.evaluation) for r in plain.records] == \
+        [(r.tau.tobytes(), r.evaluation) for r in penalized.records]
+    assert repr(plain.iterations) == repr(penalized.iterations)
+
+
 def test_rerun_is_bit_identical():
     a = sb.run_rk(sb.Evaluator(quadratic, budget=30, seed=0), UNIT2,
                   n_init=11, seed=0)
