@@ -5,18 +5,26 @@
 meanwhile, and falls back to the caller when the helper does not answer.
 ``fn`` is a picklable module-level function, sent with each job;
 ``prepare(fn)`` has the helper run ``fn()`` once with no caller waiting.
-Two modules use it:
+Every batch of independent work in sbopt goes through it:
 
 - ``Evaluator.evaluate_pair`` sends the objective at the second point of a
-  pair (SPSA's two perturbed points);
+  pair: SPSA's two perturbed points, and the two points DIRECT's
+  trisection samples along each longest side;
 - ``sbopt.kriging`` sends the later half of each fit's likelihood starts,
   of the infill probe's EI rows and of the infill pattern-search starts.
   Each of those rows and starts is computed independently of the others,
   so the joined halves are bit for bit the whole.
 
+A job goes to the helper only while the caller's own measured cost of its
+function exceeds the measured round trip of that function's jobs through
+the helper (``Gate``), so a function too cheap to gain runs here.  Timing
+decides only where a job runs, never its value.
+
 The helper is one child ``python`` per interpreter, started with
 ``subprocess`` on POSIX in a session of its own, so Ctrl-C at a terminal
 reaches only the caller; the two talk over a socket pair (``Channel``).
+Its environment holds BLAS to one thread (``BLAS_THREAD_VARS``), so its
+BLAS never contends with the caller's for the cores.
 This module is imported on the first job, so importing ``sbopt`` loads no
 process machinery.
 """
@@ -24,6 +32,7 @@ process machinery.
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import pickle
 import select
@@ -31,6 +40,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 # The helper's __main__, run as ``python -c BOOT fd *path``; it takes the caller's sys.path
 # from ``path`` before its first import.  It leaves no name in __main__, where a function
@@ -43,6 +53,13 @@ def boot():
     serve(Channel(int(sys.argv[1])))
 globals().pop("boot")()
 """
+# the variables BLAS libraries read for their thread count, each 1 in the helper's environment
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+# the jobs of a function that go to the helper whatever they cost, so that its
+# round trip is the least of several before the gate can keep the function here;
+# for a function cheaper than a round trip they cost about 2 ms once
+GATE_SAMPLES = 16
 
 
 class Channel:
@@ -149,6 +166,7 @@ class PairHelper:
         self.prepared = set()  # the prepare functions sent to it
         self.owed = 1  # replies it owes that no caller waits for: "ready", then prepares
         self.jobs = 0  # calls it answered, for tests
+        self.gates = {}  # the pickle of each function sent to it -> its Gate
         self.alive = False
         try:
             ours, child = socket.socketpair()
@@ -161,7 +179,8 @@ class PairHelper:
                 path = [p for p in sys.path if isinstance(p, str)]  # imports read only str
                 self.process = subprocess.Popen(
                     [sys.executable, *flags, "-c", BOOT, str(child.fileno()), *path],
-                    pass_fds=(child.fileno(),), start_new_session=True)
+                    pass_fds=(child.fileno(),), start_new_session=True,
+                    env={**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")})
                 self.alive = True
                 atexit.register(self.close)
             except OSError:  # e.g. no process left to start
@@ -266,31 +285,76 @@ def prepare(fn) -> None:
             helper.lock.release()
 
 
+class Gate:
+    """Whether one function's jobs go to the helper, from what they cost.
+
+    Sending a job saves the caller the function's cost and spends its round
+    trip, so once ``GATE_SAMPLES`` jobs have been measured, a job goes only
+    while ``cost`` exceeds ``round_trip``.  ``cost`` is the caller's latest
+    time for the function: for ``local()``, the batch's other half, when a
+    job went to the helper, and for ``fn(*args)`` when it ran here.
+    ``round_trip`` is the least time a job spent beyond ``local()``:
+    pickling, the channel, the wait for the helper and unpickling the reply.
+    The least drops the first job's import of the function in the helper.
+    """
+
+    def __init__(self):
+        self.samples = 0
+        self.cost = math.inf
+        self.round_trip = math.inf
+
+    def opens(self) -> bool:
+        return self.samples < GATE_SAMPLES or self.cost > self.round_trip
+
+    def measured(self, cost: float, round_trip: float) -> None:
+        self.samples += 1
+        self.cost = cost
+        self.round_trip = min(self.round_trip, round_trip)
+
+
+def _timed(fn, *args):
+    """``(fn(*args), the seconds it took)``."""
+    start = time.perf_counter()
+    return fn(*args), time.perf_counter() - start
+
+
 def run_call(fn, args: tuple, local):
     """Run ``fn(*args)`` in the helper while ``local()`` runs here.
 
     Returns ``(local(), fn(*args))``.  When the helper took the call but did
     not answer, ``fn(*args)`` runs here once ``local()`` has returned.  An
     exception ``fn`` raised in the helper is raised here once ``local()``
-    has returned.  Returns None, without calling ``local``, when the call
-    cannot go to the helper: when ``_take`` finds it may not take ``fn``,
-    for ``args`` that do not pickle, and before the helper has booted or
-    while it owes a reply.  The caller then does the whole job itself.
+    has returned.  When ``fn``'s ``Gate`` finds it too cheap to gain from
+    the helper, ``local()`` and then ``fn(*args)`` run here, timed.
+    Returns None, without calling ``local``, when the call cannot go to the
+    helper: when ``_take`` finds it may not take ``fn``, for ``args`` that
+    do not pickle, and before the helper has booted or while it owes a
+    reply.  The caller then does the whole job itself.
     """
     taken = _take(fn)
     if taken is None:
         return None
     helper, pickled = taken
+    gate = helper.gates.setdefault(pickled, Gate())
     try:
-        if not helper.idle():
-            return None
-        try:
-            request = pickle.dumps((pickled, args), 5)
-        except Exception:  # e.g. a lambda among the arguments
-            return None
-        out, reply = helper.call(request, local)
+        sent = gate.opens()
+        if sent:
+            if not helper.idle():
+                return None
+            start = time.perf_counter()
+            try:
+                request = pickle.dumps((pickled, args), 5)
+            except Exception:  # e.g. a lambda among the arguments
+                return None
+            (out, local_s), reply = helper.call(request, lambda: _timed(local))
+            if reply is not None:
+                gate.measured(local_s, time.perf_counter() - start - local_s)
     finally:
         helper.lock.release()
+    if not sent:
+        out = local()
+        value, gate.cost = _timed(fn, *args)
+        return out, value
     if reply is None:  # it is gone, or cannot take this call or its reply
         helper.refused = fn
         return out, fn(*args)

@@ -10,12 +10,14 @@ a deterministic sample path and two evaluations of the same ``(tau, seed)``
 must return identical values.
 
 That purity rule is what lets ``Evaluator.evaluate_pair`` (SPSA's two
-perturbed points) run its second point concurrently in one helper process
-and still record exactly what two ``evaluate`` calls would.  It makes one
+perturbed points, DIRECT's two points along a side) run its second point
+concurrently in one helper process and still record exactly what two
+``evaluate`` calls would.  It makes one
 call, ``sbopt._pair.run_call``, which owns the helper and decides where
-the point runs: in the helper only on POSIX, when the objective pickles
-and the process may run on at least two CPUs; otherwise, and for
-closures, both points run here in turn.  The same helper takes half of
+the point runs: in the helper only on POSIX, when the objective pickles,
+the process may run on at least two CPUs and the objective costs more
+here than a round trip through the helper; otherwise, and for closures,
+both points run here in turn.  The same helper takes half of
 the kriging surrogate's fit and infill work (see ``sbopt.kriging``); one
 job at a time, so a pair may find it busy and run here.
 """
@@ -273,7 +275,7 @@ class Evaluator:
         (so the trace keeps the raw value at the box point), negates the
         value when the problem maximizes, and then adds ``self.penalty``
         at the box point.  ``f.pair(u_a, u_b)`` returns ``(f(u_a), f(u_b))``
-        through ``evaluate_pair``.
+        through ``evaluate_pair``, and ``f.can_evaluate`` is ``can_evaluate``.
         """
         sign = 1.0 if self.sense == "minimize" else -1.0
 
@@ -290,7 +292,7 @@ class Evaluator:
             ev_a, ev_b = self.evaluate_pair(tau_a, tau_b)
             return scaled(tau_a, ev_a), scaled(tau_b, ev_b)
 
-        f.pair = pair
+        f.pair, f.can_evaluate = pair, self.can_evaluate
         return f
 
     @staticmethod
@@ -328,8 +330,9 @@ class Evaluator:
         ``sbopt._pair.run_call``, which may send the objective at ``tau_b``
         to the pair helper process while ``tau_a`` runs here; by the purity
         rule of the objective contract the helper's value is the one a
-        local call would give.  When the helper does not answer, or the
-        pair must run in turn, the work stays in this process.
+        local call would give.  When the helper does not answer, the
+        objective costs less than a round trip through it, or the pair
+        must run in turn, the work stays in this process.
         """
         tau_b = np.asarray(tau_b, dtype=float)
         if self.can_evaluate(2) and tau_b.ndim == 1 and np.all(np.isfinite(tau_b)):

@@ -4,6 +4,10 @@ The search space is normalized to the unit cube and covered by a tiling
 of hyperrectangles, each carrying the objective value at its center.
 The values come from ``Evaluator.on_unit_cube``, so the tiling always
 minimizes: it negates a maximized objective and adds the evaluator's ``penalty``.
+A trisection's points along one side are independent of each other, so
+each such pair goes through ``Evaluator.evaluate_pair`` and may run
+concurrently in the pair helper (``sbopt._pair``), with the same values
+and trace.
 Every iteration selects the potentially optimal rectangles (those on the
 lower-right convex hull of half-diagonal versus value for some positive
 Lipschitz constant, with an epsilon guard against over-exploiting the
@@ -101,7 +105,12 @@ def trisect(rect: Hyperrect, eval_unit) -> tuple[list[Hyperrect], bool]:
 
     Samples center +- one third of the longest side along each such
     dimension, then divides in ascending order of the pairwise minima so
-    the most promising new points end up in the largest children.
+    the most promising new points end up in the largest children.  When
+    ``eval_unit`` is a unit-cube objective (``Evaluator.on_unit_cube``) and
+    its budget holds both points of a dimension, they go through
+    ``eval_unit.pair``, which may run the minus point in the pair helper
+    while the plus point runs here; the values and the trace are those of
+    the two calls in turn.  Any other callable is called point by point.
     Returns the replacement tiles and whether the budget ran out midway;
     on a partial trisection, unevaluated sibling boxes get value +inf so
     the tiling stays complete.
@@ -109,18 +118,21 @@ def trisect(rect: Hyperrect, eval_unit) -> tuple[list[Hyperrect], bool]:
     dmin = int(rect.depth.min())
     dims = np.where(rect.depth == dmin)[0]
     delta = 3.0 ** (-(dmin + 1))
+    pair = getattr(eval_unit, "pair", None)
 
     sampled = []  # (dim, value_plus or None, value_minus or None)
     exhausted = False
     for l in dims:
+        c_plus, c_minus = rect.center.copy(), rect.center.copy()
+        c_plus[l] += delta
+        c_minus[l] -= delta
         v_plus = v_minus = None
         try:
-            c = rect.center.copy()
-            c[l] += delta
-            v_plus = eval_unit(c)
-            c = rect.center.copy()
-            c[l] -= delta
-            v_minus = eval_unit(c)
+            if pair is not None and eval_unit.can_evaluate(2):
+                v_plus, v_minus = pair(c_plus, c_minus)
+            else:
+                v_plus = eval_unit(c_plus)
+                v_minus = eval_unit(c_minus)
         except BudgetExhausted:
             exhausted = True
         if v_plus is None and v_minus is None:

@@ -45,12 +45,17 @@ pattern-search starts (``_pattern_search``).  The halves are joined in
 start and row order before any choice is made among them.  A start's path
 reads only its own point and rows, and each EI and mask row depends only
 on its own query row, so the joined halves are bit for bit the whole and
-every output is the same with the helper or without it.  The helper takes
-the halves only on two CPUs and with BLAS held to one thread; otherwise,
-or while it boots, owes a reply, is gone or is held by another thread,
-the caller runs the whole batch in one call.  ``run_rk`` has the helper
-load scipy as it starts (``sbopt._pair.prepare``), so the helper's import
-overlaps the design and is off the caller's critical path.
+every output is the same with the helper or without it.  With a BLAS
+thread per core in each process the halves would contend for the cores,
+so ``run_rk`` holds the loaded OpenBLAS copies to one thread through
+their exported setters for the length of the run (``_BlasHold``), and the
+helper starts with its BLAS at one thread.  The helper takes the halves
+only on two CPUs and while that hold is on; otherwise, where no OpenBLAS
+setter is found, or while the helper boots, owes a reply, is gone or is
+held by another thread, the caller runs the whole batch in one call.
+``run_rk`` has the helper load scipy as it starts
+(``sbopt._pair.prepare``), so the helper's import overlaps the design and
+is off the caller's critical path.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from numbers import Integral
 from types import SimpleNamespace
@@ -80,9 +86,11 @@ _INFILL_MIN_STEP = 1e-4
 _LOO_RESIDUAL_LIMIT = 3.0
 # query rows per block of the moments routine
 _MOMENT_BLOCK = 512
-# the variables BLAS libraries read for their thread count
-_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+# the thread count setter and getter each OpenBLAS copy of numpy's and scipy's
+# wheels exports, numpy's 64-bit-integer build first
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"))
 
 
 @functools.cache
@@ -419,12 +427,79 @@ def _refine(search: _Search, starts) -> list:
     return ends
 
 
+@functools.cache
+def _openblas_threads() -> tuple:
+    """``(set, get)`` thread count calls of each loaded OpenBLAS copy, numpy's
+    and scipy's; empty where none is found, e.g. off Linux or with another BLAS.
+
+    Loads scipy first, so that both copies are loaded.  The copies are the
+    mapped files ``/proc/self/maps`` names ``*openblas*``, opened with
+    ``RTLD_NOLOAD``, which only finds a library already loaded.
+    """
+    import ctypes
+
+    _scipy()
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps
+                            if "openblas" in line.rpartition("/")[2]})
+    except OSError:  # no /proc
+        return ()
+    calls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:  # e.g. unmapped since
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_, get = getattr(lib, set_name), getattr(lib, get_name)
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                get.argtypes, get.restype = [], ctypes.c_int
+                calls.append((set_, get))
+                break
+    return tuple(calls)
+
+
+class _BlasHold:
+    """Holds the loaded OpenBLAS copies to one thread while any rk run is inside.
+
+    The first run in takes each copy's thread count and sets it to 1; the
+    last one out restores the counts, so code that runs outside rk keeps
+    its BLAS threads.  Runs in several threads share the one hold.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.inside = 0  # runs inside the hold
+        self.saved = ()  # (set, count before the hold) per copy
+
+    def __enter__(self) -> bool:
+        """Enter; True when the hold took, which opens ``_split``'s halves."""
+        with self.lock:
+            if not self.inside:
+                calls = _openblas_threads()
+                self.saved = tuple((set_, get()) for set_, get in calls)
+                for set_, _ in calls:
+                    set_(1)
+            self.inside += 1
+            return bool(self.saved)
+
+    def __exit__(self, *exc) -> None:
+        with self.lock:
+            self.inside -= 1
+            if not self.inside:
+                for set_, count in self.saved:
+                    set_(count)
+                self.saved = ()
+
+
+_BLAS_HOLD = _BlasHold()
+
+
 def _one_blas_thread() -> bool:
-    """True when the environment holds BLAS to one thread: at least one of the
-    BLAS thread variables is set, and each one set reads 1."""
-    values = [os.environ.get(var, "").strip() for var in _BLAS_THREAD_VARS]
-    values = [v for v in values if v]
-    return bool(values) and all(v == "1" for v in values)
+    """True while ``run_rk``'s hold keeps BLAS to one thread (``_BlasHold``)."""
+    return bool(_BLAS_HOLD.saved)
 
 
 def _split(fn, fixed: tuple, *items):
@@ -433,9 +508,10 @@ def _split(fn, fixed: tuple, *items):
     that entry.  The results are joined in order: lists and arrays end to end,
     tuples entry by entry, None stays None.
 
-    The helper takes halves only with one BLAS thread (``_one_blas_thread``):
-    with a BLAS thread per core in each process the two contend for the cores,
-    and rk on ``complex`` ran 2.6 times slower split than whole on two CPUs.
+    The helper takes halves only inside ``run_rk``'s BLAS hold
+    (``_one_blas_thread``): with a BLAS thread per core in each process the
+    two contend for the cores, and rk on ``complex`` ran 2.6 times slower
+    split than whole on two CPUs.
     Without the helper ``fn`` runs once on the whole batch, since an infill
     sweep costs mostly per batch.
     """
@@ -768,8 +844,9 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
     model it was proposed from; the design points get no record.
     Arguments are checked before the first evaluation; with no budget left
     on the evaluator, the trace comes back unchanged, as in every solver.
-    Each iteration's fit and infill search may send half of their work to
-    the pair helper (see the module docstring); the trace is the same.
+    For the length of the run the loaded OpenBLAS copies run one thread,
+    and each iteration's fit and infill search may send half of their work
+    to the pair helper (see the module docstring); the trace is the same.
     """
     if evaluator.budget is None:
         raise ValueError("run_rk needs a budgeted evaluator")
@@ -779,10 +856,17 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
         raise ValueError("n_init must be >= 2")
     if not evaluator.can_evaluate():
         return evaluator.trace
-    if _one_blas_thread():
-        from ._pair import prepare
+    with _BLAS_HOLD as held:
+        if held:
+            from ._pair import prepare
 
-        prepare(_scipy)  # the helper boots and loads scipy while the design is evaluated
+            prepare(_scipy)  # the helper boots and loads scipy while the design is evaluated
+        return _rk_loop(evaluator, bounds, n_init, use_reinterp, seed)
+
+
+def _rk_loop(evaluator: Evaluator, bounds: Bounds, n_init: int, use_reinterp: bool,
+             seed: int) -> Trace:
+    """``run_rk``'s design and iterations, once its arguments have passed."""
     m = bounds.m_dim
     trace, sign = evaluator.trace, (1.0 if evaluator.sense == "minimize" else -1.0)
 

@@ -1,9 +1,14 @@
 """Deterministic partitioning search over the unit cube."""
 
+import dataclasses
+import os
+import pickle
+
 import numpy as np
 import pytest
 
 import sbopt as sb
+from sbopt import _pair, bench
 from sbopt.bench import strip_problem
 
 UNIT1 = sb.Bounds(np.zeros(1), np.ones(1))
@@ -226,3 +231,106 @@ def test_cells_csv_layout(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "center_1,center_2,depth_1,depth_2,value,d"
     assert len(lines) == 1 + len(trace.annotations["direct_cells"])
+
+
+# ------------------------------------------------- trisection pairs in the pair helper
+
+needs_two_cpus = pytest.mark.skipif(not _pair.two_cpus(),
+                                    reason="the pair helper needs two CPUs")
+
+
+def record_bits(trace):
+    """The records as exact bytes.  They are not pickled whole: a helper's aux
+    arrays and keys arrive as new objects, which pickle apart from shared ones."""
+    return [(r.tau.tobytes(), np.float64(r.evaluation.value).tobytes(),
+             r.evaluation.seed, r.evaluation.eval_index,
+             r.evaluation.aux and [(k, np.asarray(v).tobytes())
+                                   for k, v in r.evaluation.aux.items()])
+            for r in trace.records]
+
+
+def direct_bits(trace):
+    return record_bits(trace), pickle.dumps((trace.iterations,
+                                             trace.annotations["direct_cells"]))
+
+
+def behind_a_closure(problem):
+    """The problem with an objective that does not pickle: every point runs here."""
+    objective = problem.objective
+    return dataclasses.replace(problem, objective=lambda tau, seed: objective(tau, seed))
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("name, budget", [("complex", 100), ("simple", 60)])
+def test_trisection_pairs_in_the_helper_give_the_sequential_bits(fresh_helper, monkeypatch,
+                                                                 name, budget):
+    problem = bench.get_problem(name)
+    paired = bench.run_single(problem, "direct", budget, 0)
+    assert fresh_helper.jobs > 0
+    monkeypatch.setattr(_pair, "two_cpus", lambda: False)
+    alone = bench.run_single(problem, "direct", budget, 0)
+    assert direct_bits(paired) == direct_bits(alone)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("budget", [20, 21])
+def test_a_run_cut_short_between_a_pairs_points_keeps_a_complete_tiling(fresh_helper, budget):
+    # the centre, then 16 dimensions of pairs: an even budget ends on a lone plus
+    # point.  A function's first GATE_SAMPLES jobs go to the helper whatever they cost
+    problem = bench.get_problem("complex")
+    trace = bench.run_single(problem, "direct", budget, 0)
+    cells = trace.annotations["direct_cells"]
+    assert len(trace) == budget and fresh_helper.jobs == (budget - 1) // 2
+    assert len(cells) == 2 * (budget // 2) + 1
+    assert sum(np.isinf(c["value"]) for c in cells) == 1 - budget % 2
+    assert sum(3.0 ** -float(np.sum(c["depth"])) for c in cells) == pytest.approx(1.0)
+    sequential = bench.run_single(behind_a_closure(problem), "direct", budget, 0)
+    assert direct_bits(trace) == direct_bits(sequential)
+
+
+def fails_low(tau, seed):
+    """Picklable bowl that raises below tau[0] = 0.3: at the first minus point."""
+    if tau[0] < 0.3:
+        raise ValueError(f"no value below 0.3, got {tau[0]!r}")
+    return bowl(tau, seed)
+
+
+@needs_two_cpus
+def test_an_error_at_the_helpers_point_matches_the_sequential_run(fresh_helper):
+    outcomes = []
+    for objective in (fails_low, lambda tau, seed: fails_low(tau, seed)):
+        ev = sb.Evaluator(objective, budget=20, seed=0)
+        with pytest.raises(ValueError) as raised:
+            sb.run_direct(ev, UNIT2)
+        outcomes.append((str(raised.value), record_bits(ev.trace)))
+    assert outcomes[0] == outcomes[1]
+    assert "no value below 0.3" in outcomes[0][0]
+    assert fresh_helper.jobs == 1 and fresh_helper.alive
+
+
+class KillsTheHelper:
+    """A problem's objective that, at its ``at``-th call in the process that
+    made it, kills the pair helper, which then holds the pair's other point."""
+
+    def __init__(self, objective, at):
+        self.objective, self.at, self.calls, self.pid = objective, at, 0, os.getpid()
+
+    def __call__(self, tau, seed):
+        if os.getpid() == self.pid:
+            self.calls += 1
+            helper = _pair._helper
+            if self.calls == self.at and helper is not None and helper.alive:
+                assert helper.lock.locked()  # in a pair
+                helper.process.kill()
+                helper.process.wait(10)
+        return self.objective(tau, seed)
+
+
+@needs_two_cpus
+def test_a_helper_killed_in_a_pair_leaves_the_same_trace(fresh_helper):
+    problem = bench.get_problem("complex")
+    killing = dataclasses.replace(problem, objective=KillsTheHelper(problem.objective, 12))
+    killed = bench.run_single(killing, "direct", 40, 0)
+    assert not fresh_helper.alive and 0 < fresh_helper.jobs < 19
+    sequential = bench.run_single(behind_a_closure(problem), "direct", 40, 0)
+    assert direct_bits(killed) == direct_bits(sequential)

@@ -1,6 +1,7 @@
 """Kriging model fit, prediction, re-interpolation, and diagnostics."""
 
 import dataclasses
+import functools
 import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -490,17 +491,25 @@ def test_a_fit_without_the_helper_refines_its_starts_in_one_call(monkeypatch):
 
 
 def test_kriging_halves_need_one_blas_thread(monkeypatch):
-    # with a BLAS thread per core in each process, the halves contend for the cores
-    for var in kriging._BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    assert not kriging._one_blas_thread()
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    assert kriging._one_blas_thread()
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert not kriging._one_blas_thread()
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", " 1 ")
-    assert kriging._one_blas_thread()
+    # with a BLAS thread per core in each process, the halves contend for the
+    # cores, so they go to the helper only inside rk's hold and when it took
+    counts = [3, 5]
+    copies = [(functools.partial(counts.__setitem__, i), functools.partial(counts.__getitem__, i))
+              for i in range(2)]
     calls = []
     monkeypatch.setattr(_pair, "run_call", lambda *args, **kwargs: calls.append(args))
-    monkeypatch.setenv("MKL_NUM_THREADS", "4")
+    monkeypatch.setattr(kriging, "_BLAS_HOLD", kriging._BlasHold())
     assert kriging._split(len, (), [1, 2, 3]) == 3 and calls == []
+    monkeypatch.setattr(kriging, "_openblas_threads", lambda: ())  # another BLAS
+    with kriging._BLAS_HOLD as held:
+        assert not held and not kriging._one_blas_thread()
+        assert kriging._split(len, (), [1, 2, 3]) == 3 and calls == []
+    monkeypatch.setattr(kriging, "_openblas_threads", lambda: copies)
+    with kriging._BLAS_HOLD as held:
+        assert held and kriging._one_blas_thread() and counts == [1, 1]
+        with kriging._BLAS_HOLD as nested:  # a second run, as from another thread
+            assert nested and counts == [1, 1]
+        assert kriging._one_blas_thread() and counts == [1, 1]
+        # run_call answered None (the helper cannot take it): the whole batch here
+        assert kriging._split(len, (), [1, 2, 3]) == 3 and len(calls) == 1
+    assert not kriging._one_blas_thread() and counts == [3, 5]

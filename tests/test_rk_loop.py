@@ -1,6 +1,8 @@
 """Design, fit, infill loop behavior on toy objectives, and on the pair helper."""
 
 import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -186,12 +188,13 @@ def test_a_helper_killed_in_a_job_leaves_the_same_trace(kriging_helper, monkeypa
 @needs_two_cpus
 @pytest.mark.parametrize("one_thread", [True, False])
 def test_rk_warms_the_helper_before_its_design(monkeypatch, one_thread):
-    # with BLAS at one thread the helper boots and loads scipy while the design
-    # is evaluated; otherwise rk keeps all of its work here and starts none
-    for var in kriging._BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    if one_thread:
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    # where rk's hold keeps BLAS to one thread the helper boots and loads scipy
+    # while the design is evaluated; otherwise rk keeps all of its work here
+    # and starts none
+    if not one_thread:
+        monkeypatch.setattr(kriging, "_openblas_threads", lambda: ())  # another BLAS
+    elif not kriging._openblas_threads():
+        pytest.skip("no OpenBLAS thread setter is loaded")
     monkeypatch.setattr(_pair, "_helper", None)
     at_first_call = []
 
@@ -210,3 +213,93 @@ def test_rk_warms_the_helper_before_its_design(monkeypatch, one_thread):
         assert helper is not None and kriging._scipy in helper.prepared
     else:
         assert at_first_call == [None] and _pair._helper is None
+
+
+# ------------------------------------------------- rk's hold on BLAS threads
+
+needs_openblas = pytest.mark.skipif(not kriging._openblas_threads(),
+                                    reason="no OpenBLAS thread setter is loaded")
+
+
+class CountsThreads:
+    """quadratic, noting each loaded OpenBLAS copy's thread count at each call;
+    it raises at call ``fail_at`` (1-based), if given."""
+
+    def __init__(self, fail_at=None):
+        self.seen, self.fail_at = [], fail_at
+
+    def __call__(self, tau, seed):
+        self.seen.append([get() for _, get in kriging._openblas_threads()])
+        if len(self.seen) == self.fail_at:
+            raise ValueError("the objective failed")
+        return quadratic(tau, seed)
+
+
+@needs_openblas
+@pytest.mark.parametrize("fail_at", [None, 9])
+def test_rk_holds_blas_to_one_thread_and_restores_the_counts(fail_at):
+    copies = kriging._openblas_threads()
+    assert len(copies) == 2  # numpy's and scipy's
+    before = [get() for _, get in copies]
+    try:
+        for set_, _ in copies:
+            set_(2)
+        objective = CountsThreads(fail_at)
+        ev = sb.Evaluator(objective, budget=10, seed=0)
+        if fail_at is None:
+            sb.run_rk(ev, UNIT2, n_init=6)
+        else:
+            with pytest.raises(ValueError, match="the objective failed"):
+                sb.run_rk(ev, UNIT2, n_init=6)
+        assert objective.seen == [[1, 1]] * (fail_at or 10)
+        assert [get() for _, get in copies] == [2, 2] and not kriging._one_blas_thread()
+    finally:
+        for (set_, _), count in zip(copies, before):
+            set_(count)
+
+
+@needs_openblas
+def test_rk_runs_in_several_threads_share_the_hold():
+    # every run sees one thread while any run is inside; the last one out restores
+    copies = kriging._openblas_threads()
+    before = [get() for _, get in copies]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for set_, _ in copies:
+            set_(2)
+        objectives = [CountsThreads() for _ in range(6)]
+        with ThreadPoolExecutor(6) as pool:
+            traces = list(pool.map(
+                lambda f: sb.run_rk(sb.Evaluator(f, budget=9, seed=0), UNIT2, n_init=6),
+                objectives))
+        assert all(len(t) == 9 for t in traces)
+        assert all(f.seen == [[1, 1]] * 9 for f in objectives)
+        assert [get() for _, get in copies] == [2, 2] and not kriging._one_blas_thread()
+    finally:
+        sys.setswitchinterval(interval)
+        for (set_, _), count in zip(copies, before):
+            set_(count)
+
+
+@needs_two_cpus
+@needs_openblas
+def test_rk_splits_with_no_blas_thread_variable(fresh_helper, monkeypatch):
+    for var in _pair.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    problem = bench.get_problem("complex")
+    _pair.prepare(kriging._scipy)
+    split = bench.run_single(problem, "rk", problem.rk_n_init + 5, 0)
+    assert fresh_helper.jobs > 0
+    monkeypatch.setattr(_pair, "two_cpus", lambda: False)
+    whole = bench.run_single(problem, "rk", problem.rk_n_init + 5, 0)
+    assert pickle.dumps((split.records, split.iterations)) == \
+        pickle.dumps((whole.records, whole.iterations))
+
+
+def test_the_zero_budget_dry_run_starts_no_process(monkeypatch):
+    # validate() runs rk with no budget, which returns before its hold and helper
+    monkeypatch.setattr(_pair, "_helper", None)
+    monkeypatch.setattr(kriging, "_openblas_threads", lambda: pytest.fail("held"))
+    bench.ExperimentConfig(problem="complex", solver="rk", budget=30).validate()
+    assert _pair._helper is None and not kriging._one_blas_thread()

@@ -370,6 +370,31 @@ def test_dead_pair_helper_leaves_the_work_here(fresh_helper):
     assert helper.jobs == 10
 
 
+def test_the_gate_sends_while_the_cost_here_exceeds_the_round_trip():
+    gate = _pair.Gate()
+    for n in range(_pair.GATE_SAMPLES):  # sent whatever they cost
+        assert gate.opens()
+        gate.measured(1e-5, 0.02 if n == 0 else 1e-4)  # the first job imports
+    assert gate.round_trip == 1e-4 and not gate.opens()
+    gate.cost = 2e-4  # measured here while it stays here
+    assert gate.opens()
+    gate.measured(3e-4, 5e-4)
+    assert (gate.cost, gate.round_trip) == (3e-4, 1e-4) and gate.opens()
+
+
+@needs_two_cpus
+def test_a_cheap_objective_stays_here_after_the_gates_samples(fresh_helper):
+    # a pair of a 2-D quadratic costs less than its round trip through the helper
+    ev = sb.Evaluator(quadratic, budget=None, seed=0)
+    pairs = np.random.default_rng(0).random((80, 2, 2))
+    for tau_a, tau_b in pairs:
+        ev.evaluate_pair(tau_a, tau_b)
+    # a preempted timing may send a job more; the cost here is measured again
+    assert _pair.GATE_SAMPLES <= fresh_helper.jobs < 40
+    assert [r.evaluation.value for r in ev.trace.records] == \
+        [quadratic(tau, 0) for tau in pairs.reshape(160, 2)]
+
+
 @needs_two_cpus
 def test_pairs_run_here_until_the_helper_has_booted(monkeypatch):
     monkeypatch.setattr(_pair, "_helper", None)
@@ -487,10 +512,12 @@ def test_pair_helper_ends_with_sbo_run(tmp_path):
 
 @needs_two_cpus
 def test_pair_helper_ends_with_sbo_run_of_rk(tmp_path):
-    # rk starts the helper on its first fit, past the 12 design points, when
-    # BLAS runs one thread
-    one_thread = dict.fromkeys(kriging._BLAS_THREAD_VARS, "1")
-    sbo_run_leaves_no_helper(tmp_path, "rk", 30, {**child_env(), **one_thread})
+    # rk starts the helper as it starts, with no BLAS thread variable set,
+    # where its hold keeps the loaded OpenBLAS copies to one thread
+    if not kriging._openblas_threads():
+        pytest.skip("no OpenBLAS thread setter is loaded")
+    env = {k: v for k, v in child_env().items() if k not in _pair.BLAS_THREAD_VARS}
+    sbo_run_leaves_no_helper(tmp_path, "rk", 30, env)
 
 
 INTERRUPTED = """
