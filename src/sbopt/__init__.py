@@ -22,6 +22,7 @@ from .core import (
 from .constraints import (
     PenaltyTransform,
     SmoothingSpec,
+    band_map,
     feasible_mask,
     is_feasible,
     penalize,

@@ -11,7 +11,6 @@ from .problems import (
     plant_problem,
     quadratic_problem,
     simple_toll_problem,
-    smoothing_band_sampler,
     strip_problem,
 )
 from .harness import (

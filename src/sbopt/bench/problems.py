@@ -1,11 +1,11 @@
 """Calibrated benchmark problems shared by the harness, demos, and tests.
 
 Each builder returns a :class:`Problem` bundling an objective callable with
-the search box, solver presets, and (for tolling problems) the smoothing
-constraint, its exterior-penalty transform and infill sampler, which the
-harness hands to a run's ``Evaluator``.  All fixture constants are frozen
-here so that runs are reproducible across machines; recalibrating a
-fixture means editing this module, nothing else.
+the search box, solver presets and, for a constrained problem, its smoothing
+spec and penalty weight, from which it derives the row mask, penalty and
+infill sampler the harness hands to a run's ``Evaluator``.  All fixture
+constants are frozen here so that runs are reproducible across machines;
+recalibrating a fixture means editing this module, nothing else.
 """
 
 import functools
@@ -13,12 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..constraints import PenaltyTransform, SmoothingSpec, feasible_mask
+from ..constraints import (PenaltyTransform, SmoothingSpec, band_map, feasible_mask,
+                           penalty_weight_from_probe)
 from ..core import Bounds
 from ..mfdsim import (
     NfdCurve,
     ReservoirConfig,
     TollScheme,
+    _check_amplitude,
     apply_numerical_noise,
     objective_density,
     objective_flow,
@@ -44,8 +46,9 @@ class Problem:
     a float or ``(float, aux_dict)``.  ``pi_config`` is None for problems
     the density-feedback controller cannot drive (no per-interval density
     output, or active smoothing constraints it has no way to respect).
-    The harness hands the constraint to the run's ``Evaluator``: the row
-    mask ``feasibility_predicate()``, ``penalty`` and ``infill_sampler``.
+    A constraint is stored once, as ``smoothing`` and ``penalty_weight``;
+    the harness hands the run's ``Evaluator`` what derives from them:
+    ``feasibility_predicate()``, ``penalty`` and ``infill_sampler``.
     ``scenario`` carries simulator pieces and reference values for probes,
     tests and demos; neither the solvers nor the harness read it.  The
     harness replays a best point through ``objective.simulate`` when the
@@ -57,12 +60,25 @@ class Problem:
     bounds: Bounds
     sense: str = "minimize"
     smoothing: SmoothingSpec | None = None
-    penalty: PenaltyTransform | None = None
+    penalty_weight: float | None = None
     rk_n_init: int = 12
     spsa_tau_0: np.ndarray | None = None
     pi_config: PIConfig | None = None
-    infill_sampler: object = None
     scenario: dict = field(default_factory=dict)
+
+    @property
+    def penalty(self) -> PenaltyTransform | None:
+        """The exterior penalty DIRECT and SPSA add; None without a spec and a weight."""
+        return (None if self.smoothing is None or self.penalty_weight is None
+                else PenaltyTransform(self.smoothing, self.penalty_weight))
+
+    @property
+    def infill_sampler(self):
+        """rk's probe ``(rng, n, box)``: ``band_map`` of n uniform draws; None if unconstrained."""
+        return None if self.smoothing is None else self._band_draw
+
+    def _band_draw(self, rng, n, box) -> np.ndarray:
+        return band_map(rng.random((self.bounds.m_dim, n)).T, self.smoothing, self.bounds)
 
     def feasibility_predicate(self):
         """``feasible_mask`` at ``FEASIBILITY_TOL`` (a (k, m) stack to k booleans,
@@ -80,6 +96,7 @@ def quadratic_problem(m: int = 2, amplitude: float = 0.05) -> Problem:
     which makes the surface non-smooth while keeping f(tau, seed) a pure
     function; set it to 0 for the clean bowl.
     """
+    _check_amplitude(amplitude)
     center = np.array([0.3 if j % 2 == 0 else 0.7 for j in range(m)])
 
     def objective(tau, seed):
@@ -219,39 +236,6 @@ def simple_toll_problem() -> Problem:
     )
 
 
-def smoothing_band_sampler(bounds: Bounds, spec: SmoothingSpec):
-    """Candidate generator that walks inside the smoothing band.
-
-    Draws the first distance rate uniformly, then each later rate uniformly
-    within the allowed jump from its predecessor (the delay chain restarts
-    fresh, mirroring the constraint structure: the distance-to-delay seam is
-    unconstrained).  Output is in unit coordinates of ``bounds``, ready for
-    the ``sampler`` of rk's ``Evaluator``.  Feasible by construction up to
-    rounding, so a rejection step after it almost never discards anything.
-    """
-    m = spec.m_intervals
-    limits = [spec.alpha_smooth] * (m - 1) + [None] + [spec.beta_smooth] * (m - 1)
-    span = bounds.span
-
-    def sampler(rng, n, box):
-        out = np.empty((n, bounds.m_dim))
-        col = rng.random(n)
-        out[:, 0] = col
-        for j in range(1, 2 * m):
-            lim = limits[j - 1]
-            if lim is None:
-                col = rng.random(n)
-            else:
-                w = lim / (span[j] if span[j] > 0 else 1.0) * (1 - 1e-12)
-                lo = np.maximum(0.0, col - w)
-                hi = np.minimum(1.0, col + w)
-                col = lo + rng.random(n) * (hi - lo)
-            out[:, j] = col
-        return out
-
-    return sampler
-
-
 def complex_toll_scenario():
     """Eight-interval joint-toll fixture with strong demand and rough output."""
     curve = NfdCurve(k_cr_low=20.0, k_cr_high=30.0, k_jam=45.0, q_max=700.0)
@@ -272,8 +256,6 @@ def complex_toll_scenario():
 
 def recompute_complex_penalty_weight() -> float:
     """Re-derive COMPLEX_PENALTY_WEIGHT from the frozen probe recipe."""
-    from ..constraints import penalty_weight_from_probe
-
     cfg, curve, template = complex_toll_scenario()
     objective = _TollObjective(cfg, curve, template, objective_flow)
     values = []
@@ -289,23 +271,19 @@ def complex_toll_problem() -> Problem:
     The smoothing band caps jumps between consecutive distance rates at
     0.33 and consecutive delay rates at 5.  DIRECT and SPSA add the
     exterior penalty; the surrogate loop instead filters infill through
-    the feasibility row mask and seeds its search with the band-walking
-    sampler.
+    the feasibility row mask and seeds its search with uniform draws
+    mapped into the band.
     """
     cfg, curve, template = complex_toll_scenario()
-    spec = SmoothingSpec(alpha_smooth=0.33, beta_smooth=5.0, m_intervals=8)
-    bounds = Bounds(np.zeros(16), np.concatenate([np.ones(8), np.full(8, 15.0)]))
-    penalty = PenaltyTransform(spec, COMPLEX_PENALTY_WEIGHT)
     return Problem(
         name="complex",
         objective=_TollObjective(cfg, curve, template, objective_flow),
-        bounds=bounds,
+        bounds=Bounds(np.zeros(16), np.concatenate([np.ones(8), np.full(8, 15.0)])),
         sense="maximize",
-        smoothing=spec,
-        penalty=penalty,
+        smoothing=SmoothingSpec(alpha_smooth=0.33, beta_smooth=5.0, m_intervals=8),
+        penalty_weight=COMPLEX_PENALTY_WEIGHT,
         rk_n_init=25,
         spsa_tau_0=np.concatenate([np.full(8, 0.3), np.full(8, 3.0)]),
-        infill_sampler=smoothing_band_sampler(bounds, spec),
         scenario={"config": cfg, "curve": curve, "template": template},
     )
 

@@ -3,21 +3,20 @@
 A joint toll profile stacks the per-interval distance rates and delay
 rates as ``tau = [eta_1..eta_m, omega_1..omega_m]``.  Successive tolls
 may not jump by more than ``alpha_smooth`` (distance) or ``beta_smooth``
-(delay), which keeps schedules drivers can anticipate.  Solvers without
-native constraint handling use the quadratic exterior penalty
-``weight * sum(v ** 2)``; the kriging solver instead restricts its infill
-search to feasible points.
+(delay), which keeps schedules drivers can anticipate.  ``_chains`` states
+the band once, two chains with a free seam between them: ``_excess`` reads
+it for the feasibility test and the exterior penalty ``weight * sum(v ** 2)``
+DIRECT and SPSA add, ``band_map`` to map unit-cube rows into the band.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .core import DimensionMismatch
+from .core import DimensionMismatch, _is_int
 
 # penalty_weight_from_probe: weight per unit of typical objective magnitude
 _PROBE_FACTOR = 100.0
@@ -36,24 +35,49 @@ class SmoothingSpec:
         if not (self.alpha_smooth > 0 and self.beta_smooth > 0):
             raise ValueError(f"smoothing limits must be positive, got "
                              f"{self.alpha_smooth!r} and {self.beta_smooth!r}")
-        if not (isinstance(self.m_intervals, Integral) and self.m_intervals >= 1):
+        if not (_is_int(self.m_intervals) and self.m_intervals >= 1):
             raise ValueError(f"m_intervals must be an integer >= 1, got {self.m_intervals!r}")
+
+
+def _chains(spec: SmoothingSpec) -> tuple:
+    """(first column, end column, jump limit) of the distance chain, then the delay chain."""
+    m = spec.m_intervals
+    return (0, m, spec.alpha_smooth), (m, 2 * m, spec.beta_smooth)
 
 
 def _excess(taus: np.ndarray, spec: SmoothingSpec) -> np.ndarray:
     """Violation magnitudes along the last axis of profiles of checked width."""
-    m = spec.m_intervals
-    v = np.abs(taus[..., 1:] - taus[..., :-1])  # entry m-1 crosses eta/omega
-    out = np.empty(taus.shape[:-1] + (2 * (m - 1),))
-    np.maximum(v[..., : m - 1] - spec.alpha_smooth, 0.0, out=out[..., : m - 1])
-    np.maximum(v[..., m:] - spec.beta_smooth, 0.0, out=out[..., m - 1:])
+    jumps = [np.abs(taus[..., a + 1:b] - taus[..., a:b - 1]) - limit
+             for a, b, limit in _chains(spec)]
+    out = np.concatenate(jumps, axis=-1)
+    return np.maximum(out, 0.0, out=out)
+
+
+def band_map(U, spec: SmoothingSpec, bounds) -> np.ndarray:
+    """Unit-cube rows (one profile or a (k, 2m) stack) mapped into the band: a new
+    C-ordered array of feasible rows in ``bounds``' unit coordinates.  Each chain's
+    first rate is kept; a later rate u goes to ``lo + u (hi - lo)`` on the window
+    ``[p - w, p + w] ∩ [0, 1]``, p the mapped rate before it and w the chain's limit
+    over the column's span, less 1e-12 of it."""
+    U, span = np.asarray(U, dtype=float), bounds.span
+    _check_width(U.shape, spec)
+    _check_width(span.shape, spec, ndims=(1,))
+    out = np.empty(U.shape)
+    for a, b, limit in _chains(spec):
+        prev = out[..., a] = U[..., a]
+        for j in range(a + 1, b):
+            w = limit / (span[j] if span[j] > 0 else 1.0) * (1 - 1e-12)
+            lo = np.maximum(0.0, prev - w)
+            hi = np.minimum(1.0, prev + w)
+            prev = out[..., j] = lo + U[..., j] * (hi - lo)
     return out
 
 
-def _profile_error(shape, spec: SmoothingSpec) -> DimensionMismatch:
-    return DimensionMismatch(
-        f"joint toll profile needs {2 * spec.m_intervals} entries "
-        f"([eta..., omega...]), got shape {shape}")
+def _check_width(shape, spec: SmoothingSpec, ndims=(1, 2)) -> None:
+    """Refuse anything but one profile or, where ndims allows, a (k, 2m) stack."""
+    if len(shape) not in ndims or shape[-1] != 2 * spec.m_intervals:
+        raise DimensionMismatch(f"joint toll profile needs {2 * spec.m_intervals} entries "
+                                f"([eta..., omega...]), got shape {shape}")
 
 
 def violations(tau, spec: SmoothingSpec) -> np.ndarray:
@@ -64,18 +88,15 @@ def violations(tau, spec: SmoothingSpec) -> np.ndarray:
     ``max(0, |jump| - limit)``.
     """
     tau = np.asarray(tau, dtype=float)
-    if tau.ndim != 1 or tau.size != 2 * spec.m_intervals:
-        raise _profile_error(tau.shape, spec)
+    _check_width(tau.shape, spec, ndims=(1,))
     return _excess(tau, spec)
 
 
 def is_feasible(tau, spec: SmoothingSpec, tol: float = 0.0) -> bool:
     """True when every violation of one profile is within tol: ``feasible_mask`` on a 1-D tau."""
     tau = np.asarray(tau, dtype=float)
-    ok = feasible_mask(tau, spec, tol)
-    if ok.ndim:
-        raise _profile_error(tau.shape, spec)
-    return bool(ok)
+    _check_width(tau.shape, spec, ndims=(1,))
+    return bool(feasible_mask(tau, spec, tol))
 
 
 def feasible_mask(taus, spec: SmoothingSpec, tol: float = 0.0) -> np.ndarray:
@@ -85,8 +106,7 @@ def feasible_mask(taus, spec: SmoothingSpec, tol: float = 0.0) -> np.ndarray:
     if not tol >= 0:  # NaN fails the test too
         raise ValueError(f"tol must be non-negative, got {tol!r}")
     taus = np.asarray(taus, dtype=float)
-    if taus.ndim not in (1, 2) or taus.shape[-1] != 2 * spec.m_intervals:
-        raise _profile_error(taus.shape, spec)
+    _check_width(taus.shape, spec)
     return np.all(_excess(taus, spec) <= tol, axis=-1)
 
 

@@ -46,6 +46,12 @@ class DimensionMismatch(SboError, ValueError):
     """A vector had the wrong length for the declared problem dimension."""
 
 
+def _is_int(value) -> bool:
+    """The one count check: an integer, but not a ``bool``, which is an
+    ``Integral`` too (``budget=True`` is a mistake, not one evaluation)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def as_vector(values, m_dim: int | None = None) -> np.ndarray:
     """Validate and return a finite 1-D float array.
 
@@ -243,7 +249,7 @@ class Evaluator:
 
     def __init__(self, objective, budget: int | None = None, sense: str = "minimize",
                  seed: int = 0, feasible=None, penalty=None, sampler=None):
-        if budget is not None and not (isinstance(budget, Integral) and budget >= 0):
+        if budget is not None and not (_is_int(budget) and budget >= 0):
             raise ValueError(f"budget must be a non-negative integer or None, got {budget!r}")
         self.objective = objective
         self.budget = budget
@@ -347,7 +353,7 @@ class Evaluator:
 
 def _check_run_bounds(solver: str, evaluator: Evaluator, max_iterations) -> None:
     """Refuse a cap that is not None or an integer >= 1, and an unbounded run."""
-    if max_iterations is not None and not isinstance(max_iterations, Integral):
+    if max_iterations is not None and not _is_int(max_iterations):
         raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
     if max_iterations is not None and max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")

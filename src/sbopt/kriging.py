@@ -65,12 +65,12 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from numbers import Integral
 from types import SimpleNamespace
 
 import numpy as np
 
-from .core import Bounds, EvaluationError, Evaluator, SboError, Trace, _row_mask, as_vector
+from .core import (Bounds, EvaluationError, Evaluator, SboError, Trace, _is_int, _row_mask,
+                   as_vector)
 
 _SIGMA2_FLOOR = 1e-300
 _LOG10_THETA_BOUNDS = (-3.0, 2.0)
@@ -124,7 +124,7 @@ class InfillSearchError(SboError):
 
 def random_lhs(n: int, m_dim: int, rng: np.random.Generator) -> np.ndarray:
     """One Latin hypercube draw: each column permutes the stratum midpoints."""
-    if not (isinstance(n, Integral) and isinstance(m_dim, Integral)):
+    if not (_is_int(n) and _is_int(m_dim)):
         raise ValueError(f"n and m_dim must be integers, got {n!r} and {m_dim!r}")
     if n < 1 or m_dim < 1:
         raise ValueError("n and m_dim must be >= 1")
@@ -172,7 +172,7 @@ class FitConfig:
     def __post_init__(self):
         for name, least in (("n_starts", 1), ("n_probe", 0), ("max_sweeps", 1)):
             value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= least):
+            if not (_is_int(value) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -850,7 +850,7 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
     """
     if evaluator.budget is None:
         raise ValueError("run_rk needs a budgeted evaluator")
-    if not isinstance(n_init, Integral):
+    if not _is_int(n_init):
         raise ValueError(f"n_init must be an integer, got {n_init!r}")
     if n_init < 2:
         raise ValueError("n_init must be >= 2")

@@ -146,6 +146,9 @@ class TollScheme:
     def __post_init__(self):
         object.__setattr__(self, "eta", np.atleast_1d(np.asarray(self.eta, dtype=float)))
         object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float).reshape(-1))
+        for name in ("horizon_start_min", "horizon_end_min", "interval_length_min"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.interval_length_min <= 0:
             raise ValueError("interval_length_min must be positive")
         if self.horizon_end_min <= self.horizon_start_min:
@@ -319,14 +322,19 @@ def _interval_noise(quantized: bytes, seed: int, m: int) -> np.ndarray:
     return np.array(units).reshape(2, m)
 
 
+def _check_amplitude(amplitude) -> None:
+    # a comparison with NaN is False, so NaN fails the test
+    if not 0 <= amplitude < math.inf:
+        raise ValueError(f"amplitude must be non-negative and finite, got {amplitude!r}")
+
+
 def apply_numerical_noise(value: float, tau, amplitude: float, seed: int) -> float:
     """Add deterministic hash noise in [-amplitude, amplitude) to value.
 
     The noise is a pure function of the toll vector quantized to a 1e-4
     grid and the seed.  Amplitude zero returns the value untouched.
     """
-    if amplitude < 0:
-        raise ValueError("amplitude must be non-negative")
+    _check_amplitude(amplitude)
     if amplitude == 0:
         return float(value)
     digest = hashlib.blake2b(_quantize(tau) + struct.pack("<q", int(seed)),

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .core import Bounds, EvaluationError, Evaluator, Trace, as_vector
+from .core import Bounds, EvaluationError, Evaluator, Trace, _is_int, as_vector
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,7 @@ class PIConfig:
             raise ValueError("controller gains must be positive and finite")
         if not -math.inf < self.k_cr < math.inf:
             raise ValueError("k_cr must be finite")
-        if not (isinstance(self.n_max, Integral) and self.n_max >= 1):
+        if not (_is_int(self.n_max) and self.n_max >= 1):
             raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
 
 

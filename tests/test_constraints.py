@@ -1,4 +1,4 @@
-"""Smoothing-band violations and the exterior penalty."""
+"""Smoothing-band violations, the band map and the exterior penalty."""
 
 import functools
 
@@ -159,12 +159,10 @@ def _edge_rows(spec):
 
 @pytest.mark.parametrize("tol", [0.0, 1e-6])
 def test_feasible_mask_matches_per_point_predicate(tol):
-    from sbopt.bench.problems import smoothing_band_sampler
-
     spec = sb.SmoothingSpec(alpha_smooth=0.33, beta_smooth=5.0, m_intervals=8)
     bounds = sb.Bounds(np.zeros(16), np.concatenate([np.ones(8), np.full(8, 15.0)]))
     rng = np.random.default_rng(3)
-    band = bounds.from_unit(smoothing_band_sampler(bounds, spec)(rng, 500, bounds))
+    band = bounds.from_unit(sb.band_map(rng.random((16, 500)).T, spec, bounds))
     box = bounds.from_unit(rng.random((500, 16)))
     edges = _edge_rows(spec)
     masks = []
@@ -176,6 +174,62 @@ def test_feasible_mask_matches_per_point_predicate(tol):
     # both outcomes occur, and the ulp above a cap only passes with tol > 0
     assert masks[0].any() and not masks[1].all()
     assert masks[2].tolist() == [True, tol > 0] * 4
+
+
+def _column_walk(bounds, spec, rng, n):
+    """The complex problem's infill sampler before the band map: each column
+    drawn in turn, each later rate of a chain drawn in its predecessor's window."""
+    m = spec.m_intervals
+    limits = [spec.alpha_smooth] * (m - 1) + [None] + [spec.beta_smooth] * (m - 1)
+    span = bounds.span
+    out = np.empty((n, bounds.m_dim))
+    col = rng.random(n)
+    out[:, 0] = col
+    for j in range(1, 2 * m):
+        lim = limits[j - 1]
+        if lim is None:
+            col = rng.random(n)
+        else:
+            w = lim / (span[j] if span[j] > 0 else 1.0) * (1 - 1e-12)
+            lo = np.maximum(0.0, col - w)
+            hi = np.minimum(1.0, col + w)
+            col = lo + rng.random(n) * (hi - lo)
+        out[:, j] = col
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_infill_sampler_is_the_band_map_of_the_column_walks_draw(seed):
+    from sbopt.bench import get_problem
+    from sbopt.bench.problems import FEASIBILITY_TOL
+
+    problem = get_problem("complex")
+    bounds, spec = problem.bounds, problem.smoothing
+    want = _column_walk(bounds, spec, np.random.default_rng(seed), 4096)
+    got = problem.infill_sampler(np.random.default_rng(seed), 4096, sb.Bounds.unit(16))
+    assert got.flags.c_contiguous and got.shape == (4096, 16)
+    assert got.tobytes() == want.tobytes()
+    assert sb.feasible_mask(bounds.from_unit(got), spec, FEASIBILITY_TOL).all()
+    # one profile maps as its row of a stack does
+    U = np.random.default_rng(seed).random((3, 16))
+    assert sb.band_map(U[1], spec, bounds).tobytes() == sb.band_map(U, spec, bounds)[1].tobytes()
+
+
+def test_band_map_keeps_chain_starts_and_refuses_other_widths():
+    bounds = sb.Bounds(np.zeros(4), np.array([1.0, 1.0, 15.0, 15.0]))
+    U = np.array([[0.9, 0.0, 0.2, 1.0], [0.1, 1.0, 0.9, 1.0]])
+    V = sb.band_map(U, SPEC2, bounds)
+    assert V[:, [0, 2]].tolist() == U[:, [0, 2]].tolist()  # the seam is free
+    # u = 0 and u = 1 reach the window's edges, clipped to the unit cube
+    w_eta, w_omega = 0.33 * (1 - 1e-12), 5.0 / 15.0 * (1 - 1e-12)
+    assert V[0, 1] == 0.9 - w_eta and V[1, 1] == 0.1 + w_eta
+    assert V[0, 3] == 0.2 + w_omega and V[1, 3] == 1.0
+    assert sb.feasible_mask(bounds.from_unit(V), SPEC2).all()
+    for shape in [(2, 3), (5,), (1, 2, 4)]:
+        with pytest.raises(sb.DimensionMismatch, match="needs 4 entries"):
+            sb.band_map(np.zeros(shape), SPEC2, bounds)
+    with pytest.raises(sb.DimensionMismatch, match="got shape \\(3,\\)"):
+        sb.band_map(U, SPEC2, sb.Bounds.unit(3))
 
 
 def test_feasible_mask_shapes():

@@ -76,6 +76,35 @@ def test_evaluator_rejects_a_budget_that_is_no_count(budget):
         sb.Evaluator(lambda t, s: 0.0, budget=budget)
 
 
+def _unit_bowl(tau, seed):
+    return float(np.sum((np.asarray(tau) - 0.3) ** 2))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: sb.Evaluator(_unit_bowl, budget=True), "budget must be a non-negative integer"),
+    (lambda: sb.run_spsa(sb.Evaluator(_unit_bowl, budget=None), np.full(2, 0.5),
+                         sb.Bounds.unit(2), max_iterations=True),
+     "max_iterations must be an integer"),
+    (lambda: sb.run_direct(sb.Evaluator(_unit_bowl, budget=None), sb.Bounds.unit(2),
+                           max_iterations=True), "max_iterations must be an integer"),
+    (lambda: sb.FitConfig(n_starts=True), "n_starts must be an integer >= 1"),
+    (lambda: sb.FitConfig(n_probe=False), "n_probe must be an integer >= 0"),
+    (lambda: sb.FitConfig(max_sweeps=True), "max_sweeps must be an integer >= 1"),
+    (lambda: sb.random_lhs(True, 2, np.random.default_rng(0)), "n and m_dim must be integers"),
+    (lambda: sb.random_lhs(2, True, np.random.default_rng(0)), "n and m_dim must be integers"),
+    (lambda: sb.run_rk(sb.Evaluator(_unit_bowl, budget=10), sb.Bounds.unit(2), n_init=True),
+     "n_init must be an integer"),
+    (lambda: sb.PIConfig(p_p=0.02, p_i=0.005, k_cr=15.0, n_max=True),
+     "n_max must be an integer >= 1"),
+    (lambda: sb.SmoothingSpec(0.33, 5.0, True), "m_intervals must be an integer >= 1"),
+], ids=["budget", "spsa-max_iterations", "direct-max_iterations", "n_starts", "n_probe",
+        "max_sweeps", "lhs-n", "lhs-m_dim", "n_init", "n_max", "m_intervals"])
+def test_counts_refuse_a_bool(build, message):
+    # True and False are Integral, so every count check once took them as 1 and 0
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_can_evaluate_answers_the_budget_question():
     unlimited = sb.Evaluator(lambda t, s: 0.0, budget=None)
     assert unlimited.can_evaluate() and unlimited.can_evaluate(10 ** 9)

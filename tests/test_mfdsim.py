@@ -70,6 +70,18 @@ def test_numerical_noise_contract():
         sb.apply_numerical_noise(5.0, tau, -0.1, 3)
 
 
+@pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -0.1])
+def test_noise_amplitude_must_be_non_negative_and_finite(amplitude):
+    # a NaN amplitude returned NaN, and quadratic_problem(amplitude=nan)
+    # built a bowl with no noise, since nan > 0 is False
+    from sbopt.bench import quadratic_problem
+
+    with pytest.raises(ValueError, match="amplitude must be non-negative and finite"):
+        sb.apply_numerical_noise(5.0, np.array([0.3, 0.7]), amplitude, 3)
+    with pytest.raises(ValueError, match="amplitude must be non-negative and finite"):
+        quadratic_problem(amplitude=amplitude)
+
+
 def test_numerical_noise_decorrelates_nearby_inputs():
     rng = np.random.default_rng(0)
     taus = rng.random((1000, 2))
@@ -285,6 +297,17 @@ def test_toll_scheme_validation():
     assert np.allclose(scheme.tau(), [0.1, 0.2, 1.0, 2.0])
     swapped = scheme.with_tau([0.2, 0.1, 2.0, 1.0])
     assert np.allclose(swapped.eta, [0.2, 0.1])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["horizon_start_min", "horizon_end_min",
+                                  "interval_length_min"])
+def test_non_finite_toll_scheme_times_are_rejected(name, value):
+    # a NaN time failed converting to int, and an infinite end overflowed
+    times = {"horizon_start_min": 30.0, "horizon_end_min": 90.0, "interval_length_min": 30.0}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        sb.TollScheme(**{**times, name: value}, eta=np.zeros(2))
 
 
 @pytest.mark.parametrize("noisy", [False, True])
