@@ -36,15 +36,14 @@ constant demand and interval, a step that leaves the state exactly where
 it was repeats every later step of the run, so the loop fills the rest
 of the run with it.
 
-The loop (``_advance``) steps each run with one of two bodies, picked by
-a property of the run's tolls.  A run outside the tolling horizon, or in
-an interval whose delay rate ``omega[h]`` is 0.0, has a toll no state can
-change: the distance toll alone, or none.  Its inflow and, under the
-composition effect, the lowered top edge of the plateau are computed once
-before its loop, so a step computes only flow, outflow, the clamps and
-the state.  A run with a nonzero delay rate keeps the per-step speed,
-delay, toll and response.  So the warm-up, the cool-down and every
-interval of a distance-only scheme take the first body.
+The loop (``_advance``) steps every run with one body.  A run outside
+the tolling horizon, or in an interval whose delay rate ``omega[h]`` is
+0.0, has a toll no state can change: the distance toll alone, or none.
+Its inflow and, under the composition effect, the lowered top edge of
+the plateau are computed once before its steps, so the warm-up, the
+cool-down and every interval of a distance-only scheme step without
+recomputing a toll.  Only a run with a nonzero delay rate computes the
+speed, delay, toll and response at each step.
 
 The loop keeps only the state ``n``: density and flow are functions of
 it and the step's tolls, so one array pass derives them afterwards
@@ -94,6 +93,8 @@ class NfdCurve:
     q_max: float
 
     def __post_init__(self):
+        if not math.isfinite(self.k_jam):
+            raise ValueError(f"k_jam must be finite, got {self.k_jam!r}")
         if not (0 < self.k_cr_low <= self.k_cr_high < self.k_jam):
             raise ValueError("need 0 < k_cr_low <= k_cr_high < k_jam")
         if not 0 < self.q_max < math.inf:
@@ -106,9 +107,9 @@ class NfdCurve:
 
 
 def nfd_flow(k, curve: NfdCurve):
-    """Flow at density k (scalar or array). Densities outside [0, k_jam] raise."""
+    """Flow at density k (scalar or array). Densities outside [0, k_jam] or NaN raise."""
     k_arr = np.asarray(k, dtype=float)
-    if np.any(k_arr < 0) or np.any(k_arr > curve.k_jam):
+    if not np.all((k_arr >= 0) & (k_arr <= curve.k_jam)):
         raise SimulationError(f"density outside [0, {curve.k_jam}]")
     q = _curve_flow(k_arr, curve)
     return float(q) if np.isscalar(k) or k_arr.ndim == 0 else q
@@ -407,17 +408,16 @@ def _advance(n: float, runs, config: ReservoirConfig, curve: NfdCurve, eta, omeg
     min/max are spelled as the conditionals they reduce to, so every step
     rounds exactly like the numpy-scalar reference loop.
 
-    Each run is stepped by one of two loop bodies, picked once per run.  A
-    run outside the horizon (``h < 0``) or with ``omega[h] == 0.0`` has a
+    A run outside the horizon (``h < 0``) or with ``omega[h] == 0.0`` has a
     toll the state cannot change, the distance toll ``eta[h] * trip_km``
-    or none, so the constant-toll body computes the run's inflow and, with
-    the composition gain on, the plateau's lowered top edge before its
-    loop: a step does only the flow, the outflow, the drain and room
-    clamps, the range check and the store.  A run with a delay rate takes
-    the delay-toll body, which recomputes speed, delay, toll and response
-    at every step.  Both keep the reference's expressions and operand
-    order, and the toll response stays ``np.exp``: ``math.exp`` differs
-    from it in the last bits on some inputs, which moves the outputs.
+    or none, so its inflow and, with the composition gain on, the plateau's
+    lowered top edge are computed once before its steps.  Only a run with a
+    delay rate recomputes speed, delay, toll and response at each step,
+    which bend the flow and set the inflow; the outflow, the drain and room
+    clamps, the range check and the store follow for every run.  The
+    expressions and operand order are the reference's, and the toll
+    response stays ``np.exp``: ``math.exp`` differs from it in the last
+    bits on some inputs, which moves the outputs.
     """
     exp = np.exp
     dt_h = config.dt_s / 3600.0
@@ -433,82 +433,52 @@ def _advance(n: float, runs, config: ReservoirConfig, curve: NfdCurve, eta, omeg
     jam_span = k_jam - k_hi
     plateau = k_hi - k_lo
 
-    # the delay-toll body reuses the toll response while the toll repeats
+    # a run with a delay rate reuses the toll response while the toll repeats
     last_toll = resp = k_hi_eff = None
     k = n / lane_km
     for first, end, d, h in runs:
         om = omega[h] if h >= 0 else 0.0
-        if h < 0 or om == 0.0:
-            # constant toll: the composition shift, if any, lowers the plateau's
-            # top edge from k_hi to `top`, and the flow falls over `span` above it
-            inflow_run, top, span = d, k_hi, jam_span
-            toll = eta[h] * trip_km if h >= 0 else 0.0
-            if toll > 0.0:
-                inflow_run = d * float(exp(-elast * toll))
-                if comp_gain > 0.0:
-                    # rounding can put the lowered edge just below k_lo
-                    s = comp_gain * (1.0 - float(exp(-toll / vot)))
-                    top = k_hi - (s if s < 1.0 else 1.0) * plateau
-                    span = k_jam - top
-            for i in range(first, end):
-                if k <= k_lo:
-                    q = q_max * k / k_lo
-                elif k <= top:
-                    q = q_max
-                else:
-                    q = q_max * (k_jam - k) / span
-                outflow = q * lane_km / trip_km
-                drain = n / dt_h
-                if drain < outflow:
-                    outflow = drain
-                # receiving capacity: extra arrivals beyond jam accumulation are turned away
-                room = (n_max - n) / dt_h + outflow
-                inflow = inflow_run
-                if room < inflow:
-                    inflow = room
-                n_next = n + dt_h * (inflow - outflow)
-                if not (0.0 <= n_next <= 1e15):
-                    raise SimulationError(
-                        f"reservoir state became invalid at step {i} (n={n_next})")
-                n_out[i] = n_next
-                if n_next == n:
-                    # a fixed point: q and the inflow are functions of n and the
-                    # run's constants, so every later step repeats this one
-                    n_out[i + 1:end] = array("d", (n,)) * (end - i - 1)
-                    break
-                n = n_next
-                k = n / lane_km
-            continue
-        dist_toll = eta[h] * trip_km
+        dist_toll = eta[h] * trip_km if h >= 0 else 0.0
+        # the composition shift, if any, lowers the plateau's top edge from k_hi
+        # to `top`, and the flow falls over `span` above it
+        inflow_run, top, span = d, k_hi, jam_span
+        if not om and dist_toll > 0.0:
+            # a constant toll: its response and shift hold for the whole run
+            inflow_run = d * float(exp(-elast * dist_toll))
+            if comp_gain > 0.0:
+                # rounding can put the lowered edge just below k_lo
+                s = comp_gain * (1.0 - float(exp(-dist_toll / vot)))
+                top = k_hi - (s if s < 1.0 else 1.0) * plateau
+                span = k_jam - top
         for i in range(first, end):
-            # flow at k on the base curve; it also sets the speed the delay toll sees
             if k <= k_lo:
                 q = q_max * k / k_lo
-            elif k <= k_hi:
+            elif k <= top:
                 q = q_max
             else:
-                q = q_max * (k_jam - k) / jam_span
-            if k > 1e-12:
-                v = q / k
-                if v < 1e-6:
-                    v = 1e-6
-            else:
-                v = v_free
-            delay_h = trip_km / v - t_free
-            toll = dist_toll + om * (delay_h if delay_h > 0.0 else 0.0)
-            inflow = d
-            if toll > 0.0:
-                if toll != last_toll:
-                    last_toll = toll
-                    resp = float(exp(-elast * toll))
-                    if comp_gain > 0.0:
-                        # the composition shift lowers the plateau's top edge to
-                        # k_hi_eff <= k_hi, which rounding can put just below k_lo
-                        s = comp_gain * (1.0 - float(exp(-toll / vot)))
-                        k_hi_eff = k_hi - (s if s < 1.0 else 1.0) * plateau
-                if comp_gain > 0.0 and k > k_lo and k > k_hi_eff:
-                    q = q_max * (k_jam - k) / (k_jam - k_hi_eff)
-                inflow = d * resp
+                q = q_max * (k_jam - k) / span
+            inflow = inflow_run
+            if om:
+                # q is the base curve's flow here; it sets the speed the delay toll sees
+                if k > 1e-12:
+                    v = q / k
+                    if v < 1e-6:
+                        v = 1e-6
+                else:
+                    v = v_free
+                delay_h = trip_km / v - t_free
+                toll = dist_toll + om * (delay_h if delay_h > 0.0 else 0.0)
+                if toll > 0.0:
+                    if toll != last_toll:
+                        last_toll = toll
+                        resp = float(exp(-elast * toll))
+                        if comp_gain > 0.0:
+                            # the same shift, to k_hi_eff, for this step's toll
+                            s = comp_gain * (1.0 - float(exp(-toll / vot)))
+                            k_hi_eff = k_hi - (s if s < 1.0 else 1.0) * plateau
+                    if comp_gain > 0.0 and k > k_lo and k > k_hi_eff:
+                        q = q_max * (k_jam - k) / (k_jam - k_hi_eff)
+                    inflow = d * resp
             outflow = q * lane_km / trip_km
             drain = n / dt_h
             if drain < outflow:
@@ -591,14 +561,11 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
     shared prefix of intervals and a state that returns to an earlier
     run's before equal later tolls all come from that one lookup.  The
     memo keeps the slices of the last ``_MEMO_RUNS`` calls' worth of
-    segments, evicting the least recently used.  Stepping keeps the state
-    in Python floats and the toll response in ``np.exp`` (``math.exp``
-    rounds differently on some inputs), and fills the rest of a run from a
-    step that leaves the state unchanged.  Density and flow over the
-    horizon then come from one array pass over the n series, each interval
-    is averaged over its slice (one reshaped mean when the slices share a
-    length), and the toll vector is quantized and hashed once for the
-    noise of every interval (``_interval_noise``).
+    segments, evicting the least recently used.  Density and flow over
+    the horizon then come from one array pass over the n series, each
+    interval is averaged over its slice (one reshaped mean when the slices
+    share a length), and the toll vector is quantized and hashed once for
+    the noise of every interval (``_interval_noise``).
 
     The call steps only to the end of the tolling horizon, since the
     aggregates read nothing after it.  The untolled steps after the horizon

@@ -75,8 +75,8 @@ def approx_gradient(evaluator: Evaluator, tau, c_i: float, delta):
     """
     tau = as_vector(tau)
     delta = as_vector(delta, tau.size)
-    if c_i <= 0:
-        raise ValueError("c_i must be positive")
+    if not 0 < c_i < math.inf:  # a comparison with NaN is False
+        raise ValueError(f"c_i must be positive and finite, got {c_i!r}")
     if np.any(np.abs(delta) != 1.0):
         raise ValueError("delta must be a +-1 vector")
     return _two_point(lambda a, b: [ev.value for ev in evaluator.evaluate_pair(a, b)],

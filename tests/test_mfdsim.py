@@ -57,6 +57,17 @@ def test_nfd_curve_validation_and_speed():
         sb.NfdCurve(30.0, 20.0, 80.0, 600.0)
     with pytest.raises(ValueError):
         sb.NfdCurve(20.0, 90.0, 80.0, 600.0)
+    for k_jam in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="k_jam must be finite"):
+            sb.NfdCurve(15.0, 15.0, k_jam, 600.0)
+
+
+def test_nfd_flow_refuses_nan_densities():
+    # a NaN compares False with both ends of [0, k_jam]
+    with pytest.raises(sb.SimulationError, match="density outside"):
+        sb.nfd_flow(math.nan, TRAPEZOID)
+    with pytest.raises(sb.SimulationError, match="density outside"):
+        sb.nfd_flow([1.0, math.nan], TRAPEZOID)
 
 
 def test_numerical_noise_contract():
@@ -551,7 +562,7 @@ def test_zero_toll_run_skips_its_fixed_points():
 
 
 def _mixed_regime_profiles(problem):
-    """Toll vectors whose intervals mix the step loop's two bodies.
+    """Toll vectors whose intervals mix runs with and without a delay rate.
 
     Each puts some delay rates at exactly zero (a constant-toll run, with or
     without a distance toll) and others at the upper bound or in between (a
@@ -571,7 +582,7 @@ def _mixed_regime_profiles(problem):
         if j % 3 == 1:
             eta[on::2] = 0.0  # a delay rate alone
         profiles.append(tau)
-    profiles[-1][m] = -0.0  # a zero of either sign picks the constant-toll body
+    profiles[-1][m] = -0.0  # a zero of either sign is a run with no delay rate
     return profiles
 
 
@@ -587,6 +598,32 @@ def test_constant_and_delay_toll_runs_match_reference_bit_for_bit(name):
         for seed in (0, 5):
             assert_same_output(sb.run_reservoir(cfg, curve, scheme, seed),
                                reference_run_reservoir(cfg, curve, scheme, seed))
+
+
+@pytest.mark.parametrize("name", ["complex", "composition_flow"])
+def test_tolls_below_zero_leave_demand_unscaled(name):
+    """A negative distance rate, a subsidy, scales no demand in either kind of run.
+
+    The distance rates alternate -0.2 and 0.3 and the delay rates 0.0 and
+    4.0, in step and out of step, so a subsidy falls in runs with and
+    without a delay rate.  In step, setting the subsidy to zero keeps every
+    series' bits.
+    """
+    problem = bench.get_problem(name)
+    cfg, curve, template = (problem.scenario[key] for key in ("config", "curve", "template"))
+    m = template.m_intervals
+    eta = np.resize([-0.2, 0.3], m)
+    in_step = np.resize([0.0, 4.0], m)
+    for omega in (in_step, in_step[::-1]):
+        scheme = template.with_tau(np.concatenate([eta, omega]))
+        for seed in (0, 5):
+            assert_same_output(sb.run_reservoir(cfg, curve, scheme, seed),
+                               reference_run_reservoir(cfg, curve, scheme, seed))
+    subsidy = template.with_tau(np.concatenate([eta, in_step]))
+    unpaid = template.with_tau(np.concatenate([np.where(eta < 0.0, 0.0, eta), in_step]))
+    a, b = sb.run_reservoir(cfg, curve, subsidy, 0), sb.run_reservoir(cfg, curve, unpaid, 0)
+    for field in ("n", "k", "q", "k_bar_clean", "q_bar_clean"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
 
 @pytest.mark.parametrize("scenario, eta, interval, repeats", [

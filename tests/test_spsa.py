@@ -111,6 +111,15 @@ def test_gradient_rejects_bad_inputs():
         sb.approx_gradient(ev, [0.5, 0.5], 0.1, [1.0, 0.5])
 
 
+@pytest.mark.parametrize("c_i", [float("nan"), float("inf"), 0.0])
+def test_gradient_refuses_a_step_that_is_not_positive_and_finite(c_i):
+    # NaN and inf pass a c_i <= 0 test; they must fail before any evaluation
+    ev = sb.Evaluator(linear, budget=None, seed=0)
+    with pytest.raises(ValueError, match="c_i must be positive and finite"):
+        sb.approx_gradient(ev, [0.5, 0.5], c_i, [1.0, 1.0])
+    assert ev.trace.records == [] and ev.used == 0
+
+
 # -------------------------------------------------------------------- gains
 
 
