@@ -157,8 +157,8 @@ def maximin_lhs(n: int, m_dim: int, seed: int = 0) -> np.ndarray:
 class FitConfig:
     """Hyperparameter search settings; fixed theta or lam bypass the search.
 
-    ``n_starts`` and ``max_sweeps`` must be integers >= 1 and ``n_probe`` an
-    integer >= 0, or ValueError names the field.
+    ``n_starts`` and ``max_sweeps`` must be integers >= 1 and ``n_probe`` and
+    ``seed`` integers >= 0, or ValueError names the field.
     """
 
     n_starts: int = 20
@@ -170,7 +170,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("n_starts", 1), ("n_probe", 0), ("max_sweeps", 1)):
+        for name, least in (("n_starts", 1), ("n_probe", 0), ("max_sweeps", 1), ("seed", 0)):
             value = getattr(self, name)
             if not (_is_int(value) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -733,13 +733,16 @@ def _pattern_search(model: KrigingModel, y_min: float, use_reinterp: bool, predi
 
     Each sweep polls every coordinate step of every live start in one EI
     batch and moves each start along its best feasible improving direction,
-    halving stalled step sizes.  A start's path reads only its own rows of
+    halving stalled step sizes.  The step back to a start's point before its
+    last move has the EI the start rose from, so it can never qualify and
+    gets no EI row.  A start's path reads only its own rows of
     each batch (EI and the row mask are row-wise), so a split of the starts
     gives the same ends.
     """
     pts, vals = np.array(pts, dtype=float), np.array(vals, dtype=float)
     k = pts.shape[0]
     steps = np.full(k, 0.25)
+    prev = np.full_like(pts, np.nan)  # each start's point before its last move
     # direction d moves coordinate dim[d] by sgn[d] steps
     dim = np.repeat(np.flatnonzero(bounds.span > 0), 2)
     sgn = np.tile([1.0, -1.0], dim.size // 2)
@@ -753,9 +756,9 @@ def _pattern_search(model: KrigingModel, y_min: float, use_reinterp: bool, predi
                        bounds.lower[dim], bounds.upper[dim])
         cand = np.repeat(base[:, None, :], n_dir, axis=1)
         cand[:, np.arange(n_dir), dim] = cols
-        # EI rows do not depend on their batch, so only the changed
-        # feasible candidates need it; the rest stay at -inf
-        mask = cols != base[:, dim]
+        # EI rows do not depend on their batch, so only the changed feasible
+        # candidates that do not step back need it; the rest stay at -inf
+        mask = (cols != base[:, dim]) & (cols != prev[live][:, dim])
         if predicate is not None and np.any(mask):
             mask[mask] = _row_mask(predicate, cand[mask])
         ei_mat = np.full((live.size, n_dir), -np.inf)
@@ -767,6 +770,7 @@ def _pattern_search(model: KrigingModel, y_min: float, use_reinterp: bool, predi
         rows = np.flatnonzero(np.any(ok, axis=1))
         d = np.argmax(np.where(ok[rows], ei_mat[rows], -np.inf), axis=1)
         i = live[rows]
+        prev[i] = pts[i]
         pts[i] = cand[rows, d]
         vals[i] = ei_mat[rows, d]
         moved = np.zeros(k, dtype=bool)

@@ -23,18 +23,22 @@ steps grouped into runs of constant demand and tolling interval, and the
 m + 1 segments a call walks, the untolled warm-up and then each tolling
 interval's contiguous slice of steps.  The state is Markov, so a
 segment's steps depend only on the bits of the state before it and of
-its interval's (eta_h, omega_h).  Beside each plan sits an LRU memo of
-segment slices keyed by exactly those bits: a call copies every segment
-it finds there and steps the others, so an exact repeat steps nothing, a
-call that shares leading intervals with an earlier one steps from the
-first that differs, and a call whose state before an interval returns to
-an earlier run's, with the same tolls from there, copies its steps again.
+its interval's (eta_h, omega_h).  Beside each plan sits an LRU memo keyed
+by exactly those bits, holding what a later call reads of a segment: the
+state at its end and, for a tolling interval, its clean density and flow
+means.  A call takes every segment it finds there and steps the others,
+so an exact repeat steps nothing, a call that shares leading intervals
+with an earlier one steps from the first that differs, and a call whose
+state before an interval returns to an earlier run's, with the same
+tolls from there, takes the rest from the memo.  The seed moves only the
+noise on the means, so a solver whose later seeds ask for the tolls its
+first seed asked for, as DIRECT's do, reuses what that seed simulated.
 No objective reads a step after the tolling horizon, so a call stops
-there: the untolled cool-down is stepped on the first read of the
-output's series, from the state at the horizon's end.  Inside a run of
-constant demand and interval, a step that leaves the state exactly where
-it was repeats every later step of the run, so the loop fills the rest
-of the run with it.
+there and keeps no series: the first read of the output's ``n``, ``k``
+or ``q`` steps the whole profile from step 0.  Inside a run of constant
+demand and interval, a step that leaves the state exactly where it was
+repeats every later step of the run, so the loop fills the rest of the
+run with it.
 
 The loop (``_advance``) steps every run with one body.  A run outside
 the tolling horizon, or in an interval whose delay rate ``omega[h]`` is
@@ -73,9 +77,10 @@ class SimulationError(SboError):
 
 
 _TOLL_QUANTUM = 1e-4
-# the segment memo of a step plan holds this many calls' worth of slices,
-# _MEMO_RUNS * (m + 1), about 1 MB on `complex`
-_MEMO_RUNS = 16
+# the segment memo of a step plan holds this many calls' worth of segments,
+# _MEMO_RUNS * (m + 1) entries: 576 on `complex`, about 0.2 MB, twice the
+# segments one budget-100 DIRECT run there steps, so its later seeds find them
+_MEMO_RUNS = 64
 
 
 @dataclass(frozen=True)
@@ -245,11 +250,11 @@ class SimOutput:
     scenario's noise; ``k_bar_clean`` and ``q_bar_clean`` are the same
     means without it.
 
-    An output of ``run_reservoir`` has stepped only to the end of the
-    tolling horizon, and has kept only ``n``.  The first read of ``n``,
-    ``k`` or ``q`` steps the rest and derives ``k`` and ``q`` from ``n``,
-    so that read can raise SimulationError; a read after a failed one steps
-    the rest again.
+    An output of ``run_reservoir`` keeps no series: its call stepped only
+    the tolling horizon's segments the memo lacked.  The first read of
+    ``n``, ``k`` or ``q`` steps the whole profile from step 0 and derives
+    ``k`` and ``q`` from ``n``, so that read can raise SimulationError; a
+    read after a failed one steps the profile again.
     """
 
     def __init__(self, t_s, n, k, q, k_bar, q_bar, k_bar_clean, q_bar_clean):
@@ -357,12 +362,12 @@ def _step_plan(config: ReservoirConfig, curve: NfdCurve, start_min: float,
     interval h's (first, end) step range; the slices are contiguous.
     ``interval`` holds each step's interval index, -1 outside the horizon,
     and ``width`` the length the slices share, 0 when they differ.
-    ``memo`` starts empty; run_reservoir keeps there the n slices of the
-    segments it stepped on this plan, as immutable bytes keyed by the
-    segment, the bits of the state before it and the bits of its interval's
-    tolls, so that no caller can write into the cache.  Raises ValueError
-    if a tolling interval holds no step.  A process uses a few scenarios,
-    so 16 plans are kept.
+    ``memo`` starts empty; run_reservoir keeps there, for each segment it
+    stepped on this plan, a tuple (bits of the state at the segment's end,
+    that state, clean k mean, clean q mean), the means None for the
+    warm-up, keyed by the segment, the bits of the state before it and the
+    bits of its interval's tolls.  Raises ValueError if a tolling interval
+    holds no step.  A process uses a few scenarios, so 16 plans are kept.
     """
     n_steps = int(round(config.horizon_min * 60.0 / config.dt_s))
     step_min = config.dt_s / 60.0
@@ -553,26 +558,28 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
     The step plan (the steps as runs of constant demand and interval, and
     the call's segments: the untolled warm-up, then each interval's
     contiguous slice of steps) is cached per scenario and horizon, with a
-    memo of the n slices of the segments its recent calls stepped.  The
-    state is Markov, so a segment's steps depend only on the bits of the
-    state before it and of its interval's tolls: the call walks the
-    segments in order and, for each, copies the memo's slice under those
-    bits or steps the segment and stores its slice.  An exact repeat, a
-    shared prefix of intervals and a state that returns to an earlier
-    run's before equal later tolls all come from that one lookup.  The
-    memo keeps the slices of the last ``_MEMO_RUNS`` calls' worth of
-    segments, evicting the least recently used.  Density and flow over
-    the horizon then come from one array pass over the n series, each
-    interval is averaged over its slice (one reshaped mean when the slices
-    share a length), and the toll vector is quantized and hashed once for
-    the noise of every interval (``_interval_noise``).
+    memo of the segments its recent calls stepped.  The state is Markov,
+    so a segment's steps depend only on the bits of the state before it
+    and of its interval's tolls: the call walks the segments in order and,
+    for each, takes the state at its end and its interval's clean means
+    from the memo under those bits, or steps the segment from that state.
+    An exact repeat, a shared prefix of intervals, a state that returns to
+    an earlier run's before equal later tolls and a later seed's repeat of
+    the same tolls all come from that one lookup.  The memo keeps the last
+    ``_MEMO_RUNS`` calls' worth of segments, evicting the least recently
+    used.  After the walk, one array pass over the stepped range derives
+    density and flow, each stepped interval is averaged over its slice (one
+    reshaped mean when the slices share a length), and the means go to the
+    output and the memo; a segment whose steps raise leaves no memo entry,
+    while those stepped before it keep theirs.  The toll vector is
+    quantized and hashed once for the noise of every interval
+    (``_interval_noise``).
 
-    The call steps only to the end of the tolling horizon, since the
-    aggregates read nothing after it.  The untolled steps after the horizon
-    run on the first read of the output's ``n``, ``k`` or ``q``, from the
-    output's own state at the horizon's end, not from the memo; a
-    SimulationError there is raised by that read, not by this call, and a
-    segment whose steps raise leaves no memo entry.
+    The call keeps no series, since the aggregates read nothing but the
+    means: the first read of the output's ``n``, ``k`` or ``q`` steps the
+    whole profile from step 0 (``_full_series``), so a SimulationError in
+    the untolled steps after the horizon is raised by that read, not by
+    this call.
     """
     if scheme.horizon_end_min > config.horizon_min + 1e-9:
         raise ValueError("tolling horizon extends beyond the demand profile")
@@ -583,35 +590,47 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
         scheme.interval_length_min, m)
     eta = scheme.eta
     omega = scheme.omega if scheme.joint else np.zeros(m)
-    eta_list, omega_list = eta.tolist(), omega.tolist()
     bits = np.column_stack((eta, omega)).tobytes()
     tolls = (b"", *(bits[16 * h:16 * h + 16] for h in range(m)))  # per segment
-    start, end = slices[0][0], slices[-1][1]
+    k_bar_clean = np.empty(m)
+    q_bar_clean = np.empty(m)
 
-    n = array("d", bytes(8 * end))
-    state = bytes(8)  # the bits of the state before the segment, n = 0 at first
-    for s, (first, stop, run, run_end) in enumerate(segments):
-        key = (s, state, tolls[s])
-        seg = memo.get(key)
-        if seg is None:
-            _advance(n[first - 1] if first else 0.0, runs[run:run_end], config, curve,
-                     eta_list, omega_list, n)
-            seg = memo[key] = n[first:stop].tobytes()
-            if len(memo) > _MEMO_RUNS * len(segments):
-                memo.popitem(last=False)
-        else:
-            memo.move_to_end(key)
-            n[first:stop] = array("d", seg)
-        state = seg[-8:] or state  # an empty warm-up leaves the state at 0
-    k, q = _density_flow(np.frombuffer(n, dtype=float), start, end, interval, config,
-                         curve, eta, omega)
-
-    if width:
-        k_bar_clean = k.reshape(m, width).mean(axis=1)
-        q_bar_clean = q.reshape(m, width).mean(axis=1)
-    else:
-        k_bar_clean = np.array([np.mean(k[a - start:b - start]) for a, b in slices])
-        q_bar_clean = np.array([np.mean(q[a - start:b - start]) for a, b in slices])
+    n = None  # the horizon's states, made on the first segment the memo lacks
+    missed = []  # (segment, key, state bits, state) of each segment stepped
+    state, value = bytes(8), 0.0  # the state before the segment, n = 0 at first
+    try:
+        for s, (first, stop, run, run_end) in enumerate(segments):
+            key = (s, state, tolls[s])
+            entry = memo.get(key)
+            if entry is None:
+                if n is None:
+                    n = array("d", bytes(8 * slices[-1][1]))
+                    eta_list, omega_list = eta.tolist(), omega.tolist()
+                if first:
+                    n[first - 1] = value
+                _advance(value, runs[run:run_end], config, curve, eta_list, omega_list, n)
+                if stop > first:  # an empty warm-up leaves the state at 0
+                    value = n[stop - 1]
+                    state = n[stop - 1:stop].tobytes()
+                missed.append((s, key, state, value))
+            else:
+                memo.move_to_end(key)
+                state, value, k_mean, q_mean = entry
+                if s:
+                    k_bar_clean[s - 1] = k_mean
+                    q_bar_clean[s - 1] = q_mean
+    finally:
+        # the segments stepped before one that raised are stored too
+        stepped = [s - 1 for s, *_ in missed if s]
+        if stepped:
+            k_bar_clean[stepped], q_bar_clean[stepped] = _interval_means(
+                n, stepped, slices, width, interval, config, curve, eta, omega)
+        k_means, q_means = k_bar_clean.tolist(), q_bar_clean.tolist()
+        for s, key, state, value in missed:
+            memo[key] = (state, value, k_means[s - 1], q_means[s - 1]) if s else (
+                state, value, None, None)
+        for _ in range(len(memo) - _MEMO_RUNS * len(segments)):
+            memo.popitem(last=False)
 
     k_bar = k_bar_clean.copy()
     q_bar = q_bar_clean.copy()
@@ -634,23 +653,37 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
         k_bar_clean=k_bar_clean, q_bar_clean=q_bar_clean,
     )
     # copies: scheme.eta and omega can be views of the caller's toll vector
-    out._pending = functools.partial(_full_series, n, runs[segments[-1][3]:], interval,
-                                     config, curve, eta.copy(), omega.copy())
+    out._pending = functools.partial(_full_series, runs, interval, config, curve,
+                                     eta.copy(), omega.copy())
     return out
 
 
-def _full_series(n: array, runs, interval: np.ndarray, config: ReservoirConfig,
-                 curve: NfdCurve, eta: np.ndarray, omega: np.ndarray) -> tuple:
-    """n, k and q over every step: the stepped ``n``, ``runs`` stepped on, k and q derived.
+def _interval_means(n: array, stepped: list, slices, width: int, interval: np.ndarray,
+                    config: ReservoirConfig, curve: NfdCurve, eta: np.ndarray,
+                    omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clean k and q means of the tolling intervals ``stepped``, in ascending order.
 
-    ``runs`` are the untolled runs after the horizon, so the loop needs no
-    tolls.  They are stepped into a copy, which leaves ``n`` as it was if a
-    step raises.
+    One array pass derives k and q over the steps from the first of them to
+    the last.  An interval between them that came from the memo left its
+    steps unwritten in ``n``, so its rows of that pass are dropped.
     """
-    if runs:
-        first = runs[0][0]
-        n = n + array("d", bytes(8 * (runs[-1][1] - first)))
-        _advance(n[first - 1], runs, config, curve, (), (), n)
+    start, end = slices[stepped[0]][0], slices[stepped[-1]][1]
+    k, q = _density_flow(np.frombuffer(n, dtype=float), start, end, interval, config,
+                         curve, eta, omega)
+    if width:
+        rows = np.subtract(stepped, stepped[0])
+        return (k.reshape(-1, width).mean(axis=1)[rows],
+                q.reshape(-1, width).mean(axis=1)[rows])
+    parts = [slices[h] for h in stepped]
+    return (np.array([np.mean(k[a - start:b - start]) for a, b in parts]),
+            np.array([np.mean(q[a - start:b - start]) for a, b in parts]))
+
+
+def _full_series(runs, interval: np.ndarray, config: ReservoirConfig, curve: NfdCurve,
+                 eta: np.ndarray, omega: np.ndarray) -> tuple:
+    """n, k and q over every step: ``runs`` stepped from n = 0 at step 0, k and q derived."""
+    n = array("d", bytes(8 * interval.size))
+    _advance(0.0, runs, config, curve, eta.tolist(), omega.tolist(), n)
     n = np.frombuffer(n, dtype=float)
     return (n, *_density_flow(n, 0, n.size, interval, config, curve, eta, omega))
 

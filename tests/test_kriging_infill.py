@@ -245,8 +245,9 @@ def reference_propose_infill(model, y_min, predicate, bounds, seed, sampler=None
     """The sweep before the predicate moved ahead of EI: EI on every changed
     candidate, the predicate only on the improving ones, per-row argsort.
 
-    Returns the proposal and the sweep candidate counts: changed, and
-    changed and feasible.
+    Returns the proposal and the sweep candidate counts: changed, changed
+    and feasible, and of those the steps back to a start's point before its
+    last move.
     """
     rng = np.random.default_rng(seed)
     m = bounds.m_dim
@@ -271,7 +272,8 @@ def reference_propose_infill(model, y_min, predicate, bounds, seed, sampler=None
     dim = np.repeat(np.flatnonzero(bounds.span > 0), 2)
     sgn = np.tile([1.0, -1.0], dim.size // 2)
     n_dir = dim.size
-    counts = {"changed": 0, "feasible": 0}
+    counts = {"changed": 0, "feasible": 0, "back": 0}
+    prev = np.full_like(pts, np.nan)
     for _ in range(kriging._INFILL_SWEEPS):
         live = np.where(steps >= kriging._INFILL_MIN_STEP)[0]
         if live.size == 0:
@@ -286,8 +288,11 @@ def reference_propose_infill(model, y_min, predicate, bounds, seed, sampler=None
         if np.any(changed):
             ei_mat[changed] = _ei(model, cand[changed], y_min)
         counts["changed"] += int(changed.sum())
-        counts["feasible"] += int(changed.sum() if predicate is None
-                                  else predicate(cand[changed]).sum())
+        feasible = changed.copy()
+        if predicate is not None and np.any(changed):
+            feasible[changed] = predicate(cand[changed])
+        counts["feasible"] += int(feasible.sum())
+        counts["back"] += int((feasible & (cand == prev[live, None]).all(axis=2)).sum())
         ok = ~(ei_mat <= vals[live, None] + 1e-15)
         if predicate is not None and np.any(ok):
             ok[ok] = predicate(cand[ok])
@@ -296,6 +301,7 @@ def reference_propose_infill(model, y_min, predicate, bounds, seed, sampler=None
             order = np.argsort(ei_mat[row])[::-1]
             d = order[ok[row, order]][0]
             i = live[row]
+            prev[i] = pts[i]
             pts[i], vals[i], moved[i] = cand[row, d], ei_mat[row, d], True
         steps[~moved] *= 0.5
     best = int(np.argmax(vals))
@@ -331,11 +337,79 @@ def test_sweep_matches_reference_and_skips_wasted_ei(case, seed, monkeypatch):
 
     sweeps = [b for b in batches if len(b) != kriging._INFILL_PROBE]
     # every row reaching EI in a sweep is a feasible changed candidate, and
-    # every such candidate does
-    assert sum(map(len, sweeps)) == counts["feasible"]
+    # every such candidate does but the step back to a start's previous point
+    assert sum(map(len, sweeps)) == counts["feasible"] - counts["back"]
+    assert counts["back"] > 0
     if predicate is not None:
         assert all(predicate(b).all() for b in sweeps)
         assert counts["feasible"] < counts["changed"]
+
+
+def every_step_pattern_search(model, y_min, use_reinterp, predicate, bounds, pts, vals):
+    """``kriging._pattern_search`` as it was before it skipped the step back:
+    EI on every changed feasible candidate.  Returns the ends, their EI and
+    the EI rows asked for."""
+    pts, vals = np.array(pts, dtype=float), np.array(vals, dtype=float)
+    k = pts.shape[0]
+    steps = np.full(k, 0.25)
+    dim = np.repeat(np.flatnonzero(bounds.span > 0), 2)
+    sgn = np.tile([1.0, -1.0], dim.size // 2)
+    n_dir = dim.size
+    rows_asked = 0
+    for _ in range(kriging._INFILL_SWEEPS):
+        live = np.where(steps >= kriging._INFILL_MIN_STEP)[0]
+        if live.size == 0 or n_dir == 0:
+            break
+        base = pts[live]
+        cols = np.clip(base[:, dim] + sgn * steps[live, None] * bounds.span[dim],
+                       bounds.lower[dim], bounds.upper[dim])
+        cand = np.repeat(base[:, None, :], n_dir, axis=1)
+        cand[:, np.arange(n_dir), dim] = cols
+        mask = cols != base[:, dim]
+        if predicate is not None and np.any(mask):
+            mask[mask] = kriging._row_mask(predicate, cand[mask])
+        ei_mat = np.full((live.size, n_dir), -np.inf)
+        if np.any(mask):
+            ei_mat[mask] = _ei(model, cand[mask], y_min, use_reinterp)
+            rows_asked += int(mask.sum())
+        ok = ~(ei_mat <= vals[live, None] + 1e-15)
+        rows = np.flatnonzero(np.any(ok, axis=1))
+        d = np.argmax(np.where(ok[rows], ei_mat[rows], -np.inf), axis=1)
+        i = live[rows]
+        pts[i] = cand[rows, d]
+        vals[i] = ei_mat[rows, d]
+        moved = np.zeros(k, dtype=bool)
+        moved[i] = True
+        steps[~moved] *= 0.5
+    return pts, vals, rows_asked
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", ["band16", "plain2"])
+@pytest.mark.parametrize("use_reinterp", [True, False])
+def test_pattern_search_skips_the_step_back_and_keeps_its_ends(case, seed, use_reinterp,
+                                                               monkeypatch):
+    if case == "band16":
+        model, y, predicate, sampler = band_model(30 + 10 * seed, seed)
+        bounds = sb.Bounds.unit(16)
+        starts = sampler(np.random.default_rng(seed + 10), 12, bounds)
+    else:
+        model, _, y = wavy_model(lam=10.0 ** -(seed + 2))
+        predicate, bounds = None, UNIT2
+        starts = np.random.default_rng(seed + 10).random((12, 2))
+    y_min = float(np.min(y))
+    vals = _ei(model, starts, y_min, use_reinterp)
+    want_pts, want_vals, every = every_step_pattern_search(
+        model, y_min, use_reinterp, predicate, bounds, starts, vals)
+
+    asked = []
+    monkeypatch.setattr(kriging, "expected_improvement",
+                        lambda model, x, *args: asked.append(len(x)) or _ei(model, x, *args))
+    pts, got_vals = kriging._pattern_search(model, y_min, use_reinterp, predicate, bounds,
+                                            starts, vals)
+    assert pts.tobytes() == want_pts.tobytes()
+    assert got_vals.tobytes() == want_vals.tobytes()
+    assert sum(asked) < every
 
 
 # ------------------------------------------------- the pair helper's halves

@@ -468,6 +468,7 @@ def test_fits_from_several_threads_share_one_helper(kriging_helper):
     ("n_starts", 0), ("n_starts", 2.5), ("n_starts", float("nan")),
     ("max_sweeps", 0), ("max_sweeps", 3.0), ("max_sweeps", float("nan")),
     ("n_probe", -1), ("n_probe", 4.5), ("n_probe", float("nan")),
+    ("seed", float("nan")), ("seed", float("inf")), ("seed", 1.5), ("seed", -1), ("seed", True),
 ])
 def test_fit_config_refuses_counts_out_of_range(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer >= "):

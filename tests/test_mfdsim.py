@@ -1,6 +1,7 @@
 """Reservoir dynamics, noise model, and the flow-density curve."""
 
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ import sbopt as sb
 from sbopt import bench
 from sbopt.bench.problems import (complex_toll_scenario, composition_scenario,
                                   simple_toll_scenario)
-from sbopt import mfdsim
+from sbopt import _pair, mfdsim
 from sbopt.mfdsim import _MEMO_RUNS, _derived_seed, _step_plan
 
 TRAPEZOID = sb.NfdCurve(k_cr_low=20.0, k_cr_high=30.0, k_jam=80.0, q_max=600.0)
@@ -692,10 +693,10 @@ def test_checkpoints_match_a_cold_cache_bit_for_bit(moves, late, seed):
         taus.append(tau)
     _step_plan.cache_clear()
     warm = [sb.run_reservoir(_COARSE, curve, template.with_tau(t), seed) for t in taus]
-    # evict every tolled slice before any series is read: each of these vectors
+    # evict every tolled entry before any series is read: each of these vectors
     # puts both rates of every interval at the fraction (j + 0.5) / calls of the
-    # range, never lo or the middle, so each call stores m new slices, and
-    # enough calls run to fill the memo's _MEMO_RUNS * (m + 1) slices
+    # range, never lo or the middle, so each call stores m new entries, and
+    # enough calls run to fill the memo's _MEMO_RUNS * (m + 1) entries
     m = template.m_intervals
     calls = -(-_MEMO_RUNS * (m + 1) // m)
     for j in range(calls):
@@ -725,7 +726,7 @@ def stepped(monkeypatch):
 
 @pytest.mark.parametrize("coord", [2, 5, 13])
 def test_reconverged_state_resumes_from_a_checkpoint(stepped, coord):
-    """A call whose state returns to an earlier call's copies the steps after it."""
+    """A call whose state returns to an earlier call's takes the rest from the memo."""
     cfg, curve, template = complex_toll_scenario()
     lo, hi = _COMPLEX.bounds.lower, _COMPLEX.bounds.upper
     tau = lo.copy()
@@ -780,23 +781,78 @@ def test_memo_steps_no_more_than_prefix_resume_and_rejoin(stepped, solver, most)
     assert sum(stepped) <= most
 
 
-def test_memo_holds_one_slice_per_segment_key():
+def test_direct_later_seed_steps_what_its_first_seed_left(stepped, monkeypatch, tmp_path):
+    """DIRECT asks a later seed for the tolls it asked seed 0 for.
+
+    The seed moves only the noise on the interval means, never the state,
+    so seed 1 finds its segments in the memo.  With the pair helper off,
+    every evaluation runs here.
+    """
+    monkeypatch.setattr(_pair, "two_cpus", lambda: False)
+    _step_plan.cache_clear()
+    bench.run_single(_COMPLEX, "direct", 100, 0)
+    first = sum(stepped)
+    stepped.clear()
+    warm = bench.run_single(_COMPLEX, "direct", 100, 1)
+    assert sum(stepped) <= 0.02 * first
+    _step_plan.cache_clear()
+    cold = bench.run_single(_COMPLEX, "direct", 100, 1)
+    sb.write_trace_csv(warm, tmp_path / "warm.csv")
+    sb.write_trace_csv(cold, tmp_path / "cold.csv")
+    assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["complex", "simple", "composition_flow"])
+def test_outputs_taken_from_the_memo_match_a_cold_call(stepped, name):
+    """A later seed over 40 profiles steps nothing, and its outputs are a cold call's."""
+    problem = bench.get_problem(name)
+    cfg, curve, template = (problem.scenario[key] for key in ("config", "curve", "template"))
+    lo, hi = problem.bounds.lower, problem.bounds.upper
+    rng = np.random.default_rng(7)
+    schemes = [template.with_tau(lo + rng.random(lo.size) * (hi - lo)) for _ in range(40)]
+    _step_plan.cache_clear()
+    for scheme in schemes:
+        sb.run_reservoir(cfg, curve, scheme, 0)
+    stepped.clear()
+    warm = [sb.run_reservoir(cfg, curve, scheme, 5) for scheme in schemes]
+    assert stepped == []
+    for scheme, out in zip(schemes, warm):
+        _step_plan.cache_clear()
+        assert_same_output(out, sb.run_reservoir(cfg, curve, scheme, 5))
+
+
+def test_memo_holds_the_end_state_and_means_of_each_segment_key():
     cfg, curve, template = complex_toll_scenario()
     lo, hi = _COMPLEX.bounds.lower, _COMPLEX.bounds.upper
     m = template.m_intervals
     _step_plan.cache_clear()
     rng = np.random.default_rng(3)
-    for _ in range(_MEMO_RUNS + 4):
-        sb.run_reservoir(cfg, curve, template.with_tau(lo + rng.random(16) * (hi - lo)), 0)
-    _, _, segments, *_, memo = _step_plan(
+    # every call shares the warm-up and stores m new intervals, so these fill the memo
+    calls = -(-_MEMO_RUNS * (m + 1) // m) + 4
+    for _ in range(calls):
+        tau = lo + rng.random(16) * (hi - lo)
+        out = sb.run_reservoir(cfg, curve, template.with_tau(tau), 0)
+    _, _, segments, slices, *_, memo = _step_plan(
         cfg, curve, template.horizon_start_min, template.horizon_end_min,
         template.interval_length_min, m)
     assert len(segments) == m + 1
     assert len(memo) == _MEMO_RUNS * (m + 1)
-    for (s, state, tolls), buf in memo.items():
-        first, end = segments[s][:2]
+    for (s, state, tolls), entry in memo.items():
         assert (len(state), len(tolls)) == (8, 16 if s else 0)
-        assert type(buf) is bytes and len(buf) == 8 * (end - first)
+        end_bits, end, k_mean, q_mean = entry
+        assert type(end_bits) is bytes and end_bits == struct.pack("d", end)
+        assert type(end) is float
+        if s:
+            assert type(k_mean) is float and type(q_mean) is float
+        else:
+            assert k_mean is None and q_mean is None
+    # the last call's entries hold its states at each segment's end and its means
+    state = struct.pack("d", out.n[segments[0][1] - 1])
+    for h, (first, end) in enumerate(slices):
+        entry = memo[(h + 1, state, tau[[h, m + h]].tobytes())]
+        assert entry[0] == struct.pack("d", out.n[end - 1])
+        assert (entry[2], entry[3]) == (out.k_bar_clean[h], out.q_bar_clean[h])
+        state = entry[0]
 
 
 @pytest.mark.parametrize("nan_segment, omega", [
