@@ -15,12 +15,11 @@ import numpy as np
 
 from ..constraints import (PenaltyTransform, SmoothingSpec, band_map, feasible_mask,
                            penalty_weight_from_probe)
-from ..core import Bounds
+from ..core import _NON_NEGATIVE, Bounds, _check
 from ..mfdsim import (
     NfdCurve,
     ReservoirConfig,
     TollScheme,
-    _check_amplitude,
     apply_numerical_noise,
     objective_density,
     objective_flow,
@@ -96,7 +95,7 @@ def quadratic_problem(m: int = 2, amplitude: float = 0.05) -> Problem:
     which makes the surface non-smooth while keeping f(tau, seed) a pure
     function; set it to 0 for the clean bowl.
     """
-    _check_amplitude(amplitude)
+    _check("amplitude", amplitude, _NON_NEGATIVE)
     center = np.array([0.3 if j % 2 == 0 else 0.7 for j in range(m)])
 
     def objective(tau, seed):

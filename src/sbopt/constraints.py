@@ -11,12 +11,12 @@ DIRECT and SPSA add, ``band_map`` to map unit-cube rows into the band.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, _is_int
+from .core import (_NON_NEGATIVE, _POSITIVE, DimensionMismatch, _at_least, _check,
+                   _check_fields, _ruled)
 
 # penalty_weight_from_probe: weight per unit of typical objective magnitude
 _PROBE_FACTOR = 100.0
@@ -26,17 +26,12 @@ _PROBE_FACTOR = 100.0
 class SmoothingSpec:
     """Maximum allowed change between consecutive tolling intervals."""
 
-    alpha_smooth: float
-    beta_smooth: float
-    m_intervals: int
+    alpha_smooth: float = _ruled(_POSITIVE)
+    beta_smooth: float = _ruled(_POSITIVE)
+    m_intervals: int = _ruled(_at_least(1))
 
     def __post_init__(self):
-        # a comparison with NaN is False, so NaN fails the test
-        if not (self.alpha_smooth > 0 and self.beta_smooth > 0):
-            raise ValueError(f"smoothing limits must be positive, got "
-                             f"{self.alpha_smooth!r} and {self.beta_smooth!r}")
-        if not (_is_int(self.m_intervals) and self.m_intervals >= 1):
-            raise ValueError(f"m_intervals must be an integer >= 1, got {self.m_intervals!r}")
+        _check_fields(self)
 
 
 def _chains(spec: SmoothingSpec) -> tuple:
@@ -103,8 +98,7 @@ def feasible_mask(taus, spec: SmoothingSpec, tol: float = 0.0) -> np.ndarray:
     """The feasibility test: a length-k boolean row mask over a (k, 2m) stack,
     True where every violation is within tol.  A 1-D profile gives a 0-d result.
     """
-    if not tol >= 0:  # NaN fails the test too
-        raise ValueError(f"tol must be non-negative, got {tol!r}")
+    _check("tol", tol, _NON_NEGATIVE)
     taus = np.asarray(taus, dtype=float)
     _check_width(taus.shape, spec)
     return np.all(_excess(taus, spec) <= tol, axis=-1)
@@ -117,17 +111,11 @@ def penalize(value: float, tau, spec: SmoothingSpec, weight: float) -> float:
     minimized: a maximized objective is negated first (see
     ``Evaluator.on_unit_cube``).  Feasible profiles are returned unchanged.
     """
-    _check_weight(weight)
+    _check("weight", weight, _POSITIVE)
     v = violations(tau, spec)
     if v.size == 0:
         return float(value)
     return float(value) + weight * float(np.sum(v ** 2))
-
-
-def _check_weight(weight) -> None:
-    # an infinite weight times a zero violation is NaN, not zero
-    if not 0 < weight < math.inf:
-        raise ValueError(f"penalty weight must be positive and finite, got {weight!r}")
 
 
 def penalty_weight_from_probe(values) -> float:
@@ -152,13 +140,13 @@ def penalty_weight_from_probe(values) -> float:
 
 @dataclass(frozen=True)
 class PenaltyTransform:
-    """Spec + weight (positive, finite): the ``Evaluator`` ``penalty`` DIRECT and SPSA add."""
+    """Spec + weight: the ``Evaluator`` ``penalty`` DIRECT and SPSA add."""
 
     spec: SmoothingSpec
-    weight: float
+    weight: float = _ruled(_POSITIVE)
 
     def __post_init__(self):
-        _check_weight(self.weight)
+        _check_fields(self)
 
     def apply(self, value: float, tau) -> float:
         return penalize(value, tau, self.spec, self.weight)

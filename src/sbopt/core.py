@@ -24,8 +24,12 @@ job at a time, so a pair may find it busy and run here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from numbers import Integral
+import functools
+import math
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +54,59 @@ def _is_int(value) -> bool:
     """The one count check: an integer, but not a ``bool``, which is an
     ``Integral`` too (``budget=True`` is a mistake, not one evaluation)."""
     return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """The one number check: a real number, numpy's included, but not a ``bool``,
+    which counts refuse too (``q_max=True`` is a mistake, not 1.0)."""
+    return type(value) is float or (isinstance(value, Real) and not isinstance(value, bool))
+
+
+class _Rule(NamedTuple):
+    """A numeric setting's rule: the test a value must pass, and the phrase
+    ``_check``'s refusal puts after "must be"."""
+
+    test: Callable
+    phrase: str
+
+
+_FINITE = _Rule(lambda v: _is_real(v) and -math.inf < v < math.inf, "finite")
+_POSITIVE = _Rule(lambda v: _is_real(v) and 0 < v < math.inf, "positive and finite")
+_NON_NEGATIVE = _Rule(lambda v: _is_real(v) and 0 <= v < math.inf, "non-negative and finite")
+# the range the simulator's noise hash packs a seed in
+_SEED = _Rule(lambda v: _is_int(v) and 0 <= v < 2 ** 63, "an integer >= 0 and below 2**63")
+
+
+@functools.cache
+def _at_least(least: int) -> _Rule:
+    return _Rule(lambda v: _is_int(v) and v >= least, f"an integer >= {least}")
+
+
+def _or_none(rule: _Rule) -> _Rule:
+    return _Rule(lambda v: v is None or rule.test(v), f"{rule.phrase} or None")
+
+
+def _check(name: str, value, rule: _Rule) -> None:
+    """Raise a ValueError that names the setting unless ``value`` passes ``rule``."""
+    if not rule.test(value):
+        raise ValueError(f"{name} must be {rule.phrase}, got {value!r}")
+
+
+def _ruled(rule: _Rule, **kwargs):
+    """A dataclass field that states its rule, for ``_check_fields``."""
+    return field(metadata={"rule": rule}, **kwargs)
+
+
+@functools.cache
+def _rules_of(cls) -> tuple:
+    return tuple((f.name, f.metadata["rule"]) for f in fields(cls) if "rule" in f.metadata)
+
+
+def _check_fields(obj) -> None:
+    """``_check`` each ``_ruled`` field of a dataclass instance, in field order;
+    its ``__post_init__`` calls this before any rule across fields."""
+    for name, rule in _rules_of(type(obj)):
+        _check(name, getattr(obj, name), rule)
 
 
 def as_vector(values, m_dim: int | None = None) -> np.ndarray:
@@ -249,8 +306,7 @@ class Evaluator:
 
     def __init__(self, objective, budget: int | None = None, sense: str = "minimize",
                  seed: int = 0, feasible=None, penalty=None, sampler=None):
-        if budget is not None and not (_is_int(budget) and budget >= 0):
-            raise ValueError(f"budget must be a non-negative integer or None, got {budget!r}")
+        _check("budget", budget, _or_none(_at_least(0)))
         self.objective = objective
         self.budget = budget
         self.seed = int(seed)
@@ -352,11 +408,8 @@ class Evaluator:
 
 
 def _check_run_bounds(solver: str, evaluator: Evaluator, max_iterations) -> None:
-    """Refuse a cap that is not None or an integer >= 1, and an unbounded run."""
-    if max_iterations is not None and not _is_int(max_iterations):
-        raise ValueError(f"max_iterations must be an integer, got {max_iterations!r}")
-    if max_iterations is not None and max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
+    """Refuse a bad cap, and a run that neither the budget nor a cap bounds."""
+    _check("max_iterations", max_iterations, _or_none(_at_least(1)))
     if evaluator.budget is None and max_iterations is None:
         raise ValueError(f"{solver} needs a budgeted evaluator or max_iterations")
 

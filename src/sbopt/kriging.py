@@ -69,8 +69,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (Bounds, EvaluationError, Evaluator, SboError, Trace, _is_int, _row_mask,
-                   as_vector)
+from .core import (_NON_NEGATIVE, _SEED, Bounds, EvaluationError, Evaluator, SboError, Trace,
+                   _at_least, _check, _check_fields, _or_none, _row_mask, _ruled, as_vector)
 
 _SIGMA2_FLOOR = 1e-300
 _LOG10_THETA_BOUNDS = (-3.0, 2.0)
@@ -124,10 +124,8 @@ class InfillSearchError(SboError):
 
 def random_lhs(n: int, m_dim: int, rng: np.random.Generator) -> np.ndarray:
     """One Latin hypercube draw: each column permutes the stratum midpoints."""
-    if not (_is_int(n) and _is_int(m_dim)):
-        raise ValueError(f"n and m_dim must be integers, got {n!r} and {m_dim!r}")
-    if n < 1 or m_dim < 1:
-        raise ValueError("n and m_dim must be >= 1")
+    _check("n", n, _at_least(1))
+    _check("m_dim", m_dim, _at_least(1))
     mids = (2.0 * np.arange(n) + 1.0) / (2.0 * n)
     return np.column_stack([rng.permutation(mids) for _ in range(m_dim)])
 
@@ -137,7 +135,6 @@ def maximin_lhs(n: int, m_dim: int, seed: int = 0) -> np.ndarray:
 
     The candidate stream starts at the plain single draw for the same
     seed, so the result is never worse space-filling than that draw.
-    Raises ValueError unless n and m_dim are integers >= 1.
     """
     rng = np.random.default_rng(seed)
     best, best_d = None, -np.inf
@@ -155,25 +152,18 @@ def maximin_lhs(n: int, m_dim: int, seed: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Hyperparameter search settings; fixed theta or lam bypass the search.
+    """Hyperparameter search settings; fixed theta or lam bypass the search."""
 
-    ``n_starts`` and ``max_sweeps`` must be integers >= 1 and ``n_probe`` and
-    ``seed`` integers >= 0, or ValueError names the field.
-    """
-
-    n_starts: int = 20
-    n_probe: int = 60
-    max_sweeps: int = 10
+    n_starts: int = _ruled(_at_least(1), default=20)
+    n_probe: int = _ruled(_at_least(0), default=60)
+    max_sweeps: int = _ruled(_at_least(1), default=10)
     theta: np.ndarray | None = None
-    lam: float | None = None
+    lam: float | None = _ruled(_or_none(_NON_NEGATIVE), default=None)
     warm_start: np.ndarray | None = None
-    seed: int = 0
+    seed: int = _ruled(_SEED, default=0)
 
     def __post_init__(self):
-        for name, least in (("n_starts", 1), ("n_probe", 0), ("max_sweeps", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= least):
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -319,8 +309,6 @@ def fit(X, y, config: FitConfig | None = None) -> KrigingModel:
     lam_fixed = config.lam
     if theta_fixed is not None and np.any(theta_fixed <= 0):
         raise FitError("fixed theta must be positive")
-    if lam_fixed is not None and lam_fixed < 0:
-        raise FitError("fixed lambda must be non-negative")
     warm = None if config.warm_start is None else np.asarray(config.warm_start, dtype=float)
     if warm is not None and (warm.shape != (m + 1,) or not np.all(np.isfinite(warm))):
         raise FitError(f"warm_start needs m + 1 = {m + 1} finite entries "
@@ -854,10 +842,7 @@ def run_rk(evaluator: Evaluator, bounds: Bounds, n_init: int,
     """
     if evaluator.budget is None:
         raise ValueError("run_rk needs a budgeted evaluator")
-    if not _is_int(n_init):
-        raise ValueError(f"n_init must be an integer, got {n_init!r}")
-    if n_init < 2:
-        raise ValueError("n_init must be >= 2")
+    _check("n_init", n_init, _at_least(2))
     if not evaluator.can_evaluate():
         return evaluator.trace
     with _BLAS_HOLD as held:

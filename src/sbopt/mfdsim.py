@@ -65,11 +65,12 @@ import math
 import struct
 from array import array
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SboError, _write_csv, as_vector
+from .core import (_FINITE, _NON_NEGATIVE, _POSITIVE, SboError, _check, _check_fields, _ruled,
+                   _write_csv, as_vector)
 
 
 class SimulationError(SboError):
@@ -77,10 +78,10 @@ class SimulationError(SboError):
 
 
 _TOLL_QUANTUM = 1e-4
-# the segment memo of a step plan holds this many calls' worth of segments,
-# _MEMO_RUNS * (m + 1) entries: 576 on `complex`, about 0.2 MB, twice the
-# segments one budget-100 DIRECT run there steps, so its later seeds find them
-_MEMO_RUNS = 64
+# the segment memo of a step plan holds this many entries, about 0.2 MB: 64
+# calls' worth on `complex`, twice the segments one budget-100 DIRECT run
+# there steps, so its later seeds find them
+_MEMO_ENTRIES = 576
 
 
 @dataclass(frozen=True)
@@ -92,18 +93,15 @@ class NfdCurve:
     in veh per lane-km, q_max in veh/h per lane-km.
     """
 
-    k_cr_low: float
-    k_cr_high: float
-    k_jam: float
-    q_max: float
+    k_cr_low: float = _ruled(_POSITIVE)
+    k_cr_high: float = _ruled(_POSITIVE)
+    k_jam: float = _ruled(_POSITIVE)
+    q_max: float = _ruled(_POSITIVE)
 
     def __post_init__(self):
-        if not math.isfinite(self.k_jam):
-            raise ValueError(f"k_jam must be finite, got {self.k_jam!r}")
-        if not (0 < self.k_cr_low <= self.k_cr_high < self.k_jam):
-            raise ValueError("need 0 < k_cr_low <= k_cr_high < k_jam")
-        if not 0 < self.q_max < math.inf:
-            raise ValueError("q_max must be positive and finite")
+        _check_fields(self)
+        if not self.k_cr_low <= self.k_cr_high < self.k_jam:
+            raise ValueError("need k_cr_low <= k_cr_high < k_jam")
 
     @property
     def free_flow_speed(self) -> float:
@@ -143,20 +141,16 @@ class TollScheme:
     start of the simulation.
     """
 
-    horizon_start_min: float
-    horizon_end_min: float
-    interval_length_min: float
+    horizon_start_min: float = _ruled(_FINITE)
+    horizon_end_min: float = _ruled(_FINITE)
+    interval_length_min: float = _ruled(_POSITIVE)
     eta: np.ndarray
     omega: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
         object.__setattr__(self, "eta", np.atleast_1d(np.asarray(self.eta, dtype=float)))
         object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float).reshape(-1))
-        for name in ("horizon_start_min", "horizon_end_min", "interval_length_min"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.interval_length_min <= 0:
-            raise ValueError("interval_length_min must be positive")
+        _check_fields(self)
         if self.horizon_end_min <= self.horizon_start_min:
             raise ValueError("tolling horizon must have positive length")
         n_int = (self.horizon_end_min - self.horizon_start_min) / self.interval_length_min
@@ -187,7 +181,8 @@ class TollScheme:
         want = 2 * m if self.joint else m
         tau = as_vector(tau, want)
         omega = tau[m:] if self.joint else self.omega
-        return replace(self, eta=tau[:m], omega=omega)
+        return TollScheme(self.horizon_start_min, self.horizon_end_min,
+                          self.interval_length_min, tau[:m], omega)
 
 
 @dataclass(frozen=True)
@@ -202,39 +197,28 @@ class ReservoirConfig:
     the NFD plateau from the top edge down.
     """
 
-    lane_km: float
-    avg_trip_length_km: float
+    lane_km: float = _ruled(_POSITIVE)
+    avg_trip_length_km: float = _ruled(_POSITIVE)
     demand_segments: tuple
-    toll_elasticity: float
-    value_of_time: float = 15.0
-    dt_s: float = 1.0
-    noise_amplitude: float = 0.0
-    stochastic_noise_sd: float = 0.0
-    demand_composition_gain: float = 0.0
+    toll_elasticity: float = _ruled(_NON_NEGATIVE)
+    value_of_time: float = _ruled(_POSITIVE, default=15.0)
+    dt_s: float = _ruled(_POSITIVE, default=1.0)
+    noise_amplitude: float = _ruled(_NON_NEGATIVE, default=0.0)
+    stochastic_noise_sd: float = _ruled(_NON_NEGATIVE, default=0.0)
+    demand_composition_gain: float = _ruled(_NON_NEGATIVE, default=0.0)
 
     def __post_init__(self):
         segs = tuple((float(d), float(r)) for d, r in self.demand_segments)
         object.__setattr__(self, "demand_segments", segs)
-        # a comparison with NaN is False, so each check rejects NaN too; a NaN
-        # demand rate passes, and the step loop raises SimulationError on it.
-        # A trip's delay, below trip_km / 1e-6 hours at the speed floor, stays
-        # finite, so a zero delay rate adds a zero toll (see _advance).
-        inf = math.inf
-        if not (0 < self.lane_km < inf and 0 < self.avg_trip_length_km / 1e-6 < inf):
-            raise ValueError("lane_km and avg_trip_length_km / 1e-6 must be positive and finite")
-        if not segs or not all(0 < d < inf and not r < 0 for d, r in segs):
+        _check_fields(self)
+        # a trip's delay, below trip_km / 1e-6 hours at the speed floor, stays
+        # finite, so a zero delay rate adds a zero toll (see _advance)
+        if not self.avg_trip_length_km / 1e-6 < math.inf:
+            raise ValueError("avg_trip_length_km / 1e-6 must be finite")
+        # a NaN demand rate passes, and the step loop raises SimulationError on it
+        if not segs or not all(0 < d < math.inf and not r < 0 for d, r in segs):
             raise ValueError(
                 "demand segments need positive finite durations, non-negative rates")
-        if not 0 <= self.toll_elasticity < inf:
-            raise ValueError("toll_elasticity must be non-negative and finite")
-        if not 0 < self.value_of_time < inf:
-            raise ValueError("value_of_time must be positive and finite")
-        if not 0 < self.dt_s < inf:
-            raise ValueError("dt_s must be positive and finite")
-        if not (0 <= self.noise_amplitude < inf and 0 <= self.stochastic_noise_sd < inf):
-            raise ValueError("noise levels must be non-negative and finite")
-        if not 0 <= self.demand_composition_gain < inf:
-            raise ValueError("demand_composition_gain must be non-negative and finite")
 
     @property
     def horizon_min(self) -> float:
@@ -328,19 +312,13 @@ def _interval_noise(quantized: bytes, seed: int, m: int) -> np.ndarray:
     return np.array(units).reshape(2, m)
 
 
-def _check_amplitude(amplitude) -> None:
-    # a comparison with NaN is False, so NaN fails the test
-    if not 0 <= amplitude < math.inf:
-        raise ValueError(f"amplitude must be non-negative and finite, got {amplitude!r}")
-
-
 def apply_numerical_noise(value: float, tau, amplitude: float, seed: int) -> float:
     """Add deterministic hash noise in [-amplitude, amplitude) to value.
 
     The noise is a pure function of the toll vector quantized to a 1e-4
     grid and the seed.  Amplitude zero returns the value untouched.
     """
-    _check_amplitude(amplitude)
+    _check("amplitude", amplitude, _NON_NEGATIVE)
     if amplitude == 0:
         return float(value)
     digest = hashlib.blake2b(_quantize(tau) + struct.pack("<q", int(seed)),
@@ -565,10 +543,10 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
     from the memo under those bits, or steps the segment from that state.
     An exact repeat, a shared prefix of intervals, a state that returns to
     an earlier run's before equal later tolls and a later seed's repeat of
-    the same tolls all come from that one lookup.  The memo keeps the last
-    ``_MEMO_RUNS`` calls' worth of segments, evicting the least recently
-    used.  After the walk, one array pass over the stepped range derives
-    density and flow, each stepped interval is averaged over its slice (one
+    the same tolls all come from that one lookup.  The memo keeps the
+    ``_MEMO_ENTRIES`` segments used last.  After the walk, one array pass
+    over the stepped range derives density and flow, each stepped interval
+    is averaged over its slice (one
     reshaped mean when the slices share a length), and the means go to the
     output and the memo; a segment whose steps raise leaves no memo entry,
     while those stepped before it keep theirs.  The toll vector is
@@ -629,7 +607,7 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
         for s, key, state, value in missed:
             memo[key] = (state, value, k_means[s - 1], q_means[s - 1]) if s else (
                 state, value, None, None)
-        for _ in range(len(memo) - _MEMO_RUNS * len(segments)):
+        for _ in range(len(memo) - _MEMO_ENTRIES):
             memo.popitem(last=False)
 
     k_bar = k_bar_clean.copy()

@@ -14,31 +14,25 @@ error changes sign the toll moves back immediately.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bounds, EvaluationError, Evaluator, Trace, _is_int, as_vector
+from .core import (_FINITE, _POSITIVE, Bounds, EvaluationError, Evaluator, Trace, _at_least,
+                   _check_fields, _ruled, as_vector)
 
 
 @dataclass(frozen=True)
 class PIConfig:
-    """Gains (both positive), critical density target, and iteration cap."""
+    """Gains, critical density target, and iteration cap."""
 
-    p_p: float
-    p_i: float
-    k_cr: float
-    n_max: int = 35
+    p_p: float = _ruled(_POSITIVE)
+    p_i: float = _ruled(_POSITIVE)
+    k_cr: float = _ruled(_FINITE)
+    n_max: int = _ruled(_at_least(1), default=35)
 
     def __post_init__(self):
-        # a comparison with NaN is False, so each check rejects NaN too
-        if not (0 < self.p_p < math.inf and 0 < self.p_i < math.inf):
-            raise ValueError("controller gains must be positive and finite")
-        if not -math.inf < self.k_cr < math.inf:
-            raise ValueError("k_cr must be finite")
-        if not (_is_int(self.n_max) and self.n_max >= 1):
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
+        _check_fields(self)
 
 
 def pi_init(config: PIConfig, k_bar_baseline) -> np.ndarray:

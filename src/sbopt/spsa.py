@@ -22,12 +22,12 @@ tracked over the perturbed points, the only ones actually evaluated.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Bounds, Evaluator, Trace, _check_run_bounds, as_vector
+from .core import (_NON_NEGATIVE, _POSITIVE, Bounds, Evaluator, Trace, _check, _check_fields,
+                   _check_run_bounds, _ruled, as_vector)
 
 logger = logging.getLogger(__name__)
 
@@ -36,18 +36,14 @@ logger = logging.getLogger(__name__)
 class SpsaGains:
     """Gain sequence constants; defaults follow common practice."""
 
-    a: float = 0.1
-    big_a: float = 5.0
-    alpha: float = 0.602
-    c: float = 0.1
-    gamma: float = 0.101
+    a: float = _ruled(_POSITIVE, default=0.1)
+    big_a: float = _ruled(_NON_NEGATIVE, default=5.0)
+    alpha: float = _ruled(_POSITIVE, default=0.602)
+    c: float = _ruled(_POSITIVE, default=0.1)
+    gamma: float = _ruled(_POSITIVE, default=0.101)
 
     def __post_init__(self):
-        # a comparison with NaN is False, so each check rejects NaN too
-        if not (0 < self.a < math.inf and 0 < self.c < math.inf):
-            raise ValueError("a and c must be positive and finite")
-        if not 0 <= self.big_a < math.inf:
-            raise ValueError("A must be non-negative and finite")
+        _check_fields(self)
         if not (0 < self.gamma < self.alpha <= 1):
             raise ValueError("need 0 < gamma < alpha <= 1")
 
@@ -75,8 +71,7 @@ def approx_gradient(evaluator: Evaluator, tau, c_i: float, delta):
     """
     tau = as_vector(tau)
     delta = as_vector(delta, tau.size)
-    if not 0 < c_i < math.inf:  # a comparison with NaN is False
-        raise ValueError(f"c_i must be positive and finite, got {c_i!r}")
+    _check("c_i", c_i, _POSITIVE)
     if np.any(np.abs(delta) != 1.0):
         raise ValueError("delta must be a +-1 vector")
     return _two_point(lambda a, b: [ev.value for ev in evaluator.evaluate_pair(a, b)],

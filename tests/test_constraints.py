@@ -115,7 +115,7 @@ def test_penalty_transform_wraps_spec_and_config():
 ], ids=["transform", "penalize"])
 @pytest.mark.parametrize("weight", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_penalty_weight_must_be_finite(build, weight):
-    with pytest.raises(ValueError, match="penalty weight must be positive and finite"):
+    with pytest.raises(ValueError, match="^weight must be positive and finite"):
         build(weight)
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import sbopt as sb
 from sbopt.bench import get_problem, run_single
 from sbopt.bench.problems import FEASIBILITY_TOL
+from sbopt.core import _rules_of
 
 
 def test_clamp_projects_out_of_box_points():
@@ -72,7 +74,7 @@ def test_budget_exhausted():
 @pytest.mark.parametrize("budget", [float("nan"), 2.5], ids=["nan", "fraction"])
 def test_evaluator_rejects_a_budget_that_is_no_count(budget):
     # a NaN budget made run_direct stop after no evaluation, without an error
-    with pytest.raises(ValueError, match="budget must be a non-negative integer or None"):
+    with pytest.raises(ValueError, match="budget must be an integer >= 0 or None"):
         sb.Evaluator(lambda t, s: 0.0, budget=budget)
 
 
@@ -81,7 +83,7 @@ def _unit_bowl(tau, seed):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: sb.Evaluator(_unit_bowl, budget=True), "budget must be a non-negative integer"),
+    (lambda: sb.Evaluator(_unit_bowl, budget=True), "budget must be an integer >= 0 or None"),
     (lambda: sb.run_spsa(sb.Evaluator(_unit_bowl, budget=None), np.full(2, 0.5),
                          sb.Bounds.unit(2), max_iterations=True),
      "max_iterations must be an integer"),
@@ -90,8 +92,8 @@ def _unit_bowl(tau, seed):
     (lambda: sb.FitConfig(n_starts=True), "n_starts must be an integer >= 1"),
     (lambda: sb.FitConfig(n_probe=False), "n_probe must be an integer >= 0"),
     (lambda: sb.FitConfig(max_sweeps=True), "max_sweeps must be an integer >= 1"),
-    (lambda: sb.random_lhs(True, 2, np.random.default_rng(0)), "n and m_dim must be integers"),
-    (lambda: sb.random_lhs(2, True, np.random.default_rng(0)), "n and m_dim must be integers"),
+    (lambda: sb.random_lhs(True, 2, np.random.default_rng(0)), "^n must be an integer >= 1"),
+    (lambda: sb.random_lhs(2, True, np.random.default_rng(0)), "^m_dim must be an integer >= 1"),
     (lambda: sb.run_rk(sb.Evaluator(_unit_bowl, budget=10), sb.Bounds.unit(2), n_init=True),
      "n_init must be an integer"),
     (lambda: sb.PIConfig(p_p=0.02, p_i=0.005, k_cr=15.0, n_max=True),
@@ -103,6 +105,64 @@ def test_counts_refuse_a_bool(build, message):
     # True and False are Integral, so every count check once took them as 1 and 0
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# every public config dataclass, with the arguments of a valid instance; each
+# field that holds a number there is swept
+CONFIGS = {
+    sb.NfdCurve: dict(k_cr_low=15.0, k_cr_high=20.0, k_jam=60.0, q_max=600.0),
+    sb.TollScheme: dict(horizon_start_min=30.0, horizon_end_min=90.0,
+                        interval_length_min=30.0, eta=np.zeros(2)),
+    sb.ReservoirConfig: dict(lane_km=40.0, avg_trip_length_km=5.0,
+                             demand_segments=((30.0, 1000.0),), toll_elasticity=0.3),
+    sb.SpsaGains: {},
+    sb.PIConfig: dict(p_p=0.02, p_i=0.005, k_cr=15.0),
+    sb.FitConfig: dict(lam=1e-3),
+    sb.SmoothingSpec: dict(alpha_smooth=0.33, beta_smooth=5.0, m_intervals=2),
+    sb.PenaltyTransform: dict(spec=sb.SmoothingSpec(0.33, 5.0, 2), weight=10.0),
+}
+# the values just outside each rule, by the phrase its refusal uses
+OUTSIDE = {
+    "finite": [],
+    "positive and finite": [0.0, -1.0],
+    "non-negative and finite": [-5e-324, -1.0],
+    "an integer >= 0": [-1, 0.5, 3.0],
+    "an integer >= 1": [0, 1.5, 3.0],
+    "an integer >= 0 and below 2**63": [-1, 2 ** 63, 0.5, 3.0],
+}
+
+
+def _numeric_fields():
+    for cls, args in CONFIGS.items():
+        instance = cls(**args)
+        for f in fields(cls):
+            value = getattr(instance, f.name)
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}")
+
+
+def test_the_sweep_covers_every_config_that_states_a_rule():
+    ruled = {cls for cls in vars(sb).values() if is_dataclass(cls) and _rules_of(cls)}
+    assert ruled == set(CONFIGS)
+
+
+@pytest.mark.parametrize("cls, name, valid", _numeric_fields())
+def test_every_numeric_config_field_refuses_what_its_rule_refuses(cls, name, valid):
+    rules = dict(_rules_of(cls))
+    assert name in rules, f"{cls.__name__}.{name} states no rule"
+    bad = [float("nan"), float("inf"), -float("inf"), True, False, "1",
+           *OUTSIDE[rules[name].phrase.removesuffix(" or None")]]
+    refusals = {}
+    for value in bad:
+        try:
+            cls(**{**CONFIGS[cls], name: value})
+            refusals[repr(value)] = None
+        except ValueError as exc:
+            refusals[repr(value)] = str(exc)
+    assert all(r is not None and r.startswith(f"{name} must be ")
+               for r in refusals.values()), refusals
+    numpy_scalar = np.int64(valid) if isinstance(valid, int) else np.float64(valid)
+    assert getattr(cls(**{**CONFIGS[cls], name: numpy_scalar}), name) == valid
 
 
 def test_can_evaluate_answers_the_budget_question():

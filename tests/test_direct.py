@@ -144,7 +144,7 @@ def test_epsilon_outside_working_range_rejected():
 @pytest.mark.parametrize("max_iterations", [0, -3])
 def test_iteration_cap_below_one_rejected(max_iterations):
     ev = sb.Evaluator(bowl, budget=5, seed=0)
-    with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+    with pytest.raises(ValueError, match="max_iterations must be an integer >= 1"):
         sb.run_direct(ev, UNIT2, max_iterations=max_iterations)
     assert ev.used == 0
 

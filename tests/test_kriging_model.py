@@ -53,14 +53,16 @@ def test_lhs_deterministic_per_seed():
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("n, m_dim, message", [
-    (2.5, 2, "must be integers"), (3, 2.0, "must be integers"),
-    (0, 2, "must be >= 1"), (3, 0, "must be >= 1"),
+@pytest.mark.parametrize("n, m_dim, name", [
+    pytest.param(2.5, 2, "n", id="2.5-2-must be integers"),
+    pytest.param(3, 2.0, "m_dim", id="3-2.0-must be integers"),
+    pytest.param(0, 2, "n", id="0-2-must be >= 1"),
+    pytest.param(3, 0, "m_dim", id="3-0-must be >= 1"),
 ])
-def test_lhs_refuses_counts_that_are_not_positive_integers(n, m_dim, message):
-    with pytest.raises(ValueError, match=f"n and m_dim {message}"):
+def test_lhs_refuses_counts_that_are_not_positive_integers(n, m_dim, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
         sb.maximin_lhs(n, m_dim, seed=0)
-    with pytest.raises(ValueError, match=f"n and m_dim {message}"):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
         sb.random_lhs(n, m_dim, np.random.default_rng(0))
 
 

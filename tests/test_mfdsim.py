@@ -14,7 +14,7 @@ from sbopt import bench
 from sbopt.bench.problems import (complex_toll_scenario, composition_scenario,
                                   simple_toll_scenario)
 from sbopt import _pair, mfdsim
-from sbopt.mfdsim import _MEMO_RUNS, _derived_seed, _step_plan
+from sbopt.mfdsim import _MEMO_ENTRIES, _derived_seed, _step_plan
 
 TRAPEZOID = sb.NfdCurve(k_cr_low=20.0, k_cr_high=30.0, k_jam=80.0, q_max=600.0)
 
@@ -59,7 +59,7 @@ def test_nfd_curve_validation_and_speed():
     with pytest.raises(ValueError):
         sb.NfdCurve(20.0, 90.0, 80.0, 600.0)
     for k_jam in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="k_jam must be finite"):
+        with pytest.raises(ValueError, match="k_jam must be positive and finite"):
             sb.NfdCurve(15.0, 15.0, k_jam, 600.0)
 
 
@@ -318,7 +318,7 @@ def test_toll_scheme_validation():
 def test_non_finite_toll_scheme_times_are_rejected(name, value):
     # a NaN time failed converting to int, and an infinite end overflowed
     times = {"horizon_start_min": 30.0, "horizon_end_min": 90.0, "interval_length_min": 30.0}
-    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    with pytest.raises(ValueError, match=f"^{name} must be (positive and )?finite"):
         sb.TollScheme(**{**times, name: value}, eta=np.zeros(2))
 
 
@@ -696,9 +696,9 @@ def test_checkpoints_match_a_cold_cache_bit_for_bit(moves, late, seed):
     # evict every tolled entry before any series is read: each of these vectors
     # puts both rates of every interval at the fraction (j + 0.5) / calls of the
     # range, never lo or the middle, so each call stores m new entries, and
-    # enough calls run to fill the memo's _MEMO_RUNS * (m + 1) entries
+    # enough calls run to fill the memo's _MEMO_ENTRIES entries
     m = template.m_intervals
-    calls = -(-_MEMO_RUNS * (m + 1) // m)
+    calls = -(-_MEMO_ENTRIES // m)
     for j in range(calls):
         evict = lo + (j + 0.5) / calls * (hi - lo)
         sb.run_reservoir(_COARSE, curve, template.with_tau(evict), seed)
@@ -828,7 +828,7 @@ def test_memo_holds_the_end_state_and_means_of_each_segment_key():
     _step_plan.cache_clear()
     rng = np.random.default_rng(3)
     # every call shares the warm-up and stores m new intervals, so these fill the memo
-    calls = -(-_MEMO_RUNS * (m + 1) // m) + 4
+    calls = -(-_MEMO_ENTRIES // m) + 4
     for _ in range(calls):
         tau = lo + rng.random(16) * (hi - lo)
         out = sb.run_reservoir(cfg, curve, template.with_tau(tau), 0)
@@ -836,7 +836,7 @@ def test_memo_holds_the_end_state_and_means_of_each_segment_key():
         cfg, curve, template.horizon_start_min, template.horizon_end_min,
         template.interval_length_min, m)
     assert len(segments) == m + 1
-    assert len(memo) == _MEMO_RUNS * (m + 1)
+    assert len(memo) == _MEMO_ENTRIES
     for (s, state, tolls), entry in memo.items():
         assert (len(state), len(tolls)) == (8, 16 if s else 0)
         end_bits, end, k_mean, q_mean = entry

