@@ -3,8 +3,12 @@
 ``run_call(fn, args, local)`` is its one entry.  It decides whether
 ``fn(*args)`` goes to the helper, sends it, runs ``local()`` in the caller
 meanwhile, and falls back to the caller when the helper does not answer.
-``fn`` is a picklable module-level function, sent with each job;
-``prepare(fn)`` has the helper run ``fn()`` once with no caller waiting.
+``fn`` is a picklable module-level function or object, sent with each
+job; ``prepare(fn)`` has the helper run ``fn()`` once with no caller
+waiting.  The caller pickles a function once per object and the helper
+loads each pickle once, each keeping the last ``KEPT_FUNCTIONS``: the
+purity rule of ``sbopt.core``'s objective contract, and kriging's
+module-level functions, make a kept function the same as a fresh one.
 Every batch of independent work in sbopt goes through it:
 
 - ``Evaluator.evaluate_pair`` sends the objective at the second point of a
@@ -60,6 +64,8 @@ BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
 # round trip is the least of several before the gate can keep the function here;
 # for a function cheaper than a round trip they cost about 2 ms once
 GATE_SAMPLES = 16
+# the functions whose pickle the caller keeps, and the pickles whose function the helper keeps
+KEPT_FUNCTIONS = 8
 
 
 class Channel:
@@ -123,13 +129,18 @@ def serve(conn) -> None:
     function or its arguments did not load or the reply would not load in
     the caller; the caller then runs the call itself.
     """
+    loaded = {}  # the pickle of each function met last -> that function
     try:
         conn.send("ready")
         while True:
             data = conn.recv_bytes()
             try:
                 pickled, args = pickle.loads(data)
-                fn = pickle.loads(pickled)
+                fn = loaded.get(pickled)
+                if fn is None:
+                    fn = loaded[pickled] = pickle.loads(pickled)
+                    if len(loaded) > KEPT_FUNCTIONS:
+                        del loaded[next(iter(loaded))]
             except Exception:  # e.g. a function of the caller's __main__
                 conn.send(None)
                 continue
@@ -239,6 +250,10 @@ class PairHelper:
 
 
 _helper: PairHelper | None = None
+# id of each function met last -> (that function, its pickle or None); holding
+# the function keeps its id from passing to another object
+_pickles: dict = {}
+_pickles_lock = threading.Lock()
 
 
 def process_helper() -> PairHelper | None:
@@ -253,12 +268,22 @@ def _take(fn):
     """``(helper, pickle of fn)`` with the helper's lock held, or None when the
     helper may not take ``fn``: off POSIX, on fewer than two CPUs, for a ``fn``
     that does not pickle or that the helper could not take, once it is gone,
-    and while another thread holds it.  Starts the helper on first use."""
+    and while another thread holds it.  Starts the helper on first use.
+    ``fn`` is pickled, or found not to pickle, once while ``_pickles`` keeps it."""
     if os.name != "posix" or not two_cpus():  # pass_fds is POSIX-only
         return None
-    try:
-        pickled = pickle.dumps(fn)
-    except Exception:  # closures, lambdas, open handles
+    with _pickles_lock:  # kriging's callers may split from several threads
+        kept = _pickles.get(id(fn))
+        if kept is None:
+            try:
+                pickled = pickle.dumps(fn)
+            except Exception:  # closures, lambdas, open handles
+                pickled = None
+            kept = _pickles[id(fn)] = (fn, pickled)
+            if len(_pickles) > KEPT_FUNCTIONS:
+                del _pickles[next(iter(_pickles))]
+    pickled = kept[1]
+    if pickled is None:
         return None
     helper = process_helper()
     if helper is None or fn is helper.refused or not helper.lock.acquire(False):

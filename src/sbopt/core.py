@@ -307,6 +307,7 @@ class Evaluator:
     def __init__(self, objective, budget: int | None = None, sense: str = "minimize",
                  seed: int = 0, feasible=None, penalty=None, sampler=None):
         _check("budget", budget, _or_none(_at_least(0)))
+        _check("seed", seed, _SEED)
         self.objective = objective
         self.budget = budget
         self.seed = int(seed)

@@ -33,9 +33,13 @@ state before an interval returns to an earlier run's, with the same
 tolls from there, takes the rest from the memo.  The seed moves only the
 noise on the means, so a solver whose later seeds ask for the tolls its
 first seed asked for, as DIRECT's do, reuses what that seed simulated.
+That noise is cached too: a seed's stochastic draws are made once per
+(seed, m) and kept read-only (``_stochastic_draws``), beside the derived
+seeds of its hash noise (``_noise_seeds``).
 No objective reads a step after the tolling horizon, so a call stops
 there and keeps no series: the first read of the output's ``n``, ``k``
-or ``q`` steps the whole profile from step 0.  Inside a run of constant
+or ``q`` steps the whole profile from step 0, and the first read of its
+time grid ``t_s`` builds it.  Inside a run of constant
 demand and interval, a step that leaves the state exactly where it was
 repeats every later step of the run, so the loop fills the rest of the
 run with it.
@@ -238,11 +242,13 @@ class SimOutput:
     the tolling horizon's segments the memo lacked.  The first read of
     ``n``, ``k`` or ``q`` steps the whole profile from step 0 and derives
     ``k`` and ``q`` from ``n``, so that read can raise SimulationError; a
-    read after a failed one steps the profile again.
+    read after a failed one steps the profile again.  Its ``t_s`` is built
+    on the first read too, an array of the output's own.
     """
 
     def __init__(self, t_s, n, k, q, k_bar, q_bar, k_bar_clean, q_bar_clean):
-        self.t_s = t_s
+        self._t_s = t_s
+        self._grid = None  # run_reservoir's (step count, dt_s) that t_s is built from
         self._series = (n, k, q)
         self._pending = None  # run_reservoir's callable that returns (n, k, q)
         self.k_bar = k_bar
@@ -255,6 +261,14 @@ class SimOutput:
             self._series = self._pending()
             self._pending = None
         return self._series
+
+    @property
+    def t_s(self) -> np.ndarray:
+        if self._grid is not None:
+            n_steps, dt_s = self._grid
+            self._t_s = (np.arange(n_steps) + 1.0) * dt_s
+            self._grid = None
+        return self._t_s
 
     @property
     def n(self) -> np.ndarray:
@@ -294,6 +308,20 @@ def _noise_seeds(seed: int, m: int) -> tuple:
     """Packed derived seeds of the k noise of intervals 0..m-1, then of the q noise."""
     return tuple(struct.pack("<q", _derived_seed(seed, f"{series}{h}"))
                  for series in "kq" for h in range(m))
+
+
+@functools.lru_cache(maxsize=64)
+def _stochastic_draws(seed: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The standard normals of the stochastic noise on the k means, then on the q means.
+
+    They depend on the seed and the interval count alone, so each pair is
+    drawn once and kept read-only.
+    """
+    rng = np.random.default_rng(_derived_seed(seed, "stochastic"))
+    draws = rng.standard_normal(m), rng.standard_normal(m)
+    for z in draws:
+        z.setflags(write=False)
+    return draws
 
 
 def _interval_noise(quantized: bytes, seed: int, m: int) -> np.ndarray:
@@ -551,13 +579,14 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
     output and the memo; a segment whose steps raise leaves no memo entry,
     while those stepped before it keep theirs.  The toll vector is
     quantized and hashed once for the noise of every interval
-    (``_interval_noise``).
+    (``_interval_noise``); the seed's stochastic draws come from a cache
+    keyed by (seed, m) (``_stochastic_draws``).
 
     The call keeps no series, since the aggregates read nothing but the
     means: the first read of the output's ``n``, ``k`` or ``q`` steps the
     whole profile from step 0 (``_full_series``), so a SimulationError in
     the untolled steps after the horizon is raised by that read, not by
-    this call.
+    this call.  The time grid ``t_s`` is built on its first read.
     """
     if scheme.horizon_end_min > config.horizon_min + 1e-9:
         raise ValueError("tolling horizon extends beyond the demand profile")
@@ -613,9 +642,9 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
     k_bar = k_bar_clean.copy()
     q_bar = q_bar_clean.copy()
     if config.stochastic_noise_sd > 0:
-        rng = np.random.default_rng(_derived_seed(seed, "stochastic"))
-        k_bar = k_bar + config.stochastic_noise_sd * rng.standard_normal(m)
-        q_bar = q_bar + config.stochastic_noise_sd * rng.standard_normal(m)
+        z_k, z_q = _stochastic_draws(seed, m)
+        k_bar = k_bar + config.stochastic_noise_sd * z_k
+        q_bar = q_bar + config.stochastic_noise_sd * z_q
     amplitude = config.noise_amplitude
     if amplitude > 0:
         noise = amplitude * _interval_noise(_quantize(scheme.tau()), seed, m)
@@ -625,11 +654,11 @@ def run_reservoir(config: ReservoirConfig, curve: NfdCurve, scheme: TollScheme,
     q_bar = np.maximum(q_bar, 0.0)
 
     out = SimOutput(
-        t_s=(np.arange(n_steps) + 1.0) * config.dt_s,
-        n=None, k=None, q=None,
+        t_s=None, n=None, k=None, q=None,
         k_bar=k_bar, q_bar=q_bar,
         k_bar_clean=k_bar_clean, q_bar_clean=q_bar_clean,
     )
+    out._grid = (n_steps, config.dt_s)
     # copies: scheme.eta and omega can be views of the caller's toll vector
     out._pending = functools.partial(_full_series, runs, interval, config, curve,
                                      eta.copy(), omega.copy())

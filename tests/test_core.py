@@ -78,6 +78,19 @@ def test_evaluator_rejects_a_budget_that_is_no_count(budget):
         sb.Evaluator(lambda t, s: 0.0, budget=budget)
 
 
+@pytest.mark.parametrize("seed", [2.5, True, -1, 2 ** 63], ids=repr)
+def test_evaluator_refuses_a_seed_outside_the_seed_rule(seed):
+    # 2.5 ran on seed 2 and True on seed 1, silently
+    with pytest.raises(ValueError, match="^seed must be "):
+        sb.Evaluator(lambda t, s: float(s), budget=2, seed=seed)
+
+
+def test_evaluator_runs_a_numpy_integer_seed_as_that_integer():
+    ev = sb.Evaluator(lambda t, s: float(s), budget=2, seed=np.int64(3))
+    assert type(ev.seed) is int
+    assert ev.evaluate([0.0]).value == 3.0
+
+
 def _unit_bowl(tau, seed):
     return float(np.sum((np.asarray(tau) - 0.3) ** 2))
 

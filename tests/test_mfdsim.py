@@ -821,6 +821,43 @@ def test_outputs_taken_from_the_memo_match_a_cold_call(stepped, name):
         assert_same_output(out, sb.run_reservoir(cfg, curve, scheme, 5))
 
 
+def test_seed_draws_taken_from_their_cache_match_a_cold_call():
+    """Seeds 0, 5, 0 alternate over `complex` (m = 8) and `simple` (m = 2).
+
+    A draw cache keyed by the seed alone, or by m alone, would hand one
+    call another's noise.
+    """
+    runs = []
+    for name in ("complex", "simple"):
+        problem = bench.get_problem(name)
+        cfg, curve, template = (problem.scenario[key] for key in ("config", "curve", "template"))
+        assert cfg.stochastic_noise_sd > 0
+        lo, hi = problem.bounds.lower, problem.bounds.upper
+        rng = np.random.default_rng(11)
+        runs.append([(cfg, curve, template.with_tau(lo + rng.random(lo.size) * (hi - lo)))
+                     for _ in range(3)])
+    calls = [(*run, seed) for seed in (0, 5, 0) for pair in zip(*runs) for run in pair]
+    warm = [sb.run_reservoir(*call) for call in calls]
+    for call, out in zip(calls, warm):
+        mfdsim._stochastic_draws.cache_clear()
+        _step_plan.cache_clear()
+        cold = sb.run_reservoir(*call)
+        for name in ("k_bar", "q_bar"):
+            assert getattr(out, name).tobytes() == getattr(cold, name).tobytes(), name
+
+
+def test_time_grid_is_built_on_first_read_and_owned_by_the_output():
+    cfg, curve, template = complex_toll_scenario()
+    scheme = template.with_tau(_COMPLEX.bounds.lower)
+    first, again = (sb.run_reservoir(cfg, curve, scheme, 0) for _ in range(2))
+    n_steps = int(round(cfg.horizon_min * 60.0 / cfg.dt_s))
+    want = (np.arange(n_steps) + 1.0) * cfg.dt_s
+    assert first.t_s.tobytes() == want.tobytes()
+    assert first.t_s is first.t_s  # built once
+    first.t_s[:] = -1.0
+    assert again.t_s.tobytes() == want.tobytes()
+
+
 def test_memo_holds_the_end_state_and_means_of_each_segment_key():
     cfg, curve, template = complex_toll_scenario()
     lo, hi = _COMPLEX.bounds.lower, _COMPLEX.bounds.upper

@@ -295,7 +295,9 @@ def trace_bits(trace):
 
 @needs_two_cpus
 @pytest.mark.parametrize("name, budget", [("complex", 40), ("simple", 60)])
-def test_pair_helper_gives_the_sequential_bits(fresh_helper, name, budget):
+def test_pair_helper_gives_the_sequential_bits(fresh_helper, monkeypatch, name, budget):
+    # the gate stays open, so the counts below do not hang on the host's load
+    monkeypatch.setattr(_pair.Gate, "opens", lambda self: True)
     problem = bench.get_problem(name)
     concurrent = bench.run_single(problem, "spsa", budget, 3)
     assert fresh_helper.jobs == budget // 2
@@ -351,6 +353,28 @@ def test_pairs_of_two_objectives_interleave_on_one_helper(fresh_helper):
         traces.append([trace_bits(ev.trace) for ev in evaluators])
         assert fresh_helper.jobs == 20
     assert traces[0] == traces[1]
+
+
+@needs_two_cpus
+def test_two_objectives_of_one_scenario_keep_their_own_pickles(fresh_helper, monkeypatch):
+    # the same scenario and dimension, scored differently: a helper or a caller
+    # that reused the other's function would give the other's values
+    monkeypatch.setattr(_pair.Gate, "opens", lambda self: True)
+    problems = [bench.get_problem(name)
+                for name in ("composition_density", "composition_flow")]
+    assert problems[0].bounds.m_dim == problems[1].bounds.m_dim
+    assert problems[0].scenario["config"] == problems[1].scenario["config"]
+    rng = np.random.default_rng(4)
+    evaluators = [sb.Evaluator(p.objective, budget=None, seed=1) for p in problems]
+    for _ in range(6):
+        for p, ev in zip(problems, evaluators):
+            ev.evaluate_pair(*p.bounds.from_unit(rng.random((2, p.bounds.m_dim))))
+    assert fresh_helper.jobs == 12
+    for p, ev in zip(problems, evaluators):
+        sequential = sb.Evaluator(p.objective, budget=None, seed=1)
+        for record in ev.trace.records:
+            sequential.evaluate(record.tau)
+        assert trace_bits(ev.trace) == trace_bits(sequential.trace)
 
 
 @needs_two_cpus
